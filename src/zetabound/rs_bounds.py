@@ -122,7 +122,11 @@ def chi_upper(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 _SERIES_ORDER = 14
-_SING_RADIUS = 1e-3  # switch to the expansion about +-1/2 inside this distance
+# Switch to the expansion about +-1/2 inside this distance.  Closer in, a
+# series about p itself divides by 2 cos(pi p) ~ 0, which amplifies rounding
+# in its k-th coefficient by about |tan(pi p)|^k; at 0.1 the series about
+# +-1/2 still matches the contour oracle to 5e-14 at the edge.
+_SING_RADIUS = 0.1
 
 
 def _series_exp_quadratic(rho: complex, eta: complex, n: int) -> list[complex]:

@@ -9,12 +9,15 @@ verification result carries a note saying so.
 Cost control: the grid is cut into blocks (default width 100) and one term
 count N is chosen per block from the block's largest t, which is valid for
 the whole block because the truncation bound grows with t.  Inside a block
-the main sum is not re-evaluated per point; it is expanded in a short
-Taylor series around sub-block centres (the t-dependence of each term is
-e^(-i t ln n), an entire function with easily bounded derivatives), and the
-analytic remainder of that expansion is folded into each point's error
-radius.  This cuts the work by more than an order of magnitude without
-weakening any certificate.
+the main sum is evaluated at all points at once: on an equispaced block
+S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a type-1 nonuniform
+DFT in k, computed by rounding each phase h ln n to an FFT grid and
+expanding the leftover phase in a short Taylor series (Odlyzko and
+Schoenhage's multiple-evaluation idea, in the NUFFT form of Greengard and
+Lee).  The cost per block is O(p N + p M log M) for a block of K points
+and an FFT of length M ~ 2K, against O(K N) point by point; the expansion
+remainder and every floating-point effect are folded into each point's
+radius (see _eval_block), so no certificate is weakened.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from ._golden import golden_max
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _fp_slack, choose_N, error_bound, eval_zeta_certified, harmonic_bound
+from .zeta_eval import _EPS, choose_N, error_bound, eval_zeta_certified, harmonic_bound
 
 __all__ = [
     "GRID_NOTE",
@@ -52,8 +55,7 @@ GRID_NOTE = (
 # of the per-point term count N.  Exceeding it raises before any work.
 DEFAULT_BUDGET = 5.0e10
 
-_TAYLOR_ORDER = 30
-_TAYLOR_SPAN = 5.5  # max |delta * ln N| served by one expansion centre
+_KERNEL_CHUNK = 1 << 16  # terms per n-chunk of the block kernel
 _REFINE_R = 1e-8    # certification radius for single-point refinement
 
 
@@ -128,51 +130,126 @@ class VerificationResult:
     grid_note: str = GRID_NOTE
 
 
-_INV_FACT = np.array([1.0 / math.factorial(m) for m in range(_TAYLOR_ORDER + 1)])
-
-
 def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
-    """g_N at each point of the sorted grid t_pts, sharing one N.
+    """g_N at each point of the sorted, equispaced grid t_pts, sharing one N.
 
-    The main sum S(t) = sum n^(-1-it) is expanded about sub-block centres
-    t_c: the m-th Taylor coefficient is sum n^(-1-i t_c) (-i ln n)^m / m!,
-    and the remainder over |t - t_c| <= d is at most
-    H(N) * (d ln N)^(M+1) / (M+1)! with H(N) the harmonic-sum bound.  The
-    returned scalar is the largest such remainder, to be added to every
-    point's certificate.  The three correction terms of g_N are evaluated
-    exactly per point.
+    Returns (values, rem): |values[j] - g_N(t_pts[j])| <= rem for every j,
+    where g_N is the exact truncated representation of zeta_eval.  rem is
+    everything the block adds to the truncation bound: the expansion
+    remainder and all floating-point effects, so a point's certified
+    radius is error_bound(t, N) + rem.
+
+    Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
+    and integer offsets k = j - mid (|k| <= k_max), the model points
+    t_c + k h give the type-1 nonuniform DFT
+
+        S(t_c + k h) = sum_{n<=N} a_n e^(-i k theta_n),
+        a_n = n^(-1-i t_c),  theta_n = h ln n.
+
+    Each theta_n is rounded to the M-point grid 2 pi j_n / M (M the least
+    power of two >= 2K, K = len(t_pts)), leaving |delta_n| <= pi/M, and
+    e^(-i k delta_n) is expanded to order p.  Then
+
+        S(t_c + k h) = sum_{m<=p} (-i k)^m / m! * FFT(F_m)[k mod M] + R_k,
+        F_m[j] = sum_{j_n = j} a_n delta_n^m,
+
+    so the work is p+1 weighted segment sums over n (theta_n is monotone,
+    so the n landing on one grid point are consecutive), taken in chunks of
+    _KERNEL_CHUNK terms (memory O(chunk + pM), never O(N)), p+1 FFTs of
+    length M and a Horner pass in k.  With d = k_max pi/M (<= pi/4) and
+    H = harmonic_bound(N) >= sum 1/n, |R_k| <= H d^(p+1)/(p+1)!; p is the
+    least order bringing d^(p+1)/(p+1)! below eps, so a 1-point block
+    (d = 0) gets p = 0.  The three correction terms of g_N are evaluated
+    per point at the exact t_pts.
+
+    Radius, with eps the machine epsilon, L = ln^2(N)/2 + 0.11 >=
+    sum ln n / n, and e^d >= sum_m (|k| delta)^m / m! the most the
+    expansion can amplify a rounding error in F_m:
+
+    * remainder: H d^(p+1)/(p+1)!;
+    * grid gap: the main sum is taken at t_c + k h, not at the
+      floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| L.  The gap
+      is the measured max |eta_j| plus eps (t_c + 2 k_max h) for
+      computing it;
+    * phase: with log, the products and the grid reduction each good to a
+      few ulp, the realised phase of term n is within
+      2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of
+      (t_c + k h) ln n, which sums to 2 eps (t_c + 2 k_max h) L + 2 eps d H;
+    * segment-sum rounding: a term passes through at most
+      chunk + n_chunks + h ln N / (2 pi) additions (its segment, the chunk
+      totals, the windings of theta_n folded onto one bin) and a_n
+      delta_n^m carries at most (p + 6) eps of relative error, so
+      ||error of F_m||_1 <= eps (chunk + n_chunks + h ln N/(2 pi) + p + 6)
+      H (pi/M)^m, which the expansion turns into at most that times e^d
+      in S;
+    * FFT rounding (Higham, Accuracy and Stability of Numerical
+      Algorithms, Thm 24.2): ||error||_inf <= ||error||_2 <= log2(M) eta
+      sqrt(M) ||F_m||_1 with eta <= 4 eps, amplified by at most e^d;
+    * Horner in k: 2 (p+1) eps H e^d;
+    * corrections: eps (4 + t_max ln N) times their modulus bound
+      1/t_min + 1/(2N) + (1+t_max)/(16 N^2), which covers the phase
+      t ln N and the 1/(it) conditioning.
     """
-    n = np.arange(1, N + 1, dtype=np.float64)
-    ln = np.log(n)
-    lnN = math.log(N) if N > 1 else 0.0
-    span = 2.0 * _TAYLOR_SPAN / lnN if lnN > 0.0 else math.inf
-    values = np.empty(len(t_pts), dtype=np.complex128)
-    rem_max = 0.0
+    K = len(t_pts)
+    mid = (K - 1) // 2
+    t_c = float(t_pts[mid])
+    t_min, t_max = float(t_pts[0]), float(t_pts[-1])
+    h = (t_max - t_min) / (K - 1) if K > 1 else 0.0
+    k = np.arange(K) - mid
+    k_max = K - 1 - mid
+    M = 1 << (2 * K - 1).bit_length()
+    step = 2.0 * math.pi / M
+    d = k_max * math.pi / M * (1.0 + _EPS)
+    p, factor = 0, d
+    while factor >= _EPS:
+        p += 1
+        factor *= d / (p + 1)
+
+    chunk = min(N, _KERNEL_CHUNK)
+    F = np.zeros((p + 1, M), dtype=np.complex128)
+    for lo in range(1, N + 1, chunk):
+        n = np.arange(lo, min(lo + chunk, N + 1), dtype=np.float64)
+        ln = np.log(n)
+        ph = t_c * ln
+        w = np.empty(len(n), dtype=np.complex128)  # a_n
+        w.real = np.cos(ph) / n
+        w.imag = np.sin(ph) / -n
+        x = ln * (h / step)  # theta_n in grid steps, nondecreasing in n
+        j = np.rint(x)
+        delta = (x - j) * step
+        # n runs through each grid point in one segment; add.at folds
+        # segments of different windings onto the same bin mod M
+        starts = np.flatnonzero(np.diff(j, prepend=-1.0))
+        bins = j[starts].astype(np.intp) & (M - 1)
+        for m in range(p + 1):
+            if m:
+                w *= delta
+            np.add.at(F[m], bins, np.add.reduceat(w, starts))
+    G = np.fft.fft(F, axis=1)[:, k & (M - 1)]
+    ik = -1j * k
+    acc = G[p]
+    for m in range(p - 1, -1, -1):
+        acc = acc * (ik / (m + 1)) + G[m]
+
+    lnN = math.log(N)
+    acc += np.exp(-1j * t_pts * lnN) * (
+        1.0 / (1j * t_pts) - 0.5 / N + (1.0 + 1j * t_pts) / (16.0 * N * N)
+    )
     h_n = harmonic_bound(N)
-    i = 0
-    while i < len(t_pts):
-        j = int(np.searchsorted(t_pts, t_pts[i] + span, side="right"))
-        sub = t_pts[i:j]
-        t_c = 0.5 * (sub[0] + sub[-1])
-        cur = np.exp(-1j * t_c * ln) / n  # n^(-1-i t_c), small terms summed first
-        coef = np.empty(_TAYLOR_ORDER + 1, dtype=np.complex128)
-        coef[0] = cur[::-1].sum()
-        for m in range(1, _TAYLOR_ORDER + 1):
-            cur *= ln
-            coef[m] = (-1j) ** m * cur[::-1].sum() * _INV_FACT[m]
-        delta = sub - t_c
-        acc = np.full(len(sub), coef[_TAYLOR_ORDER])
-        for m in range(_TAYLOR_ORDER - 1, -1, -1):
-            acc = acc * delta + coef[m]
-        d_ln = max(abs(float(delta[0])), abs(float(delta[-1]))) * lnN
-        rem_max = max(
-            rem_max, h_n * d_ln ** (_TAYLOR_ORDER + 1) / math.factorial(_TAYLOR_ORDER + 1)
-        )
-        nmit = np.exp(-1j * sub * lnN)  # N^(-it)
-        acc += nmit * (1.0 / (1j * sub) - 0.5 / N + (1.0 + 1j * sub) / (16.0 * N * N))
-        values[i:j] = acc
-        i = j
-    return values, rem_max
+    l1 = 0.5 * lnN * lnN + 0.11
+    phase = _EPS * (t_c + 2.0 * k_max * h)
+    eta = float(np.max(np.abs(t_pts - (t_c + k * h))))
+    n_chunks = -(-N // chunk)
+    depth = chunk + n_chunks + h * lnN / (2.0 * math.pi)
+    rounding = depth + 3 * p + 8 + 4.0 * math.log2(M) * math.sqrt(M)
+    corr = 1.0 / t_min + 0.5 / N + (1.0 + t_max) / (16.0 * N * N)
+    rem = (
+        h_n * factor
+        + (eta + 3.0 * phase) * l1
+        + _EPS * h_n * (2.0 * d + math.exp(d) * rounding)
+        + _EPS * (4.0 + t_max * lnN) * corr
+    )
+    return acc, rem
 
 
 def _block_task(args: tuple[int, float, int, int, float, int]) -> tuple[int, np.ndarray, float]:
@@ -230,7 +307,7 @@ def scan_interval(
         vals, rem = results[b]
         seg = slice(k_lo, k_hi + 1)
         modulus[seg] = np.abs(vals)
-        err[seg] = error_bound_vec(t[seg], N) + rem + _fp_slack(float(t[k_hi]), N)
+        err[seg] = error_bound(t[seg], N) + rem
 
     log_t = np.log(t)
     ratio = modulus / log_t
@@ -248,11 +325,6 @@ def scan_interval(
         max_ratio=float(ratio[k_max]), argmax_t=float(t[k_max]),
         min_margin=min_margin, argmin_t=argmin_t,
     )
-
-
-def error_bound_vec(t: np.ndarray, N: int) -> np.ndarray:
-    """Vectorised truncation bound (1+t)(2+t)/(32 N^2)."""
-    return (1.0 + t) * (2.0 + t) / (32.0 * float(N) * float(N))
 
 
 def check_bound(

@@ -85,14 +85,14 @@ class EvalConfig:
         return choose_N(self.t_max, self.r)
 
 
-def error_bound(t: float, N: int) -> float:
+def error_bound(t: float | np.ndarray, N: int) -> float | np.ndarray:
     """Truncation bound (1+t)(2+t) / (32 N^2) of the N-term evaluator.
 
     This is the analytic error of g_N(t); rounding of the expression itself
     is covered by the explicit floating-point slack added by
-    :func:`eval_zeta_certified`.
+    :func:`eval_zeta_certified`.  t may be an array of points sharing N.
     """
-    if not t > 0.0:
+    if not np.all(np.asarray(t) > 0.0):
         raise ValueError(f"t must be positive, got {t}")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")

@@ -143,6 +143,16 @@ class TestContourOracle:
         for p, sigma in ((0.3, 1), (1.0, 0), (1.0, 1), (-0.7, 0), (0.5, 1)):
             assert abs(ck_contour(p, 1, sigma) - c1(p, sigma)) < 1e-6
 
+    def test_agreement_across_the_series_switch(self):
+        # dense sweep through p = +-1/2, where a series about p itself
+        # would divide by 2 cos(pi p) ~ 0 and lose up to 1e-6 in c1
+        side = np.linspace(0.44, 0.56, 241)
+        for p in np.concatenate([side, -side]):
+            p = float(p)
+            assert abs(c0(p) - ck_contour(p, 0)) < 1e-10
+            for sigma in (0, 1):
+                assert abs(c1(p, sigma) - ck_contour(p, 1, sigma)) < 1e-10
+
     def test_odd_integrand_vanishes(self):
         assert abs(ck_contour(0.0, 1, 0)) < 1e-8
 

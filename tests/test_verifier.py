@@ -18,7 +18,18 @@ from zetabound import (
     oracle_zeta,
     scan_interval,
 )
+from zetabound import verifier
 from zetabound.verifier import GRID_NOTE, _eval_block
+from zetabound.zeta_eval import _fp_slack
+
+
+def _assert_matches_direct(pts, n, vals, rem, ks):
+    # both routes certify against the same g_N: the block within rem, the
+    # direct sum within its floating-point slack
+    for k in ks:
+        t = float(pts[k])
+        direct = eval_zeta_certified(t, n)
+        assert abs(vals[k] - direct.value) <= rem + _fp_slack(t, n)
 
 
 class TestScanConfig:
@@ -43,6 +54,26 @@ class TestEvalBlock:
         for k in (0, 57, 123, len(pts) - 1):
             direct = eval_zeta_certified(float(pts[k]), n)
             assert abs(vals[k] - direct.value) <= rem + 1e-12
+
+    @pytest.mark.parametrize("t0", [math.e, 1e3, 1e5, 2e5])
+    @pytest.mark.parametrize("size", [1, 2, 5000])
+    def test_against_direct_summation(self, t0, size):
+        pts = t0 + np.arange(size) * 0.01
+        n = choose_N(float(pts[-1]), 0.005)
+        vals, rem = _eval_block(pts, n)
+        assert rem < 1e-7
+        _assert_matches_direct(pts, n, vals, rem, sorted({0, size // 3, size - 1}))
+
+    def test_chunk_boundaries(self, monkeypatch):
+        pts = 3e3 + np.arange(301) * 0.01
+        n = choose_N(float(pts[-1]), 0.005)
+        # about 7.5e3 terms in chunks of 1000: seven full chunks and a partial
+        assert n % 1000 != 0 and n > 7000
+        whole, rem_whole = _eval_block(pts, n)
+        monkeypatch.setattr(verifier, "_KERNEL_CHUNK", 1000)
+        vals, rem = _eval_block(pts, n)
+        _assert_matches_direct(pts, n, vals, rem, (0, 150, 300))
+        assert np.max(np.abs(vals - whole)) <= rem + rem_whole
 
     def test_remainder_bound_is_small(self):
         pts = np.arange(50.0, 60.0, 0.01)
@@ -93,12 +124,16 @@ class TestScanInterval:
         assert np.array_equal(a.err, b.err)
 
     def test_workers_bit_identical(self):
-        cfg = ScanConfig(t_lo=math.e, t_hi=420.0, h=0.05, block=50.0)
-        seq = scan_interval(cfg)
-        par = scan_interval(cfg, workers=2)
-        assert np.array_equal(seq.modulus, par.modulus)
-        assert np.array_equal(seq.err, par.err)
-        assert seq.max_ratio == par.max_ratio
+        for cfg in (
+            ScanConfig(t_lo=math.e, t_hi=420.0, h=0.05, block=50.0),
+            # N ~ 7.5e4 spans two n-chunks of the block kernel
+            ScanConfig(t_lo=3e4, t_hi=3e4 + 3.0, h=0.01, block=1.0),
+        ):
+            seq = scan_interval(cfg)
+            par = scan_interval(cfg, workers=2)
+            assert seq.modulus.tobytes() == par.modulus.tobytes()
+            assert seq.err.tobytes() == par.err.tobytes()
+            assert seq.max_ratio == par.max_ratio
 
     def test_budget_enforced(self):
         cfg = ScanConfig(t_lo=math.e, t_hi=100.0)
@@ -112,6 +147,17 @@ class TestScanInterval:
         bounded = scan_interval(cfg, bound=(0.5, 0.6633))
         assert bounded.min_margin is not None
         assert cfg.t_lo <= bounded.argmin_t <= cfg.t_hi
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("t_lo", [math.e, 1e3, 1e4, 1e5])
+    def test_scan_certificates_at_30_digits(self, t_lo):
+        mpmath = pytest.importorskip("mpmath")
+        report = scan_interval(ScanConfig(t_lo=t_lo, t_hi=t_lo + 1.0, r=1e-5))
+        with mpmath.workdps(30):
+            for k in (0, 37, len(report.t) - 1):
+                ref = abs(mpmath.zeta(mpmath.mpc(1, float(report.t[k]))))
+                assert abs(report.modulus[k] - float(ref)) <= report.err[k]
 
 
 class TestMaxRatio:
