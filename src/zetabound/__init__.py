@@ -15,121 +15,20 @@ The package has four layers:
 A command-line front end lives in :mod:`zetabound.cli`.
 """
 
-from .errors import ConvergenceError, CrossingNotFound, ResourceBudgetError
-from .expsum import (
-    AsymptoticConstants,
-    BoundTriple,
-    ExpSumCoeffs,
-    TABLE_T0,
-    asymptotic_constants,
-    coeffs,
-    h_E,
-    h_G,
-    kuzmin_landau_bound,
-    omega,
-    omega_residual,
-    optimal_bound_params,
-    partial_sum_bound,
-    y_E,
-    y_G,
-)
-from .rs_bounds import (
-    AFFINE_INTERCEPT,
-    AffineBound,
-    DEFAULT_CONSTANTS,
-    GAMMA_MINUS_HALF_LOG_2PI,
-    RSConstants,
-    affine_C,
-    b0,
-    b1,
-    c0,
-    c1,
-    c_sigma,
-    chi_upper,
-    ck_contour,
-    computed_constants,
-    kappa1,
-    kappa2,
-    theta,
-)
-from .verifier import (
-    DEFAULT_BUDGET,
-    GRID_NOTE,
-    ScanConfig,
-    ScanPoint,
-    ScanReport,
-    VerificationResult,
-    check_bound,
-    crossing_point,
-    max_ratio,
-    scan_interval,
-)
-from .zeta_eval import (
-    EULER_GAMMA,
-    CertifiedComplex,
-    EvalConfig,
-    choose_N,
-    error_bound,
-    eval_zeta_certified,
-    harmonic_bound,
-    oracle_zeta,
-)
+from . import errors, expsum, rs_bounds, verifier, zeta_eval
+from .errors import *
+from .expsum import *
+from .rs_bounds import *
+from .verifier import *
+from .zeta_eval import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
-    "CrossingNotFound",
-    "ResourceBudgetError",
-    "AsymptoticConstants",
-    "BoundTriple",
-    "ExpSumCoeffs",
-    "TABLE_T0",
-    "asymptotic_constants",
-    "coeffs",
-    "h_E",
-    "h_G",
-    "kuzmin_landau_bound",
-    "omega",
-    "omega_residual",
-    "optimal_bound_params",
-    "partial_sum_bound",
-    "y_E",
-    "y_G",
-    "AFFINE_INTERCEPT",
-    "AffineBound",
-    "DEFAULT_CONSTANTS",
-    "GAMMA_MINUS_HALF_LOG_2PI",
-    "RSConstants",
-    "affine_C",
-    "b0",
-    "b1",
-    "c0",
-    "c1",
-    "c_sigma",
-    "chi_upper",
-    "ck_contour",
-    "computed_constants",
-    "kappa1",
-    "kappa2",
-    "theta",
-    "DEFAULT_BUDGET",
-    "GRID_NOTE",
-    "ScanConfig",
-    "ScanPoint",
-    "ScanReport",
-    "VerificationResult",
-    "check_bound",
-    "crossing_point",
-    "max_ratio",
-    "scan_interval",
-    "EULER_GAMMA",
-    "CertifiedComplex",
-    "EvalConfig",
-    "choose_N",
-    "error_bound",
-    "eval_zeta_certified",
-    "harmonic_bound",
-    "oracle_zeta",
+    *errors.__all__,
+    *expsum.__all__,
+    *rs_bounds.__all__,
+    *verifier.__all__,
+    *zeta_eval.__all__,
     "__version__",
 ]

@@ -3,13 +3,19 @@
 Subcommands: eval, table1, table2, table3, scan, figures, constants.
 Row data goes to stdout as an aligned table (values at 4 decimals), CSV
 (full 17-significant-digit floats, metadata in a leading JSON comment
-line), or a single JSON document; re-parsing the machine-readable output
-and rounding to 4 decimals reproduces table mode exactly.  Key columns
-(t, t0, p) are printed in %g form in table mode so that inputs like 1e300
-stay readable.
+line), or a single compact JSON document whose "rows" list holds one
+object per row; re-parsing the machine-readable output and rounding to 4
+decimals reproduces table mode exactly.  Key columns (t, t0, p) are
+printed in %g form in table mode so that inputs like 1e300 stay readable.
+A blank cell (a value that does not exist, such as a scan margin without
+--bound) is empty in table and CSV modes and null in JSON.
+
+Commands produce column-oriented records; rows are formed only while
+rendering.
 
 Exit status: 0 success / bound holds, 1 bound violated on the grid,
-2 usage or domain error, 3 resource or convergence error.
+2 usage or domain error (including a non-finite t), 3 resource or
+convergence error (including a term count too large to represent).
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +37,6 @@ __all__ = ["OutputRecord", "build_parser", "main", "run"]
 SCHEMA_VERSION = "1"
 
 _KEY_COLUMNS = ("t", "t0", "p", "name")
-_TABLE2_T0 = tuple(10.0**k for k in range(1, 11))
 _FIGURES = ("c0", "c1-sigma0", "c1-sigma1", "zeta-vs-affine", "ratio")
 _FIGURE_GRID_POINTS = 1001
 _FIGURE_T_LO = math.e
@@ -39,11 +45,14 @@ _FIGURE_T_HI = 500.0
 
 @dataclass
 class OutputRecord:
-    """One command's output: metadata plus uniform key/value rows."""
+    """One command's output: metadata plus equal-length named columns.
+
+    A column is a numpy array or a short list; None marks a blank cell.
+    """
 
     command: str
     inputs: dict[str, str]
-    rows: list[dict[str, object]]
+    columns: dict[str, Sequence[object]]
     schema_version: str = SCHEMA_VERSION
 
     def metadata(self) -> dict[str, object]:
@@ -59,48 +68,37 @@ class OutputRecord:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_table(key: str, value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:g}" if key in _KEY_COLUMNS else f"{value:.4f}"
-    return str(value)
+def _cells(values: Sequence[object]) -> list[object]:
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
-def _fmt_csv(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _format_cells(values: Sequence[object], float_format: str) -> list[str]:
+    return [
+        "" if v is None else format(v, float_format) if isinstance(v, float) else str(v)
+        for v in _cells(values)
+    ]
 
 
 def render_table(record: OutputRecord) -> str:
-    if not record.rows:
-        return "(no rows)\n"
-    headers = list(record.rows[0].keys())
-    cells = [[_fmt_table(h, row.get(h)) for h in headers] for row in record.rows]
-    widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row_cells in cells:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row_cells, widths)))
-    return "\n".join(lines) + "\n"
+    columns = []
+    for key, values in record.columns.items():
+        cells = [key, *_format_cells(values, "g" if key in _KEY_COLUMNS else ".4f")]
+        width = max(map(len, cells))
+        columns.append([c.rjust(width) for c in cells])
+    return "\n".join(map("  ".join, zip(*columns))) + "\n"
 
 
 def render_csv(record: OutputRecord) -> str:
-    lines = ["# " + json.dumps(record.metadata(), sort_keys=True)]
-    if record.rows:
-        headers = list(record.rows[0].keys())
-        lines.append(",".join(headers))
-        for row in record.rows:
-            lines.append(",".join(_fmt_csv(row.get(h)) for h in headers))
+    lines = ["# " + json.dumps(record.metadata(), sort_keys=True), ",".join(record.columns)]
+    lines += map(",".join, zip(*(_format_cells(v, ".17g") for v in record.columns.values())))
     return "\n".join(lines) + "\n"
 
 
 def render_json(record: OutputRecord) -> str:
     doc = record.metadata()
-    doc["rows"] = record.rows
-    return json.dumps(doc, indent=2) + "\n"
+    keys = list(record.columns)
+    doc["rows"] = [dict(zip(keys, row)) for row in zip(*map(_cells, record.columns.values()))]
+    return json.dumps(doc) + "\n"
 
 
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
@@ -112,54 +110,60 @@ _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
 def cmd_eval(t: float, r: float) -> OutputRecord:
-    if not t > 0.0:
-        raise ValueError(f"--t must be positive, got {t}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"--t must be positive and finite, got {t}")
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
     cert = zeta_eval.eval_zeta_certified(t, n)
-    row = {
-        "t": t,
-        "real": cert.value.real,
-        "imag": cert.value.imag,
-        "modulus": cert.modulus,
-        "err": cert.err,
-        "n_terms": n,
+    columns = {
+        "t": [t],
+        "real": [cert.value.real],
+        "imag": [cert.value.imag],
+        "modulus": [cert.modulus],
+        "err": [cert.err],
+        "n_terms": [n],
     }
-    return OutputRecord("eval", {"t": repr(t), "r": repr(r)}, [row])
+    return OutputRecord("eval", {"t": repr(t), "r": repr(r)}, columns)
 
 
-def cmd_table1(t0_list: list[float] | None) -> OutputRecord:
-    t0s = sorted(t0_list) if t0_list else list(expsum.TABLE_T0)
-    offending = [t0 for t0 in t0s if not t0 >= 2000.0]
+class _Table(NamedTuple):
+    help: str
+    grid: tuple[float, ...]            # default t0 values
+    lowest: float                      # least valid t0
+    columns: tuple[str, ...]           # names of the values row(t0) returns
+    row: Callable[[float], tuple[object, ...]]
+
+
+def _table1_row(t0: float) -> tuple[object, ...]:
+    p = expsum.optimal_bound_params(t0)
+    return p.beta, p.v, p.u
+
+
+def _table3_row(t0: float) -> tuple[object, ...]:
+    v = expsum.optimal_bound_params(t0).v if t0 >= 2000.0 else None
+    return v, rs_bounds.affine_C(t0).v_tilde
+
+
+_TABLES = {
+    "table1": _Table("optimal (beta, v, u) per t0; default grid 1e5..1e300",
+                     expsum.TABLE_T0, 2000.0, ("beta", "v", "u"), _table1_row),
+    "table2": _Table("affine intercepts C per t0; default grid 1e1..1e10",
+                     tuple(10.0**k for k in range(1, 11)), 1.0, ("C",),
+                     lambda t0: (rs_bounds.affine_C(t0).C,)),
+    "table3": _Table("slopes v and v_tilde per t0; default grid as table1",
+                     expsum.TABLE_T0, math.e, ("v", "v_tilde"), _table3_row),
+}
+
+
+def cmd_table(name: str, t0_list: list[float] | None) -> OutputRecord:
+    spec = _TABLES[name]
+    t0s = sorted(t0_list) if t0_list else list(spec.grid)
+    offending = [t0 for t0 in t0s if not t0 >= spec.lowest]
     if offending:
-        raise ValueError(f"table1 requires t0 >= 2000; offending values: {offending}")
-    rows = []
-    for t0 in t0s:
-        p = expsum.optimal_bound_params(t0)
-        rows.append({"t0": t0, "beta": p.beta, "v": p.v, "u": p.u})
-    return OutputRecord("table1", {"t0": ",".join(repr(x) for x in t0s)}, rows)
-
-
-def cmd_table2(t0_list: list[float] | None) -> OutputRecord:
-    t0s = sorted(t0_list) if t0_list else list(_TABLE2_T0)
-    offending = [t0 for t0 in t0s if not t0 >= 1.0]
-    if offending:
-        raise ValueError(f"table2 requires t0 >= 1; offending values: {offending}")
-    rows = [{"t0": t0, "C": rs_bounds.affine_C(t0).C} for t0 in t0s]
-    return OutputRecord("table2", {"t0": ",".join(repr(x) for x in t0s)}, rows)
-
-
-def cmd_table3(t0_list: list[float] | None) -> OutputRecord:
-    t0s = sorted(t0_list) if t0_list else list(expsum.TABLE_T0)
-    offending = [t0 for t0 in t0s if not t0 >= math.e]
-    if offending:
-        raise ValueError(f"table3 requires t0 >= e; offending values: {offending}")
-    rows = []
-    for t0 in t0s:
-        v = expsum.optimal_bound_params(t0).v if t0 >= 2000.0 else None
-        rows.append({"t0": t0, "v": v, "v_tilde": rs_bounds.affine_C(t0).v_tilde})
-    return OutputRecord("table3", {"t0": ",".join(repr(x) for x in t0s)}, rows)
+        raise ValueError(f"{name} requires t0 >= {spec.lowest:g}; offending values: {offending}")
+    columns = {"t0": t0s, **dict(zip(spec.columns, zip(*map(spec.row, t0s))))}
+    return OutputRecord(name, {"t0": ",".join(repr(x) for x in t0s)}, columns)
 
 
 def _parse_bound(spec: str) -> tuple[float, float]:
@@ -182,79 +186,59 @@ def cmd_scan(
     config = verifier.ScanConfig(t_lo=lo, t_hi=hi, h=h, r=r)
     bound = _parse_bound(bound_spec) if bound_spec else None
     report = verifier.scan_interval(config, bound=bound, budget=budget, workers=workers)
-    if bound is not None:
-        slope, intercept = bound
-        margin = slope * np.log(report.t) + intercept - (report.modulus + report.err)
-    else:
-        margin = None
-    rows: list[dict[str, object]] = []
-    for k in range(len(report.t)):
-        rows.append(
-            {
-                "t": float(report.t[k]),
-                "modulus": float(report.modulus[k]),
-                "err": float(report.err[k]),
-                "ratio": float(report.ratio[k]),
-                "margin": float(margin[k]) if margin is not None else None,
-            }
-        )
+    columns = {
+        "t": report.t,
+        "modulus": report.modulus,
+        "err": report.err,
+        "ratio": report.ratio,
+        "margin": [None] * len(report.t) if report.margin is None else report.margin,
+    }
     inputs = {
         "lo": repr(lo), "hi": repr(hi), "h": repr(h), "r": repr(r),
         "bound": bound_spec or "", "budget": repr(budget),
     }
-    status = 0
-    if bound is not None and report.min_margin is not None and report.min_margin < 0.0:
-        status = 1
-    return OutputRecord("scan", inputs, rows), status
+    status = 1 if report.min_margin is not None and report.min_margin < 0.0 else 0
+    return OutputRecord("scan", inputs, columns), status
 
 
 def cmd_figures(name: str, budget: float, workers: int) -> OutputRecord:
     if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; choose from {', '.join(_FIGURES)}")
-    rows: list[dict[str, object]] = []
     if name in ("c0", "c1-sigma0", "c1-sigma1"):
-        for k in range(_FIGURE_GRID_POINTS):
-            p = k / (_FIGURE_GRID_POINTS - 1)
-            if name == "c0":
-                y = abs(rs_bounds.c0(p))
-            else:
-                y = abs(rs_bounds.c1(p, 0 if name.endswith("0") else 1))
-            rows.append({"p": p, "y": y})
+        p = np.arange(_FIGURE_GRID_POINTS) / (_FIGURE_GRID_POINTS - 1)
+        if name == "c0":
+            y = [abs(rs_bounds.c0(x)) for x in p.tolist()]
+        else:
+            sigma = 0 if name.endswith("0") else 1
+            y = [abs(rs_bounds.c1(x, sigma)) for x in p.tolist()]
+        return OutputRecord("figures", {"name": name}, {"p": p, "y": y})
+    config = verifier.ScanConfig(t_lo=_FIGURE_T_LO, t_hi=_FIGURE_T_HI)
+    report = verifier.scan_interval(config, budget=budget, workers=workers)
+    if name == "zeta-vs-affine":
+        affine = 0.5 * np.log(report.t) + rs_bounds.AFFINE_INTERCEPT
+        columns = {"t": report.t, "modulus": report.modulus, "affine_bound": affine}
     else:
-        config = verifier.ScanConfig(t_lo=_FIGURE_T_LO, t_hi=_FIGURE_T_HI)
-        report = verifier.scan_interval(config, budget=budget, workers=workers)
-        for k in range(len(report.t)):
-            t = float(report.t[k])
-            if name == "zeta-vs-affine":
-                rows.append(
-                    {
-                        "t": t,
-                        "modulus": float(report.modulus[k]),
-                        "affine_bound": 0.5 * math.log(t) + rs_bounds.AFFINE_INTERCEPT,
-                    }
-                )
-            else:
-                rows.append({"t": t, "ratio": float(report.ratio[k])})
-    return OutputRecord("figures", {"name": name}, rows)
+        columns = {"t": report.t, "ratio": report.ratio}
+    return OutputRecord("figures", {"name": name}, columns)
 
 
 def cmd_constants() -> OutputRecord:
     a = expsum.asymptotic_constants()
     k = rs_bounds.computed_constants()
-    rows = [
-        {"name": "e0_squared", "value": a.e0sq},
-        {"name": "lambda1", "value": a.lambda1},
-        {"name": "lambda2", "value": a.lambda2},
-        {"name": "beta_limit", "value": a.beta_limit},
-        {"name": "h_C_min", "value": a.hC_min},
-        {"name": "b0", "value": k.b0},
-        {"name": "b1_sigma0", "value": k.b1_sigma0},
-        {"name": "b1_sigma1", "value": k.b1_sigma1},
-        {"name": "c_sigma0", "value": k.c_sigma0},
-        {"name": "c_sigma1", "value": k.c_sigma1},
-        {"name": "gamma_minus_half_log_2pi", "value": rs_bounds.GAMMA_MINUS_HALF_LOG_2PI},
-    ]
-    return OutputRecord("constants", {}, rows)
+    values = {
+        "e0_squared": a.e0sq,
+        "lambda1": a.lambda1,
+        "lambda2": a.lambda2,
+        "beta_limit": a.beta_limit,
+        "h_C_min": a.hC_min,
+        "b0": k.b0,
+        "b1_sigma0": k.b1_sigma0,
+        "b1_sigma1": k.b1_sigma1,
+        "c_sigma0": k.c_sigma0,
+        "c_sigma1": k.c_sigma1,
+        "gamma_minus_half_log_2pi": rs_bounds.GAMMA_MINUS_HALF_LOG_2PI,
+    }
+    return OutputRecord("constants", {}, {"name": list(values), "value": list(values.values())})
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--r", type=float, default=1e-8, help="target error radius")
 
-    for name, helptext in (
-        ("table1", "optimal (beta, v, u) per t0; default grid 1e5..1e300"),
-        ("table2", "affine intercepts C per t0; default grid 1e1..1e10"),
-        ("table3", "slopes v and v_tilde per t0; default grid as table1"),
-    ):
-        p = sub.add_parser(name, help=helptext)
+    for name, spec in _TABLES.items():
+        p = sub.add_parser(name, help=spec.help)
         _add_output_options(p, suppress=True)
         p.add_argument("--t0", type=float, action="append", default=None,
                        help="t0 value (repeatable); omit for the default grid")
@@ -320,23 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[OutputRecord, int]]] = {
+    "eval": lambda a: (cmd_eval(a.t, a.r), 0),
+    **dict.fromkeys(_TABLES, lambda a: (cmd_table(a.command, a.t0), 0)),
+    "scan": lambda a: cmd_scan(a.lo, a.hi, a.h, a.r, a.bound, a.budget, a.workers),
+    "figures": lambda a: (cmd_figures(a.name, a.budget, a.workers), 0),
+    "constants": lambda a: (cmd_constants(), 0),
+}
+
+
 def _dispatch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    if args.command == "eval":
-        return cmd_eval(args.t, args.r), 0
-    if args.command == "table1":
-        return cmd_table1(args.t0), 0
-    if args.command == "table2":
-        return cmd_table2(args.t0), 0
-    if args.command == "table3":
-        return cmd_table3(args.t0), 0
-    if args.command == "scan":
-        return cmd_scan(args.lo, args.hi, args.h, args.r, args.bound,
-                        args.budget, args.workers)
-    if args.command == "figures":
-        return cmd_figures(args.name, args.budget, args.workers), 0
-    if args.command == "constants":
-        return cmd_constants(), 0
-    raise ValueError(f"unknown command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -347,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ResourceBudgetError, CrossingNotFound) as exc:
+    except (ConvergenceError, ResourceBudgetError, CrossingNotFound, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     fmt = args.format

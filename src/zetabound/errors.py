@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConvergenceError", "CrossingNotFound", "ResourceBudgetError"]
+
 
 class ConvergenceError(RuntimeError):
     """A series or quadrature could not reach the requested accuracy."""

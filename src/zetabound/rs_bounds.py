@@ -56,7 +56,6 @@ __all__ = [
     "b1",
     "c_sigma",
     "computed_constants",
-    "kappa1",
     "kappa2",
     "theta",
     "affine_C",
@@ -394,19 +393,14 @@ def computed_constants() -> RSConstants:
 # ---------------------------------------------------------------------------
 
 
-def kappa1(t: float) -> float:
-    """Coefficient of the reflected sum: the chi-factor bound."""
-    return chi_upper(t)
-
-
 def kappa2(t: float, constants: RSConstants | None = None) -> float:
     """Remainder kappa2(t) = sqrt(2 pi/t)(1/2 + b1(1) sqrt(2 pi/t) + c(1)/t)
-    + kappa1(t)(1/2 + b1(0) sqrt(2 pi/t) + c(0)/t); O(t^(-1/2))."""
+    + chi_upper(t)(1/2 + b1(0) sqrt(2 pi/t) + c(0)/t); O(t^(-1/2))."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     k = DEFAULT_CONSTANTS if constants is None else constants
     s = math.sqrt(2.0 * _PI / t)
-    return s * (0.5 + k.b1_sigma1 * s + k.c_sigma1 / t) + kappa1(t) * (
+    return s * (0.5 + k.b1_sigma1 * s + k.c_sigma1 / t) + chi_upper(t) * (
         0.5 + k.b1_sigma0 * s + k.c_sigma0 / t
     )
 

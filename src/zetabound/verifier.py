@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "GRID_NOTE",
     "DEFAULT_BUDGET",
     "ScanConfig",
-    "ScanPoint",
     "ScanReport",
     "VerificationResult",
     "scan_interval",
@@ -77,6 +77,8 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if not self.t_lo >= math.e - 1e-12:
             raise ValueError(f"t_lo must be >= e, got {self.t_lo}")
+        if not math.isfinite(self.t_hi):
+            raise ValueError(f"t_hi must be finite, got {self.t_hi}")
         if not self.t_hi > self.t_lo:
             raise ValueError(f"need t_hi > t_lo, got [{self.t_lo}, {self.t_hi}]")
         if not 0.0 < self.h <= 1.0:
@@ -87,20 +89,15 @@ class ScanConfig:
             raise ValueError(f"block must be positive, got {self.block}")
 
 
-class ScanPoint(NamedTuple):
-    t: float
-    modulus: float
-    err: float
-    ratio: float
-
-
 @dataclass(frozen=True)
 class ScanReport:
     """Per-point certified moduli and ratios, plus interval summary.
 
     modulus[k] carries certificate |modulus[k] - |zeta(1+i t[k])|| <= err[k];
-    ratio is modulus / log t (its uncertainty is err / log t).  min_margin
-    and argmin_t are filled only when the scan was given a bound to check.
+    ratio is modulus / log t (its uncertainty is err / log t).  margin,
+    min_margin and argmin_t are filled only when the scan was given a bound
+    (slope, intercept) to check: margin[k] = slope * log t[k] + intercept
+    - (modulus[k] + err[k]).
     """
 
     t: np.ndarray
@@ -111,13 +108,7 @@ class ScanReport:
     argmax_t: float
     min_margin: Optional[float] = None
     argmin_t: Optional[float] = None
-
-    def points(self) -> Iterator[ScanPoint]:
-        for k in range(len(self.t)):
-            yield ScanPoint(
-                float(self.t[k]), float(self.modulus[k]),
-                float(self.err[k]), float(self.ratio[k]),
-            )
+    margin: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -252,11 +243,10 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     return acc, rem
 
 
-def _block_task(args: tuple[int, float, int, int, float, int]) -> tuple[int, np.ndarray, float]:
-    idx, t_lo, k_lo, k_hi, h, N = args
+def _block_task(args: tuple[float, int, int, float, int]) -> tuple[np.ndarray, float]:
+    t_lo, k_lo, k_hi, h, N = args
     pts = t_lo + np.arange(k_lo, k_hi + 1, dtype=np.float64) * h
-    values, rem = _eval_block(pts, N)
-    return idx, values, rem
+    return _eval_block(pts, N)
 
 
 def scan_interval(
@@ -267,13 +257,15 @@ def scan_interval(
 ) -> ScanReport:
     """Certified scan of |zeta(1+it)| over the grid of config.
 
-    bound, when given, is (slope, intercept); margins
-    slope * log t + intercept - (modulus + err) are then summarised in
-    min_margin / argmin_t.  budget caps the nominal term count
-    sum_k N(t_k); workers > 1 distributes blocks over processes, with a
-    deterministic ascending-t merge, so the report is identical for any
+    bound, when given, is (slope, intercept); the margins
+    slope * log t + intercept - (modulus + err) are then returned in margin
+    and summarised in min_margin / argmin_t.  budget caps the nominal term count
+    sum_k N(t_k); workers > 1 distributes blocks over processes, whose
+    results are merged in task order, so the report is identical for any
     worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     K = int(math.floor((config.t_hi - config.t_lo) / config.h + 1e-9))
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
     block_idx = np.floor_divide(t - config.t_lo, config.block).astype(np.int64)
@@ -286,7 +278,7 @@ def scan_interval(
         k_lo, k_hi = int(bounds_k[b]), int(bounds_k[b + 1]) - 1
         N = choose_N(float(t[k_hi]), config.r)
         nominal += float(N) * (k_hi - k_lo + 1)
-        tasks.append((b, config.t_lo, k_lo, k_hi, config.h, N))
+        tasks.append((config.t_lo, k_lo, k_hi, config.h, N))
     if nominal > budget:
         raise ResourceBudgetError(
             f"scan needs about {nominal:.3e} summed terms, over the budget {budget:.3e}; "
@@ -295,25 +287,17 @@ def scan_interval(
 
     modulus = np.empty(K + 1)
     err = np.empty(K + 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = {idx: (vals, rem) for idx, vals, rem in pool.map(_block_task, tasks)}
-    else:
-        results = {}
-        for task in tasks:
-            idx, vals, rem = _block_task(task)
-            results[idx] = (vals, rem)
-    for b, (_, _, k_lo, k_hi, _, N) in enumerate(tasks):
-        vals, rem = results[b]
-        seg = slice(k_lo, k_hi + 1)
-        modulus[seg] = np.abs(vals)
-        err[seg] = error_bound(t[seg], N) + rem
+    with ExitStack() as stack:
+        run = map if workers == 1 else stack.enter_context(ProcessPoolExecutor(workers)).map
+        for (_, k_lo, k_hi, _, N), (vals, rem) in zip(tasks, run(_block_task, tasks)):
+            seg = slice(k_lo, k_hi + 1)
+            modulus[seg] = np.abs(vals)
+            err[seg] = error_bound(t[seg], N) + rem
 
     log_t = np.log(t)
     ratio = modulus / log_t
     k_max = int(np.argmax(ratio))
-    min_margin = None
-    argmin_t = None
+    margin = min_margin = argmin_t = None
     if bound is not None:
         slope, intercept = bound
         margin = slope * log_t + intercept - (modulus + err)
@@ -323,7 +307,7 @@ def scan_interval(
     return ScanReport(
         t=t, modulus=modulus, err=err, ratio=ratio,
         max_ratio=float(ratio[k_max]), argmax_t=float(t[k_max]),
-        min_margin=min_margin, argmin_t=argmin_t,
+        min_margin=min_margin, argmin_t=argmin_t, margin=margin,
     )
 
 

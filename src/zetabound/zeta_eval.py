@@ -29,7 +29,6 @@ from .errors import ConvergenceError
 __all__ = [
     "EULER_GAMMA",
     "CertifiedComplex",
-    "EvalConfig",
     "error_bound",
     "choose_N",
     "eval_zeta_certified",
@@ -67,24 +66,6 @@ class CertifiedComplex:
         return abs(self.value)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """An accuracy target r that must be met for every t up to t_max."""
-
-    r: float
-    t_max: float
-
-    def __post_init__(self) -> None:
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise ValueError("error threshold r must be positive")
-        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
-            raise ValueError("t_max must be positive")
-
-    def n_terms(self) -> int:
-        """Number of main-sum terms serving every t <= t_max at accuracy r."""
-        return choose_N(self.t_max, self.r)
-
-
 def error_bound(t: float | np.ndarray, N: int) -> float | np.ndarray:
     """Truncation bound (1+t)(2+t) / (32 N^2) of the N-term evaluator.
 
@@ -103,15 +84,17 @@ def choose_N(T: float, r: float) -> int:
     """Smallest N with error_bound(T, N) <= r, i.e. ceil(sqrt((1+T)(2+T)/(32 r))).
 
     The ceil is computed in floating point and then corrected downward/upward
-    so minimality holds exactly.
+    so minimality holds exactly.  Raises OverflowError when N would exceed
+    2^62, including when its floating-point estimate is infinite.
     """
     if not T > 0.0:
         raise ValueError(f"T must be positive, got {T}")
     if not r > 0.0:
         raise ValueError(f"r must be positive, got {r}")
-    N = max(1, math.ceil(math.sqrt((1.0 + T) * (2.0 + T) / (32.0 * r))))
-    if N > _MAX_N:
-        raise OverflowError(f"required N = {N} exceeds the supported integer range")
+    N_est = math.sqrt((1.0 + T) * (2.0 + T) / (32.0 * r))
+    if not N_est <= _MAX_N:
+        raise OverflowError(f"required N = {N_est:.6g} exceeds the supported integer range")
+    N = max(1, math.ceil(N_est))
     while N > 1 and error_bound(T, N - 1) <= r:
         N -= 1
     while error_bound(T, N) > r:

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from zetabound import ScanConfig, scan_interval
 from zetabound.cli import main
 
 
@@ -163,6 +164,72 @@ class TestScan:
         _, rows = parse_csv(out)
         assert 26 <= len(rows) <= 30
         assert rows[0]["margin"] == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_matches_library(self, capsys, fmt):
+        # what a reader re-parses must carry every grid point and the
+        # library's exact worst margin
+        status, out, _ = run_cli(
+            capsys, "--format", fmt, "scan", "--lo", "2.72", "--hi", "40",
+            "--bound", "affine:0.5,0.6633",
+        )
+        assert status == 0
+        if fmt == "json":
+            rows = json.loads(out)["rows"]
+            margins = [row["margin"] for row in rows]
+        else:
+            _, rows = parse_csv(out)
+            margins = [float(row["margin"]) for row in rows]
+        report = scan_interval(ScanConfig(t_lo=2.72, t_hi=40.0), bound=(0.5, 0.6633))
+        assert len(rows) == len(report.t)
+        assert min(margins) == report.min_margin
+
+    def test_workers_below_one_is_usage_error(self, capsys):
+        status, _, err = run_cli(
+            capsys, "scan", "--lo", "2.72", "--hi", "3.0", "--workers", "-1",
+        )
+        assert status == 2
+        assert "workers" in err
+
+
+class TestBlankCells:
+    def test_table3_blank_v(self, capsys):
+        _, out, _ = run_cli(capsys, "table3", "--t0", "100", "--t0", "1e15")
+        header, first, _ = out.splitlines()
+        assert header.split() == ["t0", "v", "v_tilde"]
+        assert first.split() == ["100", "0.6440"]  # three columns, v blank
+        _, csv_out, _ = run_cli(capsys, "--format", "csv", "table3", "--t0", "100")
+        _, rows = parse_csv(csv_out)
+        assert rows[0]["v"] == ""
+
+    def test_scan_without_bound_blank_margin(self, capsys):
+        _, out, _ = run_cli(capsys, "--format", "table", "scan", "--lo", "2.72", "--hi", "2.8")
+        lines = out.splitlines()
+        assert lines[0].split()[-1] == "margin"
+        assert all(len(line.split()) == 4 for line in lines[1:])
+        _, json_out, _ = run_cli(capsys, "--format", "json", "scan", "--lo", "2.72",
+                                 "--hi", "2.8")
+        rows = json.loads(json_out)["rows"]
+        assert len(rows) == len(lines) - 1
+        assert all(row["margin"] is None for row in rows)
+
+
+class TestNonFiniteInputs:
+    # exit 1 means "bound violated", so these must not escape as tracebacks
+    def test_eval_infinite_t_is_usage_error(self, capsys):
+        status, _, err = run_cli(capsys, "eval", "--t", "inf")
+        assert status == 2
+        assert "finite" in err
+
+    def test_eval_huge_t_is_resource_error(self, capsys):
+        status, _, err = run_cli(capsys, "eval", "--t", "1e300")
+        assert status == 3
+        assert "integer range" in err
+
+    def test_scan_infinite_hi_is_usage_error(self, capsys):
+        status, _, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "inf")
+        assert status == 2
+        assert "finite" in err
 
 
 class TestFigures:

@@ -19,7 +19,6 @@ from zetabound import (
     chi_upper,
     ck_contour,
     computed_constants,
-    kappa1,
     kappa2,
     optimal_bound_params,
     theta,
@@ -224,9 +223,6 @@ class TestComputedConstants:
 
 
 class TestAssembledBound:
-    def test_kappa1_is_chi_bound(self):
-        assert kappa1(100.0) == chi_upper(100.0)
-
     def test_theta_at_1e6(self):
         assert round(theta(1e6), 4) == 1.0050
 

@@ -44,6 +44,10 @@ class TestScanConfig:
             ScanConfig(t_lo=3.0, t_hi=10.0, r=0.02)
         with pytest.raises(ValueError):
             ScanConfig(t_lo=3.0, t_hi=10.0, block=0.0)
+        with pytest.raises(ValueError):
+            ScanConfig(t_lo=3.0, t_hi=math.inf)
+        with pytest.raises(ValueError):
+            ScanConfig(t_lo=3.0, t_hi=math.nan)
 
 
 class TestEvalBlock:
@@ -89,8 +93,7 @@ class TestScanInterval:
         assert np.all(np.isfinite(report.modulus))
         # log e = 1, so the first ratio equals the modulus
         assert report.ratio[0] == pytest.approx(report.modulus[0], rel=1e-14)
-        first = next(report.points())
-        assert first.t == pytest.approx(math.e, rel=1e-15)
+        assert report.t[0] == pytest.approx(math.e, rel=1e-15)
 
     def test_peak_found_on_fine_grid(self):
         cfg = ScanConfig(t_lo=17.0, t_hi=18.0, h=0.0001, r=1e-6)
@@ -135,6 +138,12 @@ class TestScanInterval:
             assert seq.err.tobytes() == par.err.tobytes()
             assert seq.max_ratio == par.max_ratio
 
+    def test_workers_must_be_positive(self):
+        cfg = ScanConfig(t_lo=10.0, t_hi=11.0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                scan_interval(cfg, workers=workers)
+
     def test_budget_enforced(self):
         cfg = ScanConfig(t_lo=math.e, t_hi=100.0)
         with pytest.raises(ResourceBudgetError):
@@ -144,9 +153,13 @@ class TestScanInterval:
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)
         plain = scan_interval(cfg)
         assert plain.min_margin is None and plain.argmin_t is None
+        assert plain.margin is None
         bounded = scan_interval(cfg, bound=(0.5, 0.6633))
         assert bounded.min_margin is not None
         assert cfg.t_lo <= bounded.argmin_t <= cfg.t_hi
+        expected = 0.5 * np.log(bounded.t) + 0.6633 - (bounded.modulus + bounded.err)
+        assert bounded.margin.tobytes() == expected.tobytes()
+        assert bounded.margin.min() == bounded.min_margin
 
 
 class TestAgainstMpmath:

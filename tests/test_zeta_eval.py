@@ -8,7 +8,6 @@ import pytest
 from zetabound import (
     CertifiedComplex,
     ConvergenceError,
-    EvalConfig,
     choose_N,
     error_bound,
     eval_zeta_certified,
@@ -75,6 +74,9 @@ class TestChooseN:
             choose_N(1e30, 1e-10)
         with pytest.raises(OverflowError):
             choose_N(1e300, 1e-300)
+        # (1+T)(2+T) overflows to inf: still the documented error
+        with pytest.raises(OverflowError, match="supported integer range"):
+            choose_N(1e300, 1e-8)
 
 
 class TestCertifiedComplex:
@@ -88,18 +90,6 @@ class TestCertifiedComplex:
 
     def test_modulus(self):
         assert CertifiedComplex(3 + 4j, 0.1).modulus == pytest.approx(5.0)
-
-
-class TestEvalConfig:
-    def test_n_terms(self):
-        cfg = EvalConfig(r=0.005, t_max=100.0)
-        assert cfg.n_terms() == 254
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EvalConfig(r=0.0, t_max=1.0)
-        with pytest.raises(ValueError):
-            EvalConfig(r=0.1, t_max=-2.0)
 
 
 class TestEvalZetaCertified:
