@@ -115,6 +115,12 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
+    summed = zeta_eval.direct_terms(t, n)
+    if summed > verifier.DEFAULT_BUDGET:
+        raise ResourceBudgetError(
+            f"evaluation sums {summed:.3e} terms directly, over the budget "
+            f"{verifier.DEFAULT_BUDGET:.3e}"
+        )
     cert = zeta_eval.eval_zeta_certified(t, n)
     columns = {
         "t": [t],

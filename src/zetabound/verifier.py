@@ -266,7 +266,17 @@ def scan_interval(
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    K = int(math.floor((config.t_hi - config.t_lo) / config.h + 1e-9))
+    steps = float(np.floor((config.t_hi - config.t_lo) / config.h + 1e-9))
+    # every point needs N >= (1 + t)/sqrt(32 r) >= (1 + t_lo)/sqrt(32 r)
+    # (choose_N), so this closed-form floor of the exact count checked below
+    # refuses an oversized grid before any array is built
+    least = (steps + 1.0) * (1.0 + config.t_lo) / math.sqrt(32.0 * config.r)
+    if least > budget:
+        raise ResourceBudgetError(
+            f"scan needs at least {least:.3e} summed terms, over the budget {budget:.3e}; "
+            "raise the budget or relax the grid"
+        )
+    K = int(steps)
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
     block_idx = np.floor_divide(t - config.t_lo, config.block).astype(np.int64)
     _, starts = np.unique(block_idx, return_index=True)

@@ -232,6 +232,25 @@ class TestNonFiniteInputs:
         assert "finite" in err
 
 
+class TestBudgetRefusals:
+    # refused up front with exit 3, before any large array or long sum
+    def test_scan_oversized_grid(self, capsys):
+        status, _, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "1e6", "--h", "1e-9")
+        assert status == 3
+        assert "budget" in err
+
+    def test_scan_huge_t(self, capsys):
+        status, _, err = run_cli(capsys, "scan", "--lo", "1e300", "--hi", "2e300", "--h", "1")
+        assert status == 3
+        assert "budget" in err
+
+    def test_eval_head_over_budget(self, capsys):
+        # N = 1.8e15 is representable, but the direct head is a = 1e12 terms
+        status, _, err = run_cli(capsys, "eval", "--t", "1e12", "--r", "1e-8")
+        assert status == 3
+        assert "budget" in err
+
+
 class TestFigures:
     def test_c0_endpoint(self, capsys):
         status, out, _ = run_cli(capsys, "figures", "c0")

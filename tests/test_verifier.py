@@ -20,16 +20,15 @@ from zetabound import (
 )
 from zetabound import verifier
 from zetabound.verifier import GRID_NOTE, _eval_block
-from zetabound.zeta_eval import _fp_slack
+from zetabound.zeta_eval import _direct_sum, _fp_slack
 
 
 def _assert_matches_direct(pts, n, vals, rem, ks):
     # both routes certify against the same g_N: the block within rem, the
-    # direct sum within its floating-point slack
+    # plain sum of all n terms within its floating-point slack
     for k in ks:
         t = float(pts[k])
-        direct = eval_zeta_certified(t, n)
-        assert abs(vals[k] - direct.value) <= rem + _fp_slack(t, n)
+        assert abs(vals[k] - _direct_sum(t, n)) <= rem + _fp_slack(t, n)
 
 
 class TestScanConfig:
@@ -56,8 +55,8 @@ class TestEvalBlock:
         n = choose_N(float(pts[-1]), 0.005)
         vals, rem = _eval_block(pts, n)
         for k in (0, 57, 123, len(pts) - 1):
-            direct = eval_zeta_certified(float(pts[k]), n)
-            assert abs(vals[k] - direct.value) <= rem + 1e-12
+            direct = _direct_sum(float(pts[k]), n)
+            assert abs(vals[k] - direct) <= rem + 1e-12
 
     @pytest.mark.parametrize("t0", [math.e, 1e3, 1e5, 2e5])
     @pytest.mark.parametrize("size", [1, 2, 5000])
@@ -148,6 +147,29 @@ class TestScanInterval:
         cfg = ScanConfig(t_lo=math.e, t_hi=100.0)
         with pytest.raises(ResourceBudgetError):
             scan_interval(cfg, budget=1e3)
+
+    def test_oversized_grid_refused_before_allocation(self):
+        # 1e15 points, about 7 PiB for t alone
+        cfg = ScanConfig(t_lo=2.72, t_hi=1e6, h=1e-9)
+        with pytest.raises(ResourceBudgetError, match="at least"):
+            scan_interval(cfg)
+        with pytest.raises(ResourceBudgetError, match="at least"):
+            scan_interval(ScanConfig(t_lo=1e300, t_hi=2e300, h=1.0))
+
+    def test_closed_form_floor_below_exact_count(self):
+        # the early refusal must not reject a grid the exact count accepts:
+        # at a budget equal to the exact count the scan runs, and just below
+        # it the exact check, not the closed-form floor, refuses
+        cfg = ScanConfig(t_lo=math.e, t_hi=300.0)
+        t = scan_interval(cfg).t
+        idx = np.floor_divide(t - cfg.t_lo, cfg.block)
+        exact = sum(
+            choose_N(float(t[idx == b][-1]), cfg.r) * int(np.count_nonzero(idx == b))
+            for b in np.unique(idx)
+        )
+        assert len(scan_interval(cfg, budget=float(exact)).t) == len(t)
+        with pytest.raises(ResourceBudgetError, match="about"):
+            scan_interval(cfg, budget=exact - 1.0)
 
     def test_margins_present_only_with_bound(self):
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)

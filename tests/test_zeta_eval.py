@@ -10,10 +10,17 @@ from zetabound import (
     ConvergenceError,
     choose_N,
     error_bound,
+    direct_terms,
     eval_zeta_certified,
     harmonic_bound,
     oracle_zeta,
 )
+from zetabound.zeta_eval import _direct_sum, _em_head, _fp_slack
+
+# t values of the Euler-Maclaurin checks: tiny t, the peak 17.7477, the
+# thinnest affine margin 108.98, and two t whose N at r = 1e-8 is far past
+# the split
+EM_T = (1e-4, 1.0, math.e, 17.7477, 108.98, 2e3, 2e4)
 
 
 class TestErrorBound:
@@ -131,6 +138,90 @@ class TestEvalZetaCertified:
         cert = eval_zeta_certified(1e-4, 100)
         assert math.isfinite(cert.modulus)
         assert cert.err >= error_bound(1e-4, 100)
+
+
+def _em_sizes(t):
+    a = _em_head(t)
+    return (2 * a, 2 * a + 1, choose_N(t, 1e-8))
+
+
+class TestEulerMaclaurinRoute:
+    @pytest.mark.parametrize("t", EM_T)
+    def test_agrees_with_direct_sum(self, t):
+        # both enclose g_N: the split value within its radius beyond the
+        # truncation bound, the plain sum of all N terms within _fp_slack
+        for n in _em_sizes(t):
+            cert = eval_zeta_certified(t, n)
+            gap = abs(cert.value - _direct_sum(t, n))
+            assert gap <= cert.err - error_bound(t, n) + _fp_slack(t, n)
+            if t >= math.e:
+                assert gap <= 1e-13
+
+    @pytest.mark.parametrize(
+        "t, n, real, imag",
+        [
+            # frozen from the plain N-term sum
+            (17.7477, 128, "0x1.da0ef8fb51b1ap+0", "0x1.24a4a3e94ea9dp-4"),
+            (2000.0, 4000, "0x1.1730f3d6e512fp-1", "0x1.cadee165ffeaep-4"),
+            (1.0, 100, "0x1.2a10ec024d66ap-1", "-0x1.da8c2326450f5p-1"),
+        ],
+    )
+    def test_direct_route_bits_frozen(self, t, n, real, imag):
+        cert = eval_zeta_certified(t, n)
+        assert cert.value == complex(float.fromhex(real), float.fromhex(imag))
+        assert cert.err == error_bound(t, n) + _fp_slack(t, n)
+
+    def test_direct_route_up_to_twice_the_head(self):
+        for t in EM_T:
+            a = _em_head(t)
+            for n in (1, a, 2 * a):
+                assert eval_zeta_certified(t, n).value == _direct_sum(t, n)
+                assert direct_terms(t, n) == n
+            assert direct_terms(t, 2 * a + 1) == a
+
+    def test_radius_never_exceeds_direct_radius(self):
+        rng = np.random.default_rng(2718)
+        cases = [(t, n) for t in EM_T for n in _em_sizes(t)]
+        for _ in range(100):
+            t = float(10.0 ** rng.uniform(-4, 5))
+            cases.append((t, choose_N(t, float(10.0 ** rng.uniform(-10, -1)))))
+            cases.append((t, 2 * _em_head(t) + int(rng.integers(1, 100))))
+        for t, n in cases:
+            assert eval_zeta_certified(t, n).err <= error_bound(t, n) + _fp_slack(t, n)
+
+    def test_high_t_radius(self):
+        cert = eval_zeta_certified(1e6, choose_N(1e6, 1e-8))
+        # the direct route's radius here was 1.63e-6, most of it 4 eps N
+        assert cert.err < 4e-8
+
+    @pytest.mark.parametrize(
+        "t", [1e5, 1e6, 2 * math.pi * 1000 / math.log(2), 2 * math.pi * 110_000 / math.log(2)]
+    )
+    @pytest.mark.parametrize("r", [1e-8, 1e-3])
+    def test_against_mpmath(self, t, r):
+        mpmath = pytest.importorskip("mpmath")
+        cert = eval_zeta_certified(t, choose_N(t, r))
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(mpmath.mpc(1, t)))
+        assert abs(cert.value - ref) <= cert.err
+
+    def test_property_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(st.floats(-3.0, 6.0), st.floats(-10.0, -2.0))
+        def check(log_t, log_r):
+            t, r = 10.0**log_t, 10.0**log_r
+            n = choose_N(t, r)
+            cert = eval_zeta_certified(t, n)
+            assert cert.err <= error_bound(t, n) + _fp_slack(t, n)
+            with mpmath.workdps(30):
+                ref = complex(mpmath.zeta(mpmath.mpc(1, t)))
+            assert abs(cert.value - ref) <= cert.err
+
+        check()
 
 
 class TestOracleZeta:
