@@ -15,7 +15,7 @@ rendering.
 
 Exit status: 0 success / bound holds, 1 bound violated on the grid,
 2 usage or domain error (including a non-finite t), 3 resource or
-convergence error (including a term count too large to represent).
+convergence error (including an unrepresentable term count, or no memory).
 """
 
 from __future__ import annotations
@@ -212,12 +212,9 @@ def cmd_figures(name: str, budget: float, workers: int) -> OutputRecord:
         raise ValueError(f"unknown figure {name!r}; choose from {', '.join(_FIGURES)}")
     if name in ("c0", "c1-sigma0", "c1-sigma1"):
         p = np.arange(_FIGURE_GRID_POINTS) / (_FIGURE_GRID_POINTS - 1)
-        if name == "c0":
-            y = [abs(rs_bounds.c0(x)) for x in p.tolist()]
-        else:
-            sigma = 0 if name.endswith("0") else 1
-            y = [abs(rs_bounds.c1(x, sigma)) for x in p.tolist()]
-        return OutputRecord("figures", {"name": name}, {"p": p, "y": y})
+        sigma = 0 if name.endswith("0") else 1
+        y = rs_bounds.c0(p) if name == "c0" else rs_bounds.c1(p, sigma)
+        return OutputRecord("figures", {"name": name}, {"p": p, "y": np.abs(y)})
     config = verifier.ScanConfig(t_lo=_FIGURE_T_LO, t_hi=_FIGURE_T_HI)
     report = verifier.scan_interval(config, budget=budget, workers=workers)
     if name == "zeta-vs-affine":
@@ -322,18 +319,19 @@ def _dispatch(args: argparse.Namespace) -> tuple[OutputRecord, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        record, status = _dispatch(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, ResourceBudgetError, CrossingNotFound, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     fmt = args.format
     if fmt is None:
         fmt = "csv" if args.command in ("scan", "figures") else "table"
-    text = _RENDERERS[fmt](record)
+    try:
+        record, status = _dispatch(args)
+        text = _RENDERERS[fmt](record)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ConvergenceError, ResourceBudgetError, CrossingNotFound, OverflowError,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 3
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

@@ -10,14 +10,17 @@ The pieces assembled here bound |zeta(1+it)| by (1/2) log t + C:
       C0(p) = (exp(i pi (p^2/2 + 3/8)) - i sqrt(2) cos(pi p / 2))
               / (2 cos(pi p)),
 
-  and C1(p) = C0'''(p)/(12 pi^2) + (1-2 sigma) C0'(p)/(4 i pi).  Both are
-  computed through local Taylor expansions of the entire numerator and
-  denominator, which gives the derivatives analytically and handles the
-  removable 0/0 points at p = +-1/2 in one mechanism;
+  and C1(p) = C0'''(p)/(12 pi^2) + (1-2 sigma) C0'(p)/(4 i pi).  Both come
+  from one table of Taylor series of C0 about the fixed centres j/6,
+  j = -6..6, each the quotient of the entire numerator's and
+  denominator's series, so the derivatives are analytic and the removable
+  0/0 points p = +-1/2 are centres.  Both take a float or an array and sum
+  each element about its nearest centre;
 * :func:`ck_contour` -- the same coefficients from their contour-integral
   definition, kept as an independent quadrature oracle;
 * :func:`b0`, :func:`b1`, :func:`c_sigma` -- maxima of |C0|, |C1| over
-  [-1, 1] and the remainder constant, the latter by adaptive quadrature of
+  the grid k/1e4 of [-1, 1] (estimates of the true maxima, attained at the
+  endpoint) and the remainder constant, the latter by adaptive quadrature of
   H(sigma, y) with a certified tail bound;
 * :func:`kappa2`, :func:`theta`, :func:`affine_C` -- the assembled affine
   bound |zeta(1+it)| <= (1/2) log t + C(t0) for t >= t0.
@@ -33,12 +36,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
+import numpy as np
 from scipy.integrate import quad
 
-from ._golden import golden_max
 from .errors import ConvergenceError
 from .zeta_eval import EULER_GAMMA
 
@@ -117,15 +120,15 @@ def chi_upper(t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# C0 and C1 via local Taylor expansions
+# C0 and C1 from Taylor tables about fixed centres
 # ---------------------------------------------------------------------------
 
 _SERIES_ORDER = 14
-# Switch to the expansion about +-1/2 inside this distance.  Closer in, a
-# series about p itself divides by 2 cos(pi p) ~ 0, which amplifies rounding
-# in its k-th coefficient by about |tan(pi p)|^k; at 0.1 the series about
-# +-1/2 still matches the contour oracle to 5e-14 at the edge.
-_SING_RADIUS = 0.1
+# Centres j/6, j = -6..6, leave |p - centre| <= 1/12 and include 0, the
+# removable points +-1/2 and the endpoints +-1 exactly.  Finer spacing would
+# put centres near +-1/2, where dividing by 2 cos(pi a) ~ 0 amplifies
+# rounding in the k-th coefficient by about |tan(pi a)|^k.
+_CENTRES_PER_UNIT = 6
 
 
 def _series_exp_quadratic(rho: complex, eta: complex, n: int) -> list[complex]:
@@ -140,18 +143,11 @@ def _series_exp_quadratic(rho: complex, eta: complex, n: int) -> list[complex]:
     return c
 
 
-def _series_cos(b: float, n: int) -> list[float]:
-    c = [0.0] * n
-    for k in range(0, n, 2):
-        c[k] = (-1.0) ** (k // 2) * b**k / math.factorial(k)
-    return c
-
-
-def _series_sin(b: float, n: int) -> list[float]:
-    c = [0.0] * n
-    for k in range(1, n, 2):
-        c[k] = (-1.0) ** ((k - 1) // 2) * b**k / math.factorial(k)
-    return c
+def _series_cos_sin(b: float, n: int) -> tuple[list[float], list[float]]:
+    """Taylor coefficients of cos(b x) and of sin(b x), to order n - 1."""
+    c = [(-1.0) ** (k // 2) * b**k / math.factorial(k) for k in range(n)]
+    cos = [0.0 if k % 2 else v for k, v in enumerate(c)]
+    return cos, [v if k % 2 else 0.0 for k, v in enumerate(c)]
 
 
 def _series_div(num: list[complex], den: list[complex], n: int) -> list[complex]:
@@ -165,7 +161,7 @@ def _series_div(num: list[complex], den: list[complex], n: int) -> list[complex]
 
 
 def _c0_taylor(a: float) -> list[complex]:
-    """Taylor coefficients of C0 about p = a.
+    """The first _SERIES_ORDER Taylor coefficients of C0 about p = a.
 
     Numerator and denominator are expanded separately and divided as formal
     series.  At a = +-1/2 both have a simple zero (the constant terms are
@@ -176,32 +172,40 @@ def _c0_taylor(a: float) -> list[complex]:
     w = cmath.exp(1j * _PI * (a * a / 2.0 + 0.375))
     num = [w * z for z in _series_exp_quadratic(1j * _PI * a, 0.5j * _PI, n)]
     ca, sa = math.cos(_PI * a / 2.0), math.sin(_PI * a / 2.0)
-    cos_h, sin_h = _series_cos(_PI / 2.0, n), _series_sin(_PI / 2.0, n)
+    cos_h, sin_h = _series_cos_sin(_PI / 2.0, n)
     for k in range(n):
         num[k] -= 1j * math.sqrt(2.0) * (ca * cos_h[k] - sa * sin_h[k])
     cA, sA = math.cos(_PI * a), math.sin(_PI * a)
-    cos_f, sin_f = _series_cos(_PI, n), _series_sin(_PI, n)
+    cos_f, sin_f = _series_cos_sin(_PI, n)
     den: list[complex] = [2.0 * (cA * cos_f[k] - sA * sin_f[k]) + 0j for k in range(n)]
-    if abs(abs(a) - 0.5) < 1e-12:
-        num = num[1:]  # simple common zero; constants vanish identically
-        den = den[1:]
-        return _series_div(num, den, _SERIES_ORDER)
-    return _series_div(num[:_SERIES_ORDER], den[:_SERIES_ORDER], _SERIES_ORDER)
+    lo = 1 if abs(abs(a) - 0.5) < 1e-12 else 0  # at +-1/2 both constants vanish
+    return _series_div(num[lo:lo + _SERIES_ORDER], den[lo:lo + _SERIES_ORDER], _SERIES_ORDER)
 
 
-def _check_p(p: float) -> None:
-    if not -1.0 <= p <= 1.0:
+def _check_p(p: float | np.ndarray) -> None:
+    if not np.all(np.abs(p) <= 1.0):
         raise ValueError(f"p must lie in [-1, 1], got {p}")
 
 
-def _series_for(p: float) -> tuple[list[complex], float]:
-    if abs(p - 0.5) < _SING_RADIUS:
-        a = 0.5
-    elif abs(p + 0.5) < _SING_RADIUS:
-        a = -0.5
-    else:
-        a = p
-    return _c0_taylor(a), p - a
+@lru_cache(maxsize=None)
+def _taylor_tables() -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The centres j/6 and, keyed by derivative order 0, 1 and 3, the Taylor
+    coefficients of C0 and its derivatives, one row per centre."""
+    centres = [j / _CENTRES_PER_UNIT for j in range(-_CENTRES_PER_UNIT, _CENTRES_PER_UNIT + 1)]
+    c = np.array([_c0_taylor(a) for a in centres])
+    k = np.arange(_SERIES_ORDER)
+    return np.array(centres), {0: c, 1: (k * c)[:, 1:], 3: (k * (k - 1) * (k - 2) * c)[:, 3:]}
+
+
+def _c0_derivatives(p: float | np.ndarray, *orders: int) -> list[np.ndarray]:
+    """The derivatives of C0 of the given orders at each element of p, as
+    flat arrays: Horner sums of the series about its nearest centre."""
+    _check_p(p)
+    p = np.atleast_1d(np.asarray(p, dtype=np.float64)).ravel()
+    centres, tables = _taylor_tables()
+    idx = np.rint(p * _CENTRES_PER_UNIT).astype(np.intp) + _CENTRES_PER_UNIT
+    x = p - centres[idx]
+    return [reduce(lambda acc, coeff: acc * x + coeff, tables[m][idx, ::-1].T) for m in orders]
 
 
 def _c0_closed(p: float) -> complex:
@@ -212,32 +216,25 @@ def _c0_closed(p: float) -> complex:
     ) / (2.0 * math.cos(_PI * p))
 
 
-def c0(p: float) -> complex:
+def c0(p: float | np.ndarray) -> complex | np.ndarray:
     """First Riemann-Siegel coefficient C0(p) on [-1, 1]; even in p.
 
     Entire despite the cos(pi p) denominator: the numerator vanishes with
-    it at p = +-1/2, where the local series takes over.
+    it at p = +-1/2, which are table centres.  A float p gives a complex,
+    an array p a complex array of its shape.
     """
-    _check_p(p)
-    ser, x = _series_for(p)
-    val = 0j
-    for k in range(len(ser) - 1, -1, -1):
-        val = val * x + ser[k]
-    return val
+    (val,) = _c0_derivatives(p, 0)
+    return complex(val[0]) if np.ndim(p) == 0 else val.reshape(np.shape(p))
 
 
-def c1(p: float, sigma: float) -> complex:
+def c1(p: float | np.ndarray, sigma: float) -> complex | np.ndarray:
     """Second coefficient C1(p) = C0'''(p)/(12 pi^2) + (1-2 sigma)/(4 i pi)
-    C0'(p); odd in p, so C1(0) = 0."""
-    _check_p(p)
-    ser, x = _series_for(p)
-    d1 = 0j
-    for k in range(len(ser) - 1, 0, -1):
-        d1 = d1 * x + k * ser[k]
-    d3 = 0j
-    for k in range(len(ser) - 1, 2, -1):
-        d3 = d3 * x + k * (k - 1) * (k - 2) * ser[k]
-    return d3 / (12.0 * _PI * _PI) + (1.0 - 2.0 * sigma) / (4j * _PI) * d1
+    C0'(p); odd in p, so C1(0) = 0.  Takes a float or an array like c0."""
+    d1, d3 = _c0_derivatives(p, 1, 3)
+    # parts divided on their own, like Python's complex / float (numpy's rounds differently)
+    scale = 12.0 * _PI * _PI
+    val = d3.real / scale + 1j * (d3.imag / scale) + (1.0 - 2.0 * sigma) / (4j * _PI) * d1
+    return complex(val[0]) if np.ndim(p) == 0 else val.reshape(np.shape(p))
 
 
 # ---------------------------------------------------------------------------
@@ -300,36 +297,27 @@ def ck_contour(p: float, k: int, sigma: float = 0.0) -> complex:
 
 
 def _max_abs_on_unit(f) -> float:
-    # |C0|, |C1| are even/odd in p, so [0, 1] suffices.  Uniform grid of 1e4
-    # points, then golden-section refinement of the bracketing triple.
-    m = 10_000
-    best_k = 0
-    best = -1.0
-    for k in range(m + 1):
-        val = f(k / m)
-        if val > best:
-            best, best_k = val, k
-    a = max(best_k - 1, 0) / m
-    b = min(best_k + 1, m) / m
-    _, fx = golden_max(f, a, b, 1e-10)
-    return max(best, fx)
+    # |C0|, |C1| are even/odd in p, so [0, 1] suffices: the largest |f| on
+    # the uniform grid of 1e4 steps, in one array call
+    return float(np.max(np.abs(f(np.arange(10_001) / 10_000))))
 
 
 @lru_cache(maxsize=None)
 def b0() -> float:
-    """max |C0(p)| over [-1, 1]; equals 1/2, attained at p = 1."""
-    return _max_abs_on_unit(lambda p: abs(c0(p)))
+    """max |C0(p)| over the grid k/1e4 of [-1, 1]; 1/2, at p = 1."""
+    return _max_abs_on_unit(c0)
 
 
 @lru_cache(maxsize=None)
 def b1(sigma: int) -> float:
-    """max |C1(p)| over [-1, 1] for sigma in {0, 1}; attained at p = 1."""
+    """max |C1(p)| over the grid k/1e4 of [-1, 1], sigma in {0, 1}; at p = 1."""
     if sigma not in (0, 1):
         raise ValueError(f"sigma must be 0 or 1, got {sigma}")
-    return _max_abs_on_unit(lambda p: abs(c1(p, sigma)))
+    return _max_abs_on_unit(lambda p: c1(p, sigma))
 
 
 _ROT45 = cmath.exp(1j * _PI / 4.0)
+_Y_CUT = 1.0e4  # c_sigma integrates |y| <= _Y_CUT and bounds the tails
 
 
 def _h_integrand(sigma: int, y: float) -> float:
@@ -348,21 +336,21 @@ def _h_integrand(sigma: int, y: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def c_sigma(sigma: int, y_cut: float = 1.0e4) -> float:
+def c_sigma(sigma: int) -> float:
     """Remainder constant c(sigma) = (1/pi^2) * integral of H(sigma, y) over R.
 
-    Integrates |y| <= y_cut adaptively in three panels and adds a certified
+    Integrates |y| <= _Y_CUT adaptively in three panels and adds a certified
     bound for the truncated tails: H(sigma, y) <= M / y^2 beyond the cut,
     with M measured on the boundary and doubled.  The returned value is
     therefore an upper bound, sitting within about 1e-4 of the exact
-    integral at the default cut.
+    integral at this cut.
     """
     if sigma not in (0, 1):
         raise ValueError(f"sigma must be 0 or 1, got {sigma}")
     inner = 50.0
     total = 0.0
     total_err = 0.0
-    for a, b in ((-y_cut, -inner), (-inner, inner), (inner, y_cut)):
+    for a, b in ((-_Y_CUT, -inner), (-inner, inner), (inner, _Y_CUT)):
         val, est = quad(lambda y: _h_integrand(sigma, y), a, b, epsabs=1e-10,
                         epsrel=1e-10, limit=300)
         total += val
@@ -370,10 +358,10 @@ def c_sigma(sigma: int, y_cut: float = 1.0e4) -> float:
     if total_err > 1e-8:
         raise ConvergenceError(f"H quadrature error {total_err:.2e} exceeds 1e-8")
     m_boundary = max(
-        _h_integrand(sigma, y_cut) * y_cut * y_cut,
-        _h_integrand(sigma, -y_cut) * y_cut * y_cut,
+        _h_integrand(sigma, _Y_CUT) * _Y_CUT * _Y_CUT,
+        _h_integrand(sigma, -_Y_CUT) * _Y_CUT * _Y_CUT,
     )
-    tail = 2.0 * (2.0 * m_boundary) / y_cut
+    tail = 2.0 * (2.0 * m_boundary) / _Y_CUT
     return (total + tail) / (_PI * _PI)
 
 

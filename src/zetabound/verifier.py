@@ -56,7 +56,9 @@ GRID_NOTE = (
 DEFAULT_BUDGET = 5.0e10
 
 _KERNEL_CHUNK = 1 << 16  # terms per n-chunk of the block kernel
+_KERNEL_POINTS = 1 << 14  # most grid points per kernel call
 _REFINE_R = 1e-8    # certification radius for single-point refinement
+_OVER_BUDGET = "scan needs {} summed terms, over the budget {:.3e}; raise it or relax the grid"
 
 
 @dataclass(frozen=True)
@@ -249,6 +251,46 @@ def _block_task(args: tuple[float, int, int, float, int]) -> tuple[np.ndarray, f
     return _eval_block(pts, N)
 
 
+def _plan(config: ScanConfig, budget: float) -> list[tuple[float, int, int, float, int]]:
+    """The kernel calls (t_lo, k_lo, k_hi, h, N) of a scan, in grid order.
+
+    Grid point k is t_lo + k h.  Its block is floor((t_k - t_lo) / block),
+    taken with the grid's own float operations, and each block uses the N
+    of its largest t.  The plan is arithmetic, so the budget is checked
+    before any array exists; a block of more than _KERNEL_POINTS points is
+    split into kernel calls that share its N.
+    """
+    t_lo, h, width = config.t_lo, config.h, config.block
+    steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
+    # every point needs N >= (1 + t_lo)/sqrt(32 r) (choose_N): an O(1) floor
+    least = (steps + 1.0) * (1.0 + t_lo) / math.sqrt(32.0 * config.r)
+    if least > budget:
+        raise ResourceBudgetError(_OVER_BUDGET.format(f"at least {least:.3e}", budget))
+    K = int(steps)
+
+    def block_of(k: int) -> float:
+        return float(np.floor_divide(t_lo + k * h - t_lo, width))
+
+    tasks, nominal, k_lo = [], 0.0, 0
+    while k_lo <= K:
+        b = block_of(k_lo)
+        # first point of the next block: the exact-arithmetic guess, moved
+        # to where the float grid puts the boundary (block_of(k_lo) == b)
+        k_end = max(math.ceil(min((b + 1.0) * width / h, K + 1.0)), k_lo + 1)
+        while block_of(k_end - 1) > b:
+            k_end -= 1
+        while k_end <= K and block_of(k_end) <= b:
+            k_end += 1
+        N = choose_N(t_lo + (k_end - 1) * h, config.r)
+        nominal += float(N) * (k_end - k_lo)
+        if nominal > budget:  # counted so far, so the whole grid needs more
+            raise ResourceBudgetError(_OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
+        for lo in range(k_lo, k_end, _KERNEL_POINTS):
+            tasks.append((t_lo, lo, min(lo + _KERNEL_POINTS, k_end) - 1, h, N))
+        k_lo = k_end
+    return tasks
+
+
 def scan_interval(
     config: ScanConfig,
     bound: tuple[float, float] | None = None,
@@ -260,40 +302,15 @@ def scan_interval(
     bound, when given, is (slope, intercept); the margins
     slope * log t + intercept - (modulus + err) are then returned in margin
     and summarised in min_margin / argmin_t.  budget caps the nominal term count
-    sum_k N(t_k); workers > 1 distributes blocks over processes, whose
-    results are merged in task order, so the report is identical for any
-    worker count.
+    sum_k N(t_k), checked before any array is built; workers > 1
+    distributes kernel calls over processes, whose results are merged in
+    task order, so the report is identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    steps = float(np.floor((config.t_hi - config.t_lo) / config.h + 1e-9))
-    # every point needs N >= (1 + t)/sqrt(32 r) >= (1 + t_lo)/sqrt(32 r)
-    # (choose_N), so this closed-form floor of the exact count checked below
-    # refuses an oversized grid before any array is built
-    least = (steps + 1.0) * (1.0 + config.t_lo) / math.sqrt(32.0 * config.r)
-    if least > budget:
-        raise ResourceBudgetError(
-            f"scan needs at least {least:.3e} summed terms, over the budget {budget:.3e}; "
-            "raise the budget or relax the grid"
-        )
-    K = int(steps)
+    tasks = _plan(config, budget)
+    K = tasks[-1][2]
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
-    block_idx = np.floor_divide(t - config.t_lo, config.block).astype(np.int64)
-    _, starts = np.unique(block_idx, return_index=True)
-    bounds_k = list(starts) + [K + 1]
-
-    tasks = []
-    nominal = 0.0
-    for b in range(len(bounds_k) - 1):
-        k_lo, k_hi = int(bounds_k[b]), int(bounds_k[b + 1]) - 1
-        N = choose_N(float(t[k_hi]), config.r)
-        nominal += float(N) * (k_hi - k_lo + 1)
-        tasks.append((config.t_lo, k_lo, k_hi, config.h, N))
-    if nominal > budget:
-        raise ResourceBudgetError(
-            f"scan needs about {nominal:.3e} summed terms, over the budget {budget:.3e}; "
-            "raise the budget or relax the grid"
-        )
 
     modulus = np.empty(K + 1)
     err = np.empty(K + 1)
@@ -378,8 +395,7 @@ def max_ratio(
     b = float(report.t[min(k + 5, len(report.t) - 1)])
     if not b > a:
         return float(report.t[k]), _accurate_ratio(float(report.t[k]))
-    x, fx = golden_max(_accurate_ratio, a, b, refine_tol)
-    return x, fx
+    return golden_max(_accurate_ratio, a, b, refine_tol)
 
 
 def _bisect_ratio(a: float, b: float, v: float) -> float:
@@ -425,17 +441,13 @@ def crossing_point(
             f"at t = {report.argmax_t:.4f})"
         )
 
-    k = int(candidates[-1])
-    while k < K and _accurate_ratio(float(t[k + 1])) >= v:
-        k += 1  # coarse noise hid a slightly later crossing
-    steps_left = 0
-    while k >= 0 and steps_left < 20 and _accurate_ratio(float(t[k])) < v:
-        k -= 1
-        steps_left += 1
-    if k >= 0 and steps_left < 20:
-        if k == K:
-            raise CrossingNotFound(f"ratio is still at or above {v} at t_hi = {t_hi}")
-        return _bisect_ratio(float(t[k]), float(t[k + 1]), v)
+    # later points (ratio < v - guard, err <= r + rem) reach v only if rem > ~5e-5
+    last = int(candidates[-1])
+    for k in range(last, max(last - 20, -1), -1):
+        if _accurate_ratio(float(t[k])) >= v:
+            if k == K:
+                raise CrossingNotFound(f"ratio is still at or above {v} at t_hi = {t_hi}")
+            return _bisect_ratio(float(t[k]), float(t[k + 1]), v)
 
     # No accurate grid point reaches v: tangency (or a near miss).  Refine
     # the local maximum around the best candidate.

@@ -49,6 +49,7 @@ EULER_GAMMA = 0.5772156649015329
 _EPS = 2.220446049250313e-16
 _CHUNK = 1 << 21          # summation chunk; fixed so results are bit-reproducible
 _MAX_N = 1 << 62
+_ORACLE_MAX_TERMS = 1_000_000  # the eta oracle gives up beyond this many terms
 
 # Euler-Maclaurin split of the main sum, derived in eval_zeta_certified:
 # the terms n <= a = max(_EM_MIN_HEAD, ceil(t)) are summed one by one and the
@@ -339,7 +340,7 @@ def _eta_accelerated(t: float, start: int, cols: int) -> tuple[complex, float]:
     return complex(row[0]), float(step)
 
 
-def oracle_zeta(t: float, target_err: float, max_terms: int = 1_000_000) -> CertifiedComplex:
+def oracle_zeta(t: float, target_err: float) -> CertifiedComplex:
     """zeta(1+it) through the alternating (eta) series, independent of g_N.
 
     zeta(s) = eta(s) / (1 - 2^(1-s)); on the line s = 1+it the denominator
@@ -347,7 +348,7 @@ def oracle_zeta(t: float, target_err: float, max_terms: int = 1_000_000) -> Cert
     2*pi/log 2, and the requested accuracy then has to be reached by the
     eta sum divided by that small modulus.  The summation start doubles
     until the conservative error estimate meets target_err; if that takes
-    more than max_terms terms a ConvergenceError is raised.
+    more than _ORACLE_MAX_TERMS terms a ConvergenceError is raised.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -360,9 +361,9 @@ def oracle_zeta(t: float, target_err: float, max_terms: int = 1_000_000) -> Cert
     start = max(64, math.ceil(t))
     cols = 64
     while True:
-        if start + cols > max_terms:
+        if start + cols > _ORACLE_MAX_TERMS:
             raise ConvergenceError(
-                f"oracle needs more than {max_terms} terms for target {target_err} at t = {t}"
+                f"oracle needs over {_ORACLE_MAX_TERMS} terms for target {target_err} at t = {t}"
             )
         eta, step = _eta_accelerated(t, start, cols)
         # Conservative error model: four acceleration steps' worth of the

@@ -1,0 +1,31 @@
+"""The names and caches the benchmark under bench/ relies on.
+
+bench/ wraps library functions by module attribute and checks that the
+lru_cached constant routines start cold, so renaming a wrapped function or
+dropping one of those caches fails here rather than only in the benchmark.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PROBE = """
+from zetabound import rs_bounds
+import tracing
+import workloads
+
+assert workloads.cold_caches()
+tracing.Tracer("t").install()
+rs_bounds.computed_constants()
+"""
+
+
+def test_tracer_installs_and_constants_run_from_cold_caches():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
+    proc = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from zetabound import ScanConfig, scan_interval
+from zetabound import ScanConfig, cli, scan_interval, verifier
 from zetabound.cli import main
 
 
@@ -243,6 +243,20 @@ class TestBudgetRefusals:
         status, _, err = run_cli(capsys, "scan", "--lo", "1e300", "--hi", "2e300", "--h", "1")
         assert status == 3
         assert "budget" in err
+
+    def test_out_of_memory_is_resource_error(self, capsys, monkeypatch):
+        # a grid under the budget can still outgrow memory, in the scan or
+        # while its rows are rendered
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(verifier, "scan_interval", exhausted)
+        status, _, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "10")
+        assert (status, err) == (3, "error: out of memory\n")
+        monkeypatch.undo()
+        monkeypatch.setitem(cli._RENDERERS, "csv", exhausted)
+        status, out, _ = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "3")
+        assert status == 3 and out == ""
 
     def test_eval_head_over_budget(self, capsys):
         # N = 1.8e15 is representable, but the direct head is a = 1e12 terms

@@ -74,6 +74,15 @@ class TestC0:
     def test_domain(self):
         with pytest.raises(ValueError):
             c0(1.0001)
+        with pytest.raises(ValueError):
+            c0(np.array([0.0, -1.0001]))
+
+    def test_array_matches_float_calls(self):
+        ps = np.concatenate([np.linspace(-1.0, 1.0, 997), np.arange(-12, 13) / 12.0])
+        expected = np.array([c0(float(p)) for p in ps])
+        assert c0(ps).tobytes() == expected.tobytes()
+        assert c0(ps.reshape(2, -1)).shape == (2, ps.size // 2)
+        assert type(c0(0.3)) is complex
 
 
 class TestC1:
@@ -90,6 +99,13 @@ class TestC1:
         for p in rng.uniform(0.0, 1.0, 100):
             for sigma in (0, 1):
                 assert abs(c1(float(p), sigma) + c1(-float(p), sigma)) < 1e-12
+
+    def test_array_matches_float_calls(self):
+        ps = np.concatenate([np.linspace(-1.0, 1.0, 997), np.arange(-12, 13) / 12.0])
+        for sigma in (0, 1):
+            expected = np.array([c1(float(p), sigma) for p in ps])
+            assert c1(ps, sigma).tobytes() == expected.tobytes()
+        assert type(c1(0.3, 1)) is complex
 
     def test_continuity_at_half(self):
         for sigma in (0, 1):
@@ -144,8 +160,10 @@ class TestContourOracle:
 
     def test_agreement_across_the_series_switch(self):
         # dense sweep through p = +-1/2, where a series about p itself
-        # would divide by 2 cos(pi p) ~ 0 and lose up to 1e-6 in c1
-        side = np.linspace(0.44, 0.56, 241)
+        # would divide by 2 cos(pi p) ~ 0 and lose up to 1e-6 in c1, plus
+        # the midpoints (j + 1/2)/6 between table centres, the farthest
+        # any point lies from its centre
+        side = np.concatenate([np.linspace(0.44, 0.56, 241), (np.arange(6) + 0.5) / 6.0])
         for p in np.concatenate([side, -side]):
             p = float(p)
             assert abs(c0(p) - ck_contour(p, 0)) < 1e-10
@@ -169,6 +187,11 @@ class TestMaxima:
     def test_b1_values(self):
         assert b1(0) == pytest.approx(0.0173, abs=1e-4)
         assert b1(1) == pytest.approx(0.0932, abs=1e-4)
+
+    def test_maxima_at_endpoint(self):
+        assert b0() == abs(c0(1.0))
+        for sigma in (0, 1):
+            assert b1(sigma) == abs(c1(1.0, sigma))
 
     def test_b1_domain(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,44 @@ class TestScanInterval:
         with pytest.raises(ResourceBudgetError, match="about"):
             scan_interval(cfg, budget=exact - 1.0)
 
+    def test_exact_count_refused_before_any_array(self):
+        # 4.7e9 points pass the closed-form floor (3.1e10 terms) but need
+        # about 4.3e11; the block plan refuses them without building the grid
+        tracemalloc = pytest.importorskip("tracemalloc")
+        cfg = ScanConfig(t_lo=2.72, t_hi=50.0, h=1e-8, r=0.01)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError, match="about"):
+                scan_interval(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_wide_block_split_into_capped_kernel_calls(self, monkeypatch):
+        # 3001 points in one block; at a cap of 1000 points per kernel call
+        # the block becomes four calls that share its N
+        cfg = ScanConfig(t_lo=100.0, t_hi=130.0, h=0.01)
+        calls = []
+        kernel = verifier._eval_block
+
+        def recorded(t_pts, n):
+            vals, rem = kernel(t_pts, n)
+            calls.append((len(t_pts), n, rem))
+            return vals, rem
+
+        monkeypatch.setattr(verifier, "_eval_block", recorded)
+        whole = scan_interval(cfg)
+        [(size, n_whole, rem_whole)] = calls
+        assert size == 3001
+        calls.clear()
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 1000)
+        capped = scan_interval(cfg)
+        assert [c[0] for c in calls] == [1000, 1000, 1000, 1]
+        assert {c[1] for c in calls} == {n_whole}
+        rem = np.repeat([c[2] for c in calls], [c[0] for c in calls])
+        assert np.all(np.abs(capped.modulus - whole.modulus) <= rem + rem_whole)
+
     def test_margins_present_only_with_bound(self):
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)
         plain = scan_interval(cfg)
