@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._golden import golden_max
 from .errors import CrossingNotFound, ResourceBudgetError
 from .zeta_eval import _EPS, choose_N, error_bound, eval_zeta_certified, harmonic_bound
 
@@ -58,6 +57,8 @@ DEFAULT_BUDGET = 5.0e10
 _KERNEL_CHUNK = 1 << 16  # terms per n-chunk of the block kernel
 _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
 _REFINE_R = 1e-8    # certification radius for single-point refinement
+_COARSE_R = 1e-4    # certification radius of max_ratio's coarse scan
+_CROSS_TOL = 1e-6   # width of the cell that pins a crossing
 _OVER_BUDGET = "scan needs {} summed terms, over the budget {:.3e}; raise it or relax the grid"
 
 
@@ -368,97 +369,98 @@ def _accurate_ratio(t: float) -> float:
     return cert.modulus / math.log(t)
 
 
+def _zoom(ts: np.ndarray, tol: float, v: float = math.inf) -> tuple[float, float, bool]:
+    """Zoom on the sorted points ts with high-accuracy ratios (radius 1e-8).
+
+    Each round evaluates every point and keeps one cell: the cell right of
+    the last point reaching v, where a crossing lies, or else the two cells
+    around the best point.  The next round puts 9 points on that cell, until
+    it is at most tol wide or floats stop narrowing it.  Returns (t, ratio,
+    reached): the last point reaching v, or the best point when none does.
+    """
+    width = math.inf
+    while True:
+        f = np.array([_accurate_ratio(float(x)) for x in ts])
+        hit = np.flatnonzero(f >= v)
+        last = len(ts) - 1
+        if hit.size:
+            k = int(hit[-1])
+            lo, hi = k, min(k + 1, last)
+        else:
+            k = int(np.argmax(f))
+            lo, hi = max(k - 1, 0), min(k + 1, last)
+        a, b = float(ts[lo]), float(ts[hi])
+        if b - a <= tol or b - a >= width:
+            return float(ts[k]), float(f[k]), bool(hit.size)
+        width = b - a
+        ts = np.linspace(a, b, 9)
+
+
 def max_ratio(
     t_lo: float,
     t_hi: float,
     coarse_h: float = 0.01,
     refine_tol: float = 1e-4,
-    coarse_r: float = 1e-4,
     budget: float = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> tuple[float, float]:
     """Locate the maximum of |zeta(1+it)| / log t on [t_lo, t_hi].
 
-    Coarse certified scan at spacing coarse_h first; the best grid point,
-    padded by five grid steps on each side (enough to cover the coarse
-    certification noise near a smooth peak), brackets a golden-section
-    refinement driven by high-accuracy evaluations (radius 1e-8).  Falls
-    back to recursive grid halving when the bracket is not unimodal.
-    Returns (argmax t, ratio there).
+    A certified scan at spacing coarse_h and radius 1e-4 finds the best grid
+    point; the grid points up to five steps on either side of it (enough to
+    cover the coarse certification noise near a smooth peak) are the first
+    grid of a zoom with high-accuracy evaluations (radius 1e-8), which keeps
+    the two cells around the best point until they are at most refine_tol
+    wide.  Returns (argmax t, ratio there): the best point the zoom
+    evaluated, so a peak narrower than a cell of some round can be missed.
     """
-    if not (math.e - 1e-12 <= t_lo < t_hi):
-        raise ValueError(f"need e <= t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    cfg = ScanConfig(t_lo=t_lo, t_hi=t_hi, h=coarse_h, r=coarse_r)
+    if not (refine_tol > 0.0 and math.isfinite(refine_tol)):
+        raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
+    cfg = ScanConfig(t_lo=t_lo, t_hi=t_hi, h=coarse_h, r=_COARSE_R)
     report = scan_interval(cfg, budget=budget, workers=workers)
     k = int(np.argmax(report.ratio))
-    a = float(report.t[max(k - 5, 0)])
-    b = float(report.t[min(k + 5, len(report.t) - 1)])
-    if not b > a:
-        return float(report.t[k]), _accurate_ratio(float(report.t[k]))
-    return golden_max(_accurate_ratio, a, b, refine_tol)
-
-
-def _bisect_ratio(a: float, b: float, v: float) -> float:
-    # invariant: accurate ratio(a) >= v > ratio(b)
-    for _ in range(80):
-        if b - a <= 1e-6:
-            break
-        mid = 0.5 * (a + b)
-        if _accurate_ratio(mid) >= v:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    t, ratio, _ = _zoom(report.t[max(k - 5, 0):k + 6], refine_tol)
+    return t, ratio
 
 
 def crossing_point(
     v: float,
     t_lo: float,
     t_hi: float,
-    config: ScanConfig | None = None,
     budget: float = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> float:
     """Largest t in [t_lo, t_hi] with |zeta(1+it)| / log t = v.
 
-    A certified coarse scan locates the last grid point at or above v; a
-    bisection with high-accuracy evaluations then pins the crossing so that
-    |ratio - v| <= 5e-5.  A level v just grazing a local maximum (tangency)
-    is accepted when the refined peak comes within 5e-5 of v, in which case
-    the peak location is returned.  Raises CrossingNotFound when the ratio
-    never gets that close to v on the grid.
+    A certified scan (h = 0.01, r = 0.005) keeps as candidates the grid
+    points whose ratio plus certified radius comes within 5e-5 of v; every
+    later point is proven below v - 5e-5.  A zoom with high-accuracy
+    evaluations (radius 1e-8) on the grid points from 20 steps before the
+    last candidate to one step after it follows the last point reaching v
+    down to a 1e-6 wide cell and returns its left end.  When no point
+    reaches v, a second zoom on the five grid steps either side of the best
+    candidate looks for the peak: a peak reaching v is followed to its
+    crossing as above, and a peak within 5e-5 of v is a tangency whose
+    location is returned.  Raises CrossingNotFound when the ratio is still
+    at or above v at the last grid point, or never comes that close to v.
     """
-    base = config if config is not None else ScanConfig(t_lo=t_lo, t_hi=t_hi)
-    cfg = replace(base, t_lo=t_lo, t_hi=t_hi)
-    report = scan_interval(cfg, budget=budget, workers=workers)
+    report = scan_interval(ScanConfig(t_lo=t_lo, t_hi=t_hi), budget=budget, workers=workers)
     t = report.t
-    K = len(t) - 1
-    guard = cfg.r / math.log(t_lo) + 5e-5
-    candidates = np.nonzero(report.ratio >= v - guard)[0]
+    candidates = np.flatnonzero(report.ratio + report.err / np.log(t) >= v - 5e-5)
     if candidates.size == 0:
         raise CrossingNotFound(
             f"ratio never reaches {v} on the grid (max {report.max_ratio:.6f} "
             f"at t = {report.argmax_t:.4f})"
         )
 
-    # later points (ratio < v - guard, err <= r + rem) reach v only if rem > ~5e-5
     last = int(candidates[-1])
-    for k in range(last, max(last - 20, -1), -1):
-        if _accurate_ratio(float(t[k])) >= v:
-            if k == K:
+    best = int(candidates[np.argmax(report.ratio[candidates])])
+    for ts in (t[max(last - 20, 0):last + 2], t[max(best - 5, 0):best + 6]):
+        x, fx, reached = _zoom(ts, _CROSS_TOL, v)
+        if reached:
+            if x == t[-1]:
                 raise CrossingNotFound(f"ratio is still at or above {v} at t_hi = {t_hi}")
-            return _bisect_ratio(float(t[k]), float(t[k + 1]), v)
-
-    # No accurate grid point reaches v: tangency (or a near miss).  Refine
-    # the local maximum around the best candidate.
-    k_best = int(candidates[np.argmax(report.ratio[candidates])])
-    a = float(t[max(k_best - 5, 0)])
-    b = float(t[min(k_best + 5, K)])
-    x, fx = golden_max(_accurate_ratio, a, b, 1e-6)
-    if fx > v + 5e-5:
-        # a spike the coarse grid missed entirely; treat its right flank
-        right = min(x + cfg.h, float(t[K]))
-        return _bisect_ratio(x, right, v)
+            return x
     if fx >= v - 5e-5:
         return x
     raise CrossingNotFound(

@@ -3,6 +3,8 @@
 bench/ wraps library functions by module attribute and checks that the
 lru_cached constant routines start cold, so renaming a wrapped function or
 dropping one of those caches fails here rather than only in the benchmark.
+The refiners must reach the point evaluator through the wrapped
+verifier.eval_zeta_certified, or the benchmark would count no refinement.
 """
 
 import os
@@ -13,13 +15,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = """
-from zetabound import rs_bounds
+from zetabound import rs_bounds, verifier
 import tracing
 import workloads
 
 assert workloads.cold_caches()
-tracing.Tracer("t").install()
+tracer = tracing.Tracer("t")
+tracer.install()
 rs_bounds.computed_constants()
+verifier.max_ratio(17.0, 18.5, 0.01, 1e-4)
+verifier.crossing_point(0.548, 600.0, 700.0)
+assert tracer.layer_sums()["refine_evals"] > 0
 """
 
 

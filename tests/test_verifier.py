@@ -254,6 +254,29 @@ class TestMaxRatio:
         with pytest.raises(ValueError):
             max_ratio(2.0, 10.0, 0.01, 1e-4)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_bad_refine_tol(self, tol):
+        with pytest.raises(ValueError, match="refine_tol"):
+            max_ratio(17.0, 18.5, 0.01, tol)
+
+    def test_tol_below_float_resolution_terminates(self):
+        t_star, ratio = max_ratio(17.0, 18.5, 0.01, 1e-300)
+        assert t_star == pytest.approx(17.7477, abs=1e-3)
+        assert ratio == pytest.approx(0.6443, abs=2e-4)
+
+    def test_bimodal_bracket_finds_tall_peak(self, monkeypatch):
+        # inside the coarse bracket [17.70, 17.80]: a wide low peak at 17.74
+        # and a narrow tall one at 17.79 that only the grid points see
+        def two_peaks(t):
+            wide = 0.01 * math.exp(-(((t - 17.74) / 0.05) ** 2))
+            tall = 0.03 * math.exp(-(((t - 17.79) / 0.002) ** 2))
+            return 0.6 + wide + tall
+
+        monkeypatch.setattr(verifier, "_accurate_ratio", two_peaks)
+        t_star, ratio = max_ratio(17.0, 18.5, 0.01, 1e-4)
+        assert t_star == pytest.approx(17.79, abs=1e-4)
+        assert ratio > 0.629
+
 
 class TestCheckBound:
     def test_tight_vlog_bound_holds(self):
@@ -305,3 +328,12 @@ class TestCrossingPoint:
         t = crossing_point(0.5480, 600.0, 700.0)
         cert = eval_zeta_certified(t, choose_N(t, 1e-8))
         assert abs(cert.modulus / math.log(t) - 0.5480) <= 5e-5
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(600.0, 700.0), (math.e, 2000.0)])
+    def test_crossing_brackets_level(self, t_lo, t_hi):
+        t = crossing_point(0.5480, t_lo, t_hi)
+        assert verifier._accurate_ratio(t) >= 0.5480 > verifier._accurate_ratio(t + 1e-6)
+
+    def test_still_above_at_t_hi(self):
+        with pytest.raises(CrossingNotFound, match="still at or above"):
+            crossing_point(0.6, 17.0, 17.8)
