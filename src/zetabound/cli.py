@@ -14,8 +14,9 @@ Commands produce column-oriented records; rows are formed only while
 rendering.
 
 Exit status: 0 success / bound holds, 1 bound violated on the grid,
-2 usage or domain error (including a non-finite t), 3 resource or
-convergence error (including an unrepresentable term count, or no memory).
+2 usage or domain error (including a non-finite t, t0 or bound, or a
+budget that is not positive), 3 resource or convergence error (including
+an unrepresentable term count, or no memory).
 """
 
 from __future__ import annotations
@@ -165,6 +166,8 @@ _TABLES = {
 def cmd_table(name: str, t0_list: list[float] | None) -> OutputRecord:
     spec = _TABLES[name]
     t0s = sorted(t0_list) if t0_list else list(spec.grid)
+    if not all(map(math.isfinite, t0s)):
+        raise ValueError(f"--t0 must be finite, got {t0s}")
     offending = [t0 for t0 in t0s if not t0 >= spec.lowest]
     if offending:
         raise ValueError(f"{name} requires t0 >= {spec.lowest:g}; offending values: {offending}")
@@ -174,15 +177,15 @@ def cmd_table(name: str, t0_list: list[float] | None) -> OutputRecord:
 
 def _parse_bound(spec: str) -> tuple[float, float]:
     kind, _, rest = spec.partition(":")
+    if kind not in ("vlog", "affine"):
+        raise ValueError(f"unknown bound kind {kind!r}; use vlog:<v> or affine:<slope>,<intercept>")
     try:
-        if kind == "vlog":
-            return float(rest), 0.0
-        if kind == "affine":
-            slope_s, intercept_s = rest.split(",")
-            return float(slope_s), float(intercept_s)
+        slope, intercept = (float(rest), 0.0) if kind == "vlog" else map(float, rest.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed bound spec {spec!r}") from exc
-    raise ValueError(f"unknown bound kind {kind!r}; use vlog:<v> or affine:<slope>,<intercept>")
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError(f"bound {spec!r} needs a finite slope and intercept")
+    return slope, intercept
 
 
 def cmd_scan(
@@ -342,3 +345,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -12,10 +12,11 @@ The pieces assembled here bound |zeta(1+it)| by (1/2) log t + C:
 
   and C1(p) = C0'''(p)/(12 pi^2) + (1-2 sigma) C0'(p)/(4 i pi).  Both come
   from one table of Taylor series of C0 about the fixed centres j/6,
-  j = -6..6, each the quotient of the entire numerator's and
-  denominator's series, so the derivatives are analytic and the removable
-  0/0 points p = +-1/2 are centres.  Both take a float or an array and sum
-  each element about its nearest centre;
+  j = -6..6.  C0 is entire (its 0/0 points p = +-1/2 are removable), so
+  each series is the Cauchy integral of the closed form over the circle
+  of radius 1/4 about its centre, taken by one FFT of 32 samples; no
+  circle meets +-1/2.  Both take a float or an array and sum each element
+  about its nearest centre;
 * :func:`ck_contour` -- the same coefficients from their contour-integral
   definition, kept as an independent quadrature oracle;
 * :func:`b0`, :func:`b1`, :func:`c_sigma` -- maxima of |C0|, |C1| over
@@ -106,17 +107,21 @@ class AffineBound:
 # ---------------------------------------------------------------------------
 
 
+def _chi_factor(t: float) -> float:
+    """exp(pi/(32t) - 1/(24t^2) + 5/(24t^4)) / (1 - e^(-pi t)), the factor
+    by which chi_upper exceeds sqrt(2 pi/t)."""
+    t2 = t * t  # t2*t2 saturates to inf for huge t, avoiding pow overflow
+    return math.exp(_PI / (32.0 * t) - 1.0 / (24.0 * t2) + 5.0 / (24.0 * t2 * t2)) / (
+        1.0 - math.exp(-_PI * t)
+    )
+
+
 def chi_upper(t: float) -> float:
     """Upper bound sqrt(2 pi/t) exp(pi/(32t) - 1/(24t^2) + 5/(24t^4))
     / (1 - e^(-pi t)) for |chi(1+it)|."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    t2 = t * t  # t2*t2 saturates to inf for huge t, avoiding pow overflow
-    return (
-        math.sqrt(2.0 * _PI / t)
-        * math.exp(_PI / (32.0 * t) - 1.0 / (24.0 * t2) + 5.0 / (24.0 * t2 * t2))
-        / (1.0 - math.exp(-_PI * t))
-    )
+    return math.sqrt(2.0 * _PI / t) * _chi_factor(t)
 
 
 # ---------------------------------------------------------------------------
@@ -124,62 +129,14 @@ def chi_upper(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 _SERIES_ORDER = 14
-# Centres j/6, j = -6..6, leave |p - centre| <= 1/12 and include 0, the
-# removable points +-1/2 and the endpoints +-1 exactly.  Finer spacing would
-# put centres near +-1/2, where dividing by 2 cos(pi a) ~ 0 amplifies
-# rounding in the k-th coefficient by about |tan(pi a)|^k.
+# Centres j/6, j = -6..6, leave |p - centre| <= 1/12 and include 0 and the
+# endpoints +-1 exactly.  The circle radius is three times that reach, so
+# the rounding of the k-th sampled coefficient, about eps max|C0| /
+# _CIRCLE_RADIUS^k, is damped by 3^-k when summed and stays summable; no
+# circle passes through the removable points +-1/2.
 _CENTRES_PER_UNIT = 6
-
-
-def _series_exp_quadratic(rho: complex, eta: complex, n: int) -> list[complex]:
-    """Taylor coefficients of exp(rho x + eta x^2) from F' = (rho + 2 eta x) F."""
-    c = [0j] * n
-    c[0] = 1.0 + 0j
-    for k in range(n - 1):
-        term = rho * c[k]
-        if k >= 1:
-            term += 2.0 * eta * c[k - 1]
-        c[k + 1] = term / (k + 1)
-    return c
-
-
-def _series_cos_sin(b: float, n: int) -> tuple[list[float], list[float]]:
-    """Taylor coefficients of cos(b x) and of sin(b x), to order n - 1."""
-    c = [(-1.0) ** (k // 2) * b**k / math.factorial(k) for k in range(n)]
-    cos = [0.0 if k % 2 else v for k, v in enumerate(c)]
-    return cos, [v if k % 2 else 0.0 for k, v in enumerate(c)]
-
-
-def _series_div(num: list[complex], den: list[complex], n: int) -> list[complex]:
-    out = [0j] * n
-    for k in range(n):
-        acc = num[k]
-        for j in range(k):
-            acc -= out[j] * den[k - j]
-        out[k] = acc / den[0]
-    return out
-
-
-def _c0_taylor(a: float) -> list[complex]:
-    """The first _SERIES_ORDER Taylor coefficients of C0 about p = a.
-
-    Numerator and denominator are expanded separately and divided as formal
-    series.  At a = +-1/2 both have a simple zero (the constant terms are
-    exactly zero in exact arithmetic), so the leading terms are dropped
-    before dividing, which realises the removable singularity.
-    """
-    n = _SERIES_ORDER + 1
-    w = cmath.exp(1j * _PI * (a * a / 2.0 + 0.375))
-    num = [w * z for z in _series_exp_quadratic(1j * _PI * a, 0.5j * _PI, n)]
-    ca, sa = math.cos(_PI * a / 2.0), math.sin(_PI * a / 2.0)
-    cos_h, sin_h = _series_cos_sin(_PI / 2.0, n)
-    for k in range(n):
-        num[k] -= 1j * math.sqrt(2.0) * (ca * cos_h[k] - sa * sin_h[k])
-    cA, sA = math.cos(_PI * a), math.sin(_PI * a)
-    cos_f, sin_f = _series_cos_sin(_PI, n)
-    den: list[complex] = [2.0 * (cA * cos_f[k] - sA * sin_f[k]) + 0j for k in range(n)]
-    lo = 1 if abs(abs(a) - 0.5) < 1e-12 else 0  # at +-1/2 both constants vanish
-    return _series_div(num[lo:lo + _SERIES_ORDER], den[lo:lo + _SERIES_ORDER], _SERIES_ORDER)
+_CIRCLE_RADIUS = 0.25
+_CIRCLE_POINTS = 32
 
 
 def _check_p(p: float | np.ndarray) -> None:
@@ -187,14 +144,33 @@ def _check_p(p: float | np.ndarray) -> None:
         raise ValueError(f"p must lie in [-1, 1], got {p}")
 
 
+def _c0_closed(p: complex | np.ndarray) -> complex | np.ndarray:
+    """The raw closed-form quotient at real or complex p, elementwise on
+    arrays; 0/0 at p = +-1/2."""
+    return (
+        np.exp(1j * _PI * (p * p / 2.0 + 0.375)) - 1j * math.sqrt(2.0) * np.cos(_PI * p / 2.0)
+    ) / (2.0 * np.cos(_PI * p))
+
+
 @lru_cache(maxsize=None)
 def _taylor_tables() -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """The centres j/6 and, keyed by derivative order 0, 1 and 3, the Taylor
-    coefficients of C0 and its derivatives, one row per centre."""
-    centres = [j / _CENTRES_PER_UNIT for j in range(-_CENTRES_PER_UNIT, _CENTRES_PER_UNIT + 1)]
-    c = np.array([_c0_taylor(a) for a in centres])
+    coefficients of C0 and its derivatives, one row per centre.
+
+    Each row is the Cauchy integral of the closed form over the circle of
+    radius _CIRCLE_RADIUS about its centre, sampled at _CIRCLE_POINTS
+    equispaced points and summed by one FFT.  The points come in +-z pairs,
+    so about the centre 0, where C0(-z) == C0(z) bit for bit, the odd
+    coefficients are exactly zero.
+    """
+    n = _CIRCLE_POINTS
+    half = _CIRCLE_RADIUS * np.exp(2j * _PI * np.arange(n // 2) / n)
+    z = np.concatenate([half, -half])
+    centres = np.arange(-_CENTRES_PER_UNIT, _CENTRES_PER_UNIT + 1) / _CENTRES_PER_UNIT
     k = np.arange(_SERIES_ORDER)
-    return np.array(centres), {0: c, 1: (k * c)[:, 1:], 3: (k * (k - 1) * (k - 2) * c)[:, 3:]}
+    c = np.fft.fft(_c0_closed(centres[:, None] + z), axis=1)[:, :_SERIES_ORDER]
+    c /= n * _CIRCLE_RADIUS**k
+    return centres, {0: c, 1: (k * c)[:, 1:], 3: (k * (k - 1) * (k - 2) * c)[:, 3:]}
 
 
 def _c0_derivatives(p: float | np.ndarray, *orders: int) -> list[np.ndarray]:
@@ -208,19 +184,11 @@ def _c0_derivatives(p: float | np.ndarray, *orders: int) -> list[np.ndarray]:
     return [reduce(lambda acc, coeff: acc * x + coeff, tables[m][idx, ::-1].T) for m in orders]
 
 
-def _c0_closed(p: float) -> complex:
-    """The raw closed-form quotient; 0/0 at p = +-1/2, used for testing."""
-    return (
-        cmath.exp(1j * _PI * (p * p / 2.0 + 0.375))
-        - 1j * math.sqrt(2.0) * math.cos(_PI * p / 2.0)
-    ) / (2.0 * math.cos(_PI * p))
-
-
 def c0(p: float | np.ndarray) -> complex | np.ndarray:
     """First Riemann-Siegel coefficient C0(p) on [-1, 1]; even in p.
 
     Entire despite the cos(pi p) denominator: the numerator vanishes with
-    it at p = +-1/2, which are table centres.  A float p gives a complex,
+    it at p = +-1/2, where no table circle passes.  A float p gives a complex,
     an array p a complex array of its shape.
     """
     (val,) = _c0_derivatives(p, 0)
@@ -398,13 +366,7 @@ def theta(t: float, constants: RSConstants | None = None) -> float:
     tends to 1 as t grows."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    t2 = t * t
-    return (
-        math.sqrt(2.0 * _PI / t)
-        + math.exp(_PI / (32.0 * t) - 1.0 / (24.0 * t2) + 5.0 / (24.0 * t2 * t2))
-        / (1.0 - math.exp(-_PI * t))
-        + kappa2(t, constants)
-    )
+    return math.sqrt(2.0 * _PI / t) + _chi_factor(t) + kappa2(t, constants)
 
 
 def affine_C(t0: float, constants: RSConstants | None = None) -> AffineBound:

@@ -302,13 +302,18 @@ def scan_interval(
 
     bound, when given, is (slope, intercept); the margins
     slope * log t + intercept - (modulus + err) are then returned in margin
-    and summarised in min_margin / argmin_t.  budget caps the nominal term count
+    and summarised in min_margin / argmin_t; both must be finite.  budget,
+    positive (inf for none), caps the nominal term count
     sum_k N(t_k), checked before any array is built; workers > 1
     distributes kernel calls over processes, whose results are merged in
     task order, so the report is identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if not budget > 0.0:  # also refuses nan, which every budget comparison would pass
+        raise ValueError(f"budget must be positive, got {budget}")
+    if bound is not None and not all(map(math.isfinite, bound)):
+        raise ValueError(f"bound slope and intercept must be finite, got {bound}")
     tasks = _plan(config, budget)
     K = tasks[-1][2]
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +235,26 @@ class TestNonFiniteInputs:
         assert status == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("spec", ["vlog:nan", "affine:nan,0", "affine:0.5,inf"])
+    def test_scan_non_finite_bound_is_usage_error(self, capsys, spec):
+        status, out, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "20",
+                                   "--bound", spec)
+        assert status == 2 and out == ""
+        assert "finite" in err
+
+    def test_scan_nan_budget_is_usage_error(self, capsys):
+        # a grid the default budget refuses at once (exit 3)
+        status, _, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "1e6",
+                                 "--h", "1e-9", "--budget", "nan")
+        assert status == 2
+        assert "budget" in err
+
+    @pytest.mark.parametrize("table", ["table1", "table2", "table3"])
+    def test_table_infinite_t0_is_usage_error(self, capsys, table):
+        status, out, err = run_cli(capsys, "--format", "json", table, "--t0", "inf")
+        assert status == 2 and out == ""
+        assert "--t0" in err and "finite" in err
+
 
 class TestBudgetRefusals:
     # refused up front with exit 3, before any large array or long sum
@@ -293,3 +317,17 @@ class TestConstants:
         assert "-0.3417" in out      # gamma - (1/2) log 2 pi
         assert "0.5000" in out       # b0
         assert "0.0173" in out and "0.0932" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetabound.cli", "eval", "--t", "17.7477"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.splitlines()
+        assert header.split() == ["t", "real", "imag", "modulus", "err", "n_terms"]
+        assert len(rows) == 1 and rows[0].split()[0] == "17.7477"

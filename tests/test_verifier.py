@@ -148,6 +148,25 @@ class TestScanInterval:
         with pytest.raises(ResourceBudgetError):
             scan_interval(cfg, budget=1e3)
 
+    def test_budget_must_be_positive(self):
+        # nan would pass every budget comparison and switch the budget off;
+        # this grid is one the default budget refuses
+        cfg = ScanConfig(t_lo=2.72, t_hi=1e6, h=1e-9)
+        for budget in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="budget"):
+                scan_interval(cfg, budget=budget)
+        small = ScanConfig(t_lo=10.0, t_hi=10.1)
+        assert len(scan_interval(small, budget=math.inf).t) == 11
+
+    def test_bound_must_be_finite(self):
+        # a nan margin would read as "violated" rather than as bad input
+        cfg = ScanConfig(t_lo=10.0, t_hi=11.0)
+        for bound in ((math.nan, 0.0), (0.5, math.inf), (-math.inf, 0.6633)):
+            with pytest.raises(ValueError, match="finite"):
+                scan_interval(cfg, bound=bound)
+        with pytest.raises(ValueError, match="finite"):
+            check_bound(math.e, 20.0, math.nan, 0.0)
+
     def test_oversized_grid_refused_before_allocation(self):
         # 1e15 points, about 7 PiB for t alone
         cfg = ScanConfig(t_lo=2.72, t_hi=1e6, h=1e-9)
