@@ -211,6 +211,47 @@ def _em_remainder(t: float, a: int) -> float:
     return bound
 
 
+def _em_tail(
+    t: float | np.ndarray, a: int, N: int, head: float
+) -> tuple[complex | np.ndarray, complex | np.ndarray, float, float | np.ndarray]:
+    """The closed-form part of g_N(t) past the head n <= a, for N > a.
+
+    Returns (tail_a, tail_N, remainder, rounding) with
+
+        g_N(t) = sum_{n<=a} n^(-1-it) + tail_a + tail_N + R_m,
+        tail_a = a^(-it) A,  tail_N = N^(-it) B,  |R_m| <= remainder,
+
+    A, B and R_m as derived in :func:`eval_zeta_certified`.  For an array
+    t, remainder is one float that holds at all its points: it is taken at
+    their largest t, as the bound rises with t.  rounding is
+    eps (head + the tail's share of that routine's list): the phases, the
+    products, the Bernoulli sums and the additions of tail_a, then tail_N,
+    to a head sum; head is what the head sum itself is charged, in units of
+    eps, and is added first.  t is a float, or an array of points sharing a
+    and N, for which the other results are arrays of the same shape; a
+    float t keeps Python complex arithmetic.
+    """
+    if isinstance(t, np.ndarray):
+        exp, t_top = np.exp, float(np.max(t))
+    else:
+        exp, t_top = cmath.exp, t
+    s = 1.0 + 1j * t
+    bern_a, sigma_a = _bernoulli_sum(s, a)
+    bern_N, sigma_N = _bernoulli_sum(s, N)
+    lna, lnN = math.log(a), math.log(N)
+    tail_a = exp(-1j * t * lna) * (-1j / t - 0.5 / a + bern_a)
+    tail_N = exp(-1j * t * lnN) * (s / (16.0 * N * N) - bern_N)
+    size_a = 1.0 / t + 0.5 / a + sigma_a
+    size_N = abs(s) / (16.0 * N * N) + sigma_N
+    rounding = _EPS * (
+        head
+        + (2.0 * t * lna + 4.0) * size_a
+        + (2.0 * t * lnN + 4.0) * size_N
+        + 5.0 * _EM_ORDER * (sigma_a + sigma_N)
+    )
+    return tail_a, tail_N, _em_remainder(t_top, a), rounding
+
+
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     """Evaluate zeta(1+it) through g_N(t) with a certified radius.
 
@@ -243,7 +284,9 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
         A = 1/(it) - 1/(2a) + sum_k c_k (s)_(2k-1) a^(-2k),
         B = s/(16 N^2) - sum_k c_k (s)_(2k-1) N^(-2k).
 
-    The value is computed as (head + a^(-it) A) + N^(-it) B.
+    The value is computed as (head + a^(-it) A) + N^(-it) B; the two tail
+    terms, R_m and their rounding below come from :func:`_em_tail`, which
+    the block kernel of the verifier shares.
 
     Choice of a and m.  a >= t bounds each ratio |s+j|/a by
     sqrt(1 + ((1+j)/a)^2), and a >= 64 keeps that near 1 for the j < 2m
@@ -298,22 +341,13 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     a = _em_head(t)
     if N <= 2 * a:
         return CertifiedComplex(_direct_sum(t, N), error_bound(t, N) + _fp_slack(t, N))
-    s = 1.0 + 1j * t
-    bern_a, sigma_a = _bernoulli_sum(s, a)
-    bern_N, sigma_N = _bernoulli_sum(s, N)
-    lna, lnN = math.log(a), math.log(N)
+    lna = math.log(a)
+    head = 4.0 * a + 0.5 * t * lna * lna + harmonic_bound(a)
+    tail_a, tail_N, remainder, rounding = _em_tail(t, a, N, head)
     value = _power_sum(t, a)
-    value += cmath.exp(-1j * t * lna) * (-1j / t - 0.5 / a + bern_a)
-    value += cmath.exp(-1j * t * lnN) * (s / (16.0 * N * N) - bern_N)
-    size_a = 1.0 / t + 0.5 / a + sigma_a
-    size_N = abs(s) / (16.0 * N * N) + sigma_N
-    rounding = _EPS * (
-        4.0 * a + 0.5 * t * lna * lna + harmonic_bound(a)
-        + (2.0 * t * lna + 4.0) * size_a
-        + (2.0 * t * lnN + 4.0) * size_N
-        + 5.0 * _EM_ORDER * (sigma_a + sigma_N)
-    )
-    err = error_bound(t, N) + _em_remainder(t, a) + rounding
+    value += tail_a
+    value += tail_N
+    err = error_bound(t, N) + remainder + rounding
     return CertifiedComplex(value, err)
 
 

@@ -20,7 +20,7 @@ from zetabound import (
 )
 from zetabound import verifier
 from zetabound.verifier import GRID_NOTE, _eval_block
-from zetabound.zeta_eval import _direct_sum, _fp_slack
+from zetabound.zeta_eval import _direct_sum, _em_head, _fp_slack
 
 
 def _assert_matches_direct(pts, n, vals, rem, ks):
@@ -29,6 +29,19 @@ def _assert_matches_direct(pts, n, vals, rem, ks):
     for k in ks:
         t = float(pts[k])
         assert abs(vals[k] - _direct_sum(t, n)) <= rem + _fp_slack(t, n)
+
+
+def _spy_tails(monkeypatch):
+    # the sizes of the point arrays the kernel passes to the closed-form tail
+    sizes = []
+    tail = verifier._em_tail
+
+    def recorded(t, a, n, head):
+        sizes.append(len(t))
+        return tail(t, a, n, head)
+
+    monkeypatch.setattr(verifier, "_em_tail", recorded)
+    return sizes
 
 
 class TestScanConfig:
@@ -77,6 +90,69 @@ class TestEvalBlock:
         vals, rem = _eval_block(pts, n)
         _assert_matches_direct(pts, n, vals, rem, (0, 150, 300))
         assert np.max(np.abs(vals - whole)) <= rem + rem_whole
+
+    @pytest.mark.parametrize("t0", [1e3, 1e5])
+    @pytest.mark.parametrize("size", [4, 5, 1024, 1025])
+    def test_power_of_two_sizes(self, t0, size):
+        # 2^q points fill the FFT exactly (d = pi/2), 2^q + 1 double it
+        pts = t0 + np.arange(size) * 0.01
+        n = choose_N(float(pts[-1]), 0.005)
+        vals, rem = _eval_block(pts, n)
+        _assert_matches_direct(pts, n, vals, rem, (0, size // 2, size - 1))
+
+    def test_both_sides_of_the_euler_maclaurin_switch(self, monkeypatch):
+        tails = _spy_tails(monkeypatch)
+
+        def takes_route(size):
+            t_max = 1e5 + (size - 1) * 0.01
+            n = choose_N(t_max, 0.01)
+            saved = n - _em_head(t_max)
+            return saved > verifier._TAIL_POINT_TERMS * size + verifier._TAIL_CALL_TERMS
+
+        size = 1
+        while takes_route(size + 1):
+            size += 1
+        # the last size that takes the route, then the first that does not
+        for k, expected in ((size, True), (size + 1, False)):
+            tails.clear()
+            pts = 1e5 + np.arange(k) * 0.01
+            n = choose_N(float(pts[-1]), 0.01)
+            vals, rem = _eval_block(pts, n)
+            assert bool(tails) == expected
+            assert rem < 1e-7
+            _assert_matches_direct(pts, n, vals, rem, (0, k // 2, k - 1))
+
+    def test_route_taken_below_twice_the_head(self, monkeypatch):
+        # r = 0.01 gives N ~ 1.77 t < 2a, where the point evaluator sums
+        # directly; the block still saves N - a terms per point
+        tails = _spy_tails(monkeypatch)
+        pts = 1e4 + np.arange(100) * 0.01
+        n = choose_N(float(pts[-1]), 0.01)
+        assert n < 2 * _em_head(float(pts[-1]))
+        vals, rem = _eval_block(pts, n)
+        assert tails == [100]
+        _assert_matches_direct(pts, n, vals, rem, (0, 50, 99))
+
+    def test_property_against_direct_summation(self, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tails = _spy_tails(monkeypatch)
+        routes = set()
+
+        @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.floats(0.5, 5.3), st.integers(1, 3000), st.floats(1e-3, 1e-2)
+        )
+        def check(log_t, size, r):
+            pts = 10.0**log_t + np.arange(size) * 0.01
+            n = choose_N(float(pts[-1]), r)
+            tails.clear()
+            vals, rem = _eval_block(pts, n)
+            routes.add(bool(tails))
+            _assert_matches_direct(pts, n, vals, rem, sorted({0, size // 2, size - 1}))
+
+        check()
+        assert routes == {False, True}
 
     def test_remainder_bound_is_small(self):
         pts = np.arange(50.0, 60.0, 0.01)
@@ -136,6 +212,16 @@ class TestScanInterval:
             assert seq.modulus.tobytes() == par.modulus.tobytes()
             assert seq.err.tobytes() == par.err.tobytes()
             assert seq.max_ratio == par.max_ratio
+
+    def test_workers_bit_identical_multi_chunk_head(self):
+        # blocks of 50 points at t = 1e5 take the Euler-Maclaurin route,
+        # whose head a ~ 1e5 spans two n-chunks of the block kernel
+        assert _em_head(1e5) > verifier._KERNEL_CHUNK
+        cfg = ScanConfig(t_lo=1e5, t_hi=1e5 + 1.0, h=0.01, block=0.5)
+        seq = scan_interval(cfg)
+        par = scan_interval(cfg, workers=2)
+        assert seq.modulus.tobytes() == par.modulus.tobytes()
+        assert seq.err.tobytes() == par.err.tobytes()
 
     def test_workers_must_be_positive(self):
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)
