@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", default=None, help="vlog:<v> or affine:<slope>,<intercept>")
     p.add_argument("--budget", type=float, default=verifier.DEFAULT_BUDGET,
                    help="nominal summed-term budget")
-    p.add_argument("--workers", type=int, default=1, help="parallel scan processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads sharing the kernel calls of a scan")
 
     p = sub.add_parser("figures", help="emit a figure dataset as rows")
     _add_output_options(p, suppress=True)

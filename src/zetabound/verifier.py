@@ -8,26 +8,30 @@ verification result carries a note saying so.
 
 Cost control: the grid is cut into blocks (default width 100) and one term
 count N is chosen per block from the block's largest t, which is valid for
-the whole block because the truncation bound grows with t.  Inside a block
-the main sum is evaluated at all points at once: on an equispaced block
+the whole block because the truncation bound grows with t.  The main sum is
+evaluated in kernel calls of at most 2^14 points each, at all of a call's
+points at once: on an equispaced grid
 S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a type-1 nonuniform
 DFT in k, computed by rounding each phase h ln n to an FFT grid and
 expanding the leftover phase in a short Taylor series (Odlyzko and
 Schoenhage's multiple-evaluation idea, in the NUFFT form of Greengard and
 Lee).  Past a = max(64, ceil t) the terms are smooth in n, and when that
 saves enough of them the rest of the finite sum is added per point in the
-closed Euler-Maclaurin form of the point evaluator.  The cost per block
-is O(p min(N, a) + p M log M) for a block of K points and an FFT of
-length M, the least power of two >= K, against O(K N) point by point;
-the expansion remainder, the Euler-Maclaurin remainder and every
-floating-point effect are folded into each point's radius (see
-_eval_block), so no certificate is weakened.
+closed Euler-Maclaurin form of the point evaluator, where N enters only
+that closed form.  The cost of a call is O(p min(N, a) + p M log M) for K
+points and an FFT of length M, the least power of two >= K, against
+O(K N) point by point.  A call on the direct route (all n <= N) covers
+one block, or a piece of one; a call on the Euler-Maclaurin route may
+span several blocks, each with its own N, so that one head over n <= a
+serves all their points.  The expansion remainder, the Euler-Maclaurin
+remainder and every floating-point effect are folded into each point's
+radius (see _eval_block), so no certificate is weakened.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -74,6 +78,8 @@ _TAIL_CALL_TERMS = 2500  # per call
 _REFINE_R = 1e-8    # certification radius for single-point refinement
 _COARSE_R = 1e-4    # certification radius of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
+# a kernel call of a scan: (k_lo, k_hi, em, [(k_lo, k_hi, N) of each block piece])
+_Call = tuple[int, int, bool, list[tuple[int, int, int]]]
 _OVER_BUDGET = "scan needs {} summed terms, over the budget {:.3e}; raise it or relax the grid"
 
 
@@ -139,25 +145,42 @@ class VerificationResult:
     grid_note: str = GRID_NOTE
 
 
-def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
-    """g_N at each point of the sorted, equispaced grid t_pts, sharing one N.
+def _em_route(K: int, N: int, a: int) -> bool:
+    """Whether a kernel call of K points sharing N takes the Euler-Maclaurin route.
+
+    A point's closed-form tail costs about _TAIL_POINT_TERMS terms of the
+    main sum, plus _TAIL_CALL_TERMS per call (the measured break-even on 1
+    to 16384 points), so the route pays when the N - a terms it saves per
+    point exceed their total; below that it is slower, although correct for
+    every N > a.
+    """
+    return N - a > _TAIL_POINT_TERMS * K + _TAIL_CALL_TERMS
+
+
+def _eval_block(
+    t_pts: np.ndarray, N: int, Ns: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, float]:
+    """g_N at each point of the sorted, equispaced grid t_pts.
 
     Returns (values, rem): |values[j] - g_N(t_pts[j])| <= rem for every j,
-    where g_N is the exact truncated representation of zeta_eval.  rem is
-    everything the block adds to the truncation bound: the expansion
-    remainder, the Euler-Maclaurin remainder when that route is taken, and
-    all floating-point effects, so a point's certified radius is
-    error_bound(t, N) + rem.
+    where g_N is the exact truncated representation of zeta_eval and N the
+    point's term count.  rem is everything the call adds to the truncation
+    bound: the expansion remainder, the Euler-Maclaurin remainder when that
+    route is taken, and all floating-point effects, so a point's certified
+    radius is error_bound(t, N) + rem.
+
+    All points share N unless Ns, an int array of each point's N, is given:
+    a call that spans several blocks of a scan (see _plan).  N is then
+    their largest, and the call takes the Euler-Maclaurin route, which
+    needs every N > a.
 
     Routes.  With a = max(64, ceil(t_max)), as in the point evaluator, the
     Euler-Maclaurin route sums the main sum over n <= a only and adds
     a^(-it) A(t) + N^(-it) B(t) (zeta_eval._em_tail) at each exact
-    t_pts[j]; the direct route sums all n <= N and adds the three
-    correction terms of g_N at each t_pts[j].  A point's tail costs about
-    _TAIL_POINT_TERMS terms of the main sum, plus _TAIL_CALL_TERMS per call
-    (the measured break-even on 1 to 16384 points), so the route is taken
-    when N - a exceeds their total; below that it is slower, although
-    correct for every N > a.  Write n_hi for the last n summed: a or N.
+    t_pts[j], with that point's N; the direct route sums all n <= N and
+    adds the three correction terms of g_N at each t_pts[j].  Without Ns
+    the route is the one _em_route picks.  Write n_hi for the last n
+    summed: a or N.
 
     Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
     and integer offsets k = j - mid (|k| <= k_max), the model points
@@ -209,11 +232,12 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
       bound 1/t_min + 1/(2N) + (1+t_max)/(16 N^2), which covers the phase
       t ln N and the 1/(it) conditioning;
     * Euler-Maclaurin route, tail: zeta_eval._em_remainder(t_max, a),
-      which rises with t and so bounds R_m at every point, plus the
-      largest over the points of the tail's rounding in the point
-      evaluator's list (phases, products, Bernoulli sums, and the two
-      additions into the head sum, whose share eps H is passed as the
-      head's charge).  The point evaluator derives it for any N > a.
+      which rises with t and does not depend on N, so it bounds R_m at
+      every point of every block, plus the largest over the points of the
+      tail's rounding in the point evaluator's list (phases, products,
+      Bernoulli sums, and the two additions into the head sum, whose share
+      eps H is passed as the head's charge).  The point evaluator derives
+      it for any N > a.
     """
     K = len(t_pts)
     mid = (K - 1) // 2
@@ -230,7 +254,9 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
         p += 1
         factor *= d / (p + 1)
     a = _em_head(t_max)
-    em = N - a > _TAIL_POINT_TERMS * K + _TAIL_CALL_TERMS
+    if Ns is not None and not int(np.min(Ns)) > a:
+        raise ValueError(f"every N of a call must exceed its head a = {a}")
+    em = Ns is not None or _em_route(K, N, a)
     n_hi = a if em else N
 
     chunk = min(n_hi, _KERNEL_CHUNK)
@@ -253,16 +279,19 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
             if m:
                 w *= delta
             np.add.at(F[m], bins, np.add.reduceat(w, starts))
-    G = np.fft.fft(F, axis=1)[:, k & (M - 1)]
+    np.fft.fft(F, axis=1, out=F)
+    at_k = k & (M - 1)
     ik = -1j * k
-    acc = G[p]
+    acc = F[p, at_k]
     for m in range(p - 1, -1, -1):
-        acc = acc * (ik / (m + 1)) + G[m]
+        acc = acc * (ik / (m + 1)) + F[m, at_k]
 
     h_n = harmonic_bound(n_hi)
     ln_hi = math.log(n_hi)
     if em:
-        tail_a, tail_N, remainder, tail_rounding = _em_tail(t_pts, a, N, h_n)
+        tail_a, tail_N, remainder, tail_rounding = _em_tail(
+            t_pts, a, N if Ns is None else Ns, h_n
+        )
         acc += tail_a
         acc += tail_N
         rem_tail = remainder + float(np.max(tail_rounding))
@@ -287,20 +316,22 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     return acc, rem
 
 
-def _block_task(args: tuple[float, int, int, float, int]) -> tuple[np.ndarray, float]:
-    t_lo, k_lo, k_hi, h, N = args
-    pts = t_lo + np.arange(k_lo, k_hi + 1, dtype=np.float64) * h
-    return _eval_block(pts, N)
-
-
-def _plan(config: ScanConfig, budget: float) -> list[tuple[float, int, int, float, int]]:
-    """The kernel calls (t_lo, k_lo, k_hi, h, N) of a scan, in grid order.
+def _plan(config: ScanConfig, budget: float) -> list[_Call]:
+    """The kernel calls (k_lo, k_hi, em, blocks) of a scan, in grid order.
 
     Grid point k is t_lo + k h.  Its block is floor((t_k - t_lo) / block),
     taken with the grid's own float operations, and each block uses the N
     of its largest t.  The plan is arithmetic, so the budget is checked
-    before any array exists; a block of more than _KERNEL_POINTS points is
-    split into kernel calls that share its N.
+    before any array exists.
+
+    A block of more than _KERNEL_POINTS points is first cut into pieces
+    that share its N, and each piece gets the route _eval_block would give
+    it alone (em: _em_route of its own K, N and a).  On the Euler-Maclaurin
+    route a call costs mostly its head, the same for any number of points,
+    so consecutive Euler-Maclaurin pieces are joined into one call while it
+    has at most _KERNEL_POINTS points and every block's N exceeds the a of
+    the call's largest t, which grows with its width.  blocks lists the
+    call's (k_lo, k_hi, N) pieces; a direct-route call is one piece.
     """
     t_lo, h, width = config.t_lo, config.h, config.block
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
@@ -313,7 +344,7 @@ def _plan(config: ScanConfig, budget: float) -> list[tuple[float, int, int, floa
     def block_of(k: int) -> float:
         return float(np.floor_divide(t_lo + k * h - t_lo, width))
 
-    tasks, nominal, k_lo = [], 0.0, 0
+    pieces, nominal, k_lo = [], 0.0, 0
     while k_lo <= K:
         b = block_of(k_lo)
         # first point of the next block: the exact-arithmetic guess, moved
@@ -328,9 +359,22 @@ def _plan(config: ScanConfig, budget: float) -> list[tuple[float, int, int, floa
         if nominal > budget:  # counted so far, so the whole grid needs more
             raise ResourceBudgetError(_OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
         for lo in range(k_lo, k_end, _KERNEL_POINTS):
-            tasks.append((t_lo, lo, min(lo + _KERNEL_POINTS, k_end) - 1, h, N))
+            pieces.append((lo, min(lo + _KERNEL_POINTS, k_end) - 1, N))
         k_lo = k_end
-    return tasks
+
+    calls: list[_Call] = []
+    for lo, hi, N in pieces:
+        a = _em_head(t_lo + hi * h)
+        em = _em_route(hi - lo + 1, N, a)
+        if em and calls and calls[-1][2]:
+            first, _, _, blocks = calls[-1]
+            # N rises with t, so the call's first block has its least N
+            if hi - first < _KERNEL_POINTS and blocks[0][2] > a:
+                blocks.append((lo, hi, N))
+                calls[-1] = (first, hi, True, blocks)
+                continue
+        calls.append((lo, hi, em, [(lo, hi, N)]))
+    return calls
 
 
 def scan_interval(
@@ -346,8 +390,9 @@ def scan_interval(
     and summarised in min_margin / argmin_t; both must be finite.  budget,
     positive (inf for none), caps the nominal term count
     sum_k N(t_k), checked before any array is built; workers > 1
-    distributes kernel calls over processes, whose results are merged in
-    task order, so the report is identical for any worker count.
+    distributes kernel calls over threads (numpy releases the GIL for most
+    of a call), whose results are merged in call order, so the report is
+    identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -355,18 +400,27 @@ def scan_interval(
         raise ValueError(f"budget must be positive, got {budget}")
     if bound is not None and not all(map(math.isfinite, bound)):
         raise ValueError(f"bound slope and intercept must be finite, got {bound}")
-    tasks = _plan(config, budget)
-    K = tasks[-1][2]
+    calls = _plan(config, budget)
+    K = calls[-1][1]
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
+
+    def run(call: _Call) -> tuple[np.ndarray, float]:
+        k_lo, k_hi, em, blocks = call
+        pts = t[k_lo:k_hi + 1]
+        N = blocks[-1][2]
+        if not em:
+            return _eval_block(pts, N)
+        Ns = np.repeat([n for _, _, n in blocks], [hi - lo + 1 for lo, hi, _ in blocks])
+        return _eval_block(pts, N, Ns=Ns)
 
     modulus = np.empty(K + 1)
     err = np.empty(K + 1)
     with ExitStack() as stack:
-        run = map if workers == 1 else stack.enter_context(ProcessPoolExecutor(workers)).map
-        for (_, k_lo, k_hi, _, N), (vals, rem) in zip(tasks, run(_block_task, tasks)):
-            seg = slice(k_lo, k_hi + 1)
-            modulus[seg] = np.abs(vals)
-            err[seg] = error_bound(t[seg], N) + rem
+        run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
+        for (k_lo, k_hi, _, blocks), (vals, rem) in zip(calls, run_all(run, calls)):
+            modulus[k_lo:k_hi + 1] = np.abs(vals)
+            for lo, hi, N in blocks:
+                err[lo:hi + 1] = error_bound(t[lo:hi + 1], N) + rem
 
     log_t = np.log(t)
     ratio = modulus / log_t

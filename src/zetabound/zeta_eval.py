@@ -186,21 +186,31 @@ def direct_terms(t: float, N: int) -> int:
     return N if N <= 2 * a else a
 
 
-def _bernoulli_sum(s: complex, x: int) -> tuple[complex, float]:
-    """sum_{k<=m} c_k (s)_(2k-1) x^(-2k) and the sum of its terms' moduli.
+def _bernoulli_sums(
+    s: complex | np.ndarray, a: float, N: float | np.ndarray
+) -> tuple[complex | np.ndarray, float | np.ndarray, complex | np.ndarray, float | np.ndarray]:
+    """sum_{k<=m} c_k (s)_(2k-1) x^(-2k) and the sum of its terms' moduli, at x = a and x = N.
 
-    (s)_j is the rising factorial s (s+1) ... (s+j-1), built by the
-    recurrence p_{k+1} = p_k (s+2k-1)(s+2k) / x^2 from p_1 = s / x^2.
+    (s)_j is the rising factorial s (s+1) ... (s+j-1), built for each x by
+    the recurrence p_{k+1} = p_k q_k / x^2 from p_1 = s / x^2; the factor
+    q_k = (s+2k-1)(s+2k) is formed once for both.  N is a float, or an
+    array of the shape of s.
     """
-    x2 = float(x) * float(x)
-    p = s / x2
-    total, size = 0j, 0.0
+    a2, N2 = a * a, N * N
+    p_a, p_N = s / a2, s / N2
+    bern_a = bern_N = 0j
+    sigma_a = sigma_N = 0.0
     for k, c in enumerate(_EM_COEFFS, start=1):
-        term = c * p
-        total += term
-        size += abs(term)
-        p *= (s + (2 * k - 1)) * (s + 2 * k) / x2
-    return total, size
+        term_a, term_N = c * p_a, c * p_N
+        bern_a += term_a
+        bern_N += term_N
+        sigma_a += abs(term_a)
+        sigma_N += abs(term_N)
+        if k < _EM_ORDER:
+            q = (s + (2 * k - 1)) * (s + 2 * k)
+            p_a *= q / a2
+            p_N *= q / N2
+    return bern_a, sigma_a, bern_N, sigma_N
 
 
 def _em_remainder(t: float, a: int) -> float:
@@ -212,7 +222,7 @@ def _em_remainder(t: float, a: int) -> float:
 
 
 def _em_tail(
-    t: float | np.ndarray, a: int, N: int, head: float
+    t: float | np.ndarray, a: int, N: int | np.ndarray, head: float
 ) -> tuple[complex | np.ndarray, complex | np.ndarray, float, float | np.ndarray]:
     """The closed-form part of g_N(t) past the head n <= a, for N > a.
 
@@ -227,18 +237,25 @@ def _em_tail(
     eps (head + the tail's share of that routine's list): the phases, the
     products, the Bernoulli sums and the additions of tail_a, then tail_N,
     to a head sum; head is what the head sum itself is charged, in units of
-    eps, and is added first.  t is a float, or an array of points sharing a
-    and N, for which the other results are arrays of the same shape; a
-    float t keeps Python complex arithmetic.
+    eps, and is added first.  t is a float, or an array of points sharing
+    a, for which the other results are arrays of the same shape; a float t
+    keeps Python complex arithmetic.  N is an int, or for an array t an
+    int array of each point's N; ln N is then taken once per distinct N,
+    so every point's results are those of a call with its N alone.
     """
     if isinstance(t, np.ndarray):
         exp, t_top = np.exp, float(np.max(t))
     else:
         exp, t_top = cmath.exp, t
+    if isinstance(N, np.ndarray):
+        distinct, where = np.unique(N, return_inverse=True)
+        lnN = np.array([math.log(n) for n in distinct.tolist()])[where]
+        N = N.astype(np.float64)
+    else:
+        lnN, N = math.log(N), float(N)
     s = 1.0 + 1j * t
-    bern_a, sigma_a = _bernoulli_sum(s, a)
-    bern_N, sigma_N = _bernoulli_sum(s, N)
-    lna, lnN = math.log(a), math.log(N)
+    bern_a, sigma_a, bern_N, sigma_N = _bernoulli_sums(s, float(a), N)
+    lna = math.log(a)
     tail_a = exp(-1j * t * lna) * (-1j / t - 0.5 / a + bern_a)
     tail_N = exp(-1j * t * lnN) * (s / (16.0 * N * N) - bern_N)
     size_a = 1.0 / t + 0.5 / a + sigma_a
@@ -301,7 +318,7 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     product of the 2m ratios |s+j|/a; its own rounding is far below an ulp
     of 1.  Write S_A = 1/t + 1/(2a) + sigma_a and S_B = |s|/(16 N^2) +
     sigma_N for the sums of the moduli of the parts of A and B, where
-    sigma_x is the moduli sum that :func:`_bernoulli_sum` returns.  To
+    sigma_x is the moduli sum that :func:`_bernoulli_sums` returns.  To
     first order in eps, rounding is the sum of:
 
     * head: the model of :func:`_fp_slack` charged on the a terms that are

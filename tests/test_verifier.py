@@ -44,6 +44,28 @@ def _spy_tails(monkeypatch):
     return sizes
 
 
+def _record_calls(monkeypatch):
+    # every kernel call's (t_pts, N, Ns) and its rem, in call order
+    calls = []
+    kernel = verifier._eval_block
+
+    def recorded(*args, **kwargs):
+        vals, rem = kernel(*args, **kwargs)
+        calls.append((args[0], args[1], kwargs.get("Ns"), rem))
+        return vals, rem
+
+    monkeypatch.setattr(verifier, "_eval_block", recorded)
+    return calls
+
+
+def _blocks(cfg, t):
+    # (k_lo, k_hi, N) of each block, from the documented block rule
+    idx = np.floor_divide(t - cfg.t_lo, cfg.block)
+    last = np.flatnonzero(np.diff(idx, append=idx[-1] + 1))
+    first = np.concatenate(([0], last[:-1] + 1))
+    return [(int(lo), int(hi), choose_N(float(t[hi]), cfg.r)) for lo, hi in zip(first, last)]
+
+
 class TestScanConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -223,6 +245,20 @@ class TestScanInterval:
         assert seq.modulus.tobytes() == par.modulus.tobytes()
         assert seq.err.tobytes() == par.err.tobytes()
 
+    def test_workers_bit_identical_merged_calls(self, monkeypatch):
+        # with at most 60 points per call, the config above runs as two
+        # Euler-Maclaurin calls: its first block, then the second block
+        # joined with the 1-point end block
+        cfg = ScanConfig(t_lo=1e5, t_hi=1e5 + 1.0, h=0.01, block=0.5)
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 60)
+        calls = _record_calls(monkeypatch)
+        seq = scan_interval(cfg)
+        assert [(len(pts), len(ns)) for pts, _, ns, _ in calls] == [(50, 50), (51, 51)]
+        for workers in (2, 3):  # as many threads as calls, and more
+            par = scan_interval(cfg, workers=workers)
+            assert seq.modulus.tobytes() == par.modulus.tobytes()
+            assert seq.err.tobytes() == par.err.tobytes()
+
     def test_workers_must_be_positive(self):
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)
         for workers in (0, -1):
@@ -313,6 +349,80 @@ class TestScanInterval:
         assert {c[1] for c in calls} == {n_whole}
         rem = np.repeat([c[2] for c in calls], [c[0] for c in calls])
         assert np.all(np.abs(capped.modulus - whole.modulus) <= rem + rem_whole)
+
+    def test_euler_maclaurin_blocks_share_one_kernel_call(self, monkeypatch):
+        # 10001 points in blocks of 5000, 5000 and 1, all on the
+        # Euler-Maclaurin route: one head over n <= a serves all three
+        cfg = ScanConfig(t_lo=1.3e5, t_hi=1.3e5 + 100.0, block=50.0)
+        calls = _record_calls(monkeypatch)
+        check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
+        assert len(calls) == 1
+        report = scan_interval(cfg)
+        [(pts, n_max, ns, rem)] = calls[1:]
+        t = report.t
+        blocks = _blocks(cfg, t)
+        assert [hi - lo + 1 for lo, hi, _ in blocks] == [5000, 5000, 1]
+        assert n_max == blocks[-1][2]
+        assert np.array_equal(ns, np.repeat([n for *_, n in blocks], [5000, 5000, 1]))
+        for lo, hi, n in blocks:
+            seg = slice(lo, hi + 1)
+            vals, rem_block = _eval_block(t[seg], n)
+            assert np.all(np.abs(report.modulus[seg] - np.abs(vals)) <= rem + rem_block)
+            # each point keeps its block's N and truncation bound
+            assert report.err[seg].tobytes() == (error_bound(t[seg], n) + rem).tobytes()
+
+    def test_call_split_where_a_block_n_would_not_exceed_the_head(self, monkeypatch):
+        # at r = 0.01, N ~ 1.77 t, while the a of a call grows with its
+        # width h K: near t = 1e4 the first block's N is below the a of a
+        # call about 7800 wide, far fewer points than the cap
+        cfg = ScanConfig(t_lo=1e4, t_hi=2e4, h=1.0, r=0.01, block=100.0)
+        plan = verifier._plan(cfg, math.inf)
+        assert len(plan) > 1
+        for (first, hi, em, blocks), nxt in zip(plan, plan[1:] + [None]):
+            assert em and first == blocks[0][0] and hi == blocks[-1][1]
+            assert hi - first < verifier._KERNEL_POINTS
+            assert blocks[0][2] > _em_head(cfg.t_lo + hi * cfg.h)
+            if nxt is not None:
+                # one more piece would keep the call under the cap but
+                # bring its a up to its first block's N
+                _, next_hi, _ = nxt[3][0]
+                assert next_hi - first < verifier._KERNEL_POINTS
+                assert blocks[0][2] <= _em_head(cfg.t_lo + next_hi * cfg.h)
+        calls = _record_calls(monkeypatch)
+        report = scan_interval(cfg)
+        assert [b for *_, blocks in plan for b in blocks] == _blocks(cfg, report.t)
+        assert len(calls) == len(plan)
+        for (first, hi, _, blocks), (pts, _, ns, rem) in zip(plan, calls):
+            assert len(pts) == hi - first + 1
+            sizes = [b_hi - b_lo + 1 for b_lo, b_hi, _ in blocks]
+            assert np.array_equal(ns, np.repeat([n for *_, n in blocks], sizes))
+            for k in (first, (first + hi) // 2, hi):
+                n = int(ns[k - first])
+                t = float(report.t[k])
+                gap = abs(report.modulus[k] - abs(_direct_sum(t, n)))
+                assert gap <= rem + _fp_slack(t, n)
+
+    def test_direct_route_plan_one_call_per_block(self, monkeypatch):
+        # below t ~ 3.5e4 every block of the default config is summed to its
+        # N, so its call covers exactly that block
+        cfg = ScanConfig(t_lo=math.e, t_hi=1e4)
+        K = math.floor((cfg.t_hi - cfg.t_lo) / cfg.h + 1e-9)
+        t = cfg.t_lo + np.arange(K + 1, dtype=np.float64) * cfg.h
+        blocks = _blocks(cfg, t)
+        assert len(blocks) == 100
+        plan = verifier._plan(cfg, verifier.DEFAULT_BUDGET)
+        assert plan == [(lo, hi, False, [(lo, hi, n)]) for lo, hi, n in blocks]
+        calls = _record_calls(monkeypatch)
+        check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
+        assert [(float(pts[0]), len(pts), n, ns) for pts, n, ns, _ in calls] == [
+            (float(t[lo]), hi - lo + 1, n, None) for lo, hi, n in blocks
+        ]
+
+    def test_spanning_call_refuses_n_not_above_head(self):
+        pts = 1e5 + np.arange(10) * 0.01
+        a = _em_head(float(pts[-1]))
+        with pytest.raises(ValueError, match="exceed"):
+            _eval_block(pts, a + 1, Ns=np.array([a] * 5 + [a + 1] * 5))
 
     def test_margins_present_only_with_bound(self):
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)

@@ -15,7 +15,7 @@ from zetabound import (
     harmonic_bound,
     oracle_zeta,
 )
-from zetabound.zeta_eval import _direct_sum, _em_head, _fp_slack
+from zetabound.zeta_eval import _direct_sum, _em_head, _em_tail, _fp_slack
 
 # t values of the Euler-Maclaurin checks: tiny t, the peak 17.7477, the
 # thinnest affine margin 108.98, and two t whose N at r = 1e-8 is far past
@@ -188,6 +188,19 @@ class TestEulerMaclaurinRoute:
             cases.append((t, 2 * _em_head(t) + int(rng.integers(1, 100))))
         for t, n in cases:
             assert eval_zeta_certified(t, n).err <= error_bound(t, n) + _fp_slack(t, n)
+
+    def test_tail_with_per_point_n_matches_one_n_at_a_time(self):
+        # an array of each point's N gives, at every point, the bits of a
+        # call with that N alone; the remainder depends on a only
+        t = 1e5 + np.arange(30) * 0.01
+        a = _em_head(float(t[-1]))
+        ns = np.repeat([250_010, 250_020, 250_045], 10)
+        merged = _em_tail(t, a, ns, 3.0)
+        for lo in (0, 10, 20):
+            alone = _em_tail(t[lo:lo + 10], a, int(ns[lo]), 3.0)
+            for i in (0, 1, 3):  # tail_a, tail_N, rounding
+                assert merged[i][lo:lo + 10].tobytes() == alone[i].tobytes()
+        assert merged[2] == _em_tail(t[-1:], a, int(ns[-1]), 3.0)[2]
 
     def test_high_t_radius(self):
         cert = eval_zeta_certified(1e6, choose_N(1e6, 1e-8))
