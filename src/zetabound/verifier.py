@@ -78,8 +78,8 @@ _TAIL_CALL_TERMS = 2500  # per call
 _REFINE_R = 1e-8    # certification radius for single-point refinement
 _COARSE_R = 1e-4    # certification radius of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
-# a kernel call of a scan: (k_lo, k_hi, em, [(k_lo, k_hi, N) of each block piece])
-_Call = tuple[int, int, bool, list[tuple[int, int, int]]]
+# a kernel call of a scan: (k_lo, k_hi, [(k_lo, k_hi, N) of each block piece])
+_Call = tuple[int, int, list[tuple[int, int, int]]]
 _OVER_BUDGET = "scan needs {} summed terms, over the budget {:.3e}; raise it or relax the grid"
 
 
@@ -279,7 +279,7 @@ def _eval_block(
             if m:
                 w *= delta
             np.add.at(F[m], bins, np.add.reduceat(w, starts))
-    np.fft.fft(F, axis=1, out=F)
+    np.fft.fft(F, axis=1, out=F)  # in place (numpy >= 2.0): no second (p+1) x M buffer
     at_k = k & (M - 1)
     ik = -1j * k
     acc = F[p, at_k]
@@ -317,7 +317,7 @@ def _eval_block(
 
 
 def _plan(config: ScanConfig, budget: float) -> list[_Call]:
-    """The kernel calls (k_lo, k_hi, em, blocks) of a scan, in grid order.
+    """The kernel calls (k_lo, k_hi, blocks) of a scan, in grid order.
 
     Grid point k is t_lo + k h.  Its block is floor((t_k - t_lo) / block),
     taken with the grid's own float operations, and each block uses the N
@@ -326,7 +326,7 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
 
     A block of more than _KERNEL_POINTS points is first cut into pieces
     that share its N, and each piece gets the route _eval_block would give
-    it alone (em: _em_route of its own K, N and a).  On the Euler-Maclaurin
+    it alone (_em_route of its own K, N and a).  On the Euler-Maclaurin
     route a call costs mostly its head, the same for any number of points,
     so consecutive Euler-Maclaurin pieces are joined into one call while it
     has at most _KERNEL_POINTS points and every block's N exceeds the a of
@@ -344,7 +344,8 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
     def block_of(k: int) -> float:
         return float(np.floor_divide(t_lo + k * h - t_lo, width))
 
-    pieces, nominal, k_lo = [], 0.0, 0
+    calls: list[_Call] = []
+    nominal, k_lo, em = 0.0, 0, False  # em: the last call is on the Euler-Maclaurin route
     while k_lo <= K:
         b = block_of(k_lo)
         # first point of the next block: the exact-arithmetic guess, moved
@@ -359,21 +360,19 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
         if nominal > budget:  # counted so far, so the whole grid needs more
             raise ResourceBudgetError(_OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
         for lo in range(k_lo, k_end, _KERNEL_POINTS):
-            pieces.append((lo, min(lo + _KERNEL_POINTS, k_end) - 1, N))
+            hi = min(lo + _KERNEL_POINTS, k_end) - 1
+            a = _em_head(t_lo + hi * h)
+            piece_em = _em_route(hi - lo + 1, N, a)
+            if em and piece_em:
+                first, _, blocks = calls[-1]
+                # N rises with t, so the call's first block has its least N
+                if hi - first < _KERNEL_POINTS and blocks[0][2] > a:
+                    blocks.append((lo, hi, N))
+                    calls[-1] = (first, hi, blocks)
+                    continue
+            calls.append((lo, hi, [(lo, hi, N)]))
+            em = piece_em
         k_lo = k_end
-
-    calls: list[_Call] = []
-    for lo, hi, N in pieces:
-        a = _em_head(t_lo + hi * h)
-        em = _em_route(hi - lo + 1, N, a)
-        if em and calls and calls[-1][2]:
-            first, _, _, blocks = calls[-1]
-            # N rises with t, so the call's first block has its least N
-            if hi - first < _KERNEL_POINTS and blocks[0][2] > a:
-                blocks.append((lo, hi, N))
-                calls[-1] = (first, hi, True, blocks)
-                continue
-        calls.append((lo, hi, em, [(lo, hi, N)]))
     return calls
 
 
@@ -405,19 +404,18 @@ def scan_interval(
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
 
     def run(call: _Call) -> tuple[np.ndarray, float]:
-        k_lo, k_hi, em, blocks = call
+        k_lo, k_hi, blocks = call
         pts = t[k_lo:k_hi + 1]
-        N = blocks[-1][2]
-        if not em:
-            return _eval_block(pts, N)
+        if len(blocks) == 1:
+            return _eval_block(pts, blocks[0][2])
         Ns = np.repeat([n for _, _, n in blocks], [hi - lo + 1 for lo, hi, _ in blocks])
-        return _eval_block(pts, N, Ns=Ns)
+        return _eval_block(pts, blocks[-1][2], Ns=Ns)
 
     modulus = np.empty(K + 1)
     err = np.empty(K + 1)
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
-        for (k_lo, k_hi, _, blocks), (vals, rem) in zip(calls, run_all(run, calls)):
+        for (k_lo, k_hi, blocks), (vals, rem) in zip(calls, run_all(run, calls)):
             modulus[k_lo:k_hi + 1] = np.abs(vals)
             for lo, hi, N in blocks:
                 err[lo:hi + 1] = error_bound(t[lo:hi + 1], N) + rem

@@ -247,13 +247,13 @@ class TestScanInterval:
 
     def test_workers_bit_identical_merged_calls(self, monkeypatch):
         # with at most 60 points per call, the config above runs as two
-        # Euler-Maclaurin calls: its first block, then the second block
-        # joined with the 1-point end block
+        # Euler-Maclaurin calls: its first block alone, then the second
+        # block joined with the 1-point end block
         cfg = ScanConfig(t_lo=1e5, t_hi=1e5 + 1.0, h=0.01, block=0.5)
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 60)
         calls = _record_calls(monkeypatch)
         seq = scan_interval(cfg)
-        assert [(len(pts), len(ns)) for pts, _, ns, _ in calls] == [(50, 50), (51, 51)]
+        assert [(len(pts), ns is None) for pts, _, ns, _ in calls] == [(50, True), (51, False)]
         for workers in (2, 3):  # as many threads as calls, and more
             par = scan_interval(cfg, workers=workers)
             assert seq.modulus.tobytes() == par.modulus.tobytes()
@@ -378,21 +378,22 @@ class TestScanInterval:
         cfg = ScanConfig(t_lo=1e4, t_hi=2e4, h=1.0, r=0.01, block=100.0)
         plan = verifier._plan(cfg, math.inf)
         assert len(plan) > 1
-        for (first, hi, em, blocks), nxt in zip(plan, plan[1:] + [None]):
-            assert em and first == blocks[0][0] and hi == blocks[-1][1]
+        assert all(len(blocks) > 1 for *_, blocks in plan)
+        for (first, hi, blocks), nxt in zip(plan, plan[1:] + [None]):
+            assert first == blocks[0][0] and hi == blocks[-1][1]
             assert hi - first < verifier._KERNEL_POINTS
             assert blocks[0][2] > _em_head(cfg.t_lo + hi * cfg.h)
             if nxt is not None:
                 # one more piece would keep the call under the cap but
                 # bring its a up to its first block's N
-                _, next_hi, _ = nxt[3][0]
+                _, next_hi, _ = nxt[2][0]
                 assert next_hi - first < verifier._KERNEL_POINTS
                 assert blocks[0][2] <= _em_head(cfg.t_lo + next_hi * cfg.h)
         calls = _record_calls(monkeypatch)
         report = scan_interval(cfg)
         assert [b for *_, blocks in plan for b in blocks] == _blocks(cfg, report.t)
         assert len(calls) == len(plan)
-        for (first, hi, _, blocks), (pts, _, ns, rem) in zip(plan, calls):
+        for (first, hi, blocks), (pts, _, ns, rem) in zip(plan, calls):
             assert len(pts) == hi - first + 1
             sizes = [b_hi - b_lo + 1 for b_lo, b_hi, _ in blocks]
             assert np.array_equal(ns, np.repeat([n for *_, n in blocks], sizes))
@@ -411,7 +412,7 @@ class TestScanInterval:
         blocks = _blocks(cfg, t)
         assert len(blocks) == 100
         plan = verifier._plan(cfg, verifier.DEFAULT_BUDGET)
-        assert plan == [(lo, hi, False, [(lo, hi, n)]) for lo, hi, n in blocks]
+        assert plan == [(lo, hi, [(lo, hi, n)]) for lo, hi, n in blocks]
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert [(float(pts[0]), len(pts), n, ns) for pts, n, ns, _ in calls] == [
