@@ -473,12 +473,15 @@ def _zoom(ts: np.ndarray, tol: float, v: float = math.inf) -> tuple[float, float
     Each round evaluates every point and keeps one cell: the cell right of
     the last point reaching v, where a crossing lies, or else the two cells
     around the best point.  The next round puts 9 points on that cell, until
-    it is at most tol wide or floats stop narrowing it.  Returns (t, ratio,
-    reached): the last point reaching v, or the best point when none does.
+    it is at most tol wide or floats stop narrowing it; the points of the
+    kept cell that reappear in it, always its two ends, keep their ratios.
+    Returns (t, ratio, reached): the last point reaching v, or the best
+    point when none does.
     """
     width = math.inf
+    known: dict[float, float] = {}
     while True:
-        f = np.array([_accurate_ratio(float(x)) for x in ts])
+        f = np.array([known[x] if x in known else _accurate_ratio(x) for x in map(float, ts)])
         hit = np.flatnonzero(f >= v)
         last = len(ts) - 1
         if hit.size:
@@ -491,6 +494,7 @@ def _zoom(ts: np.ndarray, tol: float, v: float = math.inf) -> tuple[float, float
         if b - a <= tol or b - a >= width:
             return float(ts[k]), float(f[k]), bool(hit.size)
         width = b - a
+        known = dict(zip(map(float, ts[lo:hi + 1]), map(float, f[lo:hi + 1])))
         ts = np.linspace(a, b, 9)
 
 

@@ -4,7 +4,9 @@ bench/ wraps library functions by module attribute and checks that the
 lru_cached constant routines start cold, so renaming a wrapped function or
 dropping one of those caches fails here rather than only in the benchmark.
 The refiners must reach the point evaluator through the wrapped
-verifier.eval_zeta_certified, or the benchmark would count no refinement.
+verifier.eval_zeta_certified, or the benchmark would count no refinement;
+the contour oracle and c_sigma must run under their wrapped names, or the
+witness and paper workloads would time no quadrature.
 """
 
 import os
@@ -23,9 +25,13 @@ assert workloads.cold_caches()
 tracer = tracing.Tracer("t")
 tracer.install()
 rs_bounds.computed_constants()
+rs_bounds.ck_contour(0.3, 1, 1)
 verifier.max_ratio(17.0, 18.5, 0.01, 1e-4)
 verifier.crossing_point(0.548, 600.0, 700.0)
-assert tracer.layer_sums()["refine_evals"] > 0
+sums = tracer.layer_sums()
+assert sums["refine_evals"] > 0
+assert sums["contour_calls"] > 0
+assert sums["c_sigma_s"] > 0
 """
 
 

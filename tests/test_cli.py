@@ -331,3 +331,15 @@ class TestModuleEntryPoint:
         header, *rows = proc.stdout.splitlines()
         assert header.split() == ["t", "real", "imag", "modulus", "err", "n_terms"]
         assert len(rows) == 1 and rows[0].split()[0] == "17.7477"
+
+    def test_import_loads_no_scipy(self):
+        # every command pays the import; the package's quadratures are numpy rules
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, zetabound.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -23,7 +23,7 @@ from zetabound import (
     optimal_bound_params,
     theta,
 )
-from zetabound.rs_bounds import _c0_closed
+from zetabound.rs_bounds import _GL_PANELS, _Y_CUT, _c0_closed, _h_body, _h_integrand
 
 
 class TestChiUpper:
@@ -220,9 +220,20 @@ class TestRemainderConstant:
         assert 1.035 <= val <= 1.0455
         assert val <= 1.0450 + 0.0005
 
-    def test_tail_is_inverse_square(self):
-        from zetabound.rs_bounds import _h_integrand
+    def test_parent_values(self):
+        # the adaptive quadrature these numpy rules replaced gave these
+        assert c_sigma(0) == pytest.approx(0.9703983486963415, abs=1e-12)
+        assert c_sigma(1) == pytest.approx(1.0450238022489597, abs=1e-12)
 
+    def test_array_matches_float_calls(self):
+        ys = np.concatenate([np.linspace(-_Y_CUT, _Y_CUT, 20001), np.geomspace(1e-8, 1e6, 201)])
+        for sigma in (0, 1):
+            expected = np.array([_h_integrand(sigma, float(y)) for y in ys])
+            assert _h_integrand(sigma, ys).tobytes() == expected.tobytes()
+            assert _h_integrand(sigma, ys.reshape(2, -1)).shape == (2, ys.size // 2)
+        assert type(_h_integrand(0, 3.0)) is float
+
+    def test_tail_is_inverse_square(self):
         # H(0, y) * y^2 tends to 2; sample the decay exponent on the tail
         ys = np.geomspace(1e3, 1e5, 20)
         vals = np.array([_h_integrand(0, float(y)) for y in ys])
@@ -233,6 +244,52 @@ class TestRemainderConstant:
     def test_domain(self):
         with pytest.raises(ValueError):
             c_sigma(2)
+
+
+def _mp_contour(mp, p, k, sigma):
+    # the integral ck_contour takes, by mpmath's tanh-sinh rule over a
+    # wider span (the integrand is below 1e-50 beyond |s| = 12)
+    p = mp.mpf(p)
+    rot = mp.expjpi(mp.mpf(-1) / 4)
+    sq = mp.sqrt(mp.pi)
+
+    def integrand(s):
+        v = s * rot
+        z = sq * (v - 1j * p)
+        poly = 1 if k == 0 else -z**3 / 3 - 2j * sigma * z
+        return mp.exp(-mp.pi * p * v - mp.pi * s * s / 2) / mp.cosh(mp.pi * v / 2) * poly * rot
+
+    pref = mp.expjpi(mp.mpf(-1) / 8) / 4 / (4 * sq) ** k * mp.expjpi(p * p / 2)
+    return complex(pref * mp.quad(integrand, [-16, 0, 16]))
+
+
+def _mp_h_body(mp, sigma):
+    # H(sigma, y) over |y| <= _Y_CUT, split at powers of ten
+    def h(y):
+        u = mp.mpf(0.5) + y * mp.expjpi(mp.mpf(1) / 4)
+        f = -mp.mpf(0.5) - 1 / u - mp.log(1 - u) / (u * u)
+        return abs(1 - u) ** (-sigma) / (abs(u) ** 2 * (1 + f.real))
+
+    cuts = [10.0**j for j in range(5)]
+    return float(mp.quad(h, [-c for c in reversed(cuts)] + [0] + cuts))
+
+
+class TestMpmathReferences:
+    """The numpy quadratures against 30-digit mpmath ones."""
+
+    @pytest.mark.parametrize("p", [-1.0, -0.5, 0.0, 0.3, 0.501, 1.0])
+    def test_contour(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for k, sigma in ((0, 0), (1, 0), (1, 1)):
+                assert abs(ck_contour(p, k, sigma) - _mp_contour(mpmath, p, k, sigma)) < 1e-12
+
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_c_sigma_body(self, sigma):
+        mpmath = pytest.importorskip("mpmath")
+        assert _Y_CUT == 1e4
+        with mpmath.workdps(30):
+            assert abs(_h_body(sigma, 2 * _GL_PANELS) - _mp_h_body(mpmath, sigma)) < 1e-12
 
 
 class TestComputedConstants:

@@ -553,3 +553,31 @@ class TestCrossingPoint:
     def test_still_above_at_t_hi(self):
         with pytest.raises(CrossingNotFound, match="still at or above"):
             crossing_point(0.6, 17.0, 17.8)
+
+
+class TestZoom:
+    @pytest.mark.parametrize("refine", [
+        lambda: max_ratio(17.0, 18.5, 0.01, 1e-4),
+        lambda: crossing_point(0.5480, 600.0, 700.0),
+        lambda: crossing_point(0.6443, math.e, 100.0),
+    ], ids=["peak", "crossing", "tangency"])
+    def test_no_point_evaluated_twice(self, monkeypatch, refine):
+        # each round's grid ends are the last round's kept cell ends, whose
+        # ratios are kept, so every evaluation within one zoom is at a new t
+        zooms = []
+        zoom, evaluate = verifier._zoom, verifier.eval_zeta_certified
+
+        def recorded_zoom(*args):
+            zooms.append([])
+            return zoom(*args)
+
+        def recorded_eval(t, n):
+            zooms[-1].append(t)
+            return evaluate(t, n)
+
+        monkeypatch.setattr(verifier, "_zoom", recorded_zoom)
+        monkeypatch.setattr(verifier, "eval_zeta_certified", recorded_eval)
+        refine()
+        assert zooms and all(zooms)
+        for ts in zooms:
+            assert len(ts) == len(set(ts))
