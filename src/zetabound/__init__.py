@@ -2,15 +2,17 @@
 
 The package has four layers:
 
-* :mod:`zetabound.zeta_eval` -- certified point evaluation of zeta(1+it)
-  plus an independent alternating-series oracle;
+* :mod:`zetabound.zeta_eval` -- certified evaluation of zeta(1+it): one
+  kernel sums g_N at a grid of points, a point evaluation is its one-point
+  call, and an independent alternating-series oracle checks both;
 * :mod:`zetabound.expsum` -- explicit exponential-sum bounds and the
   optimiser producing inequalities |zeta(1+it)| <= v log t for t >= t0;
 * :mod:`zetabound.rs_bounds` -- the Riemann-Siegel-route constants behind
   the affine bound |zeta(1+it)| <= (1/2) log t + C;
-* :mod:`zetabound.verifier` -- certified grid scans that check either kind
-  of bound over an interval, locate the maximum of |zeta(1+it)|/log t, and
-  find where the ratio crosses a given level.
+* :mod:`zetabound.verifier` -- certified grid scans, planned as calls of
+  that kernel, that check either kind of bound over an interval, locate the
+  maximum of |zeta(1+it)|/log t, and find where the ratio crosses a given
+  level.
 
 A command-line front end lives in :mod:`zetabound.cli`.
 """

@@ -116,7 +116,8 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
-    summed = zeta_eval.direct_terms(t, n)
+    a = zeta_eval._em_head(t)
+    summed = a if zeta_eval._em_route(1, n, a) else n  # what the one-point kernel call sums
     if summed > verifier.DEFAULT_BUDGET:
         raise ResourceBudgetError(
             f"evaluation sums {summed:.3e} terms directly, over the budget "

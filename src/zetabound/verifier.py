@@ -9,23 +9,17 @@ verification result carries a note saying so.
 Cost control: the grid is cut into blocks (default width 100) and one term
 count N is chosen per block from the block's largest t, which is valid for
 the whole block because the truncation bound grows with t.  The main sum is
-evaluated in kernel calls of at most 2^14 points each, at all of a call's
-points at once: on an equispaced grid
-S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a type-1 nonuniform
-DFT in k, computed by rounding each phase h ln n to an FFT grid and
-expanding the leftover phase in a short Taylor series (Odlyzko and
-Schoenhage's multiple-evaluation idea, in the NUFFT form of Greengard and
-Lee).  Past a = max(64, ceil t) the terms are smooth in n, and when that
-saves enough of them the rest of the finite sum is added per point in the
-closed Euler-Maclaurin form of the point evaluator, where N enters only
-that closed form.  The cost of a call is O(p min(N, a) + p M log M) for K
-points and an FFT of length M, the least power of two >= K, against
-O(K N) point by point.  A call on the direct route (all n <= N) covers
-one block, or a piece of one; a call on the Euler-Maclaurin route may
-span several blocks, each with its own N, so that one head over n <= a
-serves all their points.  The expansion remainder, the Euler-Maclaurin
-remainder and every floating-point effect are folded into each point's
-radius (see _eval_block), so no certificate is weakened.
+evaluated by the block kernel zeta_eval._eval_block, in calls of at most
+2^14 points each, at all of a call's points at once (a NUFFT of the main
+sum, with the closed Euler-Maclaurin tail past a = max(64, ceil t) when
+that saves enough terms).  A call on the direct route (all n <= N) covers
+one block, or a piece of one; a call on the Euler-Maclaurin route may span
+several blocks, each with its own N, so that one head over n <= a serves
+all their points.  The kernel folds its expansion remainder, the
+Euler-Maclaurin remainder and every floating-point effect into each
+point's radius, so no certificate is weakened.  The refiners evaluate
+single points with zeta_eval.eval_zeta_certified, the kernel's one-point
+call.
 """
 
 from __future__ import annotations
@@ -40,13 +34,12 @@ import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
 from .zeta_eval import (
-    _EPS,
     _em_head,
-    _em_tail,
+    _em_route,
+    _eval_block,
     choose_N,
     error_bound,
     eval_zeta_certified,
-    harmonic_bound,
 )
 
 __all__ = [
@@ -70,11 +63,7 @@ GRID_NOTE = (
 # of the per-point term count N.  Exceeding it raises before any work.
 DEFAULT_BUDGET = 5.0e10
 
-_KERNEL_CHUNK = 1 << 16  # terms per n-chunk of the block kernel
 _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
-# cost of the block kernel's Euler-Maclaurin tail in main-sum terms
-_TAIL_POINT_TERMS = 5  # per point
-_TAIL_CALL_TERMS = 2500  # per call
 _REFINE_R = 1e-8    # certification radius for single-point refinement
 _COARSE_R = 1e-4    # certification radius of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
@@ -143,177 +132,6 @@ class VerificationResult:
     worst_margin: float
     worst_t: float
     grid_note: str = GRID_NOTE
-
-
-def _em_route(K: int, N: int, a: int) -> bool:
-    """Whether a kernel call of K points sharing N takes the Euler-Maclaurin route.
-
-    A point's closed-form tail costs about _TAIL_POINT_TERMS terms of the
-    main sum, plus _TAIL_CALL_TERMS per call (the measured break-even on 1
-    to 16384 points), so the route pays when the N - a terms it saves per
-    point exceed their total; below that it is slower, although correct for
-    every N > a.
-    """
-    return N - a > _TAIL_POINT_TERMS * K + _TAIL_CALL_TERMS
-
-
-def _eval_block(
-    t_pts: np.ndarray, N: int, Ns: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, float]:
-    """g_N at each point of the sorted, equispaced grid t_pts.
-
-    Returns (values, rem): |values[j] - g_N(t_pts[j])| <= rem for every j,
-    where g_N is the exact truncated representation of zeta_eval and N the
-    point's term count.  rem is everything the call adds to the truncation
-    bound: the expansion remainder, the Euler-Maclaurin remainder when that
-    route is taken, and all floating-point effects, so a point's certified
-    radius is error_bound(t, N) + rem.
-
-    All points share N unless Ns, an int array of each point's N, is given:
-    a call that spans several blocks of a scan (see _plan).  N is then
-    their largest, and the call takes the Euler-Maclaurin route, which
-    needs every N > a.
-
-    Routes.  With a = max(64, ceil(t_max)), as in the point evaluator, the
-    Euler-Maclaurin route sums the main sum over n <= a only and adds
-    a^(-it) A(t) + N^(-it) B(t) (zeta_eval._em_tail) at each exact
-    t_pts[j], with that point's N; the direct route sums all n <= N and
-    adds the three correction terms of g_N at each t_pts[j].  Without Ns
-    the route is the one _em_route picks.  Write n_hi for the last n
-    summed: a or N.
-
-    Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
-    and integer offsets k = j - mid (|k| <= k_max), the model points
-    t_c + k h give the type-1 nonuniform DFT
-
-        S(t_c + k h) = sum_{n<=n_hi} a_n e^(-i k theta_n),
-        a_n = n^(-1-i t_c),  theta_n = h ln n.
-
-    Each theta_n is rounded to the M-point grid 2 pi j_n / M (M the least
-    power of two >= K, K = len(t_pts)), leaving |delta_n| <= pi/M, and
-    e^(-i k delta_n) is expanded to order p.  Then
-
-        S(t_c + k h) = sum_{m<=p} (-i k)^m / m! * FFT(F_m)[k mod M] + R_k,
-        F_m[j] = sum_{j_n = j} a_n delta_n^m,
-
-    so the work is p+1 weighted segment sums over n (theta_n is monotone,
-    so the n landing on one grid point are consecutive), taken in chunks of
-    _KERNEL_CHUNK terms (memory O(chunk + pM), never O(n_hi)), p+1 FFTs of
-    length M and a Horner pass in k.  With d = k_max pi/M (<= pi/2, reached
-    when K is a power of two) and H = harmonic_bound(n_hi) >= sum 1/n,
-    |R_k| <= H d^(p+1)/(p+1)!; p is the least order bringing
-    d^(p+1)/(p+1)! below eps, so a 1-point block (d = 0) gets p = 0.
-
-    Radius, with eps the machine epsilon, L = ln^2(n_hi)/2 + 0.11 >=
-    sum ln n / n, and e^d >= sum_m (|k| delta)^m / m! the most the
-    expansion can amplify a rounding error in F_m (e^d <= e^(pi/2) < 4.82):
-
-    * remainder: H d^(p+1)/(p+1)!;
-    * grid gap: the main sum is taken at t_c + k h, not at the
-      floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| L.  The gap
-      is the measured max |eta_j| plus eps (t_c + 2 k_max h) for
-      computing it;
-    * phase: with log, the products and the grid reduction each good to a
-      few ulp, the realised phase of term n is within
-      2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of
-      (t_c + k h) ln n, which sums to 2 eps (t_c + 2 k_max h) L + 2 eps d H;
-    * segment-sum rounding: a term passes through at most
-      chunk + n_chunks + h ln n_hi / (2 pi) additions (its segment, the
-      chunk totals, the windings of theta_n folded onto one bin) and
-      a_n delta_n^m carries at most (p + 6) eps of relative error, so
-      ||error of F_m||_1 <= eps (chunk + n_chunks + h ln n_hi/(2 pi) + p + 6)
-      H (pi/M)^m, which the expansion turns into at most that times e^d
-      in S;
-    * FFT rounding (Higham, Accuracy and Stability of Numerical
-      Algorithms, Thm 24.2): ||error||_inf <= ||error||_2 <= log2(M) eta
-      sqrt(M) ||F_m||_1 with eta <= 4 eps, amplified by at most e^d;
-    * Horner in k: 2 (p+1) eps H e^d;
-    * direct route, corrections: eps (4 + t_max ln N) times their modulus
-      bound 1/t_min + 1/(2N) + (1+t_max)/(16 N^2), which covers the phase
-      t ln N and the 1/(it) conditioning;
-    * Euler-Maclaurin route, tail: zeta_eval._em_remainder(t_max, a),
-      which rises with t and does not depend on N, so it bounds R_m at
-      every point of every block, plus the largest over the points of the
-      tail's rounding in the point evaluator's list (phases, products,
-      Bernoulli sums, and the two additions into the head sum, whose share
-      eps H is passed as the head's charge).  The point evaluator derives
-      it for any N > a.
-    """
-    K = len(t_pts)
-    mid = (K - 1) // 2
-    t_c = float(t_pts[mid])
-    t_min, t_max = float(t_pts[0]), float(t_pts[-1])
-    h = (t_max - t_min) / (K - 1) if K > 1 else 0.0
-    k = np.arange(K) - mid
-    k_max = K - 1 - mid
-    M = 1 << (K - 1).bit_length()
-    step = 2.0 * math.pi / M
-    d = k_max * math.pi / M * (1.0 + _EPS)
-    p, factor = 0, d
-    while factor >= _EPS:
-        p += 1
-        factor *= d / (p + 1)
-    a = _em_head(t_max)
-    if Ns is not None and not int(np.min(Ns)) > a:
-        raise ValueError(f"every N of a call must exceed its head a = {a}")
-    em = Ns is not None or _em_route(K, N, a)
-    n_hi = a if em else N
-
-    chunk = min(n_hi, _KERNEL_CHUNK)
-    F = np.zeros((p + 1, M), dtype=np.complex128)
-    for lo in range(1, n_hi + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, n_hi + 1), dtype=np.float64)
-        ln = np.log(n)
-        ph = t_c * ln
-        w = np.empty(len(n), dtype=np.complex128)  # a_n
-        w.real = np.cos(ph) / n
-        w.imag = np.sin(ph) / -n
-        x = ln * (h / step)  # theta_n in grid steps, nondecreasing in n
-        j = np.rint(x)
-        delta = (x - j) * step
-        # n runs through each grid point in one segment; add.at folds
-        # segments of different windings onto the same bin mod M
-        starts = np.flatnonzero(np.diff(j, prepend=-1.0))
-        bins = j[starts].astype(np.intp) & (M - 1)
-        for m in range(p + 1):
-            if m:
-                w *= delta
-            np.add.at(F[m], bins, np.add.reduceat(w, starts))
-    np.fft.fft(F, axis=1, out=F)  # in place (numpy >= 2.0): no second (p+1) x M buffer
-    at_k = k & (M - 1)
-    ik = -1j * k
-    acc = F[p, at_k]
-    for m in range(p - 1, -1, -1):
-        acc = acc * (ik / (m + 1)) + F[m, at_k]
-
-    h_n = harmonic_bound(n_hi)
-    ln_hi = math.log(n_hi)
-    if em:
-        tail_a, tail_N, remainder, tail_rounding = _em_tail(
-            t_pts, a, N if Ns is None else Ns, h_n
-        )
-        acc += tail_a
-        acc += tail_N
-        rem_tail = remainder + float(np.max(tail_rounding))
-    else:
-        acc += np.exp(-1j * t_pts * ln_hi) * (
-            1.0 / (1j * t_pts) - 0.5 / N + (1.0 + 1j * t_pts) / (16.0 * N * N)
-        )
-        corr = 1.0 / t_min + 0.5 / N + (1.0 + t_max) / (16.0 * N * N)
-        rem_tail = _EPS * (4.0 + t_max * ln_hi) * corr
-    l1 = 0.5 * ln_hi * ln_hi + 0.11
-    phase = _EPS * (t_c + 2.0 * k_max * h)
-    eta = float(np.max(np.abs(t_pts - (t_c + k * h))))
-    n_chunks = -(-n_hi // chunk)
-    depth = chunk + n_chunks + h * ln_hi / (2.0 * math.pi)
-    rounding = depth + 3 * p + 8 + 4.0 * math.log2(M) * math.sqrt(M)
-    rem = (
-        h_n * factor
-        + (eta + 3.0 * phase) * l1
-        + _EPS * h_n * (2.0 * d + math.exp(d) * rounding)
-        + rem_tail
-    )
-    return acc, rem
 
 
 def _plan(config: ScanConfig, budget: float) -> list[_Call]:

@@ -1,21 +1,32 @@
 """Certified numerical evaluation of zeta(1+it).
 
-The central routine evaluates the truncated representation
+Everything here evaluates the truncated representation
 
     g_N(t) = sum_{n=1}^{N} n^(-1-it) + N^(-it)/(it) - N^(-1-it)/2
              + (1+it)/16 * N^(-2-it)
 
 whose distance from zeta(1+it) is at most (1+t)(2+t) / (32 N^2).  Every
-result is returned as a :class:`CertifiedComplex`, a value paired with an
-absolute error radius that also accounts for floating-point accumulation,
-so the true zeta value is guaranteed to lie inside the reported disk.
+result carries an absolute error radius that also accounts for
+floating-point accumulation, so the true zeta value is guaranteed to lie
+inside the reported disk.
 
-The main sum is taken term by term only up to a = max(64, ceil(t)); past
-a the terms n^(-1-it) are smooth in n, and the rest of the finite sum has
-a closed Euler-Maclaurin form with an explicit remainder (Edwards,
-Riemann's Zeta Function, ch. 6; Johansson, Numer. Algorithms 2015).  A
-point therefore costs O(min(N, a)) terms, which is O(t), while N grows
-like t / sqrt(r) for a radius target r.
+One kernel, _eval_block, computes g_N at all K points of an equispaced
+grid at once; :func:`eval_zeta_certified` is its one-point call, and the
+scans of :mod:`zetabound.verifier` call it on blocks of the grid.  On the
+grid, S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a type-1
+nonuniform DFT in k, computed by rounding each phase h ln n to an FFT grid
+and expanding the leftover phase in a short Taylor series (Odlyzko and
+Schoenhage's multiple-evaluation idea, in the NUFFT form of Greengard and
+Lee).  Past a = max(64, ceil(t)) the terms n^(-1-it) are smooth in n, and
+when that saves enough of them the rest of the finite sum is added per
+point in a closed Euler-Maclaurin form with an explicit remainder (Edwards,
+Riemann's Zeta Function, ch. 6; Johansson, Numer. Algorithms 2015), where N
+enters only that closed form.  A call then costs O(p min(N, a) + p M log M)
+for an FFT of length M, the least power of two >= K, against O(K N) point
+by point; one point costs O(min(N, a)) terms, which is O(t), while N grows
+like t / sqrt(r) for a radius target r.  The expansion remainder, the
+Euler-Maclaurin remainder and every floating-point effect are folded into
+the radius (see _eval_block), so no certificate is weakened.
 
 An independent cross-check, :func:`oracle_zeta`, evaluates the same point
 through the alternating series zeta(s) = (1 - 2^(1-s))^(-1) *
@@ -28,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +51,6 @@ __all__ = [
     "error_bound",
     "choose_N",
     "eval_zeta_certified",
-    "direct_terms",
     "oracle_zeta",
     "harmonic_bound",
 ]
@@ -47,13 +58,13 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 
 _EPS = 2.220446049250313e-16
-_CHUNK = 1 << 21          # summation chunk; fixed so results are bit-reproducible
+_CHUNK = 1 << 21          # oracle summation chunk; fixed so results are bit-reproducible
 _MAX_N = 1 << 62
 _ORACLE_MAX_TERMS = 1_000_000  # the eta oracle gives up beyond this many terms
 
-# Euler-Maclaurin split of the main sum, derived in eval_zeta_certified:
-# the terms n <= a = max(_EM_MIN_HEAD, ceil(t)) are summed one by one and the
-# rest in closed form with _EM_ORDER Bernoulli terms.
+# Euler-Maclaurin split of the main sum, derived in _em_tail: the terms
+# n <= a = max(_EM_MIN_HEAD, ceil(t)) are summed one by one and the rest in
+# closed form with _EM_ORDER Bernoulli terms.
 _EM_ORDER = 10
 _EM_MIN_HEAD = 64
 # c_k = B_2k / (2k)! for k = 1, ..., _EM_ORDER, correctly rounded (integer
@@ -66,6 +77,11 @@ _EM_COEFFS = tuple(
         start=1,
     )
 )
+
+_KERNEL_CHUNK = 1 << 16  # terms per n-chunk of the block kernel
+# cost of the block kernel's Euler-Maclaurin tail in main-sum terms
+_TAIL_POINT_TERMS = 5  # per point
+_TAIL_CALL_TERMS = 2500  # per call
 
 
 @dataclass(frozen=True)
@@ -95,8 +111,8 @@ def error_bound(t: float | np.ndarray, N: int) -> float | np.ndarray:
     """Truncation bound (1+t)(2+t) / (32 N^2) of the N-term evaluator.
 
     This is the analytic error of g_N(t); rounding of the expression itself
-    is covered by the explicit floating-point slack added by
-    :func:`eval_zeta_certified`.  t may be an array of points sharing N.
+    is covered by the radius of the block kernel, which
+    :func:`eval_zeta_certified` adds.  t may be an array of points sharing N.
     """
     if not np.all(np.asarray(t) > 0.0):
         raise ValueError(f"t must be positive, got {t}")
@@ -127,63 +143,8 @@ def choose_N(T: float, r: float) -> int:
     return N
 
 
-def _power_sum(t: float, n_hi: int, alternating: bool = False) -> complex:
-    """sum_{n=1}^{n_hi} n^(-1-it), optionally with sign (-1)^(n-1).
-
-    Terms are accumulated from n = n_hi down to 1 (smallest magnitudes
-    first) in fixed-size chunks, so the result is deterministic and the
-    rounding error stays near eps * n_hi in the worst case.
-    """
-    if n_hi < 1:
-        return 0j
-    s = -(1.0 + 1j * t)
-    total = 0j
-    top = n_hi
-    while top >= 1:
-        lo = max(1, top - _CHUNK + 1)
-        n = np.arange(top, lo - 1, -1, dtype=np.float64)
-        terms = np.exp(s * np.log(n))
-        if alternating:
-            terms[n % 2 == 0] *= -1.0
-        total += terms.sum()
-        top = lo - 1
-    return complex(total)
-
-
-def _fp_slack(t: float, N: int) -> float:
-    # Three floating-point effects: accumulation over N terms (4 ulp-scale
-    # units each), the phase t*ln n being representable only to eps*t*ln n
-    # radians (summing (1/n) * eps * t * ln n over n <= N gives the
-    # 0.5 * eps * t * ln^2 N term), and conditioning of the 1/(it)
-    # correction for very small t.
-    lnN = math.log(N) if N > 1 else 0.0
-    return _EPS * (4.0 * N + 0.5 * t * lnN * lnN + 4.0 / t)
-
-
-def _direct_sum(t: float, N: int) -> complex:
-    """g_N(t) with all N terms of the main sum added one by one.
-
-    |value - g_N(t)| <= _fp_slack(t, N).
-    """
-    value = _power_sum(t, N)
-    lnN = math.log(N)
-    nmit = cmath.exp(-1j * t * lnN)  # N^(-it)
-    value += nmit * (1.0 / (1j * t) - 0.5 / N + (1.0 + 1j * t) / (16.0 * N * N))
-    return value
-
-
 def _em_head(t: float) -> int:
     return max(_EM_MIN_HEAD, math.ceil(t))
-
-
-def direct_terms(t: float, N: int) -> int:
-    """How many terms of g_N(t) :func:`eval_zeta_certified` adds one by one.
-
-    That is N when N <= 2a and a otherwise, with a = max(64, ceil(t)); it is
-    the cost of one evaluation.
-    """
-    a = _em_head(t)
-    return N if N <= 2 * a else a
 
 
 def _bernoulli_sums(
@@ -222,7 +183,7 @@ def _em_remainder(t: float, a: int) -> float:
 
 
 def _em_tail(
-    t: float | np.ndarray, a: int, N: int | np.ndarray, head: float
+    t: float | np.ndarray, a: int, N: int | np.ndarray
 ) -> tuple[complex | np.ndarray, complex | np.ndarray, float, float | np.ndarray]:
     """The closed-form part of g_N(t) past the head n <= a, for N > a.
 
@@ -231,17 +192,69 @@ def _em_tail(
         g_N(t) = sum_{n<=a} n^(-1-it) + tail_a + tail_N + R_m,
         tail_a = a^(-it) A,  tail_N = N^(-it) B,  |R_m| <= remainder,
 
-    A, B and R_m as derived in :func:`eval_zeta_certified`.  For an array
-    t, remainder is one float that holds at all its points: it is taken at
-    their largest t, as the bound rises with t.  rounding is
-    eps (head + the tail's share of that routine's list): the phases, the
-    products, the Bernoulli sums and the additions of tail_a, then tail_N,
-    to a head sum; head is what the head sum itself is charged, in units of
-    eps, and is added first.  t is a float, or an array of points sharing
-    a, for which the other results are arrays of the same shape; a float t
-    keeps Python complex arithmetic.  N is an int, or for an array t an
-    int array of each point's N; ln N is then taken once per distinct N,
-    so every point's results are those of a call with its N alone.
+    and rounding the floating-point error of tail_a and tail_N and of adding
+    them, in that order, to a head sum.  t is a float, or an array of points
+    sharing a, for which the other results are arrays of the same shape; a
+    float t keeps Python complex arithmetic.  For an array t, remainder is
+    one float that holds at all its points: it is taken at their largest t,
+    as the bound rises with t.  N is an int, or for an array t an int array
+    of each point's N; ln N is then taken once per distinct N, so every
+    point's results are those of a call with its N alone.
+
+    Derivation.  With s = 1+it, f(x) = x^(-s), f^(j)(x) = (-1)^j (s)_j
+    x^(-s-j) ((s)_j the rising factorial) and c_k = B_2k/(2k)!,
+
+        sum_{a<n<=N} f(n) = (a^(-it) - N^(-it))/(it) + (f(N) - f(a))/2
+                            + sum_{k<=m} c_k (f^(2k-1)(N) - f^(2k-1)(a)) + R_m,
+
+    and, as |B_2m(x - floor x)| <= |B_2m|,
+
+        |R_m| <= |c_m| int_a^N |f^(2m)(x)| dx <= |c_m| |(s)_2m| / (2m a^2m).
+
+    Added to the corrections of g_N, the terms N^(-it)/(it) and f(N)/2
+    cancel exactly, so neither is computed, and
+
+        A = 1/(it) - 1/(2a) + sum_k c_k (s)_(2k-1) a^(-2k),
+        B = s/(16 N^2) - sum_k c_k (s)_(2k-1) N^(-2k).
+
+    Choice of a and m.  a >= t bounds each ratio |s+j|/a by
+    sqrt(1 + ((1+j)/a)^2), and a >= 64 keeps that near 1 for the j < 2m
+    that occur when t is small.  The product of the ratios over j < 2m is
+    then largest as t rises to a = 64, where it is 1.40, so successive
+    Bernoulli terms shrink by about (|s+2k|/(2 pi a))^2 < 1/36 and
+    R_m <= 1.40 |c_m|/(2m) for every t.  m = 10 is the least order that puts
+    this under eps/2: it gives 1.5e-17, m = 9 gives 6.1e-16.  R_m is
+    computed as the product of the 2m ratios |s+j|/a; its own rounding is
+    far below an ulp of 1.
+
+    Rounding, with eps the machine epsilon and u = eps/2 the unit roundoff.
+    Write S_A = 1/t + 1/(2a) + sigma_a and S_B = |s|/(16 N^2) + sigma_N for
+    the sums of the moduli of the parts of A and B, where sigma_x is the
+    moduli sum that :func:`_bernoulli_sums` returns.  To first order in
+    eps, rounding is the sum of:
+
+    * phases: x^(-it) for x in {a, N} is exp(-iy) with y = fl(t fl(ln x))
+      within 1.5 eps t ln x of t ln x, and |exp(-iy') - exp(-iy)| <=
+      |y' - y|; with |A| <= S_A and |B| <= S_B this is
+      2 eps (t ln a S_A + t ln N S_B).  The phase of a enters the 1/(it)
+      part of A as 2 eps ln a, not as a 1/t term;
+    * the rest of each product x^(-it) A (or B), at most 4 eps S_A (or
+      S_B): cos and sin round to u each (0.71 eps), forming A costs eps
+      (-1/t and the addition of the Bernoulli sum; 1/(2a) is in the real
+      part) and B 1.5 eps (16 N^2, the division and the subtraction), the
+      complex product sqrt(5) u (1.12 eps), and the addition into the
+      value u of the partial sum that holds it, which with the order
+      above is 1 eps for a and 0.5 eps for N.  The 1/t part of this,
+      4 eps/t, is the conditioning of 1/(it) for small t; the
+      a^(-it) - N^(-it) of the integral term, which would double it, is
+      never formed;
+    * the head's share of the two final additions, eps H(a) with
+      H = :func:`harmonic_bound`;
+    * the Bernoulli sums: p_1 is within eps, each recurrence step adds at
+      most 4 eps (two complex products at 1.12 eps, the division by x^2
+      and the rounding of x^2), the product with c_k eps, and the m-1
+      additions (m/2) eps of sigma_x, so 5m eps (sigma_a + sigma_N) covers
+      both sums.
     """
     if isinstance(t, np.ndarray):
         exp, t_top = np.exp, float(np.max(t))
@@ -261,7 +274,7 @@ def _em_tail(
     size_a = 1.0 / t + 0.5 / a + sigma_a
     size_N = abs(s) / (16.0 * N * N) + sigma_N
     rounding = _EPS * (
-        head
+        harmonic_bound(a)
         + (2.0 * t * lna + 4.0) * size_a
         + (2.0 * t * lnN + 4.0) * size_N
         + 5.0 * _EM_ORDER * (sigma_a + sigma_N)
@@ -269,119 +282,231 @@ def _em_tail(
     return tail_a, tail_N, _em_remainder(t_top, a), rounding
 
 
+def _em_route(K: int, N: int, a: int) -> bool:
+    """Whether a kernel call of K points sharing N takes the Euler-Maclaurin route.
+
+    A point's closed-form tail costs about _TAIL_POINT_TERMS terms of the
+    main sum, plus _TAIL_CALL_TERMS per call (the measured break-even on 1
+    to 16384 points), so the route pays when the N - a terms it saves per
+    point exceed their total; below that it is slower, although correct for
+    every N > a.
+    """
+    return N - a > _TAIL_POINT_TERMS * K + _TAIL_CALL_TERMS
+
+
+def _eval_block(
+    t_pts: np.ndarray, N: int, Ns: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, float]:
+    """g_N at each point of the sorted, equispaced grid t_pts.
+
+    Returns (values, rem): |values[j] - g_N(t_pts[j])| <= rem for every j,
+    where g_N is the exact truncated representation and N the point's term
+    count.  rem is everything the call adds to the truncation bound: the
+    expansion remainder, the Euler-Maclaurin remainder when that route is
+    taken, and all floating-point effects, so a point's certified radius is
+    error_bound(t, N) + rem.
+
+    All points share N unless Ns, an int array of each point's N, is given:
+    a call that spans several blocks of a scan (see verifier._plan).  N is
+    then their largest, and the call takes the Euler-Maclaurin route, which
+    needs every N > a.
+
+    Routes.  With a = max(64, ceil(t_max)), the Euler-Maclaurin route sums
+    the main sum over n <= a only and adds a^(-it) A(t) + N^(-it) B(t)
+    (_em_tail) at each exact t_pts[j], with that point's N; the direct
+    route sums all n <= N and adds the three correction terms of g_N at
+    each t_pts[j].  Without Ns the route is the one _em_route picks.  Write
+    n_hi for the last n summed: a or N.
+
+    Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
+    and integer offsets k = j - mid (|k| <= k_max), the model points
+    t_c + k h give the type-1 nonuniform DFT
+
+        S(t_c + k h) = sum_{n<=n_hi} a_n e^(-i k theta_n),
+        a_n = n^(-1-i t_c),  theta_n = h ln n.
+
+    Each theta_n is rounded to the M-point grid 2 pi j_n / M (M the least
+    power of two >= K, K = len(t_pts)), leaving |delta_n| <= pi/M, and
+    e^(-i k delta_n) is expanded to order p.  Then
+
+        S(t_c + k h) = sum_{m<=p} (-i k)^m / m! * FFT(F_m)[k mod M] + R_k,
+        F_m[j] = sum_{j_n = j} a_n delta_n^m,
+
+    so the work is p+1 weighted segment sums over n (theta_n is monotone,
+    so the n landing on one grid point are consecutive), taken in chunks of
+    _KERNEL_CHUNK terms (memory O(chunk + pM), never O(n_hi)), p+1 FFTs of
+    length M and a Horner pass in k.  With d = k_max pi/M (<= pi/2, reached
+    when K is a power of two) and H = harmonic_bound(n_hi) >= sum 1/n,
+    |R_k| <= H d^(p+1)/(p+1)!; p is the least order bringing
+    d^(p+1)/(p+1)! below eps.  A one-point call (K = 1) has h = 0, M = 1,
+    d = 0 and p = 0: every n lands in bin 0 with delta_n = 0, so each
+    chunk is one plain sum and no FFT is taken.
+
+    Radius, with eps the machine epsilon, u = eps/2, L = ln^2(n_hi)/2 +
+    0.11 >= sum ln n / n, and e^d >= sum_m (|k| delta)^m / m! the most the
+    expansion can amplify a rounding error in F_m (e^d <= e^(pi/2) < 4.82):
+
+    * remainder: H d^(p+1)/(p+1)!;
+    * grid gap: the main sum is taken at t_c + k h, not at the
+      floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| L.  The gap
+      is the measured max |eta_j| plus eps (t_c + 2 k_max h) for
+      computing it.  A one-point call has no gap: its model point is
+      t_pts[0] itself;
+    * phase: with log, the products and the grid reduction each good to a
+      few ulp, the realised phase of term n is within
+      2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of
+      (t_c + k h) ln n, which sums to 2 eps (t_c + 2 k_max h) L + 2 eps d H.
+      A one-point call has no grid reduction: fl(ln n) is within u ln n
+      (numpy's log of an integer, checked against 120-bit mpmath for
+      n <= 2e6) and its product with t rounds by u, so the phase is within
+      eps t ln n, which sums to eps t L;
+    * segment-sum rounding: a term passes through at most
+      chunk + n_chunks + h ln n_hi / (2 pi) additions (its segment, the
+      chunk totals, the windings of theta_n folded onto one bin) and
+      a_n delta_n^m carries at most (p + 6) eps of relative error, so
+      ||error of F_m||_1 <= eps (chunk + n_chunks + h ln n_hi/(2 pi) + p + 6)
+      H (pi/M)^m, which the expansion turns into at most that times e^d
+      in S;
+    * FFT rounding (Higham, Accuracy and Stability of Numerical
+      Algorithms, Thm 24.2): ||error||_inf <= ||error||_2 <= log2(M) eta
+      sqrt(M) ||F_m||_1 with eta <= 4 eps, amplified by at most e^d;
+    * Horner in k: 2 (p+1) eps H e^d;
+    * direct route, corrections: eps (4 + t_max ln N) times their modulus
+      bound 1/t_min + 1/(2N) + (1+t_max)/(16 N^2), which covers the phase
+      t ln N and the 1/(it) conditioning;
+    * Euler-Maclaurin route, tail: _em_remainder(t_max, a), which rises
+      with t and does not depend on N, so it bounds R_m at every point of
+      every block, plus the largest over the points of the rounding that
+      _em_tail derives for any N > a (phases, products, Bernoulli sums,
+      and the two additions into the head sum).
+    """
+    K = len(t_pts)
+    mid = (K - 1) // 2
+    t_c = float(t_pts[mid])
+    t_min, t_max = float(t_pts[0]), float(t_pts[-1])
+    h = (t_max - t_min) / (K - 1) if K > 1 else 0.0
+    k = np.arange(K) - mid
+    k_max = K - 1 - mid
+    M = 1 << (K - 1).bit_length()
+    step = 2.0 * math.pi / M
+    d = k_max * math.pi / M * (1.0 + _EPS)
+    p, factor = 0, d
+    while factor >= _EPS:
+        p += 1
+        factor *= d / (p + 1)
+    a = _em_head(t_max)
+    if Ns is not None and not int(np.min(Ns)) > a:
+        raise ValueError(f"every N of a call must exceed its head a = {a}")
+    em = Ns is not None or _em_route(K, N, a)
+    n_hi = a if em else N
+
+    chunk = min(n_hi, _KERNEL_CHUNK)
+    F = np.zeros((p + 1, M), dtype=np.complex128)
+    for lo in range(1, n_hi + 1, chunk):
+        n = np.arange(lo, min(lo + chunk, n_hi + 1), dtype=np.float64)
+        ln = np.log(n)
+        ph = t_c * ln
+        w = np.empty(len(n), dtype=np.complex128)  # a_n
+        w.real = np.cos(ph) / n
+        w.imag = np.sin(ph) / -n
+        if M == 1:  # one bin, every delta_n = 0
+            F[0, 0] += w.sum()
+            continue
+        x = ln * (h / step)  # theta_n in grid steps, nondecreasing in n
+        j = np.rint(x)
+        delta = (x - j) * step
+        # n runs through each grid point in one segment; add.at folds
+        # segments of different windings onto the same bin mod M
+        starts = np.flatnonzero(np.diff(j, prepend=-1.0))
+        bins = j[starts].astype(np.intp) & (M - 1)
+        for m in range(p + 1):
+            if m:
+                w *= delta
+            np.add.at(F[m], bins, np.add.reduceat(w, starts))
+    if M > 1:
+        np.fft.fft(F, axis=1, out=F)  # in place (numpy >= 2.0): no second (p+1) x M buffer
+    at_k = k & (M - 1)
+    ik = -1j * k
+    acc = F[p, at_k]
+    for m in range(p - 1, -1, -1):
+        acc = acc * (ik / (m + 1)) + F[m, at_k]
+
+    h_n = harmonic_bound(n_hi)
+    ln_hi = math.log(n_hi)
+    if em:
+        # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
+        pts, ns = (t_c, N) if K == 1 else (t_pts, N if Ns is None else Ns)
+        tail_a, tail_N, remainder, tail_rounding = _em_tail(pts, a, ns)
+        acc += tail_a
+        acc += tail_N
+        rem_tail = remainder + float(np.max(tail_rounding))
+    else:
+        acc += np.exp(-1j * t_pts * ln_hi) * (
+            1.0 / (1j * t_pts) - 0.5 / N + (1.0 + 1j * t_pts) / (16.0 * N * N)
+        )
+        corr = 1.0 / t_min + 0.5 / N + (1.0 + t_max) / (16.0 * N * N)
+        rem_tail = _EPS * (4.0 + t_max * ln_hi) * corr
+    l1 = 0.5 * ln_hi * ln_hi + 0.11
+    phase = _EPS * (t_c + 2.0 * k_max * h)
+    if K == 1:  # no grid gap, and the phase is rounded only in ln n and t ln n
+        grid = phase * l1
+    else:
+        eta = float(np.max(np.abs(t_pts - (t_c + k * h))))
+        grid = (eta + 3.0 * phase) * l1
+    n_chunks = -(-n_hi // chunk)
+    depth = chunk + n_chunks + h * ln_hi / (2.0 * math.pi)
+    rounding = depth + 3 * p + 8 + 4.0 * math.log2(M) * math.sqrt(M)
+    rem = (
+        h_n * factor
+        + grid
+        + _EPS * h_n * (2.0 * d + math.exp(d) * rounding)
+        + rem_tail
+    )
+    return acc, rem
+
+
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     """Evaluate zeta(1+it) through g_N(t) with a certified radius.
 
     The value encloses g_N(t), |value - g_N(t)| <= err - error_bound(t, N),
-    so mathematically |value - zeta(1+it)| <= err.  With a = max(64,
-    ceil(t)), the cost is O(min(N, a)) terms (see :func:`direct_terms`), and
-    memory stays bounded because the direct sum is taken in chunks.  Very
-    small t (below about 1e-3) is allowed, but the 1/(it) term inflates err
-    through its conditioning.
-
-    Direct route, N <= 2a: all N terms are added and err =
-    error_bound(t, N) + _fp_slack(t, N).  Here the split below would save
-    at most half of the terms.
-
-    Euler-Maclaurin route, N > 2a.  With s = 1+it, f(x) = x^(-s),
-    f^(j)(x) = (-1)^j (s)_j x^(-s-j) ((s)_j the rising factorial) and
-    c_k = B_2k/(2k)!,
-
-        sum_{a<n<=N} f(n) = (a^(-it) - N^(-it))/(it) + (f(N) - f(a))/2
-                            + sum_{k<=m} c_k (f^(2k-1)(N) - f^(2k-1)(a)) + R_m,
-
-    and, as |B_2m(x - floor x)| <= |B_2m|,
-
-        |R_m| <= |c_m| int_a^N |f^(2m)(x)| dx <= |c_m| |(s)_2m| / (2m a^2m).
-
-    Added to the corrections of g_N, the terms N^(-it)/(it) and f(N)/2
-    cancel exactly, so neither is computed, and
-
-        g_N(t) = sum_{n<=a} n^(-s) + a^(-it) A + N^(-it) B + R_m,
-        A = 1/(it) - 1/(2a) + sum_k c_k (s)_(2k-1) a^(-2k),
-        B = s/(16 N^2) - sum_k c_k (s)_(2k-1) N^(-2k).
-
-    The value is computed as (head + a^(-it) A) + N^(-it) B; the two tail
-    terms, R_m and their rounding below come from :func:`_em_tail`, which
-    the block kernel of the verifier shares.
-
-    Choice of a and m.  a >= t bounds each ratio |s+j|/a by
-    sqrt(1 + ((1+j)/a)^2), and a >= 64 keeps that near 1 for the j < 2m
-    that occur when t is small.  The product of the ratios over j < 2m is
-    then largest as t rises to a = 64, where it is 1.40, so successive
-    Bernoulli terms shrink by about (|s+2k|/(2 pi a))^2 < 1/36 and
-    R_m <= 1.40 |c_m|/(2m) for every t.  m = 10 is the least order that puts
-    this under eps/2: it gives 1.5e-17, m = 9 gives 6.1e-16.
-
-    Radius, with eps the machine epsilon and u = eps/2 the unit roundoff:
-    err = error_bound(t, N) + R_m + rounding.  R_m is computed as the
-    product of the 2m ratios |s+j|/a; its own rounding is far below an ulp
-    of 1.  Write S_A = 1/t + 1/(2a) + sigma_a and S_B = |s|/(16 N^2) +
-    sigma_N for the sums of the moduli of the parts of A and B, where
-    sigma_x is the moduli sum that :func:`_bernoulli_sums` returns.  To
-    first order in eps, rounding is the sum of:
-
-    * head: the model of :func:`_fp_slack` charged on the a terms that are
-      summed directly, eps (4a + t ln^2(a)/2);
-    * phases: x^(-it) for x in {a, N} is exp(-iy) with y = fl(t fl(ln x))
-      within 1.5 eps t ln x of t ln x, and |exp(-iy') - exp(-iy)| <=
-      |y' - y|; with |A| <= S_A and |B| <= S_B this is
-      2 eps (t ln a S_A + t ln N S_B).  The phase of a enters the 1/(it)
-      part of A as 2 eps ln a, not as a 1/t term;
-    * the rest of each product x^(-it) A (or B), at most 4 eps S_A (or
-      S_B): cos and sin round to u each (0.71 eps), forming A costs eps
-      (-1/t and the addition of the Bernoulli sum; 1/(2a) is in the real
-      part) and B 1.5 eps (16 N^2, the division and the subtraction), the
-      complex product sqrt(5) u (1.12 eps), and the addition into the
-      value u of the partial sum that holds it, which with the order
-      above is 1 eps for a and 0.5 eps for N.  The 1/t part of this,
-      4 eps/t, is the conditioning of 1/(it) for small t, the same
-      charge as in :func:`_fp_slack`; the a^(-it) - N^(-it) of the
-      integral term, which would double it, is never formed;
-    * the head's share of the two final additions, eps H(a) with
-      H = :func:`harmonic_bound`;
-    * the Bernoulli sums: p_1 is within eps, each recurrence step adds at
-      most 4 eps (two complex products at 1.12 eps, the division by x^2
-      and the rounding of x^2), the product with c_k eps, and the m-1
-      additions (m/2) eps of sigma_x, so 5m eps (sigma_a + sigma_N) covers
-      both sums.
-
-    With N >= 2a + 1 and t <= a this never exceeds the direct route's
-    _fp_slack(t, N): its 4 eps/t and the head's phase term match or
-    exceed their counterparts here, and 4 eps (N - a) >= 260 eps is more
-    than the remaining terms, which come to about eps (4 ln a + 1).
+    so mathematically |value - zeta(1+it)| <= err.  The value and that part
+    of err come from a one-point call of the block kernel _eval_block, which
+    derives them.  With a = max(64, ceil(t)), the cost is O(min(N, a))
+    terms, and memory stays bounded because the sum is taken in chunks.
+    Very small t (below about 1e-3) is allowed, but the 1/(it) term
+    inflates err through its conditioning.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    a = _em_head(t)
-    if N <= 2 * a:
-        return CertifiedComplex(_direct_sum(t, N), error_bound(t, N) + _fp_slack(t, N))
-    lna = math.log(a)
-    head = 4.0 * a + 0.5 * t * lna * lna + harmonic_bound(a)
-    tail_a, tail_N, remainder, rounding = _em_tail(t, a, N, head)
-    value = _power_sum(t, a)
-    value += tail_a
-    value += tail_N
-    err = error_bound(t, N) + remainder + rounding
-    return CertifiedComplex(value, err)
+    values, rem = _eval_block(np.array([t], dtype=np.float64), N)
+    return CertifiedComplex(complex(values[0]), error_bound(t, N) + rem)
+
+
+def _eta_terms(t: float, n: np.ndarray) -> np.ndarray:
+    """(-1)^(n-1) n^(-1-it) at each n of the float array n."""
+    terms = np.exp(-(1.0 + 1j * t) * np.log(n))
+    terms[n % 2 == 0] *= -1.0
+    return terms
 
 
 def _eta_accelerated(t: float, start: int, cols: int) -> tuple[complex, float]:
     """Euler-accelerated tail of eta(1+it) = sum (-1)^(n-1) n^(-1-it).
 
-    The first start-1 terms are summed directly; from n = start on, the
-    partial sums are averaged repeatedly (the Euler transformation in van
+    The first start-1 terms are summed directly, from n = start-1 down to 1
+    (smallest magnitudes first) in fixed-size chunks, so the result is
+    deterministic and memory stays bounded; from n = start on, the partial
+    sums are averaged repeatedly (the Euler transformation in van
     Wijngaarden's form), which converges geometrically once start exceeds
     roughly t.  Returns the accelerated value and an empirical step
     estimate used to build a conservative error bound.
     """
-    head = _power_sum(t, start - 1, alternating=True)
+    head = 0j
+    for top in range(start - 1, 0, -_CHUNK):
+        head += _eta_terms(t, np.arange(top, max(top - _CHUNK, 0), -1, dtype=np.float64)).sum()
     m = np.arange(start, start + cols + 1, dtype=np.float64)
-    terms = np.exp(-(1.0 + 1j * t) * np.log(m))
-    terms[m % 2 == 0] *= -1.0
-    psums = head + np.cumsum(terms)
+    psums = head + np.cumsum(_eta_terms(t, m))
     row = psums
     hist = [row[0]]
     while row.size > 1:

@@ -18,9 +18,11 @@ from zetabound import (
     oracle_zeta,
     scan_interval,
 )
-from zetabound import verifier
+from zetabound import verifier, zeta_eval
 from zetabound.verifier import GRID_NOTE, _eval_block
-from zetabound.zeta_eval import _direct_sum, _em_head, _fp_slack
+from zetabound.zeta_eval import _em_head
+
+from plain_sum import direct_sum, fp_slack
 
 
 def _assert_matches_direct(pts, n, vals, rem, ks):
@@ -28,19 +30,19 @@ def _assert_matches_direct(pts, n, vals, rem, ks):
     # plain sum of all n terms within its floating-point slack
     for k in ks:
         t = float(pts[k])
-        assert abs(vals[k] - _direct_sum(t, n)) <= rem + _fp_slack(t, n)
+        assert abs(vals[k] - direct_sum(t, n)) <= rem + fp_slack(t, n)
 
 
 def _spy_tails(monkeypatch):
     # the sizes of the point arrays the kernel passes to the closed-form tail
     sizes = []
-    tail = verifier._em_tail
+    tail = zeta_eval._em_tail
 
-    def recorded(t, a, n, head):
+    def recorded(t, a, n):
         sizes.append(len(t))
-        return tail(t, a, n, head)
+        return tail(t, a, n)
 
-    monkeypatch.setattr(verifier, "_em_tail", recorded)
+    monkeypatch.setattr(zeta_eval, "_em_tail", recorded)
     return sizes
 
 
@@ -90,7 +92,7 @@ class TestEvalBlock:
         n = choose_N(float(pts[-1]), 0.005)
         vals, rem = _eval_block(pts, n)
         for k in (0, 57, 123, len(pts) - 1):
-            direct = _direct_sum(float(pts[k]), n)
+            direct = direct_sum(float(pts[k]), n)
             assert abs(vals[k] - direct) <= rem + 1e-12
 
     @pytest.mark.parametrize("t0", [math.e, 1e3, 1e5, 2e5])
@@ -108,7 +110,7 @@ class TestEvalBlock:
         # about 7.5e3 terms in chunks of 1000: seven full chunks and a partial
         assert n % 1000 != 0 and n > 7000
         whole, rem_whole = _eval_block(pts, n)
-        monkeypatch.setattr(verifier, "_KERNEL_CHUNK", 1000)
+        monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", 1000)
         vals, rem = _eval_block(pts, n)
         _assert_matches_direct(pts, n, vals, rem, (0, 150, 300))
         assert np.max(np.abs(vals - whole)) <= rem + rem_whole
@@ -129,7 +131,7 @@ class TestEvalBlock:
             t_max = 1e5 + (size - 1) * 0.01
             n = choose_N(t_max, 0.01)
             saved = n - _em_head(t_max)
-            return saved > verifier._TAIL_POINT_TERMS * size + verifier._TAIL_CALL_TERMS
+            return saved > zeta_eval._TAIL_POINT_TERMS * size + zeta_eval._TAIL_CALL_TERMS
 
         size = 1
         while takes_route(size + 1):
@@ -145,8 +147,8 @@ class TestEvalBlock:
             _assert_matches_direct(pts, n, vals, rem, (0, k // 2, k - 1))
 
     def test_route_taken_below_twice_the_head(self, monkeypatch):
-        # r = 0.01 gives N ~ 1.77 t < 2a, where the point evaluator sums
-        # directly; the block still saves N - a terms per point
+        # r = 0.01 gives N ~ 1.77 t < 2a; the Euler-Maclaurin route still
+        # saves N - a terms per point
         tails = _spy_tails(monkeypatch)
         pts = 1e4 + np.arange(100) * 0.01
         n = choose_N(float(pts[-1]), 0.01)
@@ -238,7 +240,7 @@ class TestScanInterval:
     def test_workers_bit_identical_multi_chunk_head(self):
         # blocks of 50 points at t = 1e5 take the Euler-Maclaurin route,
         # whose head a ~ 1e5 spans two n-chunks of the block kernel
-        assert _em_head(1e5) > verifier._KERNEL_CHUNK
+        assert _em_head(1e5) > zeta_eval._KERNEL_CHUNK
         cfg = ScanConfig(t_lo=1e5, t_hi=1e5 + 1.0, h=0.01, block=0.5)
         seq = scan_interval(cfg)
         par = scan_interval(cfg, workers=2)
@@ -400,8 +402,8 @@ class TestScanInterval:
             for k in (first, (first + hi) // 2, hi):
                 n = int(ns[k - first])
                 t = float(report.t[k])
-                gap = abs(report.modulus[k] - abs(_direct_sum(t, n)))
-                assert gap <= rem + _fp_slack(t, n)
+                gap = abs(report.modulus[k] - abs(direct_sum(t, n)))
+                assert gap <= rem + fp_slack(t, n)
 
     def test_direct_route_plan_one_call_per_block(self, monkeypatch):
         # below t ~ 3.5e4 every block of the default config is summed to its

@@ -10,12 +10,13 @@ from zetabound import (
     ConvergenceError,
     choose_N,
     error_bound,
-    direct_terms,
     eval_zeta_certified,
     harmonic_bound,
     oracle_zeta,
 )
-from zetabound.zeta_eval import _direct_sum, _em_head, _em_tail, _fp_slack
+from zetabound.zeta_eval import _em_head, _em_tail, _eval_block
+
+from plain_sum import direct_sum, fp_slack
 
 # t values of the Euler-Maclaurin checks: tiny t, the peak 17.7477, the
 # thinnest affine margin 108.98, and two t whose N at r = 1e-8 is far past
@@ -140,54 +141,26 @@ class TestEvalZetaCertified:
         assert cert.err >= error_bound(1e-4, 100)
 
 
+# further N, at most 2a, at which a one-point call sums all N terms
+_MORE_N = {1.0: (100,), 17.7477: (128,), 2e3: (4000,)}
+
+
 def _em_sizes(t):
     a = _em_head(t)
-    return (2 * a, 2 * a + 1, choose_N(t, 1e-8))
+    return (1, a, 2 * a, 2 * a + 1, choose_N(t, 1e-8), *_MORE_N.get(t, ()))
 
 
 class TestEulerMaclaurinRoute:
     @pytest.mark.parametrize("t", EM_T)
     def test_agrees_with_direct_sum(self, t):
-        # both enclose g_N: the split value within its radius beyond the
-        # truncation bound, the plain sum of all N terms within _fp_slack
+        # both enclose g_N: the kernel's value within its radius beyond the
+        # truncation bound, the plain sum of all N terms within fp_slack
         for n in _em_sizes(t):
             cert = eval_zeta_certified(t, n)
-            gap = abs(cert.value - _direct_sum(t, n))
-            assert gap <= cert.err - error_bound(t, n) + _fp_slack(t, n)
+            gap = abs(cert.value - direct_sum(t, n))
+            assert gap <= cert.err - error_bound(t, n) + fp_slack(t, n)
             if t >= math.e:
                 assert gap <= 1e-13
-
-    @pytest.mark.parametrize(
-        "t, n, real, imag",
-        [
-            # frozen from the plain N-term sum
-            (17.7477, 128, "0x1.da0ef8fb51b1ap+0", "0x1.24a4a3e94ea9dp-4"),
-            (2000.0, 4000, "0x1.1730f3d6e512fp-1", "0x1.cadee165ffeaep-4"),
-            (1.0, 100, "0x1.2a10ec024d66ap-1", "-0x1.da8c2326450f5p-1"),
-        ],
-    )
-    def test_direct_route_bits_frozen(self, t, n, real, imag):
-        cert = eval_zeta_certified(t, n)
-        assert cert.value == complex(float.fromhex(real), float.fromhex(imag))
-        assert cert.err == error_bound(t, n) + _fp_slack(t, n)
-
-    def test_direct_route_up_to_twice_the_head(self):
-        for t in EM_T:
-            a = _em_head(t)
-            for n in (1, a, 2 * a):
-                assert eval_zeta_certified(t, n).value == _direct_sum(t, n)
-                assert direct_terms(t, n) == n
-            assert direct_terms(t, 2 * a + 1) == a
-
-    def test_radius_never_exceeds_direct_radius(self):
-        rng = np.random.default_rng(2718)
-        cases = [(t, n) for t in EM_T for n in _em_sizes(t)]
-        for _ in range(100):
-            t = float(10.0 ** rng.uniform(-4, 5))
-            cases.append((t, choose_N(t, float(10.0 ** rng.uniform(-10, -1)))))
-            cases.append((t, 2 * _em_head(t) + int(rng.integers(1, 100))))
-        for t, n in cases:
-            assert eval_zeta_certified(t, n).err <= error_bound(t, n) + _fp_slack(t, n)
 
     def test_tail_with_per_point_n_matches_one_n_at_a_time(self):
         # an array of each point's N gives, at every point, the bits of a
@@ -195,12 +168,12 @@ class TestEulerMaclaurinRoute:
         t = 1e5 + np.arange(30) * 0.01
         a = _em_head(float(t[-1]))
         ns = np.repeat([250_010, 250_020, 250_045], 10)
-        merged = _em_tail(t, a, ns, 3.0)
+        merged = _em_tail(t, a, ns)
         for lo in (0, 10, 20):
-            alone = _em_tail(t[lo:lo + 10], a, int(ns[lo]), 3.0)
+            alone = _em_tail(t[lo:lo + 10], a, int(ns[lo]))
             for i in (0, 1, 3):  # tail_a, tail_N, rounding
                 assert merged[i][lo:lo + 10].tobytes() == alone[i].tobytes()
-        assert merged[2] == _em_tail(t[-1:], a, int(ns[-1]), 3.0)[2]
+        assert merged[2] == _em_tail(t[-1:], a, int(ns[-1]))[2]
 
     def test_high_t_radius(self):
         cert = eval_zeta_certified(1e6, choose_N(1e6, 1e-8))
@@ -229,12 +202,47 @@ class TestEulerMaclaurinRoute:
             t, r = 10.0**log_t, 10.0**log_r
             n = choose_N(t, r)
             cert = eval_zeta_certified(t, n)
-            assert cert.err <= error_bound(t, n) + _fp_slack(t, n)
             with mpmath.workdps(30):
                 ref = complex(mpmath.zeta(mpmath.mpc(1, t)))
             assert abs(cert.value - ref) <= cert.err
 
         check()
+
+
+# t of the one-point checks: small t, the peak, the last 0.548 crossing, a
+# t where the oracle's denominator vanishes, and a high t
+ONE_POINT_T = (3.0, 17.7477, 652.37, 2 * math.pi * 1000 / math.log(2), 1e5)
+
+
+def _one_point_and_block(t, r):
+    # eval_zeta_certified(t, N) and the middle point of a 9-point kernel
+    # call at h = 1e-3 with the same N, each with its radius beyond the
+    # truncation bound
+    n = choose_N(t, r)
+    cert = eval_zeta_certified(t, n)
+    pts = t + (np.arange(9) - 4) * 1e-3
+    assert pts[4] == t
+    vals, rem = _eval_block(pts, n)
+    return n, cert, vals[4], rem
+
+
+class TestOnePointCall:
+    @pytest.mark.parametrize("t", ONE_POINT_T)
+    @pytest.mark.parametrize("r", [1e-8, 1e-3])
+    def test_matches_nine_point_block(self, t, r):
+        # both enclose g_N(t): their gap is within the sum of the radii
+        n, cert, block, rem = _one_point_and_block(t, r)
+        assert abs(cert.value - block) <= cert.err - error_bound(t, n) + rem
+
+    @pytest.mark.parametrize("t", ONE_POINT_T)
+    @pytest.mark.parametrize("r", [1e-8, 1e-3])
+    def test_both_against_mpmath(self, t, r):
+        mpmath = pytest.importorskip("mpmath")
+        n, cert, block, rem = _one_point_and_block(t, r)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(mpmath.mpc(1, t)))
+        assert abs(cert.value - ref) <= cert.err
+        assert abs(block - ref) <= error_bound(t, n) + rem
 
 
 class TestOracleZeta:
