@@ -11,7 +11,10 @@ A blank cell (a value that does not exist, such as a scan margin without
 --bound) is empty in table and CSV modes and null in JSON.
 
 Commands produce column-oriented records; rows are formed only while
-rendering.
+rendering.  CSV and JSON rows are formatted a chunk of rows at a time, by
+one %-template per row applied to the chunk's cells, so memory is the text
+and not an object per cell; the bytes are those of formatting each cell on
+its own (format(v, ".17g") in CSV, json.dumps in JSON).
 
 Exit status: 0 success / bound holds, 1 bound violated on the grid,
 2 usage or domain error (including a non-finite t, t0 or bound, or a
@@ -42,6 +45,7 @@ _FIGURES = ("c0", "c1-sigma0", "c1-sigma1", "zeta-vs-affine", "ratio")
 _FIGURE_GRID_POINTS = 1001
 _FIGURE_T_LO = math.e
 _FIGURE_T_HI = 500.0
+_RENDER_CHUNK = 1 << 13  # CSV and JSON rows formatted by one %
 
 
 @dataclass
@@ -89,17 +93,52 @@ def render_table(record: OutputRecord) -> str:
     return "\n".join(map("  ".join, zip(*columns))) + "\n"
 
 
+def _rows_text(
+    record: OutputRecord, float_field: str,
+    format_cells: Callable[[Sequence[object]], list[str]],
+    row: Callable[[list[str]], str], sep: str,
+) -> list[str]:
+    """The record's rows, one string per chunk of _RENDER_CHUNK rows, each after sep but the first.
+
+    row builds the row template from one field per column.  A float64 array
+    whose values are all finite fills float_field with Python floats; any
+    other column fills %s with its cells as format_cells writes them.  A
+    chunk is one % of its rows' template on the flat tuple of its cells, so
+    no per-row or per-cell object outlives it.
+    """
+    columns = list(record.columns.values())
+    floats = [
+        isinstance(v, np.ndarray) and v.dtype == np.float64 and bool(np.isfinite(v).all())
+        for v in columns
+    ]
+    template = row([float_field if f else "%s" for f in floats])
+    width, total = len(columns), len(columns[0]) if columns else 0
+    parts = []
+    for lo in range(0, total, _RENDER_CHUNK):
+        hi = min(lo + _RENDER_CHUNK, total)
+        cells: list[object] = [None] * ((hi - lo) * width)
+        for c, (values, f) in enumerate(zip(columns, floats)):
+            chunk = values[lo:hi]
+            cells[c::width] = chunk.tolist() if f else format_cells(chunk)
+        parts.append((sep if lo else "") + sep.join([template] * (hi - lo)) % tuple(cells))
+    return parts
+
+
 def render_csv(record: OutputRecord) -> str:
-    lines = ["# " + json.dumps(record.metadata(), sort_keys=True), ",".join(record.columns)]
-    lines += map(",".join, zip(*(_format_cells(v, ".17g") for v in record.columns.values())))
-    return "\n".join(lines) + "\n"
+    head = "# " + json.dumps(record.metadata(), sort_keys=True) + "\n" + ",".join(record.columns)
+    rows = _rows_text(record, "%.17g", lambda v: _format_cells(v, ".17g"),
+                      lambda fields: "\n" + ",".join(fields), "")
+    return "".join([head, *rows, "\n"])
 
 
 def render_json(record: OutputRecord) -> str:
-    doc = record.metadata()
-    keys = list(record.columns)
-    doc["rows"] = [dict(zip(keys, row)) for row in zip(*map(_cells, record.columns.values()))]
-    return json.dumps(doc) + "\n"
+    keys = [json.dumps(key).replace("%", "%%") + ": " for key in record.columns]
+    head = json.dumps({**record.metadata(), "rows": []})[:-2]  # ends in '"rows": ['
+    rows = _rows_text(
+        record, "%r", lambda v: list(map(json.dumps, _cells(v))),
+        lambda fields: "{" + ", ".join(map(str.__add__, keys, fields)) + "}", ", ",
+    )
+    return "".join([head, *rows, "]}\n"])
 
 
 _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
@@ -116,8 +155,7 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
-    a = zeta_eval._em_head(t)
-    summed = a if zeta_eval._em_route(1, n, a) else n  # what the one-point kernel call sums
+    summed = zeta_eval._n_hi(1, n, t)  # what the one-point kernel call sums
     if summed > verifier.DEFAULT_BUDGET:
         raise ResourceBudgetError(
             f"evaluation sums {summed:.3e} terms directly, over the budget "

@@ -34,9 +34,8 @@ import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
 from .zeta_eval import (
-    _em_head,
-    _em_route,
     _eval_block,
+    _n_hi,
     choose_N,
     error_bound,
     eval_zeta_certified,
@@ -144,7 +143,7 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
 
     A block of more than _KERNEL_POINTS points is first cut into pieces
     that share its N, and each piece gets the route _eval_block would give
-    it alone (_em_route of its own K, N and a).  On the Euler-Maclaurin
+    it alone (_n_hi of its own K, N and largest t).  On the Euler-Maclaurin
     route a call costs mostly its head, the same for any number of points,
     so consecutive Euler-Maclaurin pieces are joined into one call while it
     has at most _KERNEL_POINTS points and every block's N exceeds the a of
@@ -179,12 +178,12 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
             raise ResourceBudgetError(_OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
         for lo in range(k_lo, k_end, _KERNEL_POINTS):
             hi = min(lo + _KERNEL_POINTS, k_end) - 1
-            a = _em_head(t_lo + hi * h)
-            piece_em = _em_route(hi - lo + 1, N, a)
+            n_hi = _n_hi(hi - lo + 1, N, t_lo + hi * h)
+            piece_em = n_hi < N  # n_hi is the piece's head a
             if em and piece_em:
                 first, _, blocks = calls[-1]
                 # N rises with t, so the call's first block has its least N
-                if hi - first < _KERNEL_POINTS and blocks[0][2] > a:
+                if hi - first < _KERNEL_POINTS and blocks[0][2] > n_hi:
                     blocks.append((lo, hi, N))
                     calls[-1] = (first, hi, blocks)
                     continue

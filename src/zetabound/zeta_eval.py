@@ -294,6 +294,16 @@ def _em_route(K: int, N: int, a: int) -> bool:
     return N - a > _TAIL_POINT_TERMS * K + _TAIL_CALL_TERMS
 
 
+def _n_hi(K: int, N: int, t_max: float) -> int:
+    """The last n of the main sum that a kernel call of K points sharing N, up to t_max, adds.
+
+    That is a = _em_head(t_max) on the Euler-Maclaurin route, which then
+    has a < N, and N on the direct route: the call's term count per point.
+    """
+    a = _em_head(t_max)
+    return a if _em_route(K, N, a) else N
+
+
 def _eval_block(
     t_pts: np.ndarray, N: int, Ns: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, float]:
@@ -316,7 +326,7 @@ def _eval_block(
     (_em_tail) at each exact t_pts[j], with that point's N; the direct
     route sums all n <= N and adds the three correction terms of g_N at
     each t_pts[j].  Without Ns the route is the one _em_route picks.  Write
-    n_hi for the last n summed: a or N.
+    n_hi for the last n summed: a or N, as _n_hi gives it.
 
     Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
     and integer offsets k = j - mid (|k| <= k_max), the model points
@@ -394,11 +404,10 @@ def _eval_block(
     while factor >= _EPS:
         p += 1
         factor *= d / (p + 1)
-    a = _em_head(t_max)
-    if Ns is not None and not int(np.min(Ns)) > a:
-        raise ValueError(f"every N of a call must exceed its head a = {a}")
-    em = Ns is not None or _em_route(K, N, a)
-    n_hi = a if em else N
+    n_hi = _n_hi(K, N, t_max) if Ns is None else _em_head(t_max)
+    if Ns is not None and not int(np.min(Ns)) > n_hi:
+        raise ValueError(f"every N of a call must exceed its head a = {n_hi}")
+    em = n_hi < N  # n_hi is a
 
     chunk = min(n_hi, _KERNEL_CHUNK)
     F = np.zeros((p + 1, M), dtype=np.complex128)
@@ -425,18 +434,22 @@ def _eval_block(
             np.add.at(F[m], bins, np.add.reduceat(w, starts))
     if M > 1:
         np.fft.fft(F, axis=1, out=F)  # in place (numpy >= 2.0): no second (p+1) x M buffer
-    at_k = k & (M - 1)
+    # FFT(F_m)[k mod M]: bins M - mid .. M - 1 for k < 0, then 0 .. K - 1 - mid
     ik = -1j * k
-    acc = F[p, at_k]
+    acc = np.concatenate((F[p, M - mid:], F[p, :K - mid]))
+    tmp = np.empty_like(acc)
     for m in range(p - 1, -1, -1):
-        acc = acc * (ik / (m + 1)) + F[m, at_k]
+        np.divide(ik, m + 1, out=tmp)
+        acc *= tmp
+        acc[:mid] += F[m, M - mid:]
+        acc[mid:] += F[m, :K - mid]
 
     h_n = harmonic_bound(n_hi)
     ln_hi = math.log(n_hi)
     if em:
         # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
         pts, ns = (t_c, N) if K == 1 else (t_pts, N if Ns is None else Ns)
-        tail_a, tail_N, remainder, tail_rounding = _em_tail(pts, a, ns)
+        tail_a, tail_N, remainder, tail_rounding = _em_tail(pts, n_hi, ns)
         acc += tail_a
         acc += tail_N
         rem_tail = remainder + float(np.max(tail_rounding))
