@@ -8,18 +8,18 @@ verification result carries a note saying so.
 
 Cost control: the grid is cut into blocks (default width 100) and one term
 count N is chosen per block from the block's largest t, which is valid for
-the whole block because the truncation bound grows with t.  The main sum is
+the whole block because the truncation bound grows with t.  zeta(1+it) is
 evaluated by the block kernel zeta_eval._eval_block, in calls of at most
 2^14 points each, at all of a call's points at once (a NUFFT of the main
-sum, with the closed Euler-Maclaurin tail past a = max(64, ceil t) when
-that saves enough terms).  A call on the direct route (all n <= N) covers
-one block, or a piece of one; a call on the Euler-Maclaurin route may span
-several blocks, each with its own N, so that one head over n <= a serves
-all their points.  The kernel folds its expansion remainder, the
-Euler-Maclaurin remainder and every floating-point effect into each
-point's radius, so no certificate is weakened.  The refiners evaluate
-single points with zeta_eval.eval_zeta_certified, the kernel's one-point
-call.
+sum, with zeta's closed Euler-Maclaurin tail past a = max(64, ceil t) when
+that saves enough terms).  A call on the direct route (g_N, all n <= N)
+covers one block, or a piece of one; on the Euler-Maclaurin route N plays
+no part beyond choosing the route, so a call may span several blocks and
+one head over n <= a serves all their points.  The kernel returns each
+point's radius, with the truncation bound (direct route), its expansion
+remainder, the Euler-Maclaurin remainder and every floating-point effect
+folded in, so no certificate is weakened.  The refiners evaluate single
+points with zeta_eval.eval_zeta_certified, the kernel's one-point call.
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import (
-    _eval_block,
-    _n_hi,
-    choose_N,
-    error_bound,
-    eval_zeta_certified,
-)
+from .zeta_eval import _eval_block, _n_hi, choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -66,8 +60,8 @@ _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
 _REFINE_R = 1e-8    # certification radius for single-point refinement
 _COARSE_R = 1e-4    # certification radius of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
-# a kernel call of a scan: (k_lo, k_hi, [(k_lo, k_hi, N) of each block piece])
-_Call = tuple[int, int, list[tuple[int, int, int]]]
+# a kernel call of a scan: (k_lo, k_hi, N, em), run as _eval_block(t[k_lo:k_hi + 1], N, em=em)
+_Call = tuple[int, int, int, bool]
 _OVER_BUDGET = "scan needs {} summed terms, over the budget {:.3e}; raise it or relax the grid"
 
 
@@ -134,7 +128,7 @@ class VerificationResult:
 
 
 def _plan(config: ScanConfig, budget: float) -> list[_Call]:
-    """The kernel calls (k_lo, k_hi, blocks) of a scan, in grid order.
+    """The kernel calls (k_lo, k_hi, N, em) of a scan, in grid order.
 
     Grid point k is t_lo + k h.  Its block is floor((t_k - t_lo) / block),
     taken with the grid's own float operations, and each block uses the N
@@ -143,12 +137,12 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
 
     A block of more than _KERNEL_POINTS points is first cut into pieces
     that share its N, and each piece gets the route _eval_block would give
-    it alone (_n_hi of its own K, N and largest t).  On the Euler-Maclaurin
-    route a call costs mostly its head, the same for any number of points,
-    so consecutive Euler-Maclaurin pieces are joined into one call while it
-    has at most _KERNEL_POINTS points and every block's N exceeds the a of
-    the call's largest t, which grows with its width.  blocks lists the
-    call's (k_lo, k_hi, N) pieces; a direct-route call is one piece.
+    it alone (em, from _n_hi of its own K, N and largest t).  On the
+    Euler-Maclaurin route a call costs mostly its head, the same for any
+    number of points, and N plays no part in its values, so consecutive
+    Euler-Maclaurin pieces are joined into one call while it has at most
+    _KERNEL_POINTS points.  A direct-route call is one piece, with its N;
+    a joined call carries the N of its last piece.
     """
     t_lo, h, width = config.t_lo, config.h, config.block
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
@@ -162,7 +156,7 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
         return float(np.floor_divide(t_lo + k * h - t_lo, width))
 
     calls: list[_Call] = []
-    nominal, k_lo, em = 0.0, 0, False  # em: the last call is on the Euler-Maclaurin route
+    nominal, k_lo = 0.0, 0
     while k_lo <= K:
         b = block_of(k_lo)
         # first point of the next block: the exact-arithmetic guess, moved
@@ -178,17 +172,11 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
             raise ResourceBudgetError(_OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
         for lo in range(k_lo, k_end, _KERNEL_POINTS):
             hi = min(lo + _KERNEL_POINTS, k_end) - 1
-            n_hi = _n_hi(hi - lo + 1, N, t_lo + hi * h)
-            piece_em = n_hi < N  # n_hi is the piece's head a
-            if em and piece_em:
-                first, _, blocks = calls[-1]
-                # N rises with t, so the call's first block has its least N
-                if hi - first < _KERNEL_POINTS and blocks[0][2] > n_hi:
-                    blocks.append((lo, hi, N))
-                    calls[-1] = (first, hi, blocks)
-                    continue
-            calls.append((lo, hi, [(lo, hi, N)]))
-            em = piece_em
+            em = _n_hi(hi - lo + 1, N, t_lo + hi * h) < N
+            if em and calls and calls[-1][3] and hi - calls[-1][0] < _KERNEL_POINTS:
+                calls[-1] = (calls[-1][0], hi, N, True)
+            else:
+                calls.append((lo, hi, N, em))
         k_lo = k_end
     return calls
 
@@ -220,22 +208,17 @@ def scan_interval(
     K = calls[-1][1]
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
 
-    def run(call: _Call) -> tuple[np.ndarray, float]:
-        k_lo, k_hi, blocks = call
-        pts = t[k_lo:k_hi + 1]
-        if len(blocks) == 1:
-            return _eval_block(pts, blocks[0][2])
-        Ns = np.repeat([n for _, _, n in blocks], [hi - lo + 1 for lo, hi, _ in blocks])
-        return _eval_block(pts, blocks[-1][2], Ns=Ns)
+    def run(call: _Call) -> tuple[np.ndarray, np.ndarray]:
+        k_lo, k_hi, N, em = call
+        return _eval_block(t[k_lo:k_hi + 1], N, em=em)
 
     modulus = np.empty(K + 1)
     err = np.empty(K + 1)
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
-        for (k_lo, k_hi, blocks), (vals, rem) in zip(calls, run_all(run, calls)):
+        for (k_lo, k_hi, _, _), (vals, call_err) in zip(calls, run_all(run, calls)):
             modulus[k_lo:k_hi + 1] = np.abs(vals)
-            for lo, hi, N in blocks:
-                err[lo:hi + 1] = error_bound(t[lo:hi + 1], N) + rem
+            err[k_lo:k_hi + 1] = call_err
 
     log_t = np.log(t)
     ratio = modulus / log_t

@@ -1,32 +1,34 @@
 """Certified numerical evaluation of zeta(1+it).
 
-Everything here evaluates the truncated representation
+Every result carries an absolute error radius that accounts for the
+mathematics and for floating-point accumulation, so the true zeta value is
+guaranteed to lie inside the reported disk.  There are two routes.  The
+direct route evaluates the truncated representation
 
     g_N(t) = sum_{n=1}^{N} n^(-1-it) + N^(-it)/(it) - N^(-1-it)/2
              + (1+it)/16 * N^(-2-it)
 
-whose distance from zeta(1+it) is at most (1+t)(2+t) / (32 N^2).  Every
-result carries an absolute error radius that also accounts for
-floating-point accumulation, so the true zeta value is guaranteed to lie
-inside the reported disk.
+whose distance from zeta(1+it) is at most (1+t)(2+t) / (32 N^2).  Past
+a = max(64, ceil(t)) the terms n^(-1-it) are smooth in n, and when summing
+only n <= a saves enough terms, the Euler-Maclaurin route adds zeta's own
+closed-form tail past a, with an explicit remainder (Edwards, Riemann's
+Zeta Function, ch. 6; Johansson, Numer. Algorithms 2015).  It has no
+truncation term, and N only decides whether it is taken.
 
-One kernel, _eval_block, computes g_N at all K points of an equispaced
-grid at once; :func:`eval_zeta_certified` is its one-point call, and the
-scans of :mod:`zetabound.verifier` call it on blocks of the grid.  On the
-grid, S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a type-1
-nonuniform DFT in k, computed by rounding each phase h ln n to an FFT grid
-and expanding the leftover phase in a short Taylor series (Odlyzko and
-Schoenhage's multiple-evaluation idea, in the NUFFT form of Greengard and
-Lee).  Past a = max(64, ceil(t)) the terms n^(-1-it) are smooth in n, and
-when that saves enough of them the rest of the finite sum is added per
-point in a closed Euler-Maclaurin form with an explicit remainder (Edwards,
-Riemann's Zeta Function, ch. 6; Johansson, Numer. Algorithms 2015), where N
-enters only that closed form.  A call then costs O(p min(N, a) + p M log M)
-for an FFT of length M, the least power of two >= K, against O(K N) point
-by point; one point costs O(min(N, a)) terms, which is O(t), while N grows
-like t / sqrt(r) for a radius target r.  The expansion remainder, the
-Euler-Maclaurin remainder and every floating-point effect are folded into
-the radius (see _eval_block), so no certificate is weakened.
+One kernel, _eval_block, computes zeta(1+it) at all K points of an
+equispaced grid at once; :func:`eval_zeta_certified` is its one-point
+call, and the scans of :mod:`zetabound.verifier` call it on blocks of the
+grid.  On the grid, S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a
+type-1 nonuniform DFT in k, computed by rounding each phase h ln n to an
+FFT grid and expanding the leftover phase in a short Taylor series
+(Odlyzko and Schoenhage's multiple-evaluation idea, in the NUFFT form of
+Greengard and Lee).  A call costs O(p min(N, a) + p M log M) for an FFT of
+length M, the least power of two >= K, against O(K N) point by point; one
+point costs O(min(N, a)) terms, which is O(t), while N grows like
+t / sqrt(r) for a radius target r.  The truncation bound (direct route),
+the expansion remainder, the Euler-Maclaurin remainder and every
+floating-point effect are folded into the radius (see _eval_block), so no
+certificate is weakened.
 
 An independent cross-check, :func:`oracle_zeta`, evaluates the same point
 through the alternating series zeta(s) = (1 - 2^(1-s))^(-1) *
@@ -110,9 +112,9 @@ class CertifiedComplex:
 def error_bound(t: float | np.ndarray, N: int) -> float | np.ndarray:
     """Truncation bound (1+t)(2+t) / (32 N^2) of the N-term evaluator.
 
-    This is the analytic error of g_N(t); rounding of the expression itself
-    is covered by the radius of the block kernel, which
-    :func:`eval_zeta_certified` adds.  t may be an array of points sharing N.
+    This is the analytic error of g_N(t).  The block kernel adds it to the
+    radius of its direct route, whose other terms cover the rounding of the
+    expression itself.  t may be an array of points sharing N.
     """
     if not np.all(np.asarray(t) > 0.0):
         raise ValueError(f"t must be positive, got {t}")
@@ -147,33 +149,6 @@ def _em_head(t: float) -> int:
     return max(_EM_MIN_HEAD, math.ceil(t))
 
 
-def _bernoulli_sums(
-    s: complex | np.ndarray, a: float, N: float | np.ndarray
-) -> tuple[complex | np.ndarray, float | np.ndarray, complex | np.ndarray, float | np.ndarray]:
-    """sum_{k<=m} c_k (s)_(2k-1) x^(-2k) and the sum of its terms' moduli, at x = a and x = N.
-
-    (s)_j is the rising factorial s (s+1) ... (s+j-1), built for each x by
-    the recurrence p_{k+1} = p_k q_k / x^2 from p_1 = s / x^2; the factor
-    q_k = (s+2k-1)(s+2k) is formed once for both.  N is a float, or an
-    array of the shape of s.
-    """
-    a2, N2 = a * a, N * N
-    p_a, p_N = s / a2, s / N2
-    bern_a = bern_N = 0j
-    sigma_a = sigma_N = 0.0
-    for k, c in enumerate(_EM_COEFFS, start=1):
-        term_a, term_N = c * p_a, c * p_N
-        bern_a += term_a
-        bern_N += term_N
-        sigma_a += abs(term_a)
-        sigma_N += abs(term_N)
-        if k < _EM_ORDER:
-            q = (s + (2 * k - 1)) * (s + 2 * k)
-            p_a *= q / a2
-            p_N *= q / N2
-    return bern_a, sigma_a, bern_N, sigma_N
-
-
 def _em_remainder(t: float, a: int) -> float:
     """|B_2m|/(2m)! |(s)_2m| / (2m a^2m), as a product of the ratios |s+j|/a."""
     bound = abs(_EM_COEFFS[-1]) / (2 * _EM_ORDER)
@@ -183,39 +158,42 @@ def _em_remainder(t: float, a: int) -> float:
 
 
 def _em_tail(
-    t: float | np.ndarray, a: int, N: int | np.ndarray
-) -> tuple[complex | np.ndarray, complex | np.ndarray, float, float | np.ndarray]:
-    """The closed-form part of g_N(t) past the head n <= a, for N > a.
+    t: float | np.ndarray, a: int
+) -> tuple[complex | np.ndarray, float, float | np.ndarray]:
+    """The closed-form part of zeta(1+it) past the head n <= a.
 
-    Returns (tail_a, tail_N, remainder, rounding) with
+    Returns (tail, remainder, rounding) with
 
-        g_N(t) = sum_{n<=a} n^(-1-it) + tail_a + tail_N + R_m,
-        tail_a = a^(-it) A,  tail_N = N^(-it) B,  |R_m| <= remainder,
+        zeta(1+it) = sum_{n<=a} n^(-1-it) + tail + R_m,
+        tail = a^(-it) A,  |R_m| <= remainder,
 
-    and rounding the floating-point error of tail_a and tail_N and of adding
-    them, in that order, to a head sum.  t is a float, or an array of points
-    sharing a, for which the other results are arrays of the same shape; a
-    float t keeps Python complex arithmetic.  For an array t, remainder is
-    one float that holds at all its points: it is taken at their largest t,
-    as the bound rises with t.  N is an int, or for an array t an int array
-    of each point's N; ln N is then taken once per distinct N, so every
-    point's results are those of a call with its N alone.
+    and rounding the floating-point error of tail and of adding it to a
+    head sum.  t is a float, or an array of points sharing a, for which
+    tail and rounding are arrays of the same shape; a float t keeps Python
+    complex arithmetic.  For an array t, remainder is one float that holds
+    at all its points: it is taken at their largest t, as the bound rises
+    with t.
 
-    Derivation.  With s = 1+it, f(x) = x^(-s), f^(j)(x) = (-1)^j (s)_j
-    x^(-s-j) ((s)_j the rising factorial) and c_k = B_2k/(2k)!,
+    Derivation.  With s = 1+it, (s)_j the rising factorial s (s+1) ...
+    (s+j-1), c_k = B_2k/(2k)! and B~_2m the periodic Bernoulli function,
+    Euler-Maclaurin summation of n^(-s) over n > a gives, for Re s > 1 - 2m
+    (Edwards, Riemann's Zeta Function, sec. 6.4),
 
-        sum_{a<n<=N} f(n) = (a^(-it) - N^(-it))/(it) + (f(N) - f(a))/2
-                            + sum_{k<=m} c_k (f^(2k-1)(N) - f^(2k-1)(a)) + R_m,
+        zeta(s) = sum_{n<=a} n^(-s) + a^(1-s)/(s-1) - a^(-s)/2
+                  + sum_{k<=m} c_k (s)_(2k-1) a^(1-s-2k) + R_m,
+        R_m = -(s)_2m/(2m)! int_a^inf B~_2m(x) x^(-s-2m) dx,
 
-    and, as |B_2m(x - floor x)| <= |B_2m|,
+    and, as |B~_2m| <= |B_2m| and Re s = 1,
 
-        |R_m| <= |c_m| int_a^N |f^(2m)(x)| dx <= |c_m| |(s)_2m| / (2m a^2m).
+        |R_m| <= |c_m| |(s)_2m| int_a^inf x^(-1-2m) dx
+              = |c_m| |(s)_2m| / (2m a^2m).
 
-    Added to the corrections of g_N, the terms N^(-it)/(it) and f(N)/2
-    cancel exactly, so neither is computed, and
+    On s = 1+it every term past the head carries a^(-it), so
 
-        A = 1/(it) - 1/(2a) + sum_k c_k (s)_(2k-1) a^(-2k),
-        B = s/(16 N^2) - sum_k c_k (s)_(2k-1) N^(-2k).
+        A = 1/(it) - 1/(2a) + sum_{k<=m} c_k (s)_(2k-1) a^(-2k),
+
+    where the Bernoulli terms come from the recurrence p_{k+1} = p_k q_k / a^2
+    from p_1 = s / a^2, with q_k = (s+2k-1)(s+2k).
 
     Choice of a and m.  a >= t bounds each ratio |s+j|/a by
     sqrt(1 + ((1+j)/a)^2), and a >= 64 keeps that near 1 for the j < 2m
@@ -228,58 +206,48 @@ def _em_tail(
     far below an ulp of 1.
 
     Rounding, with eps the machine epsilon and u = eps/2 the unit roundoff.
-    Write S_A = 1/t + 1/(2a) + sigma_a and S_B = |s|/(16 N^2) + sigma_N for
-    the sums of the moduli of the parts of A and B, where sigma_x is the
-    moduli sum that :func:`_bernoulli_sums` returns.  To first order in
-    eps, rounding is the sum of:
+    Write sigma for the sum of the moduli of the Bernoulli terms and
+    S = 1/t + 1/(2a) + sigma >= |A|.  To first order in eps, rounding is
+    the sum of:
 
-    * phases: x^(-it) for x in {a, N} is exp(-iy) with y = fl(t fl(ln x))
-      within 1.5 eps t ln x of t ln x, and |exp(-iy') - exp(-iy)| <=
-      |y' - y|; with |A| <= S_A and |B| <= S_B this is
-      2 eps (t ln a S_A + t ln N S_B).  The phase of a enters the 1/(it)
-      part of A as 2 eps ln a, not as a 1/t term;
-    * the rest of each product x^(-it) A (or B), at most 4 eps S_A (or
-      S_B): cos and sin round to u each (0.71 eps), forming A costs eps
-      (-1/t and the addition of the Bernoulli sum; 1/(2a) is in the real
-      part) and B 1.5 eps (16 N^2, the division and the subtraction), the
-      complex product sqrt(5) u (1.12 eps), and the addition into the
-      value u of the partial sum that holds it, which with the order
-      above is 1 eps for a and 0.5 eps for N.  The 1/t part of this,
-      4 eps/t, is the conditioning of 1/(it) for small t; the
-      a^(-it) - N^(-it) of the integral term, which would double it, is
-      never formed;
-    * the head's share of the two final additions, eps H(a) with
+    * the phase: a^(-it) is exp(-iy) with y = fl(t fl(ln a)) within
+      1.5 eps t ln a of t ln a, and |exp(-iy') - exp(-iy)| <= |y' - y|, so
+      with |A| <= S this is at most 2 eps t ln a S.  On the 1/(it) part of
+      A it is 2 eps ln a, not a 1/t term;
+    * the rest of the product a^(-it) A, at most 4 eps S: cos and sin
+      round to u each (0.71 eps), forming A costs eps (-1/t and the
+      addition of the Bernoulli sum; 1/(2a) is in the real part), the
+      complex product sqrt(5) u (1.12 eps), and the addition into the head
+      sum u (0.5 eps).  The 1/t part of this, 4 eps/t, is the conditioning
+      of 1/(it) for small t;
+    * the head's share of that addition, u H(a) with
       H = :func:`harmonic_bound`;
-    * the Bernoulli sums: p_1 is within eps, each recurrence step adds at
-      most 4 eps (two complex products at 1.12 eps, the division by x^2
-      and the rounding of x^2), the product with c_k eps, and the m-1
-      additions (m/2) eps of sigma_x, so 5m eps (sigma_a + sigma_N) covers
-      both sums.
+    * the Bernoulli sum: p_1 is within eps, each recurrence step adds at
+      most 4 eps (two complex products at 1.12 eps, the division by a^2
+      and the rounding of a^2), the product with c_k eps, and the m-1
+      additions (m/2) eps of sigma, so 5m eps sigma covers it.
     """
     if isinstance(t, np.ndarray):
         exp, t_top = np.exp, float(np.max(t))
     else:
         exp, t_top = cmath.exp, t
-    if isinstance(N, np.ndarray):
-        distinct, where = np.unique(N, return_inverse=True)
-        lnN = np.array([math.log(n) for n in distinct.tolist()])[where]
-        N = N.astype(np.float64)
-    else:
-        lnN, N = math.log(N), float(N)
     s = 1.0 + 1j * t
-    bern_a, sigma_a, bern_N, sigma_N = _bernoulli_sums(s, float(a), N)
+    a2 = float(a) * a
+    p = s / a2
+    bern, sigma = 0j, 0.0
+    for k, c in enumerate(_EM_COEFFS, start=1):
+        term = c * p
+        bern += term
+        sigma += abs(term)
+        if k < _EM_ORDER:
+            p *= (s + (2 * k - 1)) * (s + 2 * k) / a2
     lna = math.log(a)
-    tail_a = exp(-1j * t * lna) * (-1j / t - 0.5 / a + bern_a)
-    tail_N = exp(-1j * t * lnN) * (s / (16.0 * N * N) - bern_N)
-    size_a = 1.0 / t + 0.5 / a + sigma_a
-    size_N = abs(s) / (16.0 * N * N) + sigma_N
+    tail = exp(-1j * t * lna) * (-1j / t - 0.5 / a + bern)
+    size = 1.0 / t + 0.5 / a + sigma
     rounding = _EPS * (
-        harmonic_bound(a)
-        + (2.0 * t * lna + 4.0) * size_a
-        + (2.0 * t * lnN + 4.0) * size_N
-        + 5.0 * _EM_ORDER * (sigma_a + sigma_N)
+        0.5 * harmonic_bound(a) + (2.0 * t * lna + 4.0) * size + 5.0 * _EM_ORDER * sigma
     )
-    return tail_a, tail_N, _em_remainder(t_top, a), rounding
+    return tail, _em_remainder(t_top, a), rounding
 
 
 def _em_route(K: int, N: int, a: int) -> bool:
@@ -289,7 +257,7 @@ def _em_route(K: int, N: int, a: int) -> bool:
     main sum, plus _TAIL_CALL_TERMS per call (the measured break-even on 1
     to 16384 points), so the route pays when the N - a terms it saves per
     point exceed their total; below that it is slower, although correct for
-    every N > a.
+    every N.
     """
     return N - a > _TAIL_POINT_TERMS * K + _TAIL_CALL_TERMS
 
@@ -297,36 +265,31 @@ def _em_route(K: int, N: int, a: int) -> bool:
 def _n_hi(K: int, N: int, t_max: float) -> int:
     """The last n of the main sum that a kernel call of K points sharing N, up to t_max, adds.
 
-    That is a = _em_head(t_max) on the Euler-Maclaurin route, which then
-    has a < N, and N on the direct route: the call's term count per point.
+    That is a = _em_head(t_max) on the Euler-Maclaurin route, which _em_route
+    takes only when a < N, and N on the direct route: the call's term count
+    per point.
     """
     a = _em_head(t_max)
     return a if _em_route(K, N, a) else N
 
 
 def _eval_block(
-    t_pts: np.ndarray, N: int, Ns: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, float]:
-    """g_N at each point of the sorted, equispaced grid t_pts.
+    t_pts: np.ndarray, N: int, em: Optional[bool] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(1+it) at each point of the sorted, equispaced grid t_pts.
 
-    Returns (values, rem): |values[j] - g_N(t_pts[j])| <= rem for every j,
-    where g_N is the exact truncated representation and N the point's term
-    count.  rem is everything the call adds to the truncation bound: the
-    expansion remainder, the Euler-Maclaurin remainder when that route is
-    taken, and all floating-point effects, so a point's certified radius is
-    error_bound(t, N) + rem.
-
-    All points share N unless Ns, an int array of each point's N, is given:
-    a call that spans several blocks of a scan (see verifier._plan).  N is
-    then their largest, and the call takes the Euler-Maclaurin route, which
-    needs every N > a.
+    Returns (values, err) with |values[j] - zeta(1 + i t_pts[j])| <= err[j].
 
     Routes.  With a = max(64, ceil(t_max)), the Euler-Maclaurin route sums
-    the main sum over n <= a only and adds a^(-it) A(t) + N^(-it) B(t)
-    (_em_tail) at each exact t_pts[j], with that point's N; the direct
-    route sums all n <= N and adds the three correction terms of g_N at
-    each t_pts[j].  Without Ns the route is the one _em_route picks.  Write
-    n_hi for the last n summed: a or N, as _n_hi gives it.
+    the main sum over n <= a only and adds zeta's closed-form tail
+    a^(-it) A(t) (_em_tail) at each exact t_pts[j]; N plays no part in it.
+    The direct route sums all n <= N and adds the three correction terms of
+    g_N at each t_pts[j], so its values enclose g_N, and err adds the
+    truncation bound error_bound(t, N) to the radius derived below.  em
+    picks the route: True for the Euler-Maclaurin route, as for a call
+    that verifier._plan joined across blocks, False for the direct route,
+    and None for the one _em_route picks for K points sharing N.  Write
+    n_hi for the last n summed: a or N.
 
     Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
     and integer offsets k = j - mid (|k| <= k_max), the model points
@@ -352,8 +315,11 @@ def _eval_block(
     d = 0 and p = 0: every n lands in bin 0 with delta_n = 0, so each
     chunk is one plain sum and no FFT is taken.
 
-    Radius, with eps the machine epsilon, u = eps/2, L = ln^2(n_hi)/2 +
-    0.11 >= sum ln n / n, and e^d >= sum_m (|k| delta)^m / m! the most the
+    Radius.  err is the truncation bound on the direct route, plus rem,
+    one float for the call that bounds the distance of each value from g_N
+    (direct) or zeta (Euler-Maclaurin).  rem is the sum of the following,
+    with eps the machine epsilon, u = eps/2, L = ln^2(n_hi)/2 + 0.11 >=
+    sum ln n / n, and e^d >= sum_m (|k| delta)^m / m! the most the
     expansion can amplify a rounding error in F_m (e^d <= e^(pi/2) < 4.82):
 
     * remainder: H d^(p+1)/(p+1)!;
@@ -385,10 +351,9 @@ def _eval_block(
       bound 1/t_min + 1/(2N) + (1+t_max)/(16 N^2), which covers the phase
       t ln N and the 1/(it) conditioning;
     * Euler-Maclaurin route, tail: _em_remainder(t_max, a), which rises
-      with t and does not depend on N, so it bounds R_m at every point of
-      every block, plus the largest over the points of the rounding that
-      _em_tail derives for any N > a (phases, products, Bernoulli sums,
-      and the two additions into the head sum).
+      with t, so it bounds R_m at every point, plus the largest over the
+      points of the rounding that _em_tail derives (phase, product,
+      Bernoulli sum, and the addition into the head sum).
     """
     K = len(t_pts)
     mid = (K - 1) // 2
@@ -404,10 +369,9 @@ def _eval_block(
     while factor >= _EPS:
         p += 1
         factor *= d / (p + 1)
-    n_hi = _n_hi(K, N, t_max) if Ns is None else _em_head(t_max)
-    if Ns is not None and not int(np.min(Ns)) > n_hi:
-        raise ValueError(f"every N of a call must exceed its head a = {n_hi}")
-    em = n_hi < N  # n_hi is a
+    if em is None:
+        em = _n_hi(K, N, t_max) < N
+    n_hi = _em_head(t_max) if em else N
 
     chunk = min(n_hi, _KERNEL_CHUNK)
     F = np.zeros((p + 1, M), dtype=np.complex128)
@@ -448,10 +412,8 @@ def _eval_block(
     ln_hi = math.log(n_hi)
     if em:
         # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
-        pts, ns = (t_c, N) if K == 1 else (t_pts, N if Ns is None else Ns)
-        tail_a, tail_N, remainder, tail_rounding = _em_tail(pts, n_hi, ns)
-        acc += tail_a
-        acc += tail_N
+        tail, remainder, tail_rounding = _em_tail(t_c if K == 1 else t_pts, n_hi)
+        acc += tail
         rem_tail = remainder + float(np.max(tail_rounding))
     else:
         acc += np.exp(-1j * t_pts * ln_hi) * (
@@ -475,26 +437,29 @@ def _eval_block(
         + _EPS * h_n * (2.0 * d + math.exp(d) * rounding)
         + rem_tail
     )
-    return acc, rem
+    if em:
+        return acc, np.full(K, rem)
+    return acc, error_bound(t_pts, N) + rem
 
 
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
-    """Evaluate zeta(1+it) through g_N(t) with a certified radius.
+    """Evaluate zeta(1+it) with a certified radius: |value - zeta(1+it)| <= err.
 
-    The value encloses g_N(t), |value - g_N(t)| <= err - error_bound(t, N),
-    so mathematically |value - zeta(1+it)| <= err.  The value and that part
-    of err come from a one-point call of the block kernel _eval_block, which
-    derives them.  With a = max(64, ceil(t)), the cost is O(min(N, a))
-    terms, and memory stays bounded because the sum is taken in chunks.
-    Very small t (below about 1e-3) is allowed, but the 1/(it) term
-    inflates err through its conditioning.
+    This is a one-point call of the block kernel _eval_block, which derives
+    the value and err.  With a = max(64, ceil(t)), it sums N terms of g_N
+    and err includes the truncation bound error_bound(t, N), unless summing
+    only a terms and zeta's Euler-Maclaurin tail saves enough of them; then
+    N plays no part and err holds no truncation bound.  The cost is
+    O(min(N, a)) terms, and memory stays bounded because the sum is taken in
+    chunks.  Very small t (below about 1e-3) is allowed, but the 1/(it)
+    term inflates err through its conditioning.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    values, rem = _eval_block(np.array([t], dtype=np.float64), N)
-    return CertifiedComplex(complex(values[0]), error_bound(t, N) + rem)
+    values, err = _eval_block(np.array([t], dtype=np.float64), N)
+    return CertifiedComplex(complex(values[0]), float(err[0]))
 
 
 def _eta_terms(t: float, n: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 All N terms of the main sum are added, from n = N down to 1 (smallest
 magnitudes first) in fixed-size chunks, so the result is deterministic and
 memory stays bounded; fp_slack(t, N) bounds its distance from the exact
-g_N(t).
+g_N(t), and also that of main_sum(t, N) from the exact main sum.
 """
 
 import cmath
@@ -25,17 +25,22 @@ def fp_slack(t, n):
     return EPS * (4.0 * n + 0.5 * t * ln_n * ln_n + 4.0 / t)
 
 
-def direct_sum(t, n):
-    """g_N(t) for N = n, with all n terms of the main sum added one by one.
-
-    |value - g_N(t)| <= fp_slack(t, n).
-    """
+def main_sum(t, n):
+    """sum_{k<=n} k^(-1-it), added one by one."""
     s = -(1.0 + 1j * t)
     total = 0j
     for top in range(n, 0, -CHUNK):
         k = np.arange(top, max(top - CHUNK, 0), -1, dtype=np.float64)
         total += np.exp(s * np.log(k)).sum()
-    value = complex(total)
+    return complex(total)
+
+
+def direct_sum(t, n):
+    """g_N(t) for N = n, with all n terms of the main sum added one by one.
+
+    |value - g_N(t)| <= fp_slack(t, n).
+    """
+    value = main_sum(t, n)
     nmit = cmath.exp(-1j * t * math.log(n))  # N^(-it)
     value += nmit * (1.0 / (1j * t) - 0.5 / n + (1.0 + 1j * t) / (16.0 * n * n))
     return value

@@ -20,17 +20,43 @@ from zetabound import (
 )
 from zetabound import verifier, zeta_eval
 from zetabound.verifier import GRID_NOTE, _eval_block
-from zetabound.zeta_eval import _em_head
+from zetabound.zeta_eval import _em_head, _n_hi
 
 from plain_sum import direct_sum, fp_slack
 
 
-def _assert_matches_direct(pts, n, vals, rem, ks):
-    # both routes certify against the same g_N: the block within rem, the
-    # plain sum of all n terms within its floating-point slack
+def _zeta_30(t):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(mpmath.mpc(1, t)))
+
+
+def _takes_em_route(pts, n):
+    # the route a kernel call of these points picks for itself
+    return _n_hi(len(pts), n, float(pts[-1])) < n
+
+
+def _beyond_truncation(pts, n, err):
+    # the kernel's own radius: all of err on the Euler-Maclaurin route,
+    # which encloses zeta itself, err less the truncation bound on the
+    # direct route, which encloses g_N
+    return err if _takes_em_route(pts, n) else err - error_bound(pts, n)
+
+
+def _assert_certified(pts, n, vals, err, ks):
+    # direct route: the block encloses g_N within its own radius, the plain
+    # sum of all n terms within its floating-point slack.  Euler-Maclaurin
+    # route: the block and a one-point call enclose zeta within their
+    # radii, and 30-digit mpmath.zeta lies within the block's
+    em = _takes_em_route(pts, n)
     for k in ks:
         t = float(pts[k])
-        assert abs(vals[k] - direct_sum(t, n)) <= rem + fp_slack(t, n)
+        if em:
+            one = eval_zeta_certified(t, n)
+            assert abs(vals[k] - one.value) <= err[k] + one.err
+            assert abs(vals[k] - _zeta_30(t)) <= err[k]
+        else:
+            assert abs(vals[k] - direct_sum(t, n)) <= err[k] - error_bound(t, n) + fp_slack(t, n)
 
 
 def _spy_tails(monkeypatch):
@@ -38,23 +64,23 @@ def _spy_tails(monkeypatch):
     sizes = []
     tail = zeta_eval._em_tail
 
-    def recorded(t, a, n):
-        sizes.append(len(t))
-        return tail(t, a, n)
+    def recorded(t, a):
+        sizes.append(np.size(t))
+        return tail(t, a)
 
     monkeypatch.setattr(zeta_eval, "_em_tail", recorded)
     return sizes
 
 
 def _record_calls(monkeypatch):
-    # every kernel call's (t_pts, N, Ns) and its rem, in call order
+    # every kernel call's (t_pts, N, em) and its err, in call order
     calls = []
     kernel = verifier._eval_block
 
     def recorded(*args, **kwargs):
-        vals, rem = kernel(*args, **kwargs)
-        calls.append((args[0], args[1], kwargs.get("Ns"), rem))
-        return vals, rem
+        vals, err = kernel(*args, **kwargs)
+        calls.append((args[0], args[1], kwargs.get("em"), err))
+        return vals, err
 
     monkeypatch.setattr(verifier, "_eval_block", recorded)
     return calls
@@ -90,30 +116,31 @@ class TestEvalBlock:
     def test_matches_single_point_evaluator(self):
         pts = np.arange(100.0, 102.0, 0.01)
         n = choose_N(float(pts[-1]), 0.005)
-        vals, rem = _eval_block(pts, n)
+        assert not _takes_em_route(pts, n)
+        vals, err = _eval_block(pts, n)
         for k in (0, 57, 123, len(pts) - 1):
-            direct = direct_sum(float(pts[k]), n)
-            assert abs(vals[k] - direct) <= rem + 1e-12
+            t = float(pts[k])
+            assert abs(vals[k] - direct_sum(t, n)) <= err[k] - error_bound(t, n) + 1e-12
 
     @pytest.mark.parametrize("t0", [math.e, 1e3, 1e5, 2e5])
     @pytest.mark.parametrize("size", [1, 2, 5000])
     def test_against_direct_summation(self, t0, size):
         pts = t0 + np.arange(size) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
-        vals, rem = _eval_block(pts, n)
-        assert rem < 1e-7
-        _assert_matches_direct(pts, n, vals, rem, sorted({0, size // 3, size - 1}))
+        vals, err = _eval_block(pts, n)
+        assert _beyond_truncation(pts, n, err).max() < 1e-7
+        _assert_certified(pts, n, vals, err, sorted({0, size // 3, size - 1}))
 
     def test_chunk_boundaries(self, monkeypatch):
         pts = 3e3 + np.arange(301) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
         # about 7.5e3 terms in chunks of 1000: seven full chunks and a partial
         assert n % 1000 != 0 and n > 7000
-        whole, rem_whole = _eval_block(pts, n)
+        whole, err_whole = _eval_block(pts, n)
         monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", 1000)
-        vals, rem = _eval_block(pts, n)
-        _assert_matches_direct(pts, n, vals, rem, (0, 150, 300))
-        assert np.max(np.abs(vals - whole)) <= rem + rem_whole
+        vals, err = _eval_block(pts, n)
+        _assert_certified(pts, n, vals, err, (0, 150, 300))
+        assert np.all(np.abs(vals - whole) <= err + err_whole)
 
     @pytest.mark.parametrize("t0", [1e3, 1e5])
     @pytest.mark.parametrize("size", [4, 5, 1024, 1025])
@@ -121,8 +148,8 @@ class TestEvalBlock:
         # 2^q points fill the FFT exactly (d = pi/2), 2^q + 1 double it
         pts = t0 + np.arange(size) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
-        vals, rem = _eval_block(pts, n)
-        _assert_matches_direct(pts, n, vals, rem, (0, size // 2, size - 1))
+        vals, err = _eval_block(pts, n)
+        _assert_certified(pts, n, vals, err, (0, size // 2, size - 1))
 
     def test_both_sides_of_the_euler_maclaurin_switch(self, monkeypatch):
         tails = _spy_tails(monkeypatch)
@@ -141,10 +168,10 @@ class TestEvalBlock:
             tails.clear()
             pts = 1e5 + np.arange(k) * 0.01
             n = choose_N(float(pts[-1]), 0.01)
-            vals, rem = _eval_block(pts, n)
+            vals, err = _eval_block(pts, n)
             assert bool(tails) == expected
-            assert rem < 1e-7
-            _assert_matches_direct(pts, n, vals, rem, (0, k // 2, k - 1))
+            assert _beyond_truncation(pts, n, err).max() < 1e-7
+            _assert_certified(pts, n, vals, err, (0, k // 2, k - 1))
 
     def test_route_taken_below_twice_the_head(self, monkeypatch):
         # r = 0.01 gives N ~ 1.77 t < 2a; the Euler-Maclaurin route still
@@ -153,9 +180,9 @@ class TestEvalBlock:
         pts = 1e4 + np.arange(100) * 0.01
         n = choose_N(float(pts[-1]), 0.01)
         assert n < 2 * _em_head(float(pts[-1]))
-        vals, rem = _eval_block(pts, n)
+        vals, err = _eval_block(pts, n)
         assert tails == [100]
-        _assert_matches_direct(pts, n, vals, rem, (0, 50, 99))
+        _assert_certified(pts, n, vals, err, (0, 50, 99))
 
     def test_property_against_direct_summation(self, monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")
@@ -171,9 +198,9 @@ class TestEvalBlock:
             pts = 10.0**log_t + np.arange(size) * 0.01
             n = choose_N(float(pts[-1]), r)
             tails.clear()
-            vals, rem = _eval_block(pts, n)
+            vals, err = _eval_block(pts, n)
             routes.add(bool(tails))
-            _assert_matches_direct(pts, n, vals, rem, sorted({0, size // 2, size - 1}))
+            _assert_certified(pts, n, vals, err, sorted({0, size // 2, size - 1}))
 
         check()
         assert routes == {False, True}
@@ -181,8 +208,9 @@ class TestEvalBlock:
     def test_remainder_bound_is_small(self):
         pts = np.arange(50.0, 60.0, 0.01)
         n = choose_N(60.0, 0.005)
-        _, rem = _eval_block(pts, n)
-        assert 0.0 <= rem < 1e-9
+        _, err = _eval_block(pts, n)
+        rem = _beyond_truncation(pts, n, err)
+        assert np.all((0.0 <= rem) & (rem < 1e-9))
 
 
 class TestScanInterval:
@@ -255,7 +283,7 @@ class TestScanInterval:
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 60)
         calls = _record_calls(monkeypatch)
         seq = scan_interval(cfg)
-        assert [(len(pts), ns is None) for pts, _, ns, _ in calls] == [(50, True), (51, False)]
+        assert [(len(pts), em) for pts, _, em, _ in calls] == [(50, True), (51, True)]
         for workers in (2, 3):  # as many threads as calls, and more
             par = scan_interval(cfg, workers=workers)
             assert seq.modulus.tobytes() == par.modulus.tobytes()
@@ -335,10 +363,11 @@ class TestScanInterval:
         calls = []
         kernel = verifier._eval_block
 
-        def recorded(t_pts, n):
-            vals, rem = kernel(t_pts, n)
-            calls.append((len(t_pts), n, rem))
-            return vals, rem
+        def recorded(t_pts, n, em=None):
+            vals, err = kernel(t_pts, n, em=em)
+            # a direct-route call: its radius beyond the truncation bound
+            calls.append((len(t_pts), n, err - error_bound(t_pts, n)))
+            return vals, err
 
         monkeypatch.setattr(verifier, "_eval_block", recorded)
         whole = scan_interval(cfg)
@@ -349,7 +378,7 @@ class TestScanInterval:
         capped = scan_interval(cfg)
         assert [c[0] for c in calls] == [1000, 1000, 1000, 1]
         assert {c[1] for c in calls} == {n_whole}
-        rem = np.repeat([c[2] for c in calls], [c[0] for c in calls])
+        rem = np.concatenate([c[2] for c in calls])
         assert np.all(np.abs(capped.modulus - whole.modulus) <= rem + rem_whole)
 
     def test_euler_maclaurin_blocks_share_one_kernel_call(self, monkeypatch):
@@ -360,50 +389,48 @@ class TestScanInterval:
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert len(calls) == 1
         report = scan_interval(cfg)
-        [(pts, n_max, ns, rem)] = calls[1:]
+        [(pts, n_max, em, err)] = calls[1:]
         t = report.t
         blocks = _blocks(cfg, t)
         assert [hi - lo + 1 for lo, hi, _ in blocks] == [5000, 5000, 1]
-        assert n_max == blocks[-1][2]
-        assert np.array_equal(ns, np.repeat([n for *_, n in blocks], [5000, 5000, 1]))
+        assert n_max == blocks[-1][2] and em is True
+        # each point's radius is the call's, which holds no truncation bound
+        assert report.err.tobytes() == err.tobytes()
+        assert err.max() < 1e-7
         for lo, hi, n in blocks:
             seg = slice(lo, hi + 1)
-            vals, rem_block = _eval_block(t[seg], n)
-            assert np.all(np.abs(report.modulus[seg] - np.abs(vals)) <= rem + rem_block)
-            # each point keeps its block's N and truncation bound
-            assert report.err[seg].tobytes() == (error_bound(t[seg], n) + rem).tobytes()
+            vals, err_block = _eval_block(t[seg], n)
+            assert _takes_em_route(t[seg], n)
+            assert np.all(np.abs(report.modulus[seg] - np.abs(vals)) <= err[seg] + err_block)
+        for k in (0, 5000, 10000):
+            assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= err[k]
 
-    def test_call_split_where_a_block_n_would_not_exceed_the_head(self, monkeypatch):
-        # at r = 0.01, N ~ 1.77 t, while the a of a call grows with its
-        # width h K: near t = 1e4 the first block's N is below the a of a
-        # call about 7800 wide, far fewer points than the cap
+    def test_joined_calls_take_the_euler_maclaurin_route(self, monkeypatch):
+        # at r = 0.01, N ~ 1.77 t, so near t = 1e4 the first block's N is
+        # below the a of a call about 7800 wide.  The route needs no N > a:
+        # calls join the blocks up to the cap of points all the same
         cfg = ScanConfig(t_lo=1e4, t_hi=2e4, h=1.0, r=0.01, block=100.0)
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 9000)
         plan = verifier._plan(cfg, math.inf)
-        assert len(plan) > 1
-        assert all(len(blocks) > 1 for *_, blocks in plan)
-        for (first, hi, blocks), nxt in zip(plan, plan[1:] + [None]):
-            assert first == blocks[0][0] and hi == blocks[-1][1]
-            assert hi - first < verifier._KERNEL_POINTS
-            assert blocks[0][2] > _em_head(cfg.t_lo + hi * cfg.h)
-            if nxt is not None:
-                # one more piece would keep the call under the cap but
-                # bring its a up to its first block's N
-                _, next_hi, _ = nxt[2][0]
-                assert next_hi - first < verifier._KERNEL_POINTS
-                assert blocks[0][2] <= _em_head(cfg.t_lo + next_hi * cfg.h)
         calls = _record_calls(monkeypatch)
         report = scan_interval(cfg)
-        assert [b for *_, blocks in plan for b in blocks] == _blocks(cfg, report.t)
-        assert len(calls) == len(plan)
-        for (first, hi, blocks), (pts, _, ns, rem) in zip(plan, calls):
-            assert len(pts) == hi - first + 1
-            sizes = [b_hi - b_lo + 1 for b_lo, b_hi, _ in blocks]
-            assert np.array_equal(ns, np.repeat([n for *_, n in blocks], sizes))
-            for k in (first, (first + hi) // 2, hi):
-                n = int(ns[k - first])
-                t = float(report.t[k])
-                gap = abs(report.modulus[k] - abs(direct_sum(t, n)))
-                assert gap <= rem + fp_slack(t, n)
+        t = report.t
+        blocks = _blocks(cfg, t)
+        assert [(lo, hi) for lo, hi, *_ in plan] == [(0, 8999), (9000, 10000)]
+        assert [(len(pts), n, em) for pts, n, em, _ in calls] == [
+            (hi - lo + 1, n, em) for lo, hi, n, em in plan
+        ]
+        for lo, hi, n, em in plan:
+            pieces = [b for b in blocks if lo <= b[0] <= hi]
+            assert pieces[0][0] == lo and pieces[-1][1] == hi and len(pieces) > 1
+            assert em is True and n == pieces[-1][2]
+            # every block would take the route alone
+            for b_lo, b_hi, b_n in pieces:
+                assert _takes_em_route(t[b_lo:b_hi + 1], b_n)
+        assert blocks[0][2] <= _em_head(float(t[plan[0][1]]))
+        assert report.err.max() < 1e-7
+        for k in (0, 4500, 8999, 10000):
+            assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= report.err[k]
 
     def test_direct_route_plan_one_call_per_block(self, monkeypatch):
         # below t ~ 3.5e4 every block of the default config is summed to its
@@ -414,18 +441,12 @@ class TestScanInterval:
         blocks = _blocks(cfg, t)
         assert len(blocks) == 100
         plan = verifier._plan(cfg, verifier.DEFAULT_BUDGET)
-        assert plan == [(lo, hi, [(lo, hi, n)]) for lo, hi, n in blocks]
+        assert plan == [(lo, hi, n, False) for lo, hi, n in blocks]
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
-        assert [(float(pts[0]), len(pts), n, ns) for pts, n, ns, _ in calls] == [
-            (float(t[lo]), hi - lo + 1, n, None) for lo, hi, n in blocks
+        assert [(float(pts[0]), len(pts), n, em) for pts, n, em, _ in calls] == [
+            (float(t[lo]), hi - lo + 1, n, False) for lo, hi, n in blocks
         ]
-
-    def test_spanning_call_refuses_n_not_above_head(self):
-        pts = 1e5 + np.arange(10) * 0.01
-        a = _em_head(float(pts[-1]))
-        with pytest.raises(ValueError, match="exceed"):
-            _eval_block(pts, a + 1, Ns=np.array([a] * 5 + [a + 1] * 5))
 
     def test_margins_present_only_with_bound(self):
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)
@@ -444,11 +465,16 @@ class TestAgainstMpmath:
     @pytest.mark.parametrize("t_lo", [math.e, 1e3, 1e4, 1e5])
     def test_scan_certificates_at_30_digits(self, t_lo):
         mpmath = pytest.importorskip("mpmath")
-        report = scan_interval(ScanConfig(t_lo=t_lo, t_hi=t_lo + 1.0, r=1e-5))
-        with mpmath.workdps(30):
-            for k in (0, 37, len(report.t) - 1):
-                ref = abs(mpmath.zeta(mpmath.mpc(1, float(report.t[k]))))
-                assert abs(report.modulus[k] - float(ref)) <= report.err[k]
+        for r in (1e-5, 0.005):
+            cfg = ScanConfig(t_lo=t_lo, t_hi=t_lo + 1.0, r=r)
+            report = scan_interval(cfg)
+            with mpmath.workdps(30):
+                for k in (0, 37, len(report.t) - 1):
+                    ref = abs(mpmath.zeta(mpmath.mpc(1, float(report.t[k]))))
+                    assert abs(report.modulus[k] - float(ref)) <= report.err[k]
+            if all(em for *_, em in verifier._plan(cfg, math.inf)):
+                # an Euler-Maclaurin window: its radius holds no truncation bound
+                assert report.err.max() < 1e-7
 
 
 class TestMaxRatio:

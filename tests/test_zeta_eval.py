@@ -14,9 +14,9 @@ from zetabound import (
     harmonic_bound,
     oracle_zeta,
 )
-from zetabound.zeta_eval import _em_head, _em_tail, _eval_block
+from zetabound.zeta_eval import _em_head, _eval_block, _n_hi
 
-from plain_sum import direct_sum, fp_slack
+from plain_sum import direct_sum, fp_slack, main_sum
 
 # t values of the Euler-Maclaurin checks: tiny t, the peak 17.7477, the
 # thinnest affine margin 108.98, and two t whose N at r = 1e-8 is far past
@@ -145,6 +145,14 @@ class TestEvalZetaCertified:
 _MORE_N = {1.0: (100,), 17.7477: (128,), 2e3: (4000,)}
 
 
+def _zeta_30(t, a=1):
+    # sum_{n>=a} n^(-1-it) at 30 digits: zeta(1+it) at a = 1, else the
+    # Hurwitz zeta function, the exact tail of zeta past n = a - 1
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return complex(mpmath.zeta(mpmath.mpc(1, t), a))
+
+
 def _em_sizes(t):
     a = _em_head(t)
     return (1, a, 2 * a, 2 * a + 1, choose_N(t, 1e-8), *_MORE_N.get(t, ()))
@@ -153,32 +161,29 @@ def _em_sizes(t):
 class TestEulerMaclaurinRoute:
     @pytest.mark.parametrize("t", EM_T)
     def test_agrees_with_direct_sum(self, t):
-        # both enclose g_N: the kernel's value within its radius beyond the
-        # truncation bound, the plain sum of all N terms within fp_slack
+        # the direct route encloses g_N: the kernel's value within its radius
+        # beyond the truncation bound, the plain sum of all N terms within
+        # fp_slack.  The Euler-Maclaurin route encloses zeta itself, as does
+        # the plain sum of its head n <= a plus the exact tail past a
         for n in _em_sizes(t):
             cert = eval_zeta_certified(t, n)
-            gap = abs(cert.value - direct_sum(t, n))
-            assert gap <= cert.err - error_bound(t, n) + fp_slack(t, n)
+            if _n_hi(1, n, t) < n:
+                a = _em_head(t)
+                assert abs(cert.value - _zeta_30(t)) <= cert.err
+                gap = abs(cert.value - (main_sum(t, a) + _zeta_30(t, a + 1)))
+                assert gap <= cert.err + fp_slack(t, a)
+            else:
+                gap = abs(cert.value - direct_sum(t, n))
+                assert gap <= cert.err - error_bound(t, n) + fp_slack(t, n)
             if t >= math.e:
                 assert gap <= 1e-13
-
-    def test_tail_with_per_point_n_matches_one_n_at_a_time(self):
-        # an array of each point's N gives, at every point, the bits of a
-        # call with that N alone; the remainder depends on a only
-        t = 1e5 + np.arange(30) * 0.01
-        a = _em_head(float(t[-1]))
-        ns = np.repeat([250_010, 250_020, 250_045], 10)
-        merged = _em_tail(t, a, ns)
-        for lo in (0, 10, 20):
-            alone = _em_tail(t[lo:lo + 10], a, int(ns[lo]))
-            for i in (0, 1, 3):  # tail_a, tail_N, rounding
-                assert merged[i][lo:lo + 10].tobytes() == alone[i].tobytes()
-        assert merged[2] == _em_tail(t[-1:], a, int(ns[-1]))[2]
 
     def test_high_t_radius(self):
         cert = eval_zeta_certified(1e6, choose_N(1e6, 1e-8))
         # the direct route's radius here was 1.63e-6, most of it 4 eps N
         assert cert.err < 4e-8
+        # the Euler-Maclaurin route's radius holds no truncation bound
+        assert eval_zeta_certified(17.7477, choose_N(17.7477, 1e-8)).err < 1e-12
 
     @pytest.mark.parametrize(
         "t", [1e5, 1e6, 2 * math.pi * 1000 / math.log(2), 2 * math.pi * 110_000 / math.log(2)]
@@ -216,33 +221,36 @@ ONE_POINT_T = (3.0, 17.7477, 652.37, 2 * math.pi * 1000 / math.log(2), 1e5)
 
 def _one_point_and_block(t, r):
     # eval_zeta_certified(t, N) and the middle point of a 9-point kernel
-    # call at h = 1e-3 with the same N, each with its radius beyond the
-    # truncation bound
+    # call at h = 1e-3 with the same N, which takes the same route, with its
+    # radius
     n = choose_N(t, r)
     cert = eval_zeta_certified(t, n)
     pts = t + (np.arange(9) - 4) * 1e-3
     assert pts[4] == t
-    vals, rem = _eval_block(pts, n)
-    return n, cert, vals[4], rem
+    em = _n_hi(1, n, t) < n
+    assert (_n_hi(9, n, float(pts[-1])) < n) == em
+    vals, err = _eval_block(pts, n)
+    return n, em, cert, vals[4], err[4]
 
 
 class TestOnePointCall:
     @pytest.mark.parametrize("t", ONE_POINT_T)
     @pytest.mark.parametrize("r", [1e-8, 1e-3])
     def test_matches_nine_point_block(self, t, r):
-        # both enclose g_N(t): their gap is within the sum of the radii
-        n, cert, block, rem = _one_point_and_block(t, r)
-        assert abs(cert.value - block) <= cert.err - error_bound(t, n) + rem
+        # both enclose zeta (Euler-Maclaurin route) or g_N(t) (direct route,
+        # where neither radius needs its truncation bound): their gap is
+        # within the sum of the radii
+        n, em, cert, block, err = _one_point_and_block(t, r)
+        truncation = 0.0 if em else error_bound(t, n)
+        assert abs(cert.value - block) <= (cert.err - truncation) + (err - truncation)
 
     @pytest.mark.parametrize("t", ONE_POINT_T)
     @pytest.mark.parametrize("r", [1e-8, 1e-3])
     def test_both_against_mpmath(self, t, r):
-        mpmath = pytest.importorskip("mpmath")
-        n, cert, block, rem = _one_point_and_block(t, r)
-        with mpmath.workdps(30):
-            ref = complex(mpmath.zeta(mpmath.mpc(1, t)))
+        _, _, cert, block, err = _one_point_and_block(t, r)
+        ref = _zeta_30(t)
         assert abs(cert.value - ref) <= cert.err
-        assert abs(block - ref) <= error_bound(t, n) + rem
+        assert abs(block - ref) <= err
 
 
 class TestOracleZeta:
