@@ -155,7 +155,7 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
-    summed = zeta_eval._n_hi(1, n, t)  # what the one-point kernel call sums
+    summed = zeta_eval._n_hi(n, t)  # what the one-point kernel call sums
     if summed > verifier.DEFAULT_BUDGET:
         raise ResourceBudgetError(
             f"evaluation sums {summed:.3e} terms directly, over the budget "
@@ -168,7 +168,7 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
         "imag": [cert.value.imag],
         "modulus": [cert.modulus],
         "err": [cert.err],
-        "n_terms": [n],
+        "n_terms": [summed],
     }
     return OutputRecord("eval", {"t": repr(t), "r": repr(r)}, columns)
 

@@ -8,18 +8,20 @@ verification result carries a note saying so.
 
 Cost control: the grid is cut into blocks (default width 100) and one term
 count N is chosen per block from the block's largest t, which is valid for
-the whole block because the truncation bound grows with t.  zeta(1+it) is
-evaluated by the block kernel zeta_eval._eval_block, in calls of at most
-2^14 points each, at all of a call's points at once (a NUFFT of the main
-sum, with zeta's closed Euler-Maclaurin tail past a = max(64, ceil t) when
-that saves enough terms).  A call on the direct route (g_N, all n <= N)
-covers one block, or a piece of one; on the Euler-Maclaurin route N plays
-no part beyond choosing the route, so a call may span several blocks and
-one head over n <= a serves all their points.  The kernel returns each
-point's radius, with the truncation bound (direct route), its expansion
-remainder, the Euler-Maclaurin remainder and every floating-point effect
-folded in, so no certificate is weakened.  The refiners evaluate single
-points with zeta_eval.eval_zeta_certified, the kernel's one-point call.
+the whole block because the truncation bound grows with t; the blocks set
+the budget count and N, nothing else.  zeta(1+it) is evaluated by the block
+kernel zeta_eval._eval_block in fixed runs of 2^14 consecutive grid points
+(the last run is shorter), at all of a run's points at once: a NUFFT of the
+main sum over n <= min(N, a), a = max(64, ceil t), with zeta's closed
+Euler-Maclaurin tail past a when a < N.  Each run is called with the N of
+the block that holds its last point, the largest N among its blocks, so on
+the direct route (g_N, all n <= N, taken when N <= a) the truncation bound
+stays within r at every point; on the Euler-Maclaurin route N plays no part
+beyond choosing the route.  The kernel returns each point's radius, with
+the truncation bound (direct route), its expansion remainder, the
+Euler-Maclaurin remainder and every floating-point effect folded in, so no
+certificate is weakened.  The refiners evaluate single points with
+zeta_eval.eval_zeta_certified, the kernel's one-point call.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _eval_block, _n_hi, choose_N, eval_zeta_certified
+from .zeta_eval import _eval_block, choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -60,8 +62,8 @@ _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
 _REFINE_R = 1e-8    # certification radius for single-point refinement
 _COARSE_R = 1e-4    # certification radius of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
-# a kernel call of a scan: (k_lo, k_hi, N, em), run as _eval_block(t[k_lo:k_hi + 1], N, em=em)
-_Call = tuple[int, int, int, bool]
+# a kernel call of a scan: (k_lo, k_hi, N), run as _eval_block(t[k_lo:k_hi + 1], N)
+_Call = tuple[int, int, int]
 _OVER_BUDGET = "scan needs {} summed terms, over the budget {:.3e}; raise it or relax the grid"
 
 
@@ -71,7 +73,8 @@ class ScanConfig:
 
     h is the grid spacing (0.01 reflects behaviour well for plotting-scale
     work), r the certification radius target per point, block the width of
-    the sub-intervals sharing one term count.
+    the sub-intervals sharing one term count N, which the budget counts and
+    which picks a kernel call's route (Euler-Maclaurin when a < N).
     """
 
     t_lo: float
@@ -128,21 +131,18 @@ class VerificationResult:
 
 
 def _plan(config: ScanConfig, budget: float) -> list[_Call]:
-    """The kernel calls (k_lo, k_hi, N, em) of a scan, in grid order.
+    """The kernel calls (k_lo, k_hi, N) of a scan, in grid order.
 
     Grid point k is t_lo + k h.  Its block is floor((t_k - t_lo) / block),
     taken with the grid's own float operations, and each block uses the N
-    of its largest t.  The plan is arithmetic, so the budget is checked
-    before any array exists.
+    of its largest t.  The plan is arithmetic, so the budget, sum over the
+    blocks of N times their points, is checked before any array exists.
 
-    A block of more than _KERNEL_POINTS points is first cut into pieces
-    that share its N, and each piece gets the route _eval_block would give
-    it alone (em, from _n_hi of its own K, N and largest t).  On the
-    Euler-Maclaurin route a call costs mostly its head, the same for any
-    number of points, and N plays no part in its values, so consecutive
-    Euler-Maclaurin pieces are joined into one call while it has at most
-    _KERNEL_POINTS points.  A direct-route call is one piece, with its N;
-    a joined call carries the N of its last piece.
+    The calls are fixed runs of _KERNEL_POINTS points from k = 0, the last
+    one shorter, whatever the blocks.  Each run carries the N of the block
+    that holds its last point: N is nondecreasing in k, so that is the
+    largest N of the run's blocks, and on the direct route its truncation
+    bound stays within r at every point.
     """
     t_lo, h, width = config.t_lo, config.h, config.block
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
@@ -170,13 +170,11 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
         nominal += float(N) * (k_end - k_lo)
         if nominal > budget:  # counted so far, so the whole grid needs more
             raise ResourceBudgetError(_OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
-        for lo in range(k_lo, k_end, _KERNEL_POINTS):
-            hi = min(lo + _KERNEL_POINTS, k_end) - 1
-            em = _n_hi(hi - lo + 1, N, t_lo + hi * h) < N
-            if em and calls and calls[-1][3] and hi - calls[-1][0] < _KERNEL_POINTS:
-                calls[-1] = (calls[-1][0], hi, N, True)
-            else:
-                calls.append((lo, hi, N, em))
+        # the runs whose last point lies in this block
+        lo = len(calls) * _KERNEL_POINTS
+        while lo <= K and (hi := min(lo + _KERNEL_POINTS - 1, K)) < k_end:
+            calls.append((lo, hi, N))
+            lo = hi + 1
         k_lo = k_end
     return calls
 
@@ -209,14 +207,14 @@ def scan_interval(
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
 
     def run(call: _Call) -> tuple[np.ndarray, np.ndarray]:
-        k_lo, k_hi, N, em = call
-        return _eval_block(t[k_lo:k_hi + 1], N, em=em)
+        k_lo, k_hi, N = call
+        return _eval_block(t[k_lo:k_hi + 1], N)
 
     modulus = np.empty(K + 1)
     err = np.empty(K + 1)
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
-        for (k_lo, k_hi, _, _), (vals, call_err) in zip(calls, run_all(run, calls)):
+        for (k_lo, k_hi, _), (vals, call_err) in zip(calls, run_all(run, calls)):
             modulus[k_lo:k_hi + 1] = np.abs(vals)
             err[k_lo:k_hi + 1] = call_err
 

@@ -9,11 +9,12 @@ direct route evaluates the truncated representation
              + (1+it)/16 * N^(-2-it)
 
 whose distance from zeta(1+it) is at most (1+t)(2+t) / (32 N^2).  Past
-a = max(64, ceil(t)) the terms n^(-1-it) are smooth in n, and when summing
-only n <= a saves enough terms, the Euler-Maclaurin route adds zeta's own
+a = max(64, ceil(t)) the terms n^(-1-it) are smooth in n, and whenever
+a < N the Euler-Maclaurin route sums only n <= a and adds zeta's own
 closed-form tail past a, with an explicit remainder (Edwards, Riemann's
 Zeta Function, ch. 6; Johansson, Numer. Algorithms 2015).  It has no
-truncation term, and N only decides whether it is taken.
+truncation term, and N only decides whether it is taken: the route is the
+one that sums fewer terms, min(N, a).
 
 One kernel, _eval_block, computes zeta(1+it) at all K points of an
 equispaced grid at once; :func:`eval_zeta_certified` is its one-point
@@ -41,7 +42,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -81,9 +81,6 @@ _EM_COEFFS = tuple(
 )
 
 _KERNEL_CHUNK = 1 << 16  # terms per n-chunk of the block kernel
-# cost of the block kernel's Euler-Maclaurin tail in main-sum terms
-_TAIL_POINT_TERMS = 5  # per point
-_TAIL_CALL_TERMS = 2500  # per call
 
 
 @dataclass(frozen=True)
@@ -250,46 +247,29 @@ def _em_tail(
     return tail, _em_remainder(t_top, a), rounding
 
 
-def _em_route(K: int, N: int, a: int) -> bool:
-    """Whether a kernel call of K points sharing N takes the Euler-Maclaurin route.
+def _n_hi(N: int, t_max: float) -> int:
+    """The last n of the main sum that a kernel call with N, up to t_max, adds.
 
-    A point's closed-form tail costs about _TAIL_POINT_TERMS terms of the
-    main sum, plus _TAIL_CALL_TERMS per call (the measured break-even on 1
-    to 16384 points), so the route pays when the N - a terms it saves per
-    point exceed their total; below that it is slower, although correct for
-    every N.
+    That is min(N, a) with a = _em_head(t_max): the call takes the
+    Euler-Maclaurin route, summing n <= a, exactly when a < N, and otherwise
+    sums all n <= N.
     """
-    return N - a > _TAIL_POINT_TERMS * K + _TAIL_CALL_TERMS
+    return min(N, _em_head(t_max))
 
 
-def _n_hi(K: int, N: int, t_max: float) -> int:
-    """The last n of the main sum that a kernel call of K points sharing N, up to t_max, adds.
-
-    That is a = _em_head(t_max) on the Euler-Maclaurin route, which _em_route
-    takes only when a < N, and N on the direct route: the call's term count
-    per point.
-    """
-    a = _em_head(t_max)
-    return a if _em_route(K, N, a) else N
-
-
-def _eval_block(
-    t_pts: np.ndarray, N: int, em: Optional[bool] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """zeta(1+it) at each point of the sorted, equispaced grid t_pts.
 
     Returns (values, err) with |values[j] - zeta(1 + i t_pts[j])| <= err[j].
 
-    Routes.  With a = max(64, ceil(t_max)), the Euler-Maclaurin route sums
-    the main sum over n <= a only and adds zeta's closed-form tail
-    a^(-it) A(t) (_em_tail) at each exact t_pts[j]; N plays no part in it.
-    The direct route sums all n <= N and adds the three correction terms of
-    g_N at each t_pts[j], so its values enclose g_N, and err adds the
-    truncation bound error_bound(t, N) to the radius derived below.  em
-    picks the route: True for the Euler-Maclaurin route, as for a call
-    that verifier._plan joined across blocks, False for the direct route,
-    and None for the one _em_route picks for K points sharing N.  Write
-    n_hi for the last n summed: a or N.
+    Routes.  With a = max(64, ceil(t_max)), the call takes the
+    Euler-Maclaurin route exactly when a < N: it sums the main sum over
+    n <= a only and adds zeta's closed-form tail a^(-it) A(t) (_em_tail) at
+    each exact t_pts[j], and N plays no other part in it.  Otherwise the
+    direct route sums all n <= N and adds the three correction terms of g_N
+    at each t_pts[j], so its values enclose g_N, and err adds the
+    truncation bound error_bound(t, N) to the radius derived below.  Write
+    n_hi = min(N, a) (_n_hi) for the last n summed.
 
     Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
     and integer offsets k = j - mid (|k| <= k_max), the model points
@@ -369,9 +349,8 @@ def _eval_block(
     while factor >= _EPS:
         p += 1
         factor *= d / (p + 1)
-    if em is None:
-        em = _n_hi(K, N, t_max) < N
-    n_hi = _em_head(t_max) if em else N
+    n_hi = _n_hi(N, t_max)
+    em = n_hi < N
 
     chunk = min(n_hi, _KERNEL_CHUNK)
     F = np.zeros((p + 1, M), dtype=np.complex128)
@@ -446,10 +425,10 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     """Evaluate zeta(1+it) with a certified radius: |value - zeta(1+it)| <= err.
 
     This is a one-point call of the block kernel _eval_block, which derives
-    the value and err.  With a = max(64, ceil(t)), it sums N terms of g_N
-    and err includes the truncation bound error_bound(t, N), unless summing
-    only a terms and zeta's Euler-Maclaurin tail saves enough of them; then
-    N plays no part and err holds no truncation bound.  The cost is
+    the value and err.  With a = max(64, ceil(t)), it sums the a terms of
+    the head and zeta's Euler-Maclaurin tail when a < N, so N plays no part
+    and err holds no truncation bound; otherwise it sums the N terms of g_N
+    and err includes the truncation bound error_bound(t, N).  The cost is
     O(min(N, a)) terms, and memory stays bounded because the sum is taken in
     chunks.  Very small t (below about 1e-3) is allowed, but the 1/(it)
     term inflates err through its conditioning.

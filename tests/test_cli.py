@@ -46,6 +46,14 @@ class TestEval:
         row = doc["rows"][0]
         assert row["modulus"] / math.log(17.7477) == pytest.approx(0.6443, abs=1e-4)
 
+    @pytest.mark.parametrize("t, r, summed", [("1e6", "1e-8", 1_000_000), ("5", "0.5", 2)])
+    def test_n_terms_counts_the_terms_summed(self, capsys, t, r, summed):
+        # at t = 1e6 the Euler-Maclaurin route sums its head a = 1e6, not
+        # N = 1767769605; at t = 5, r = 0.5 the direct route sums all N = 2
+        status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", t, "--r", r)
+        assert status == 0
+        assert json.loads(out)["rows"][0]["n_terms"] == summed
+
     def test_zero_threshold_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "eval", "--t", "1", "--r", "0")
         assert status == 2
@@ -135,6 +143,14 @@ class TestScan:
         _, rows = parse_csv(out)
         margins = [float(row["margin"]) for row in rows]
         assert min(margins) == pytest.approx(0.0, abs=5e-4)
+
+    def test_tight_bound_holds_at_default_radius(self, capsys):
+        status, out, _ = run_cli(
+            capsys, "scan", "--lo", "2.72", "--hi", "100", "--bound", "vlog:0.6443",
+        )
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert 0.0 < min(float(row["margin"]) for row in rows) < 5e-5
 
     def test_affine_bound_exit_zero(self, capsys):
         status, out, _ = run_cli(

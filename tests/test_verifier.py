@@ -31,16 +31,11 @@ def _zeta_30(t):
         return complex(mpmath.zeta(mpmath.mpc(1, t)))
 
 
-def _takes_em_route(pts, n):
-    # the route a kernel call of these points picks for itself
-    return _n_hi(len(pts), n, float(pts[-1])) < n
-
-
 def _beyond_truncation(pts, n, err):
     # the kernel's own radius: all of err on the Euler-Maclaurin route,
     # which encloses zeta itself, err less the truncation bound on the
     # direct route, which encloses g_N
-    return err if _takes_em_route(pts, n) else err - error_bound(pts, n)
+    return err if _n_hi(n, float(pts[-1])) < n else err - error_bound(pts, n)
 
 
 def _assert_certified(pts, n, vals, err, ks):
@@ -48,7 +43,7 @@ def _assert_certified(pts, n, vals, err, ks):
     # sum of all n terms within its floating-point slack.  Euler-Maclaurin
     # route: the block and a one-point call enclose zeta within their
     # radii, and 30-digit mpmath.zeta lies within the block's
-    em = _takes_em_route(pts, n)
+    em = _n_hi(n, float(pts[-1])) < n
     for k in ks:
         t = float(pts[k])
         if em:
@@ -73,13 +68,13 @@ def _spy_tails(monkeypatch):
 
 
 def _record_calls(monkeypatch):
-    # every kernel call's (t_pts, N, em) and its err, in call order
+    # every kernel call's (t_pts, N) and its err, in call order
     calls = []
     kernel = verifier._eval_block
 
-    def recorded(*args, **kwargs):
-        vals, err = kernel(*args, **kwargs)
-        calls.append((args[0], args[1], kwargs.get("em"), err))
+    def recorded(t_pts, n):
+        vals, err = kernel(t_pts, n)
+        calls.append((t_pts, n, err))
         return vals, err
 
     monkeypatch.setattr(verifier, "_eval_block", recorded)
@@ -114,9 +109,10 @@ class TestScanConfig:
 
 class TestEvalBlock:
     def test_matches_single_point_evaluator(self):
+        # N = a, the largest N on the direct route
         pts = np.arange(100.0, 102.0, 0.01)
-        n = choose_N(float(pts[-1]), 0.005)
-        assert not _takes_em_route(pts, n)
+        n = _em_head(float(pts[-1]))
+        assert _n_hi(n, float(pts[-1])) == n
         vals, err = _eval_block(pts, n)
         for k in (0, 57, 123, len(pts) - 1):
             t = float(pts[k])
@@ -134,8 +130,10 @@ class TestEvalBlock:
     def test_chunk_boundaries(self, monkeypatch):
         pts = 3e3 + np.arange(301) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
-        # about 7.5e3 terms in chunks of 1000: seven full chunks and a partial
-        assert n % 1000 != 0 and n > 7000
+        # the head of a = 3003 terms in chunks of 1000: three full chunks
+        # and a partial
+        a = _n_hi(n, float(pts[-1]))
+        assert a < n and a % 1000 != 0 and a > 3000
         whole, err_whole = _eval_block(pts, n)
         monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", 1000)
         vals, err = _eval_block(pts, n)
@@ -152,30 +150,24 @@ class TestEvalBlock:
         _assert_certified(pts, n, vals, err, (0, size // 2, size - 1))
 
     def test_both_sides_of_the_euler_maclaurin_switch(self, monkeypatch):
+        # N = a sums all N terms of g_N; N = a + 1 sums the head n <= a and
+        # adds zeta's closed-form tail at each point, whatever the call's size
         tails = _spy_tails(monkeypatch)
-
-        def takes_route(size):
-            t_max = 1e5 + (size - 1) * 0.01
-            n = choose_N(t_max, 0.01)
-            saved = n - _em_head(t_max)
-            return saved > zeta_eval._TAIL_POINT_TERMS * size + zeta_eval._TAIL_CALL_TERMS
-
-        size = 1
-        while takes_route(size + 1):
-            size += 1
-        # the last size that takes the route, then the first that does not
-        for k, expected in ((size, True), (size + 1, False)):
-            tails.clear()
-            pts = 1e5 + np.arange(k) * 0.01
-            n = choose_N(float(pts[-1]), 0.01)
-            vals, err = _eval_block(pts, n)
-            assert bool(tails) == expected
-            assert _beyond_truncation(pts, n, err).max() < 1e-7
-            _assert_certified(pts, n, vals, err, (0, k // 2, k - 1))
+        for t0, size in ((17.7477, 1), (1e3, 1), (1e3, 300), (1e5, 50)):
+            pts = t0 + np.arange(size) * 0.01
+            a = _em_head(float(pts[-1]))
+            routes = []
+            for n in (a, a + 1):
+                tails.clear()
+                vals, err = _eval_block(pts, n)
+                routes.append(tails == [size])
+                # only the direct route's radius holds the truncation bound
+                assert bool((err > error_bound(pts, n)).all()) != routes[-1]
+                _assert_certified(pts, n, vals, err, sorted({0, size // 2, size - 1}))
+            assert routes == [False, True]
 
     def test_route_taken_below_twice_the_head(self, monkeypatch):
-        # r = 0.01 gives N ~ 1.77 t < 2a; the Euler-Maclaurin route still
-        # saves N - a terms per point
+        # r = 0.01 gives N ~ 1.77 t < 2a; the route needs only a < N
         tails = _spy_tails(monkeypatch)
         pts = 1e4 + np.arange(100) * 0.01
         n = choose_N(float(pts[-1]), 0.01)
@@ -266,8 +258,8 @@ class TestScanInterval:
             assert seq.max_ratio == par.max_ratio
 
     def test_workers_bit_identical_multi_chunk_head(self):
-        # blocks of 50 points at t = 1e5 take the Euler-Maclaurin route,
-        # whose head a ~ 1e5 spans two n-chunks of the block kernel
+        # a call at t = 1e5 takes the Euler-Maclaurin route, whose head
+        # a ~ 1e5 spans two n-chunks of the block kernel
         assert _em_head(1e5) > zeta_eval._KERNEL_CHUNK
         cfg = ScanConfig(t_lo=1e5, t_hi=1e5 + 1.0, h=0.01, block=0.5)
         seq = scan_interval(cfg)
@@ -276,14 +268,14 @@ class TestScanInterval:
         assert seq.err.tobytes() == par.err.tobytes()
 
     def test_workers_bit_identical_merged_calls(self, monkeypatch):
-        # with at most 60 points per call, the config above runs as two
-        # Euler-Maclaurin calls: its first block alone, then the second
-        # block joined with the 1-point end block
+        # with at most 60 points per call, the config above, in blocks of
+        # 50, 50 and 1 points, runs as two calls of 60 and 41 points that
+        # each span two blocks
         cfg = ScanConfig(t_lo=1e5, t_hi=1e5 + 1.0, h=0.01, block=0.5)
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 60)
         calls = _record_calls(monkeypatch)
         seq = scan_interval(cfg)
-        assert [(len(pts), em) for pts, _, em, _ in calls] == [(50, True), (51, True)]
+        assert [len(pts) for pts, _, _ in calls] == [60, 41]
         for workers in (2, 3):  # as many threads as calls, and more
             par = scan_interval(cfg, workers=workers)
             assert seq.modulus.tobytes() == par.modulus.tobytes()
@@ -360,26 +352,15 @@ class TestScanInterval:
         # 3001 points in one block; at a cap of 1000 points per kernel call
         # the block becomes four calls that share its N
         cfg = ScanConfig(t_lo=100.0, t_hi=130.0, h=0.01)
-        calls = []
-        kernel = verifier._eval_block
-
-        def recorded(t_pts, n, em=None):
-            vals, err = kernel(t_pts, n, em=em)
-            # a direct-route call: its radius beyond the truncation bound
-            calls.append((len(t_pts), n, err - error_bound(t_pts, n)))
-            return vals, err
-
-        monkeypatch.setattr(verifier, "_eval_block", recorded)
+        calls = _record_calls(monkeypatch)
         whole = scan_interval(cfg)
-        [(size, n_whole, rem_whole)] = calls
-        assert size == 3001
+        [(pts, n_whole, _)] = calls
+        assert len(pts) == 3001
         calls.clear()
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 1000)
         capped = scan_interval(cfg)
-        assert [c[0] for c in calls] == [1000, 1000, 1000, 1]
-        assert {c[1] for c in calls} == {n_whole}
-        rem = np.concatenate([c[2] for c in calls])
-        assert np.all(np.abs(capped.modulus - whole.modulus) <= rem + rem_whole)
+        assert [(len(pts), n) for pts, n, _ in calls] == [(1000, n_whole)] * 3 + [(1, n_whole)]
+        assert np.all(np.abs(capped.modulus - whole.modulus) <= capped.err + whole.err)
 
     def test_euler_maclaurin_blocks_share_one_kernel_call(self, monkeypatch):
         # 10001 points in blocks of 5000, 5000 and 1, all on the
@@ -389,63 +370,76 @@ class TestScanInterval:
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert len(calls) == 1
         report = scan_interval(cfg)
-        [(pts, n_max, em, err)] = calls[1:]
+        [(pts, n_max, err)] = calls[1:]
         t = report.t
         blocks = _blocks(cfg, t)
         assert [hi - lo + 1 for lo, hi, _ in blocks] == [5000, 5000, 1]
-        assert n_max == blocks[-1][2] and em is True
+        assert n_max == blocks[-1][2] and _n_hi(n_max, float(pts[-1])) < n_max
         # each point's radius is the call's, which holds no truncation bound
         assert report.err.tobytes() == err.tobytes()
         assert err.max() < 1e-7
         for lo, hi, n in blocks:
             seg = slice(lo, hi + 1)
             vals, err_block = _eval_block(t[seg], n)
-            assert _takes_em_route(t[seg], n)
+            assert _n_hi(n, float(t[hi])) < n
             assert np.all(np.abs(report.modulus[seg] - np.abs(vals)) <= err[seg] + err_block)
         for k in (0, 5000, 10000):
             assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= err[k]
 
     def test_joined_calls_take_the_euler_maclaurin_route(self, monkeypatch):
-        # at r = 0.01, N ~ 1.77 t, so near t = 1e4 the first block's N is
-        # below the a of a call about 7800 wide.  The route needs no N > a:
-        # calls join the blocks up to the cap of points all the same
-        cfg = ScanConfig(t_lo=1e4, t_hi=2e4, h=1.0, r=0.01, block=100.0)
-        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 9000)
+        # at r = 0.01 the blocks of 10 below t ~ 34.7 have N <= a = 64 and
+        # alone take the direct route; the rest take the Euler-Maclaurin
+        # route.  In runs of 2500 points the first run joins direct-route
+        # blocks and stays direct, and the second joins the last
+        # direct-route block to Euler-Maclaurin ones and takes that route,
+        # with the N of its last block
+        cfg = ScanConfig(t_lo=math.e, t_hi=60.0, r=0.01, block=10.0)
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 2500)
         plan = verifier._plan(cfg, math.inf)
         calls = _record_calls(monkeypatch)
         report = scan_interval(cfg)
         t = report.t
         blocks = _blocks(cfg, t)
-        assert [(lo, hi) for lo, hi, *_ in plan] == [(0, 8999), (9000, 10000)]
-        assert [(len(pts), n, em) for pts, n, em, _ in calls] == [
-            (hi - lo + 1, n, em) for lo, hi, n, em in plan
-        ]
-        for lo, hi, n, em in plan:
-            pieces = [b for b in blocks if lo <= b[0] <= hi]
-            assert pieces[0][0] == lo and pieces[-1][1] == hi and len(pieces) > 1
-            assert em is True and n == pieces[-1][2]
-            # every block would take the route alone
-            for b_lo, b_hi, b_n in pieces:
-                assert _takes_em_route(t[b_lo:b_hi + 1], b_n)
-        assert blocks[0][2] <= _em_head(float(t[plan[0][1]]))
-        assert report.err.max() < 1e-7
-        for k in (0, 4500, 8999, 10000):
+        assert [(lo, hi) for lo, hi, _ in plan] == [(0, 2499), (2500, 4999), (5000, len(t) - 1)]
+        assert [(len(pts), n) for pts, n, _ in calls] == [(hi - lo + 1, n) for lo, hi, n in plan]
+
+        def spanned(lo, hi):
+            return [b for b in blocks if b[0] <= hi and lo <= b[1]]
+
+        def em(hi, n):
+            return _n_hi(n, float(t[hi])) < n
+
+        assert [em(hi, n) for _, hi, n in plan] == [False, True, True]
+        for lo, hi, n in plan:
+            assert n == spanned(hi, hi)[0][2]
+        assert [em(b_hi, b_n) for _, b_hi, b_n in spanned(0, 2499)] == [False] * 3
+        assert [em(b_hi, b_n) for _, b_hi, b_n in spanned(2500, 4999)] == [False, True, True]
+        # the direct run holds its truncation bound, within r; the others none
+        assert report.err[:2500].max() <= cfg.r
+        assert report.err[2500:].max() < 1e-7
+        for k in (0, 2499, 2500, 2999, 3000, len(t) - 1):
             assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= report.err[k]
 
-    def test_direct_route_plan_one_call_per_block(self, monkeypatch):
-        # below t ~ 3.5e4 every block of the default config is summed to its
-        # N, so its call covers exactly that block
+    def test_plan_runs_carry_the_n_of_their_last_block(self, monkeypatch):
+        # the default config on [e, 1e4]: 100 blocks, run as fixed calls of
+        # _KERNEL_POINTS points and a shorter last one, whatever the blocks
         cfg = ScanConfig(t_lo=math.e, t_hi=1e4)
         K = math.floor((cfg.t_hi - cfg.t_lo) / cfg.h + 1e-9)
         t = cfg.t_lo + np.arange(K + 1, dtype=np.float64) * cfg.h
         blocks = _blocks(cfg, t)
         assert len(blocks) == 100
         plan = verifier._plan(cfg, verifier.DEFAULT_BUDGET)
-        assert plan == [(lo, hi, n, False) for lo, hi, n in blocks]
+        size = verifier._KERNEL_POINTS
+        assert [(lo, hi) for lo, hi, _ in plan] == [
+            (lo, min(lo + size, K + 1) - 1) for lo in range(0, K + 1, size)
+        ]
+        for _, hi, n in plan:
+            [b_n] = [b_n for b_lo, b_hi, b_n in blocks if b_lo <= hi <= b_hi]
+            assert n == b_n
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
-        assert [(float(pts[0]), len(pts), n, em) for pts, n, em, _ in calls] == [
-            (float(t[lo]), hi - lo + 1, n, False) for lo, hi, n in blocks
+        assert [(float(pts[0]), len(pts), n) for pts, n, _ in calls] == [
+            (float(t[lo]), hi - lo + 1, n) for lo, hi, n in plan
         ]
 
     def test_margins_present_only_with_bound(self):
@@ -472,7 +466,8 @@ class TestAgainstMpmath:
                 for k in (0, 37, len(report.t) - 1):
                     ref = abs(mpmath.zeta(mpmath.mpc(1, float(report.t[k]))))
                     assert abs(report.modulus[k] - float(ref)) <= report.err[k]
-            if all(em for *_, em in verifier._plan(cfg, math.inf)):
+            plan = verifier._plan(cfg, math.inf)
+            if all(_n_hi(n, float(report.t[hi])) < n for _, hi, n in plan):
                 # an Euler-Maclaurin window: its radius holds no truncation bound
                 assert report.err.max() < 1e-7
 
@@ -533,12 +528,14 @@ class TestCheckBound:
         assert res.worst_t == pytest.approx(17.7477, abs=0.02)
         assert res.grid_note == GRID_NOTE
 
-    def test_tight_vlog_needs_fine_radius(self):
-        # with the plotting-grade default r = 0.005 the same check is
-        # inconclusive: the slack alone exceeds the peak headroom
+    def test_tight_vlog_holds_at_default_radius(self):
+        # at the default r = 0.005 this scan is one Euler-Maclaurin call,
+        # whose radius holds no truncation bound, so the same check keeps
+        # nearly all of the peak headroom
         res = check_bound(math.e, 100.0, 0.6443, 0.0)
-        assert not res.holds_on_grid
-        assert res.worst_margin > -0.01
+        assert res.holds_on_grid
+        assert 0.0 < res.worst_margin < 5e-5
+        assert res.worst_t == pytest.approx(17.7477, abs=1e-3)
 
     def test_half_log_fails(self):
         res = check_bound(math.e, 100.0, 0.5, 0.0)

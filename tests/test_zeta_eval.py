@@ -136,13 +136,15 @@ class TestEvalZetaCertified:
             eval_zeta_certified(1.0, 0)
 
     def test_tiny_t_allowed(self):
-        cert = eval_zeta_certified(1e-4, 100)
-        assert math.isfinite(cert.modulus)
-        assert cert.err >= error_bound(1e-4, 100)
-
-
-# further N, at most 2a, at which a one-point call sums all N terms
-_MORE_N = {1.0: (100,), 17.7477: (128,), 2e3: (4000,)}
+        # a = 64: N = 64 takes the direct route, whose radius holds the
+        # truncation bound, and N = 65 the Euler-Maclaurin route, whose
+        # radius does not; both enclose zeta despite the 1/(it) term
+        t = 1e-4
+        direct, em = eval_zeta_certified(t, 64), eval_zeta_certified(t, 65)
+        assert math.isfinite(direct.modulus) and math.isfinite(em.modulus)
+        assert direct.err >= error_bound(t, 64) > em.err
+        for cert in (direct, em):
+            assert abs(cert.value - _zeta_30(t)) <= cert.err
 
 
 def _zeta_30(t, a=1):
@@ -154,8 +156,9 @@ def _zeta_30(t, a=1):
 
 
 def _em_sizes(t):
+    # the direct route up to N = a, the Euler-Maclaurin route from a + 1
     a = _em_head(t)
-    return (1, a, 2 * a, 2 * a + 1, choose_N(t, 1e-8), *_MORE_N.get(t, ()))
+    return (1, a, a + 1, 2 * a, choose_N(t, 1e-8))
 
 
 class TestEulerMaclaurinRoute:
@@ -167,7 +170,7 @@ class TestEulerMaclaurinRoute:
         # the plain sum of its head n <= a plus the exact tail past a
         for n in _em_sizes(t):
             cert = eval_zeta_certified(t, n)
-            if _n_hi(1, n, t) < n:
+            if _n_hi(n, t) < n:
                 a = _em_head(t)
                 assert abs(cert.value - _zeta_30(t)) <= cert.err
                 gap = abs(cert.value - (main_sum(t, a) + _zeta_30(t, a + 1)))
@@ -227,8 +230,8 @@ def _one_point_and_block(t, r):
     cert = eval_zeta_certified(t, n)
     pts = t + (np.arange(9) - 4) * 1e-3
     assert pts[4] == t
-    em = _n_hi(1, n, t) < n
-    assert (_n_hi(9, n, float(pts[-1])) < n) == em
+    em = _n_hi(n, t) < n
+    assert (_n_hi(n, float(pts[-1])) < n) == em
     vals, err = _eval_block(pts, n)
     return n, em, cert, vals[4], err[4]
 
