@@ -161,6 +161,12 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
             f"evaluation sums {summed:.3e} terms directly, over the budget "
             f"{verifier.DEFAULT_BUDGET:.3e}"
         )
+    floor = zeta_eval._radius_floor(t, n)
+    if r < floor:
+        raise ValueError(
+            f"--r {r:g} is below the radius floor {floor:.3e} at t = {t:g}, "
+            "the rounding of the phases t ln n"
+        )
     cert = zeta_eval.eval_zeta_certified(t, n)
     columns = {
         "t": [t],

@@ -146,17 +146,50 @@ def _em_head(t: float) -> int:
     return max(_EM_MIN_HEAD, math.ceil(t))
 
 
-def _em_remainder(t: float, a: int) -> float:
-    """|B_2m|/(2m)! |(s)_2m| / (2m a^2m), as a product of the ratios |s+j|/a."""
-    bound = abs(_EM_COEFFS[-1]) / (2 * _EM_ORDER)
-    for j in range(2 * _EM_ORDER):
-        bound *= abs(complex(1.0 + j, t)) / a
-    return bound
+def _em_bounds(t: float, a: int) -> tuple[float, float]:
+    """(sigma, remainder) of the Euler-Maclaurin tail at s = 1+it, for a float t.
+
+    sigma = sum_{k<=m} |c_k (s)_(2k-1)| a^(-2k) is the sum of the moduli of
+    the Bernoulli terms and remainder = |c_m| |(s)_2m| / (2m a^2m) bounds
+    |R_m|.  Both are products of the ratios |s+j|/a, so both rise with t.
+    """
+    sigma, ratios = 0.0, 1.0
+    for k, c in enumerate(_EM_COEFFS, start=1):
+        ratios *= abs(complex(2 * k - 1, t)) / a  # now |(s)_(2k-1)| / a^(2k-1)
+        sigma += abs(c) * ratios / a
+        ratios *= abs(complex(2 * k, t)) / a
+    return sigma, abs(_EM_COEFFS[-1]) / (2 * _EM_ORDER) * ratios
+
+
+def _bernoulli_sum(t: float | np.ndarray, a: int) -> complex | np.ndarray:
+    """sum_{k<=m} c_k (s)_(2k-1) a^(-2k) at s = 1+it, by Horner in u = s/a.
+
+    t is a float or an array, and the same arithmetic serves both: the
+    in-place operators update an array and rebind a Python complex.  With
+    q_k = (u + (2k-1)/a)(u + 2k/a) = u^2 + (4k-1) u/a + 2k(2k-1)/a^2, the sum
+    is (u/a)(c_1 + q_1 (c_2 + q_2 (... + q_(m-1) c_m))).  q_k is formed from
+    y = t/a as i y (4k+1)/a - y^2 + 2k(2k+1)/a^2, and u/a as i y/a + 1/a^2;
+    the products with iy = 0 + iy are exact but for one rounding each.
+    """
+    y = t / a
+    iy = 1j * y
+    minus_y2 = iy * iy
+    acc = _EM_COEFFS[-1]
+    for k in range(_EM_ORDER - 1, 0, -1):
+        q = iy * ((4 * k + 1) / a)
+        q += minus_y2
+        q += 2 * k * (2 * k + 1) / a / a
+        acc *= q
+        acc += _EM_COEFFS[k - 1]
+    u_over_a = iy * (1.0 / a)
+    u_over_a += 1.0 / a / a
+    acc *= u_over_a
+    return acc
 
 
 def _em_tail(
     t: float | np.ndarray, a: int
-) -> tuple[complex | np.ndarray, float, float | np.ndarray]:
+) -> tuple[complex | np.ndarray, float, float]:
     """The closed-form part of zeta(1+it) past the head n <= a.
 
     Returns (tail, remainder, rounding) with
@@ -165,11 +198,11 @@ def _em_tail(
         tail = a^(-it) A,  |R_m| <= remainder,
 
     and rounding the floating-point error of tail and of adding it to a
-    head sum.  t is a float, or an array of points sharing a, for which
-    tail and rounding are arrays of the same shape; a float t keeps Python
-    complex arithmetic.  For an array t, remainder is one float that holds
-    at all its points: it is taken at their largest t, as the bound rises
-    with t.
+    head sum.  t is a float, or a sorted array of points sharing a, for
+    which tail is an array of the same shape; a float t keeps Python complex
+    arithmetic.  remainder and rounding are one float each that hold at
+    every point: remainder is taken at the largest t, as it rises with t,
+    and rounding is bounded once for all the points (see Rounding).
 
     Derivation.  With s = 1+it, (s)_j the rising factorial s (s+1) ...
     (s+j-1), c_k = B_2k/(2k)! and B~_2m the periodic Bernoulli function,
@@ -189,8 +222,9 @@ def _em_tail(
 
         A = 1/(it) - 1/(2a) + sum_{k<=m} c_k (s)_(2k-1) a^(-2k),
 
-    where the Bernoulli terms come from the recurrence p_{k+1} = p_k q_k / a^2
-    from p_1 = s / a^2, with q_k = (s+2k-1)(s+2k).
+    where the Bernoulli sum is taken by Horner in u = s/a
+    (_bernoulli_sum): (s)_(2k+1) a^(-2k-2) = (s)_(2k-1) a^(-2k) q_k with
+    q_k = (u + (2k-1)/a)(u + 2k/a).
 
     Choice of a and m.  a >= t bounds each ratio |s+j|/a by
     sqrt(1 + ((1+j)/a)^2), and a >= 64 keeps that near 1 for the j < 2m
@@ -199,52 +233,56 @@ def _em_tail(
     Bernoulli terms shrink by about (|s+2k|/(2 pi a))^2 < 1/36 and
     R_m <= 1.40 |c_m|/(2m) for every t.  m = 10 is the least order that puts
     this under eps/2: it gives 1.5e-17, m = 9 gives 6.1e-16.  R_m is
-    computed as the product of the 2m ratios |s+j|/a; its own rounding is
-    far below an ulp of 1.
+    computed as the product of the 2m ratios |s+j|/a (_em_bounds); its own
+    rounding is far below an ulp of 1.
 
     Rounding, with eps the machine epsilon and u = eps/2 the unit roundoff.
-    Write sigma for the sum of the moduli of the Bernoulli terms and
-    S = 1/t + 1/(2a) + sigma >= |A|.  To first order in eps, rounding is
-    the sum of:
+    Write sigma for the sum of the moduli of the Bernoulli terms at the
+    largest t of the call (_em_bounds); every |s+j| rises with t, so sigma
+    bounds that sum at every point, and S = 1/t + 1/(2a) + sigma >= |A|.
+    To first order in eps, rounding at t is the sum of:
 
     * the phase: a^(-it) is exp(-iy) with y = fl(t fl(ln a)) within
       1.5 eps t ln a of t ln a, and |exp(-iy') - exp(-iy)| <= |y' - y|, so
       with |A| <= S this is at most 2 eps t ln a S.  On the 1/(it) part of
       A it is 2 eps ln a, not a 1/t term;
     * the rest of the product a^(-it) A, at most 4 eps S: cos and sin
-      round to u each (0.71 eps), forming A costs eps (-1/t and the
-      addition of the Bernoulli sum; 1/(2a) is in the real part), the
-      complex product sqrt(5) u (1.12 eps), and the addition into the head
-      sum u (0.5 eps).  The 1/t part of this, 4 eps/t, is the conditioning
-      of 1/(it) for small t;
+      round to u each (0.71 eps), forming A costs at most 1.5 eps (1/t,
+      1/(2a) and the two additions), the complex product sqrt(5) u
+      (1.12 eps), and the addition into the head sum u (0.5 eps).  The 1/t
+      part of this, 4 eps/t, is the conditioning of 1/(it) for small t;
     * the head's share of that addition, u H(a) with
       H = :func:`harmonic_bound`;
-    * the Bernoulli sum: p_1 is within eps, each recurrence step adds at
-      most 4 eps (two complex products at 1.12 eps, the division by a^2
-      and the rounding of a^2), the product with c_k eps, and the m-1
-      additions (m/2) eps of sigma, so 5m eps sigma covers it.
+    * the Bernoulli sum, at most 5m eps sigma.  y and y^2 are within u and
+      1.5 eps, 2k(2k+1)/a^2 and (4k+1)/a within eps and u, and
+      2k(2k+1)/a^2 + y^2 <= |q_k| (Cauchy-Schwarz on
+      |s+2k-1| |s+2k| / a^2), so each q_k is within 2.5 eps |q_k|.  One
+      Horner level then adds 2.5 eps (q_k), 1.12 eps (the product) and
+      0.5 eps (the addition of c_k) to the relative error of every term it
+      carries; c_k itself is within u, and u/a is within 1.5 eps before
+      its product (1.12 eps).  The term of order m passes the most levels,
+      m - 1, for 4.12 (m - 1) + 0.5 + 2.62 < 5m eps.
+
+    The first two items are (2t ln a + 4) S, which is convex in t at fixed
+    sigma (a linear function plus 4/t), so over the points it is largest at
+    the first or the last, and rounding is
+    eps (H(a)/2 + max over those two of (2t ln a + 4) S + 5m sigma).
     """
-    if isinstance(t, np.ndarray):
-        exp, t_top = np.exp, float(np.max(t))
-    else:
-        exp, t_top = cmath.exp, t
-    s = 1.0 + 1j * t
-    a2 = float(a) * a
-    p = s / a2
-    bern, sigma = 0j, 0.0
-    for k, c in enumerate(_EM_COEFFS, start=1):
-        term = c * p
-        bern += term
-        sigma += abs(term)
-        if k < _EM_ORDER:
-            p *= (s + (2 * k - 1)) * (s + 2 * k) / a2
     lna = math.log(a)
-    tail = exp(-1j * t * lna) * (-1j / t - 0.5 / a + bern)
-    size = 1.0 / t + 0.5 / a + sigma
-    rounding = _EPS * (
-        0.5 * harmonic_bound(a) + (2.0 * t * lna + 4.0) * size + 5.0 * _EM_ORDER * sigma
-    )
-    return tail, _em_remainder(t_top, a), rounding
+    if isinstance(t, np.ndarray):
+        t_lo, t_hi = float(t[0]), float(t[-1])
+        ph = t * lna
+        turn = np.empty(t.shape, dtype=np.complex128)  # a^(-it)
+        turn.real = np.cos(ph)
+        turn.imag = -np.sin(ph)
+    else:
+        t_lo = t_hi = t
+        turn = cmath.exp(-1j * (t * lna))
+    tail = turn * (_bernoulli_sum(t, a) - 0.5 / a - 1j * (1.0 / t))
+    sigma, remainder = _em_bounds(t_hi, a)
+    size = max((2.0 * x * lna + 4.0) * (1.0 / x + 0.5 / a + sigma) for x in (t_lo, t_hi))
+    rounding = _EPS * (0.5 * harmonic_bound(a) + size + 5.0 * _EM_ORDER * sigma)
+    return tail, remainder, rounding
 
 
 def _n_hi(N: int, t_max: float) -> int:
@@ -255,6 +293,17 @@ def _n_hi(N: int, t_max: float) -> int:
     sums all n <= N.
     """
     return min(N, _em_head(t_max))
+
+
+def _radius_floor(t: float, N: int) -> float:
+    """eps t L with L = ln^2(n_hi)/2 + 0.11, n_hi = _n_hi(N, t).
+
+    This is the phase rounding in the radius of the one-point call
+    eval_zeta_certified(t, N) (see _eval_block), so that radius is never
+    below it: no call at t can certify a smaller one.
+    """
+    ln_hi = math.log(_n_hi(N, t))
+    return _EPS * t * (0.5 * ln_hi * ln_hi + 0.11)
 
 
 def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,14 +331,16 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     power of two >= K, K = len(t_pts)), leaving |delta_n| <= pi/M, and
     e^(-i k delta_n) is expanded to order p.  Then
 
-        S(t_c + k h) = sum_{m<=p} (-i k)^m / m! * FFT(F_m)[k mod M] + R_k,
-        F_m[j] = sum_{j_n = j} a_n delta_n^m,
+        S(t_c + k h) = sum_{m<=p} (-i k)^m FFT(F_m)[k mod M] + R_k,
+        F_m[j] = sum_{j_n = j} a_n delta_n^m / m!,
 
     so the work is p+1 weighted segment sums over n (theta_n is monotone,
-    so the n landing on one grid point are consecutive), taken in chunks of
-    _KERNEL_CHUNK terms (memory O(chunk + pM), never O(n_hi)), p+1 FFTs of
-    length M and a Horner pass in k.  With d = k_max pi/M (<= pi/2, reached
-    when K is a power of two) and H = harmonic_bound(n_hi) >= sum 1/n,
+    so the n landing on one grid point are consecutive, and 1/m! scales
+    each segment's sum), taken in chunks of _KERNEL_CHUNK terms (memory
+    O(chunk + pM), never O(n_hi)), p+1 FFTs of length M and a Horner pass
+    in k, run over the M bins in the FFT's own order with -ik per bin and
+    rotated to grid order once at the end.  With d = k_max pi/M (<= pi/2,
+    reached when K is a power of two) and H = harmonic_bound(n_hi) >= sum 1/n,
     |R_k| <= H d^(p+1)/(p+1)!; p is the least order bringing
     d^(p+1)/(p+1)! below eps.  A one-point call (K = 1) has h = 0, M = 1,
     d = 0 and p = 0: every n lands in bin 0 with delta_n = 0, so each
@@ -318,22 +369,27 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
       eps t ln n, which sums to eps t L;
     * segment-sum rounding: a term passes through at most
       chunk + n_chunks + h ln n_hi / (2 pi) additions (its segment, the
-      chunk totals, the windings of theta_n folded onto one bin) and
-      a_n delta_n^m carries at most (p + 6) eps of relative error, so
-      ||error of F_m||_1 <= eps (chunk + n_chunks + h ln n_hi/(2 pi) + p + 6)
-      H (pi/M)^m, which the expansion turns into at most that times e^d
-      in S;
+      chunk totals, the windings of theta_n folded onto one bin),
+      a_n delta_n^m carries at most (p + 6) eps of relative error, and the
+      product of a segment's sum with fl(1/m!) adds eps, so
+      ||error of F_m||_1 <= eps (chunk + n_chunks + h ln n_hi/(2 pi) + p + 7)
+      H (pi/M)^m / m!, which the expansion turns into at most that times
+      e^d in S;
     * FFT rounding (Higham, Accuracy and Stability of Numerical
       Algorithms, Thm 24.2): ||error||_inf <= ||error||_2 <= log2(M) eta
       sqrt(M) ||F_m||_1 with eta <= 4 eps, amplified by at most e^d;
-    * Horner in k: 2 (p+1) eps H e^d;
+    * Horner in k: each order multiplies by the exact -ik and adds
+      FFT(F_m), rounding by u each, so the term of order m passes at most
+      m products and m + 1 additions, and the error is at most
+      (2p + 1) u H e^d <= (p+1) eps H e^d;
     * direct route, corrections: eps (4 + t_max ln N) times their modulus
       bound 1/t_min + 1/(2N) + (1+t_max)/(16 N^2), which covers the phase
       t ln N and the 1/(it) conditioning;
-    * Euler-Maclaurin route, tail: _em_remainder(t_max, a), which rises
-      with t, so it bounds R_m at every point, plus the largest over the
-      points of the rounding that _em_tail derives (phase, product,
-      Bernoulli sum, and the addition into the head sum).
+    * Euler-Maclaurin route, tail: the remainder and the rounding that
+      _em_tail returns, one float each for the call: R_m at t_max, which
+      rises with t, so it bounds R_m at every point, and the rounding of
+      the phase, the product, the Bernoulli sum and the addition into the
+      head sum, bounded at t_min and t_max with sigma at t_max.
     """
     K = len(t_pts)
     mid = (K - 1) // 2
@@ -353,6 +409,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     em = n_hi < N
 
     chunk = min(n_hi, _KERNEL_CHUNK)
+    inv_fact = [1.0 / math.factorial(m) for m in range(p + 1)]
     F = np.zeros((p + 1, M), dtype=np.complex128)
     for lo in range(1, n_hi + 1, chunk):
         n = np.arange(lo, min(lo + chunk, n_hi + 1), dtype=np.float64)
@@ -374,18 +431,22 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
         for m in range(p + 1):
             if m:
                 w *= delta
-            np.add.at(F[m], bins, np.add.reduceat(w, starts))
+            seg = np.add.reduceat(w, starts)  # one entry per visited bin
+            seg *= inv_fact[m]
+            np.add.at(F[m], bins, seg)
     if M > 1:
         np.fft.fft(F, axis=1, out=F)  # in place (numpy >= 2.0): no second (p+1) x M buffer
-    # FFT(F_m)[k mod M]: bins M - mid .. M - 1 for k < 0, then 0 .. K - 1 - mid
-    ik = -1j * k
-    acc = np.concatenate((F[p, M - mid:], F[p, :K - mid]))
-    tmp = np.empty_like(acc)
+    # Horner in k over the FFT's own bin order, in place in row p: bin b
+    # holds k = b for b <= M/2 and k = b - M above, which covers -mid .. k_max
+    k_bin = np.arange(M)
+    k_bin[M // 2 + 1:] -= M
+    ik = -1j * k_bin
+    acc = F[p]
     for m in range(p - 1, -1, -1):
-        np.divide(ik, m + 1, out=tmp)
-        acc *= tmp
-        acc[:mid] += F[m, M - mid:]
-        acc[mid:] += F[m, :K - mid]
+        acc *= ik
+        acc += F[m]
+    # rotate to grid order: bins M - mid .. M - 1 (k < 0), then 0 .. K - 1 - mid
+    acc = np.concatenate((acc[M - mid:], acc[:K - mid]))
 
     h_n = harmonic_bound(n_hi)
     ln_hi = math.log(n_hi)
@@ -393,7 +454,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
         # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
         tail, remainder, tail_rounding = _em_tail(t_c if K == 1 else t_pts, n_hi)
         acc += tail
-        rem_tail = remainder + float(np.max(tail_rounding))
+        rem_tail = remainder + tail_rounding
     else:
         acc += np.exp(-1j * t_pts * ln_hi) * (
             1.0 / (1j * t_pts) - 0.5 / N + (1.0 + 1j * t_pts) / (16.0 * N * N)
@@ -409,7 +470,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
         grid = (eta + 3.0 * phase) * l1
     n_chunks = -(-n_hi // chunk)
     depth = chunk + n_chunks + h * ln_hi / (2.0 * math.pi)
-    rounding = depth + 3 * p + 8 + 4.0 * math.log2(M) * math.sqrt(M)
+    rounding = depth + 2 * p + 8 + 4.0 * math.log2(M) * math.sqrt(M)
     rem = (
         h_n * factor
         + grid

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from zetabound import ScanConfig, cli, scan_interval, verifier
+from zetabound import ScanConfig, cli, scan_interval, verifier, zeta_eval
 from zetabound.cli import main
 
 
@@ -46,13 +46,27 @@ class TestEval:
         row = doc["rows"][0]
         assert row["modulus"] / math.log(17.7477) == pytest.approx(0.6443, abs=1e-4)
 
-    @pytest.mark.parametrize("t, r, summed", [("1e6", "1e-8", 1_000_000), ("5", "0.5", 2)])
+    @pytest.mark.parametrize("t, r, summed", [("1e6", "1e-7", 1_000_000), ("5", "0.5", 2)])
     def test_n_terms_counts_the_terms_summed(self, capsys, t, r, summed):
         # at t = 1e6 the Euler-Maclaurin route sums its head a = 1e6, not
-        # N = 1767769605; at t = 5, r = 0.5 the direct route sums all N = 2
+        # N = 559017833; at t = 5, r = 0.5 the direct route sums all N = 2
         status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", t, "--r", r)
         assert status == 0
         assert json.loads(out)["rows"][0]["n_terms"] == summed
+
+    def test_radius_below_the_floor_is_usage_error(self, capsys):
+        # at t = 1e6 the phase rounding eps t (ln^2 t / 2 + 0.11) alone is
+        # 2.122e-8: r = 1e-8 is refused before any sum, and an r just
+        # above the floor is met
+        floor = zeta_eval._radius_floor(1e6, zeta_eval.choose_N(1e6, 1e-8))
+        assert floor == pytest.approx(2.122e-8, abs=1e-11)
+        status, out, err = run_cli(capsys, "eval", "--t", "1e6", "--r", "1e-8")
+        assert status == 2 and out == ""
+        assert "floor 2.122e-08" in err
+        r = 1.01 * floor
+        status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", "1e6", "--r", repr(r))
+        assert status == 0
+        assert floor <= json.loads(out)["rows"][0]["err"] <= r
 
     def test_zero_threshold_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "eval", "--t", "1", "--r", "0")

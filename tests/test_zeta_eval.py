@@ -14,8 +14,9 @@ from zetabound import (
     harmonic_bound,
     oracle_zeta,
 )
-from zetabound.zeta_eval import _em_head, _eval_block, _n_hi
+from zetabound.zeta_eval import _em_head, _em_tail, _eval_block, _n_hi
 
+import em_reference
 from plain_sum import direct_sum, fp_slack, main_sum
 
 # t values of the Euler-Maclaurin checks: tiny t, the peak 17.7477, the
@@ -254,6 +255,66 @@ class TestOnePointCall:
         ref = _zeta_30(t)
         assert abs(cert.value - ref) <= cert.err
         assert abs(block - ref) <= err
+
+
+def _partial_call_indices(size):
+    # every point of a small call; in a large one, the ends, both sides of
+    # the centre (k = -1, 0, 1, where the rotation from bin order joins) and
+    # a stride through the rest
+    if size <= 3:
+        return list(range(size))
+    mid = (size - 1) // 2
+    return sorted({0, 1, mid - 1, mid, mid + 1, size - 2, size - 1, *range(0, size, 97)})
+
+
+class TestPartialCalls:
+    # calls of K points with 2^q < K < 2^(q+1) use M = 2^(q+1) bins, of which
+    # the Horner pass in k runs over all and the rotation keeps K
+    @pytest.mark.parametrize("size", [2, 3, (1 << 13) + 1, (1 << 14) - 1])
+    @pytest.mark.parametrize("route", ["euler-maclaurin", "direct"])
+    def test_within_one_point_calls(self, size, route):
+        # N = a(t_0) keeps the call and every one-point call on the direct
+        # route, as no point has a smaller head
+        pts = 1e3 + np.arange(size) * 0.01
+        em = route == "euler-maclaurin"
+        n = choose_N(float(pts[-1]), 0.005) if em else _em_head(float(pts[0]))
+        vals, err = _eval_block(pts, n)
+        for j in _partial_call_indices(size):
+            t = float(pts[j])
+            assert (_n_hi(n, t) < n) == (_n_hi(n, float(pts[-1])) < n) == em
+            one = eval_zeta_certified(t, n)
+            # both enclose zeta, or g_N beyond the truncation bound
+            truncation = 0.0 if em else error_bound(t, n)
+            assert abs(vals[j] - one.value) <= (err[j] - truncation) + (one.err - truncation)
+
+    @pytest.mark.parametrize("size", [2, 3, (1 << 13) + 1, (1 << 14) - 1])
+    def test_against_mpmath(self, size):
+        pts = 1e3 + np.arange(size) * 0.01
+        vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005))
+        for j in sorted({0, (size - 1) // 2, size // 3, size - 1}):
+            assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err[j]
+
+
+class TestTailBounds:
+    def test_call_bounds_cover_every_point(self):
+        # _em_tail's rounding and remainder are one float each for a call:
+        # each must be at least the per-point bound, with sigma at the
+        # point's own t, at every point of the call.  The first call has its
+        # largest per-point rounding at its first point (the 4/t term)
+        calls = [(math.e, 0.01, 50), (math.e, 1.0, 62)]
+        rng = np.random.default_rng(1717)
+        for _ in range(30):
+            size = int(rng.integers(1, 1 << 14, endpoint=True))
+            h = float(10.0 ** rng.uniform(-4, 0))
+            calls.append((float(rng.uniform(math.e, 2e5 - size * h)), h, size))
+        for t_lo, h, size in calls:
+            pts = t_lo + np.arange(size) * h
+            a = _em_head(float(pts[-1]))
+            _, remainder, rounding = _em_tail(pts if size > 1 else t_lo, a)
+            per_point = em_reference.tail_rounding(pts, a)
+            assert rounding >= per_point.max()
+            assert remainder >= em_reference.tail_remainder(pts, a).max()
+        assert np.argmax(em_reference.tail_rounding(math.e + np.arange(50) * 0.01, 64)) == 0
 
 
 class TestOracleZeta:
