@@ -11,10 +11,12 @@ A blank cell (a value that does not exist, such as a scan margin without
 --bound) is empty in table and CSV modes and null in JSON.
 
 Commands produce column-oriented records; rows are formed only while
-rendering.  CSV and JSON rows are formatted a chunk of rows at a time, by
-one %-template per row applied to the chunk's cells, so memory is the text
+rendering.  Rows are formatted a chunk of rows at a time, by one
+%-template per row applied to the chunk's cells, so memory is the text
 and not an object per cell; the bytes are those of formatting each cell on
-its own (format(v, ".17g") in CSV, json.dumps in JSON).
+its own (format(v, ".17g") in CSV, json.dumps in JSON, and in table mode
+the cell right-justified to its column's width, which a first pass over
+the column finds).
 
 Exit status: 0 success / bound holds, 1 bound violated on the grid,
 2 usage or domain error (including a non-finite t, t0 or bound, or a
@@ -45,7 +47,7 @@ _FIGURES = ("c0", "c1-sigma0", "c1-sigma1", "zeta-vs-affine", "ratio")
 _FIGURE_GRID_POINTS = 1001
 _FIGURE_T_LO = math.e
 _FIGURE_T_HI = 500.0
-_RENDER_CHUNK = 1 << 13  # CSV and JSON rows formatted by one %
+_RENDER_CHUNK = 1 << 13  # rows formatted by one %
 
 
 @dataclass
@@ -84,34 +86,26 @@ def _format_cells(values: Sequence[object], float_format: str) -> list[str]:
     ]
 
 
-def render_table(record: OutputRecord) -> str:
-    columns = []
-    for key, values in record.columns.items():
-        cells = [key, *_format_cells(values, "g" if key in _KEY_COLUMNS else ".4f")]
-        width = max(map(len, cells))
-        columns.append([c.rjust(width) for c in cells])
-    return "\n".join(map("  ".join, zip(*columns))) + "\n"
-
-
 def _rows_text(
-    record: OutputRecord, float_field: str,
-    format_cells: Callable[[Sequence[object]], list[str]],
-    row: Callable[[list[str]], str], sep: str,
+    record: OutputRecord,
+    format_cells: Callable[[int, Sequence[object]], list[str]],
+    row: Callable[[list[bool]], str], sep: str,
 ) -> list[str]:
     """The record's rows, one string per chunk of _RENDER_CHUNK rows, each after sep but the first.
 
-    row builds the row template from one field per column.  A float64 array
-    whose values are all finite fills float_field with Python floats; any
-    other column fills %s with its cells as format_cells writes them.  A
-    chunk is one % of its rows' template on the flat tuple of its cells, so
-    no per-row or per-cell object outlives it.
+    A float64 array whose values are all finite is a float column, whose
+    field in the row template fills with Python floats; every other column
+    fills %s with its cells as format_cells(column index, cells) writes
+    them.  row builds the template from the columns' float flags.  A chunk
+    is one % of its rows' template on the flat tuple of its cells, so no
+    per-row or per-cell object outlives it.
     """
     columns = list(record.columns.values())
     floats = [
         isinstance(v, np.ndarray) and v.dtype == np.float64 and bool(np.isfinite(v).all())
         for v in columns
     ]
-    template = row([float_field if f else "%s" for f in floats])
+    template = row(floats)
     width, total = len(columns), len(columns[0]) if columns else 0
     parts = []
     for lo in range(0, total, _RENDER_CHUNK):
@@ -119,15 +113,40 @@ def _rows_text(
         cells: list[object] = [None] * ((hi - lo) * width)
         for c, (values, f) in enumerate(zip(columns, floats)):
             chunk = values[lo:hi]
-            cells[c::width] = chunk.tolist() if f else format_cells(chunk)
+            cells[c::width] = chunk.tolist() if f else format_cells(c, chunk)
         parts.append((sep if lo else "") + sep.join([template] * (hi - lo)) % tuple(cells))
     return parts
 
 
+def render_table(record: OutputRecord) -> str:
+    """Right-aligned columns two spaces apart, key columns in %g and the rest at 4 decimals.
+
+    A first pass formats each column a chunk at a time for its width only;
+    the rows are then formatted a chunk at a time by _rows_text, with the
+    width in every field of the template, so memory is the text.
+    """
+    specs = ["g" if key in _KEY_COLUMNS else ".4f" for key in record.columns]
+    widths = [
+        max([len(key)] + [
+            max(map(len, _format_cells(values[lo:lo + _RENDER_CHUNK], spec)))
+            for lo in range(0, len(values), _RENDER_CHUNK)
+        ])
+        for (key, values), spec in zip(record.columns.items(), specs)
+    ]
+    head = "  ".join(key.rjust(w) for key, w in zip(record.columns, widths))
+    rows = _rows_text(
+        record, lambda c, v: _format_cells(v, specs[c]),
+        lambda floats: "\n" + "  ".join(
+            f"%{w}{spec if f else 's'}" for w, spec, f in zip(widths, specs, floats)
+        ), "",
+    )
+    return "".join([head, *rows, "\n"])
+
+
 def render_csv(record: OutputRecord) -> str:
     head = "# " + json.dumps(record.metadata(), sort_keys=True) + "\n" + ",".join(record.columns)
-    rows = _rows_text(record, "%.17g", lambda v: _format_cells(v, ".17g"),
-                      lambda fields: "\n" + ",".join(fields), "")
+    rows = _rows_text(record, lambda c, v: _format_cells(v, ".17g"),
+                      lambda floats: "\n" + ",".join("%.17g" if f else "%s" for f in floats), "")
     return "".join([head, *rows, "\n"])
 
 
@@ -135,8 +154,9 @@ def render_json(record: OutputRecord) -> str:
     keys = [json.dumps(key).replace("%", "%%") + ": " for key in record.columns]
     head = json.dumps({**record.metadata(), "rows": []})[:-2]  # ends in '"rows": ['
     rows = _rows_text(
-        record, "%r", lambda v: list(map(json.dumps, _cells(v))),
-        lambda fields: "{" + ", ".join(map(str.__add__, keys, fields)) + "}", ", ",
+        record, lambda c, v: list(map(json.dumps, _cells(v))),
+        lambda floats: "{" + ", ".join(k + ("%r" if f else "%s") for k, f in zip(keys, floats)) + "}",
+        ", ",
     )
     return "".join([head, *rows, "]}\n"])
 
@@ -161,7 +181,7 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
             f"evaluation sums {summed:.3e} terms directly, over the budget "
             f"{verifier.DEFAULT_BUDGET:.3e}"
         )
-    floor = zeta_eval._radius_floor(t, n)
+    floor = zeta_eval._radius_floor(np.array([t]), summed)
     if r < floor:
         raise ValueError(
             f"--r {r:g} is below the radius floor {floor:.3e} at t = {t:g}, "

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _eval_block, choose_N, eval_zeta_certified
+from .zeta_eval import _eval_block, _n_hi, _radius_floor, choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -191,7 +191,11 @@ def scan_interval(
     slope * log t + intercept - (modulus + err) are then returned in margin
     and summarised in min_margin / argmin_t; both must be finite.  budget,
     positive (inf for none), caps the nominal term count
-    sum_k N(t_k), checked before any array is built; workers > 1
+    sum_k N(t_k), checked before any array is built.  config.r must be at
+    least the radius floor of every kernel call of the plan
+    (zeta_eval._radius_floor, the rounding of its grid and phases, which
+    every radius of the call holds), checked before the first call;
+    ValueError names the floor otherwise.  workers > 1
     distributes kernel calls over threads (numpy releases the GIL for most
     of a call), whose results are merged in call order, so the report is
     identical for any worker count.
@@ -205,6 +209,14 @@ def scan_interval(
     calls = _plan(config, budget)
     K = calls[-1][1]
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
+    for k_lo, k_hi, N in calls:  # r is a ceiling: no radius of a call gets below its floor
+        pts = t[k_lo:k_hi + 1]
+        floor = _radius_floor(pts, _n_hi(N, float(pts[-1])))
+        if config.r < floor:
+            raise ValueError(
+                f"r = {config.r:g} is below the radius floor {floor:.3e} of the kernel call on "
+                f"t in [{pts[0]:.9g}, {pts[-1]:.9g}], the rounding of its grid and phases t ln n"
+            )
 
     def run(call: _Call) -> tuple[np.ndarray, np.ndarray]:
         k_lo, k_hi, N = call

@@ -23,10 +23,11 @@ grid.  On the grid, S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a
 type-1 nonuniform DFT in k, computed by rounding each phase h ln n to an
 FFT grid and expanding the leftover phase in a short Taylor series
 (Odlyzko and Schoenhage's multiple-evaluation idea, in the NUFFT form of
-Greengard and Lee).  A call costs O(p min(N, a) + p M log M) for an FFT of
-length M, the least power of two >= K, against O(K N) point by point; one
-point costs O(min(N, a)) terms, which is O(t), while N grows like
-t / sqrt(r) for a radius target r.  The truncation bound (direct route),
+Greengard and Lee, with the transforms pruned to the bins the phases
+reach).  A call costs O(p min(N, a) + p M log B), M the least power of
+two >= K and B <= M those bins, against O(K N) point by point; one point
+costs O(min(N, a)) terms, which is O(t), while N grows like t / sqrt(r)
+for a radius target r.  The truncation bound (direct route),
 the expansion remainder, the Euler-Maclaurin remainder and every
 floating-point effect are folded into the radius (see _eval_block), so no
 certificate is weakened.
@@ -295,15 +296,72 @@ def _n_hi(N: int, t_max: float) -> int:
     return min(N, _em_head(t_max))
 
 
-def _radius_floor(t: float, N: int) -> float:
-    """eps t L with L = ln^2(n_hi)/2 + 0.11, n_hi = _n_hi(N, t).
+def _radius_floor(t_pts: np.ndarray, n_hi: int) -> float:
+    """The grid and phase terms of the radius of a kernel call on t_pts summing n <= n_hi.
 
-    This is the phase rounding in the radius of the one-point call
-    eval_zeta_certified(t, N) (see _eval_block), so that radius is never
-    below it: no call at t can certify a smaller one.
+    _eval_block adds this one float to every radius it returns (see its
+    Radius), so no call on these points can certify a smaller radius.  With
+    L = ln^2(n_hi)/2 + 0.11 it is eps t L for one point, and for a grid
+    (eta + 3 eps (t_c + 2 k_max h)) L, where eta is the largest distance of
+    a point from its model point t_c + k h.
     """
-    ln_hi = math.log(_n_hi(N, t))
-    return _EPS * t * (0.5 * ln_hi * ln_hi + 0.11)
+    K = len(t_pts)
+    mid = (K - 1) // 2
+    t_c = float(t_pts[mid])
+    ln_hi = math.log(n_hi)
+    l1 = 0.5 * ln_hi * ln_hi + 0.11
+    if K == 1:  # no grid gap, and the phase is rounded only in ln n and t ln n
+        return _EPS * t_c * l1
+    h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1)
+    gap = np.arange(-mid, K - mid) * h  # the model points t_c + k h, less t_pts
+    gap += t_c
+    gap -= t_pts
+    eta = float(np.abs(gap, out=gap).max())
+    return (eta + 3.0 * (_EPS * (t_c + 2.0 * (K - 1 - mid) * h))) * l1
+
+
+def _transform(K: int, h: float, n_hi: int) -> tuple[int, int, int, float, float, int, float]:
+    """(M, B, p, d, factor, chunk, depth) of a K-point call at step h summing n <= n_hi.
+
+    M is the FFT length, the least power of two >= K; B <= M the bins the
+    phases reach, rounded up to a power of two; p the expansion order; d
+    k_max pi/M, rounded up; factor d^(p+1)/(p+1)!, the expansion remainder
+    per unit of H; chunk the terms per n-chunk; depth the additions a term
+    passes in the segment sums (see _eval_block).
+    """
+    M = 1 << (K - 1).bit_length()
+    step = 2.0 * math.pi / M
+    ln_hi = math.log(n_hi)
+    # J, the last bin reached; B > J + 1 leaves room for an array log whose
+    # rint lands one bin higher than this scalar one
+    J = round(ln_hi * (h / step))
+    B = min(M, 1 << (J + 1).bit_length())
+    chunk = min(n_hi, _KERNEL_CHUNK)
+    depth = chunk + -(-n_hi // chunk) + h * ln_hi / (2.0 * math.pi)
+    d = (K - 1 - (K - 1) // 2) * math.pi / M * (1.0 + _EPS)
+    p, factor = 0, d
+    while factor >= _EPS * depth:
+        p += 1
+        factor *= d / (p + 1)
+    return M, B, p, d, factor, chunk, depth
+
+
+def _pruned_layout(M: int, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """(twiddles, ik) of an M-point FFT taken as L = M/B FFTs of B points.
+
+    Entry (v, j) of the twiddles is w^(v j), w = e^(-2 pi i/M), from the
+    exact integer angle v j < M; entry (v, u) of ik is -ik for the signed k
+    of bin L u + v.
+    """
+    L = M // B
+    angle = (np.arange(L)[:, None] * np.arange(B)) * (2.0 * math.pi / M)
+    twiddles = np.empty((L, B), dtype=np.complex128)
+    twiddles.real = np.cos(angle)
+    twiddles.imag = -np.sin(angle)
+    # bin b holds k = b for b <= M/2 and k = b - M above
+    k = np.arange(B) * L + np.arange(L)[:, None]
+    k[k > M // 2] -= M
+    return twiddles, -1j * k
 
 
 def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -331,20 +389,38 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     power of two >= K, K = len(t_pts)), leaving |delta_n| <= pi/M, and
     e^(-i k delta_n) is expanded to order p.  Then
 
-        S(t_c + k h) = sum_{m<=p} (-i k)^m FFT(F_m)[k mod M] + R_k,
+        S(t_c + k h) = sum_{m<=p} (-i k)^m FFT_M(F_m)[k mod M] + R_k,
         F_m[j] = sum_{j_n = j} a_n delta_n^m / m!,
 
     so the work is p+1 weighted segment sums over n (theta_n is monotone,
     so the n landing on one grid point are consecutive, and 1/m! scales
-    each segment's sum), taken in chunks of _KERNEL_CHUNK terms (memory
-    O(chunk + pM), never O(n_hi)), p+1 FFTs of length M and a Horner pass
-    in k, run over the M bins in the FFT's own order with -ik per bin and
-    rotated to grid order once at the end.  With d = k_max pi/M (<= pi/2,
-    reached when K is a power of two) and H = harmonic_bound(n_hi) >= sum 1/n,
-    |R_k| <= H d^(p+1)/(p+1)!; p is the least order bringing
-    d^(p+1)/(p+1)! below eps.  A one-point call (K = 1) has h = 0, M = 1,
-    d = 0 and p = 0: every n lands in bin 0 with delta_n = 0, so each
-    chunk is one plain sum and no FFT is taken.
+    each segment's sum), taken in chunks of _KERNEL_CHUNK terms, then p+1
+    transforms and a Horner pass in k.
+
+    Occupied bins (_transform).  The phases reach bins 0 .. J at most, with
+    J = rint(h ln n_hi / (2 pi/M)).  Unless they wind (J + 1 >= M, and then
+    B = M), F_m lives on its first B bins, B the least power of two above
+    J + 1, and with M = L B and w = e^(-2 pi i/M)
+
+        FFT_M(F_m)[L u + v] = FFT_B(F_m[j] w^(v j))[u],  0 <= v < L,
+
+    so order m takes L transforms of B points, in place along the rows of
+    an (L, B) buffer (_pruned_layout makes the twiddles w^(v j)).  The
+    Horner pass in k runs from order p down on that layout, with -ik for
+    the signed k of bin L u + v (k = b for a bin b <= M/2, b - M above),
+    and takes each order's transform as soon as it is made, so one buffer
+    serves every order: memory is O(chunk + pB + M), never O(n_hi).  One
+    transpose and one rotation put the values in grid order.  B = M gives
+    L = 1: M-point transforms, with twiddles all 1.
+
+    Order.  With d = k_max pi/M (<= pi/2, reached when K is a power of two)
+    and H = harmonic_bound(n_hi) >= sum 1/n, |R_k| <= H d^(p+1)/(p+1)!.
+    Write D = chunk + n_chunks + h ln n_hi / (2 pi) for the segment-sum
+    depth below; p is the least order with d^(p+1)/(p+1)! < eps D, so the
+    remainder stays below the segment-sum rounding eps H e^d D that the
+    radius charges anyway.  A one-point call (K = 1) has h = 0, M = 1,
+    d = 0 and p = 0: every n lands in bin 0 with delta_n = 0, so each chunk
+    is one plain sum and no transform is taken.
 
     Radius.  err is the truncation bound on the direct route, plus rem,
     one float for the call that bounds the distance of each value from g_N
@@ -354,30 +430,40 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     expansion can amplify a rounding error in F_m (e^d <= e^(pi/2) < 4.82):
 
     * remainder: H d^(p+1)/(p+1)!;
-    * grid gap: the main sum is taken at t_c + k h, not at the
-      floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| L.  The gap
-      is the measured max |eta_j| plus eps (t_c + 2 k_max h) for
-      computing it.  A one-point call has no gap: its model point is
-      t_pts[0] itself;
-    * phase: with log, the products and the grid reduction each good to a
-      few ulp, the realised phase of term n is within
-      2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of
-      (t_c + k h) ln n, which sums to 2 eps (t_c + 2 k_max h) L + 2 eps d H.
-      A one-point call has no grid reduction: fl(ln n) is within u ln n
-      (numpy's log of an integer, checked against 120-bit mpmath for
-      n <= 2e6) and its product with t rounds by u, so the phase is within
-      eps t ln n, which sums to eps t L;
-    * segment-sum rounding: a term passes through at most
-      chunk + n_chunks + h ln n_hi / (2 pi) additions (its segment, the
-      chunk totals, the windings of theta_n folded onto one bin),
-      a_n delta_n^m carries at most (p + 6) eps of relative error, and the
-      product of a segment's sum with fl(1/m!) adds eps, so
-      ||error of F_m||_1 <= eps (chunk + n_chunks + h ln n_hi/(2 pi) + p + 7)
-      H (pi/M)^m / m!, which the expansion turns into at most that times
-      e^d in S;
-    * FFT rounding (Higham, Accuracy and Stability of Numerical
-      Algorithms, Thm 24.2): ||error||_inf <= ||error||_2 <= log2(M) eta
-      sqrt(M) ||F_m||_1 with eta <= 4 eps, amplified by at most e^d;
+    * grid gap and phase, the one float _radius_floor returns:
+      - grid gap: the main sum is taken at t_c + k h, not at the
+        floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| L.  The
+        gap is the measured max |eta_j| plus eps (t_c + 2 k_max h) for
+        computing it.  A one-point call has no gap: its model point is
+        t_pts[0] itself;
+      - phase: with log, the products and the grid reduction each good to
+        a few ulp, the realised phase of term n is within
+        2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of
+        (t_c + k h) ln n, which sums to 2 eps (t_c + 2 k_max h) L
+        + 2 eps d H (the second part is charged below).  A one-point call
+        has no grid reduction: fl(ln n) is within u ln n (numpy's log of
+        an integer, checked against 120-bit mpmath for n <= 2e6) and its
+        product with t rounds by u, so the phase is within eps t ln n,
+        which sums to eps t L;
+    * segment-sum rounding: a term passes through at most D additions (its
+      segment, the chunk totals, the windings of theta_n folded onto one
+      bin), a_n delta_n^m carries at most (p + 6) eps of relative error,
+      and the product of a segment's sum with fl(1/m!) adds eps, so
+      ||error of F_m||_1 <= eps (D + p + 7) H (pi/M)^m / m!, which the
+      expansion turns into at most that times e^d in S;
+    * twiddles, when L > 1: the angle fl(v j fl(2 pi/M)) is within
+      2 pi eps of 2 pi v j/M, cos and sin are each within 2 eps (4 ulp,
+      room for numpy's vectorised routines), and the complex product with
+      F_m[j] rounds by sqrt(5) u, so each computed F_m[j] w^(v j) is
+      within (2 pi + 2 sqrt(2) + 1.12) eps |F_m[j]| < 11 eps |F_m[j]| of
+      the exact one, and a transform turns an input error into an output
+      error at most its l1 norm: 11 eps ||F_m||_1, amplified by at most
+      e^d;
+    * transform rounding (Higham, Accuracy and Stability of Numerical
+      Algorithms, Thm 24.2): each output bin comes from one B-point
+      transform of a row of l1 norm ||F_m||_1, so ||error||_inf <=
+      ||error||_2 <= log2(B) eta sqrt(B) ||F_m||_1 with eta <= 4 eps,
+      amplified by at most e^d;
     * Horner in k: each order multiplies by the exact -ik and adds
       FFT(F_m), rounding by u each, so the term of order m passes at most
       m products and m + 1 additions, and the error is at most
@@ -396,21 +482,14 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     t_c = float(t_pts[mid])
     t_min, t_max = float(t_pts[0]), float(t_pts[-1])
     h = (t_max - t_min) / (K - 1) if K > 1 else 0.0
-    k = np.arange(K) - mid
-    k_max = K - 1 - mid
-    M = 1 << (K - 1).bit_length()
-    step = 2.0 * math.pi / M
-    d = k_max * math.pi / M * (1.0 + _EPS)
-    p, factor = 0, d
-    while factor >= _EPS:
-        p += 1
-        factor *= d / (p + 1)
     n_hi = _n_hi(N, t_max)
     em = n_hi < N
+    M, B, p, d, factor, chunk, depth = _transform(K, h, n_hi)
+    L = M // B
+    step = 2.0 * math.pi / M
 
-    chunk = min(n_hi, _KERNEL_CHUNK)
     inv_fact = [1.0 / math.factorial(m) for m in range(p + 1)]
-    F = np.zeros((p + 1, M), dtype=np.complex128)
+    F = np.zeros((p + 1, B), dtype=np.complex128)
     for lo in range(1, n_hi + 1, chunk):
         n = np.arange(lo, min(lo + chunk, n_hi + 1), dtype=np.float64)
         ln = np.log(n)
@@ -434,17 +513,18 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
             seg = np.add.reduceat(w, starts)  # one entry per visited bin
             seg *= inv_fact[m]
             np.add.at(F[m], bins, seg)
-    if M > 1:
-        np.fft.fft(F, axis=1, out=F)  # in place (numpy >= 2.0): no second (p+1) x M buffer
-    # Horner in k over the FFT's own bin order, in place in row p: bin b
-    # holds k = b for b <= M/2 and k = b - M above, which covers -mid .. k_max
-    k_bin = np.arange(M)
-    k_bin[M // 2 + 1:] -= M
-    ik = -1j * k_bin
-    acc = F[p]
-    for m in range(p - 1, -1, -1):
+    # Horner in k from order p down, on the (L, B) layout: row v of order
+    # m's transform is FFT_B(F_m[j] w^(v j)), and entry (v, u) holds bin L u + v
+    twiddles, ik = _pruned_layout(M, B)
+    acc = np.zeros((L, B), dtype=np.complex128)
+    work = np.empty((L, B), dtype=np.complex128)
+    for m in range(p, -1, -1):
         acc *= ik
-        acc += F[m]
+        np.multiply(twiddles, F[m], out=work)
+        if M > 1:
+            np.fft.fft(work, axis=1, out=work)  # in place (numpy >= 2.0)
+        acc += work
+    acc = acc.T.reshape(M)  # flat index L u + v
     # rotate to grid order: bins M - mid .. M - 1 (k < 0), then 0 .. K - 1 - mid
     acc = np.concatenate((acc[M - mid:], acc[:K - mid]))
 
@@ -461,19 +541,11 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
         )
         corr = 1.0 / t_min + 0.5 / N + (1.0 + t_max) / (16.0 * N * N)
         rem_tail = _EPS * (4.0 + t_max * ln_hi) * corr
-    l1 = 0.5 * ln_hi * ln_hi + 0.11
-    phase = _EPS * (t_c + 2.0 * k_max * h)
-    if K == 1:  # no grid gap, and the phase is rounded only in ln n and t ln n
-        grid = phase * l1
-    else:
-        eta = float(np.max(np.abs(t_pts - (t_c + k * h))))
-        grid = (eta + 3.0 * phase) * l1
-    n_chunks = -(-n_hi // chunk)
-    depth = chunk + n_chunks + h * ln_hi / (2.0 * math.pi)
-    rounding = depth + 2 * p + 8 + 4.0 * math.log2(M) * math.sqrt(M)
+    transform = 4.0 * math.log2(B) * math.sqrt(B) + (11.0 if L > 1 else 0.0)
+    rounding = depth + 2 * p + 8 + transform
     rem = (
         h_n * factor
-        + grid
+        + _radius_floor(t_pts, n_hi)
         + _EPS * h_n * (2.0 * d + math.exp(d) * rounding)
         + rem_tail
     )

@@ -1,9 +1,9 @@
-"""The CSV and JSON renderers cell by cell: a reference for cli's chunked ones.
+"""The table, CSV and JSON renderers cell by cell: a reference for cli's chunked ones.
 
-Each column is turned into a list of Python objects, CSV rows are zipped
-from lists of formatted cells and JSON rows are dicts that json.dumps
-encodes, so the code shares nothing with cli's row templates but the
-OutputRecord it reads.
+Each column is turned into a list of Python objects, table and CSV rows
+are zipped from lists of formatted (and, in a table, padded) cells and
+JSON rows are dicts that json.dumps encodes, so the code shares nothing
+with cli's row templates but the OutputRecord it reads.
 """
 
 import json
@@ -20,6 +20,18 @@ def _format_cells(values, float_format):
         "" if v is None else format(v, float_format) if isinstance(v, float) else str(v)
         for v in _cells(values)
     ]
+
+
+KEY_COLUMNS = ("t", "t0", "p", "name")
+
+
+def render_table(record):
+    columns = []
+    for key, values in record.columns.items():
+        cells = [key, *_format_cells(values, "g" if key in KEY_COLUMNS else ".4f")]
+        width = max(map(len, cells))
+        columns.append([c.rjust(width) for c in cells])
+    return "\n".join(map("  ".join, zip(*columns))) + "\n"
 
 
 def render_csv(record):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetabound import ScanConfig, cli, scan_interval, verifier, zeta_eval
@@ -58,7 +59,8 @@ class TestEval:
         # at t = 1e6 the phase rounding eps t (ln^2 t / 2 + 0.11) alone is
         # 2.122e-8: r = 1e-8 is refused before any sum, and an r just
         # above the floor is met
-        floor = zeta_eval._radius_floor(1e6, zeta_eval.choose_N(1e6, 1e-8))
+        n = zeta_eval.choose_N(1e6, 1e-8)
+        floor = zeta_eval._radius_floor(np.array([1e6]), zeta_eval._n_hi(n, 1e6))
         assert floor == pytest.approx(2.122e-8, abs=1e-11)
         status, out, err = run_cli(capsys, "eval", "--t", "1e6", "--r", "1e-8")
         assert status == 2 and out == ""
@@ -185,6 +187,15 @@ class TestScan:
         )
         assert status == 3
         assert "budget" in err
+
+    def test_scan_radius_below_the_floor_is_usage_error(self, capsys):
+        # the one call at t = 1e6 holds radii of at least 6.365e-8, its grid
+        # and phase rounding: --r 1e-8 exits 2 before any kernel call
+        status, out, err = run_cli(
+            capsys, "scan", "--lo", "1e6", "--hi", "1000001", "--r", "1e-8", "--budget", "inf",
+        )
+        assert status == 2 and out == ""
+        assert "radius floor 6.365e-08" in err
 
     def test_bad_bound_spec(self, capsys):
         status, _, _ = run_cli(

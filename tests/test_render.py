@@ -1,4 +1,4 @@
-"""CLI CSV and JSON rendering: bytes as the cell-by-cell reference, and bounded memory."""
+"""CLI table, CSV and JSON rendering: bytes as the cell-by-cell reference, and bounded memory."""
 
 import math
 import tracemalloc
@@ -8,14 +8,15 @@ import pytest
 
 from zetabound import cli, verifier
 
-from reference_render import render_csv, render_json
+from reference_render import render_csv, render_json, render_table
 
 CHUNK = cli._RENDER_CHUNK
 BUDGET = verifier.DEFAULT_BUDGET
 
 
 def assert_same_bytes(record):
-    for render, reference in ((cli.render_csv, render_csv), (cli.render_json, render_json)):
+    for render, reference in ((cli.render_table, render_table), (cli.render_csv, render_csv),
+                              (cli.render_json, render_json)):
         text, expected = render(record), reference(record)
         if text != expected:  # report the first difference, not a diff of megabytes
             at = next((j for j, (x, y) in enumerate(zip(text, expected)) if x != y),
@@ -37,6 +38,29 @@ def scan_record(rows, bound):
 @pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1])
 def test_scan_bytes(rows, bound):
     assert_same_bytes(scan_record(rows, bound))
+
+
+def test_long_scan_bytes():
+    # 2e4 rows: three chunks, the last partial, in every format
+    assert_same_bytes(scan_record(20_000, "affine:0.5,0.6633"))
+
+
+def test_table_widths_from_every_chunk():
+    # each column's widest cell sits in a different chunk, the first one's
+    # in the last row: the widths come from a pass over all of them
+    rows = 2 * CHUNK + 5
+    t = np.full(rows, 3.0)
+    t[-1] = 1e300
+    wide = np.zeros(rows)
+    wide[CHUNK + 2] = -12345.678
+    record = cli.OutputRecord("synthetic", {}, {
+        "t": t, "modulus": wide, "n": [7] * CHUNK + [123456789] + [7] * (rows - CHUNK - 1),
+        "margin": [None] * rows,
+    })
+    text = cli.render_table(record)
+    # widths 6 ("1e+300"), 11 ("-12345.6780"), 9 (123456789) and 6 ("margin")
+    assert text.splitlines()[0] == "     t      modulus          n  margin"
+    assert_same_bytes(record)
 
 
 @pytest.mark.parametrize("name", ["c0", "ratio"])
@@ -86,7 +110,7 @@ def test_empty_record_bytes():
     assert_same_bytes(cli.OutputRecord("empty", {}, {"t": np.empty(0), "v": []}))
 
 
-@pytest.mark.parametrize("render", [cli.render_csv, cli.render_json])
+@pytest.mark.parametrize("render", [cli.render_csv, cli.render_json, cli.render_table])
 def test_render_memory(render):
     # the rows are formatted a chunk at a time: the peak is the finished
     # text and the chunks it is joined from, not a Python object per cell

@@ -281,6 +281,40 @@ class TestScanInterval:
             assert seq.modulus.tobytes() == par.modulus.tobytes()
             assert seq.err.tobytes() == par.err.tobytes()
 
+    def test_r_below_the_radius_floor_refused(self, monkeypatch):
+        # the one 101-point call at t = 1e6 cannot certify a radius below
+        # its grid and phase rounding, 6.365e-8: r = 1e-8, whose radii came
+        # out up to 6.4e-8, is refused before any kernel call
+        calls = _record_calls(monkeypatch)
+        cfg = ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=1e-8)
+        with pytest.raises(ValueError, match="radius floor 6.365e-08"):
+            scan_interval(cfg, budget=math.inf)
+        assert calls == []
+        # above the floor, r is met, and every radius holds the floor
+        report = scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=7e-8), budget=math.inf)
+        [(pts, n, _)] = calls
+        floor = zeta_eval._radius_floor(pts, _n_hi(n, float(pts[-1])))
+        assert floor == pytest.approx(6.365e-8, abs=1e-11)
+        assert np.all((floor <= report.err) & (report.err <= 7e-8))
+
+    def test_every_call_floor_checked_before_the_first_call(self, monkeypatch):
+        # at h = 1 over [1e6, 1.2e6] the plan has 13 calls whose floors rise
+        # with t: an r between the first call's floor and the last one's is
+        # refused, naming a later call's floor, before any kernel call
+        cfg = ScanConfig(t_lo=1e6, t_hi=1.2e6, h=1.0, r=1e-7)
+        plan = verifier._plan(cfg, math.inf)
+        t = cfg.t_lo + np.arange(plan[-1][1] + 1) * cfg.h
+        floors = [zeta_eval._radius_floor(t[lo:hi + 1], _n_hi(n, float(t[hi])))
+                  for lo, hi, n in plan]
+        assert len(plan) == 13 and floors[0] < floors[-1]
+        r = math.sqrt(floors[0] * floors[-1])
+        calls = _record_calls(monkeypatch)
+        with pytest.raises(ValueError, match="radius floor") as refused:
+            scan_interval(ScanConfig(t_lo=1e6, t_hi=1.2e6, h=1.0, r=r), budget=math.inf)
+        assert calls == []
+        named = float(str(refused.value).split("radius floor ")[1].split()[0])
+        assert named > r and named == pytest.approx(min(f for f in floors if f > r), rel=1e-3)
+
     def test_workers_must_be_positive(self):
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)
         for workers in (0, -1):

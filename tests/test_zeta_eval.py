@@ -14,7 +14,8 @@ from zetabound import (
     harmonic_bound,
     oracle_zeta,
 )
-from zetabound.zeta_eval import _em_head, _em_tail, _eval_block, _n_hi
+from zetabound import zeta_eval
+from zetabound.zeta_eval import _em_head, _em_tail, _eval_block, _n_hi, _transform
 
 import em_reference
 from plain_sum import direct_sum, fp_slack, main_sum
@@ -267,32 +268,138 @@ def _partial_call_indices(size):
     return sorted({0, 1, mid - 1, mid, mid + 1, size - 2, size - 1, *range(0, size, 97)})
 
 
+def _reached_bins(size, h, n_hi):
+    # the bins of the kernel's phases h ln n, n <= n_hi, with its own array
+    # arithmetic, folded mod M
+    M = 1 << (size - 1).bit_length()
+    x = np.log(np.arange(1, n_hi + 1, dtype=np.float64)) * (h / (2.0 * math.pi / M))
+    return np.rint(x).astype(np.int64) & (M - 1)
+
+
+def _grid_call(t0, h, size, route):
+    # a call of size points from t0 at step h, after checking that its
+    # phases reach only bins below B.  N = a(t_0) keeps the call and every
+    # one-point call on the direct route, as no point has a smaller head
+    pts = t0 + np.arange(size) * h
+    em = route == "euler-maclaurin"
+    n = choose_N(float(pts[-1]), 0.005) if em else _em_head(t0)
+    n_hi = _n_hi(n, float(pts[-1]))
+    assert (n_hi < n) == em
+    assert _reached_bins(size, h, n_hi).max() < _transform(size, h, n_hi)[1]
+    return pts, n, _eval_block(pts, n)
+
+
+def _assert_within_one_point_calls(pts, n, route, vals, err):
+    em = route == "euler-maclaurin"
+    for j in _partial_call_indices(len(pts)):
+        t = float(pts[j])
+        assert (_n_hi(n, t) < n) == (_n_hi(n, float(pts[-1])) < n) == em
+        one = eval_zeta_certified(t, n)
+        # both enclose zeta, or g_N beyond the truncation bound
+        truncation = 0.0 if em else error_bound(t, n)
+        assert abs(vals[j] - one.value) <= (err[j] - truncation) + (one.err - truncation)
+
+
+def _assert_within_mpmath(pts, vals, err):
+    size = len(pts)
+    for j in sorted({0, (size - 1) // 2, size // 3, size - 1}):
+        assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err[j]
+
+
 class TestPartialCalls:
     # calls of K points with 2^q < K < 2^(q+1) use M = 2^(q+1) bins, of which
     # the Horner pass in k runs over all and the rotation keeps K
     @pytest.mark.parametrize("size", [2, 3, (1 << 13) + 1, (1 << 14) - 1])
     @pytest.mark.parametrize("route", ["euler-maclaurin", "direct"])
     def test_within_one_point_calls(self, size, route):
-        # N = a(t_0) keeps the call and every one-point call on the direct
-        # route, as no point has a smaller head
-        pts = 1e3 + np.arange(size) * 0.01
-        em = route == "euler-maclaurin"
-        n = choose_N(float(pts[-1]), 0.005) if em else _em_head(float(pts[0]))
-        vals, err = _eval_block(pts, n)
-        for j in _partial_call_indices(size):
-            t = float(pts[j])
-            assert (_n_hi(n, t) < n) == (_n_hi(n, float(pts[-1])) < n) == em
-            one = eval_zeta_certified(t, n)
-            # both enclose zeta, or g_N beyond the truncation bound
-            truncation = 0.0 if em else error_bound(t, n)
-            assert abs(vals[j] - one.value) <= (err[j] - truncation) + (one.err - truncation)
+        pts, n, (vals, err) = _grid_call(1e3, 0.01, size, route)
+        _assert_within_one_point_calls(pts, n, route, vals, err)
 
     @pytest.mark.parametrize("size", [2, 3, (1 << 13) + 1, (1 << 14) - 1])
     def test_against_mpmath(self, size):
-        pts = 1e3 + np.arange(size) * 0.01
-        vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005))
-        for j in sorted({0, (size - 1) // 2, size // 3, size - 1}):
-            assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err[j]
+        pts, _, (vals, err) = _grid_call(1e3, 0.01, size, "euler-maclaurin")
+        _assert_within_mpmath(pts, vals, err)
+
+
+# TestPartialCalls runs calls at h = 0.01 and t ~ 1e3, whose phases reach
+# a few hundred of the M bins; here, a full 2^14 points there, and every
+# size at h = 1 and t ~ 1e4, where the phases wind
+PRUNED_CALLS = [(1e3, 0.01, 1 << 14), *((1e4, 1.0, size) for size in (2, 3, (1 << 13) + 1, 1 << 14))]
+
+
+class TestPrunedTransform:
+    @pytest.mark.parametrize("size", [2, 3, (1 << 13) + 1, 1 << 14])
+    def test_bins_pruned_unless_the_phases_wind(self, size):
+        for t0, h, pruned in ((1e3, 0.01, size > 2), (1e4, 1.0, False)):
+            t_max = t0 + (size - 1) * h
+            M, B = _transform(size, h, _n_hi(choose_N(t_max, 0.005), t_max))[:2]
+            assert (B < M) == pruned
+
+    def test_twiddles_within_their_rounding_bound(self):
+        # the radius charges each twiddle (2 pi + 2 sqrt(2)) eps: its angle
+        # and its cos and sin, checked here at 30 digits for every entry
+        mpmath = pytest.importorskip("mpmath")
+        eps = 2.220446049250313e-16
+        M, B = 1 << 14, 256
+        twiddles = zeta_eval._pruned_layout(M, B)[0]
+        worst = 0.0
+        with mpmath.workdps(30):
+            for (v, j), w in np.ndenumerate(twiddles):
+                exact = mpmath.expjpi(-2 * mpmath.mpf(v * j) / M)
+                worst = max(worst, abs(complex(mpmath.mpc(w) - exact)))
+        assert worst <= (2 * math.pi + 2 * math.sqrt(2)) * eps
+
+    @pytest.mark.parametrize("t0, h, size", PRUNED_CALLS)
+    @pytest.mark.parametrize("route", ["euler-maclaurin", "direct"])
+    def test_within_one_point_calls(self, t0, h, size, route):
+        pts, n, (vals, err) = _grid_call(t0, h, size, route)
+        _assert_within_one_point_calls(pts, n, route, vals, err)
+
+    @pytest.mark.parametrize("t0, h, size", PRUNED_CALLS)
+    def test_against_mpmath(self, t0, h, size):
+        pts, _, (vals, err) = _grid_call(t0, h, size, "euler-maclaurin")
+        _assert_within_mpmath(pts, vals, err)
+
+
+class TestExpansionOrder:
+    def test_least_order_below_the_segment_sum_rounding(self):
+        # p is the least order with d^(p+1)/(p+1)! < eps D, D the segment-sum
+        # depth, so H d^(p+1)/(p+1)! is within the segment-sum rounding term
+        # eps H e^d (D + p + 7) of the radius
+        mpmath = pytest.importorskip("mpmath")
+        eps = 2.220446049250313e-16
+        rng = np.random.default_rng(1818)
+        for _ in range(200):
+            size = int(rng.integers(2, 1 << 14, endpoint=True))
+            h = float(10.0 ** rng.uniform(-4, 0))
+            t_max = float(rng.uniform(math.e + size * h, 2e5))
+            n_hi = _n_hi(choose_N(t_max, float(10.0 ** rng.uniform(-8, -2))), t_max)
+            M, B, p, d, factor, chunk, depth = _transform(size, h, n_hi)
+            assert chunk == min(n_hi, zeta_eval._KERNEL_CHUNK)
+            D = chunk + -(-n_hi // chunk) + h * math.log(n_hi) / (2 * math.pi)
+            assert depth == pytest.approx(D, rel=1e-15)
+            with mpmath.workdps(30):
+                exact_d = (size - 1 - (size - 1) // 2) * mpmath.pi / M
+                assert d >= exact_d
+
+                def term(q):  # d^(q+1)/(q+1)! for the call's d
+                    return mpmath.mpf(d) ** (q + 1) / mpmath.factorial(q + 1)
+
+                assert term(p) < eps * D
+                assert p == 0 or term(p - 1) >= eps * D
+                assert factor >= exact_d ** (p + 1) / mpmath.factorial(p + 1)
+            h_n = harmonic_bound(n_hi)
+            assert h_n * factor <= eps * h_n * math.exp(d) * (depth + p + 7)
+
+    @pytest.mark.parametrize("t0, size, order", [
+        (1e3, 1 << 14, 19),   # paper's calls at t ~ 1e3 (22 under the rule d^(p+1)/(p+1)! < eps)
+        (1.5e5, 10001, 14),   # a 100-wide check at h = 0.01 (18 before)
+        (1e6, 1 << 14, 17),   # the [e, 1e6] target's regime (22 before)
+    ])
+    def test_orders_of_documented_calls(self, t0, size, order):
+        t_max = t0 + (size - 1) * 0.01
+        n_hi = _n_hi(choose_N(t_max, 0.005), t_max)
+        assert _transform(size, 0.01, n_hi)[2] + 1 == order
 
 
 class TestTailBounds:
