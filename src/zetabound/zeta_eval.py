@@ -83,6 +83,10 @@ _EM_COEFFS = tuple(
 
 _KERNEL_CHUNK = 1 << 16  # terms per n-chunk of the block kernel
 
+# the n in 1..209 coprime to 2*3*5*7 = 210: one turn of the wheel whose
+# multiples need no cos or sin of their own in _head_weights
+_WHEEL_RESIDUES = np.array([r for r in range(1, 210) if math.gcd(r, 210) == 1])
+
 
 @dataclass(frozen=True)
 class CertifiedComplex:
@@ -364,6 +368,67 @@ def _pruned_layout(M: int, B: int) -> tuple[np.ndarray, np.ndarray]:
     return twiddles, -1j * k
 
 
+def _head_weights(t: float, n_hi: int) -> np.ndarray:
+    """z with z[n] = n^(-it) for 1 <= n <= n_hi; z[0] is left unset.
+
+    n^(-it) is completely multiplicative, so cos and sin are taken only at
+    n = 2, 3, 5, 7 and at the n coprime to 210 (48 residues mod 210, 1
+    among them: about 23% of the terms).  Every other n is z[q] z[n/q] for
+    a q in {2, 3, 5, 7} that divides it, one strided slice product per q
+    and dyadic block [2^k, 2^(k+1)), the blocks in increasing order: the
+    cofactor n/q is below 2^k, so it is final when it is read.  q = 7, 5,
+    3, 2 write in that order, so an n with several of them holds
+    z[p] z[n/p] for its least prime p.  z[1] = 1 - 0i, so z[q] z[1] is z[q]
+    exactly.
+
+    Rounding.  Along n = q_1 ... q_P r, r = 1 or coprime to 210 and
+    P <= log2 n, z[n] is a product of at most P + 1 values that cos and
+    sin gave.  Its phase is the sum of theirs, t fl(ln q_i) and t fl(ln r)
+    rounded in the log and the product with t, so it is within eps t ln n,
+    as one direct evaluation's.  The rest of its error, relative to
+    |z[n]| = 1, is at most (P + 1) sqrt(2) u + P sqrt(5) u
+    <= (2 log2 n + 1) eps: sqrt(2) u for each factor's cos and sin, which
+    round by u each, and sqrt(5) u for each complex product (see
+    _eval_block, Radius).
+    """
+    z = np.empty(n_hi + 1, dtype=np.complex128)
+    base = (np.arange(0, n_hi + 1, 210)[:, None] + _WHEEL_RESIDUES).ravel()
+    base = np.concatenate(([2, 3, 5, 7], base))
+    base = base[base <= n_hi]
+    ph = np.log(base.astype(np.float64))
+    ph *= t
+    z.real[base] = np.cos(ph)
+    z.imag[base] = -np.sin(ph)
+    for k in range(1, n_hi.bit_length()):
+        lo, hi = 1 << k, min(2 << k, n_hi + 1)
+        for q in (7, 5, 3, 2):
+            m_lo, m_hi = -(-lo // q), (hi - 1) // q
+            if m_lo <= m_hi:
+                np.multiply(z[m_lo:m_hi + 1], z[q], out=z[q * m_lo:q * m_hi + 1:q])
+    return z
+
+
+def _segments(j: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, bins) of the runs of equal values of the nondecreasing j.
+
+    j holds integer-valued floats >= 0.  starts are the indices where a run
+    begins, found by searching j for every value from j[0] to j[-1] and
+    dropping the values no entry takes; bins are the runs' values mod M.
+    The search costs O(S log len(j)) for the S = j[-1] - j[0] + 1 values,
+    which in a kernel chunk is at most h ln(chunk + 1) / (2 pi/M) + 1, so
+    under 1.8 M + 1 for h <= 1 (ScanConfig's range), against O(len(j)) for
+    the nonzero steps of j.
+    """
+    first, last = int(j[0]), int(j[-1])
+    starts = np.searchsorted(j, np.arange(first, last + 1, dtype=np.float64))
+    taken = np.flatnonzero(starts[:-1] != starts[1:])  # a run of value first + i
+    bins = np.append(taken, last - first)
+    starts = starts[bins]
+    bins += first
+    bins &= M - 1
+    return starts, bins
+
+
 def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """zeta(1+it) at each point of the sorted, equispaced grid t_pts.
 
@@ -397,6 +462,17 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     each segment's sum), taken in chunks of _KERNEL_CHUNK terms, then p+1
     transforms and a Horner pass in k.
 
+    Weights.  For K > 1, z_n = n^(-i t_c) comes once per call for every
+    n <= n_hi from _head_weights: cos and sin at n = 2, 3, 5, 7 and the n
+    coprime to 210 (about 23% of the terms), a product z_q z_(n/q) at the
+    rest.  Each chunk forms the real and imaginary parts of a_n = z_n / n
+    as the two rows of one float array, so every order's product with
+    delta_n and its segment sums (np.add.reduceat along the rows, into the
+    two parts of one complex entry per segment) run on contiguous floats,
+    not on complex numbers; the segments' starts come from _segments.  A
+    one-point call takes a_n from cos and sin of t ln n at every n, chunk
+    by chunk, and sums it.
+
     Occupied bins (_transform).  The phases reach bins 0 .. J at most, with
     J = rint(h ln n_hi / (2 pi/M)).  Unless they wind (J + 1 >= M, and then
     B = M), F_m lives on its first B bins, B the least power of two above
@@ -409,9 +485,11 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     Horner pass in k runs from order p down on that layout, with -ik for
     the signed k of bin L u + v (k = b for a bin b <= M/2, b - M above),
     and takes each order's transform as soon as it is made, so one buffer
-    serves every order: memory is O(chunk + pB + M), never O(n_hi).  One
-    transpose and one rotation put the values in grid order.  B = M gives
-    L = 1: M-point transforms, with twiddles all 1.
+    serves every order: the transforms take O(pB + M) memory and the
+    segment sums O(chunk).  The weights z_n take 16 B per head term for
+    K > 1, 2.4 MB at t ~ 1.5e5 and 16 MB at t ~ 1e6; a one-point call
+    stays O(chunk).  One transpose and one rotation put the values in grid
+    order.  B = M gives L = 1: M-point transforms, with twiddles all 1.
 
     Order.  With d = k_max pi/M (<= pi/2, reached when K is a power of two)
     and H = harmonic_bound(n_hi) >= sum 1/n, |R_k| <= H d^(p+1)/(p+1)!.
@@ -440,7 +518,9 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
         a few ulp, the realised phase of term n is within
         2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of
         (t_c + k h) ln n, which sums to 2 eps (t_c + 2 k_max h) L
-        + 2 eps d H (the second part is charged below).  A one-point call
+        + 2 eps d H (the second part is charged below).  The phase of z_n
+        is the sum of its factors' phases, within eps t_c ln n as that of
+        one direct product t_c fl(ln n) (_head_weights).  A one-point call
         has no grid reduction: fl(ln n) is within u ln n (numpy's log of
         an integer, checked against 120-bit mpmath for n <= 2e6) and its
         product with t rounds by u, so the phase is within eps t ln n,
@@ -451,6 +531,15 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
       and the product of a segment's sum with fl(1/m!) adds eps, so
       ||error of F_m||_1 <= eps (D + p + 7) H (pi/M)^m / m!, which the
       expansion turns into at most that times e^d in S;
+    * head weights, when K > 1: beyond its phase, each z_n is within
+      (2 log2 n_hi + 1) eps of n^(-i t_c) (_head_weights: sqrt(2) u for
+      the cos and sin of each of at most log2 n + 1 factors, sqrt(5) u for
+      each of at most log2 n products).  That relative error e_n of a_n
+      is the same in every order, so it reaches S as
+      sum_n e_n a_n T_p(-i k delta_n), T_p(x) = sum_{m<=p} x^m / m!, and
+      |T_p(iy)| <= |e^(iy)| + d^(p+1)/(p+1)! < 1 + eps D for |y| <= d:
+      to first order in eps it adds (2 log2 n_hi + 1) eps H, not
+      amplified by e^d, which bounds errors made in each F_m apart;
     * twiddles, when L > 1: the angle fl(v j fl(2 pi/M)) is within
       2 pi eps of 2 pi v j/M, cos and sin are each within 2 eps (4 ulp,
       room for numpy's vectorised routines), and the complex product with
@@ -490,29 +579,37 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
     inv_fact = [1.0 / math.factorial(m) for m in range(p + 1)]
     F = np.zeros((p + 1, B), dtype=np.complex128)
-    for lo in range(1, n_hi + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, n_hi + 1), dtype=np.float64)
-        ln = np.log(n)
-        ph = t_c * ln
-        w = np.empty(len(n), dtype=np.complex128)  # a_n
-        w.real = np.cos(ph) / n
-        w.imag = np.sin(ph) / -n
-        if M == 1:  # one bin, every delta_n = 0
+    if M == 1:  # one bin, every delta_n = 0: a_n from cos and sin, summed
+        for lo in range(1, n_hi + 1, chunk):
+            n = np.arange(lo, min(lo + chunk, n_hi + 1), dtype=np.float64)
+            ph = t_c * np.log(n)
+            w = np.empty(len(n), dtype=np.complex128)  # a_n
+            w.real = np.cos(ph) / n
+            w.imag = np.sin(ph) / -n
             F[0, 0] += w.sum()
-            continue
-        x = ln * (h / step)  # theta_n in grid steps, nondecreasing in n
-        j = np.rint(x)
-        delta = (x - j) * step
-        # n runs through each grid point in one segment; add.at folds
-        # segments of different windings onto the same bin mod M
-        starts = np.flatnonzero(np.diff(j, prepend=-1.0))
-        bins = j[starts].astype(np.intp) & (M - 1)
-        for m in range(p + 1):
-            if m:
-                w *= delta
-            seg = np.add.reduceat(w, starts)  # one entry per visited bin
-            seg *= inv_fact[m]
-            np.add.at(F[m], bins, seg)
+    else:
+        z = _head_weights(t_c, n_hi)
+        for lo in range(1, n_hi + 1, chunk):
+            hi = min(lo + chunk, n_hi + 1)
+            n = np.arange(lo, hi, dtype=np.float64)
+            w = np.empty((2, hi - lo))  # a_n = z_n / n, real and imaginary rows
+            np.divide(z.real[lo:hi], n, out=w[0])
+            np.divide(z.imag[lo:hi], n, out=w[1])
+            x = np.log(n)
+            x *= h / step  # theta_n in grid steps, nondecreasing in n
+            j = np.rint(x)
+            delta = (x - j) * step
+            # n runs through each grid point in one segment; add.at folds
+            # segments of different windings onto the same bin mod M
+            starts, bins = _segments(j, M)
+            seg = np.empty(len(starts), dtype=np.complex128)  # one entry per visited bin
+            parts = seg.view(np.float64).reshape(-1, 2).T  # its real and imaginary rows
+            for m in range(p + 1):
+                if m:
+                    w *= delta
+                np.add.reduceat(w, starts, axis=1, out=parts)
+                seg *= inv_fact[m]
+                np.add.at(F[m], bins, seg)
     # Horner in k from order p down, on the (L, B) layout: row v of order
     # m's transform is FFT_B(F_m[j] w^(v j)), and entry (v, u) holds bin L u + v
     twiddles, ik = _pruned_layout(M, B)
@@ -542,11 +639,12 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
         corr = 1.0 / t_min + 0.5 / N + (1.0 + t_max) / (16.0 * N * N)
         rem_tail = _EPS * (4.0 + t_max * ln_hi) * corr
     transform = 4.0 * math.log2(B) * math.sqrt(B) + (11.0 if L > 1 else 0.0)
+    wheel = 2.0 * math.log2(n_hi) + 1.0 if M > 1 else 0.0
     rounding = depth + 2 * p + 8 + transform
     rem = (
         h_n * factor
         + _radius_floor(t_pts, n_hi)
-        + _EPS * h_n * (2.0 * d + math.exp(d) * rounding)
+        + _EPS * h_n * (2.0 * d + wheel + math.exp(d) * rounding)
         + rem_tail
     )
     if em:

@@ -361,6 +361,65 @@ class TestPrunedTransform:
         _assert_within_mpmath(pts, vals, err)
 
 
+class TestHeadWeights:
+    @pytest.mark.parametrize("t, n_hi", [
+        (math.e, 1 << 18), (17.7477, 1 << 18), (1e3, 1 << 18), (1.5e5, 1 << 18), (1e6, 10**6),
+    ])
+    def test_within_the_charged_bound(self, t, n_hi):
+        # every z_n against cos and sin of t ln n in 64-bit-mantissa long
+        # double, whose own error is ~eps t ln n / 2048: within the phase
+        # the radius charges, 2 eps t ln n, plus the (2 log2 n_hi + 1) eps
+        # it charges for the products and each factor's cos and sin
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("needs an extended-precision long double")
+        eps = 2.220446049250313e-16
+        z = zeta_eval._head_weights(t, n_hi)[1:]
+        n = np.arange(1, n_hi + 1)
+        ph = np.longdouble(t) * np.log(n.astype(np.longdouble))
+        gap = np.hypot((z.real - np.cos(ph)).astype(np.float64),
+                       (z.imag + np.sin(ph)).astype(np.float64))
+        bound = eps * (2.0 * t * np.log(n) + 2.0 * math.log2(n_hi) + 1.0)
+        assert np.all(gap <= bound)
+
+    def test_call_at_1e6_against_mpmath(self):
+        # a 257-point call at t ~ 1e6 sums 1e6 weights, most of them products
+        pts = 1e6 + np.arange(257) * 0.01
+        vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005))
+        for j in (0, 64, 128, 192, 256):
+            assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err[j]
+
+
+class TestSegments:
+    @pytest.mark.parametrize("t0, h, size, chunk", [
+        (1e3, 1.0, 1 << 10, None),          # each small n its own bin, bins skipped between
+        (1e4, 1.0, 1 << 12, None),          # the phases wind: B = M
+        (1.5e5, 0.01, 10001, None),         # scan-high's calls
+        (1e3, 0.01, 1 << 14, 1000),         # segments cut by chunk ends
+        (1e4, 1.0, 1 << 14, 1000),          # chunks spanning more bins than terms
+    ])
+    def test_starts_are_the_steps_of_j(self, monkeypatch, t0, h, size, chunk):
+        # in a kernel call, every chunk's searched segments equal those of
+        # the nonzero steps of j
+        calls = []
+        segments = zeta_eval._segments
+
+        def checked(j, M):
+            starts, bins = segments(j, M)
+            steps = np.flatnonzero(np.diff(j, prepend=-1.0))
+            assert np.array_equal(starts, steps)
+            assert np.array_equal(bins, j[steps].astype(np.intp) & (M - 1))
+            calls.append(len(j))
+            return starts, bins
+
+        monkeypatch.setattr(zeta_eval, "_segments", checked)
+        if chunk is not None:
+            monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", chunk)
+        pts = t0 + np.arange(size) * h
+        n = choose_N(float(pts[-1]), 0.005)
+        _eval_block(pts, n)
+        assert sum(calls) == _n_hi(n, float(pts[-1]))  # every chunk was checked
+
+
 class TestExpansionOrder:
     def test_least_order_below_the_segment_sum_rounding(self):
         # p is the least order with d^(p+1)/(p+1)! < eps D, D the segment-sum
