@@ -29,8 +29,8 @@ print(f"(note: {result.grid_note})")
 
 # The linear bound 0.6443 log t is tangent at the ratio's global maximum,
 # so verifying it needs radii well below the ~2.6e-5 headroom.  At the
-# default r = 0.005 this scan takes the Euler-Maclaurin route, whose radii
-# (~1e-13 here) hold no truncation bound.
+# default r = 0.005, as at any r, every kernel call sums a head and zeta's
+# Euler-Maclaurin tail, whose radii (~1e-13 here) hold no truncation bound.
 tight = check_bound(math.e, 100.0, 0.6443, 0.0)
 print(f"\n0.6443 log t on [e, 100] at the default r: "
       f"{'holds' if tight.holds_on_grid else 'violated'}, "

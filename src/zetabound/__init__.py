@@ -3,9 +3,9 @@
 The package has four layers:
 
 * :mod:`zetabound.zeta_eval` -- certified evaluation of zeta(1+it): one
-  kernel evaluates it at a grid of points, through the truncated sum g_N
-  or zeta's own Euler-Maclaurin form, a point evaluation is its one-point
-  call, and an independent alternating-series oracle checks both;
+  kernel evaluates it at a grid of points through zeta's own
+  Euler-Maclaurin form, a point evaluation is its one-point call, and an
+  independent alternating-series oracle checks both;
 * :mod:`zetabound.expsum` -- explicit exponential-sum bounds and the
   optimiser producing inequalities |zeta(1+it)| <= v log t for t >= t0;
 * :mod:`zetabound.rs_bounds` -- the Riemann-Siegel-route constants behind

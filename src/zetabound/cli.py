@@ -175,10 +175,10 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
-    summed = zeta_eval._n_hi(n, t)  # what the one-point kernel call sums
+    summed = zeta_eval._em_head(t)  # the head the one-point kernel call sums
     if summed > verifier.DEFAULT_BUDGET:
         raise ResourceBudgetError(
-            f"evaluation sums {summed:.3e} terms directly, over the budget "
+            f"evaluation sums a head of {summed:.3e} terms, over the budget "
             f"{verifier.DEFAULT_BUDGET:.3e}"
         )
     floor = zeta_eval._radius_floor(np.array([t]), summed)

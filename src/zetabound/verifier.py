@@ -6,22 +6,19 @@ modulus + err <= slope * log t + intercept.  Only grid points are
 certified; behaviour between them is explicitly out of scope, and every
 verification result carries a note saying so.
 
-Cost control: the grid is cut into blocks (default width 100) and one term
-count N is chosen per block from the block's largest t, which is valid for
-the whole block because the truncation bound grows with t; the blocks set
-the budget count and N, nothing else.  zeta(1+it) is evaluated by the block
-kernel zeta_eval._eval_block in fixed runs of 2^14 consecutive grid points
-(the last run is shorter), at all of a run's points at once: a NUFFT of the
-main sum over n <= min(N, a), a = max(64, ceil t), with zeta's closed
-Euler-Maclaurin tail past a when a < N.  Each run is called with the N of
-the block that holds its last point, the largest N among its blocks, so on
-the direct route (g_N, all n <= N, taken when N <= a) the truncation bound
-stays within r at every point; on the Euler-Maclaurin route N plays no part
-beyond choosing the route.  The kernel returns each point's radius, with
-the truncation bound (direct route), its expansion remainder, the
-Euler-Maclaurin remainder and every floating-point effect folded in, so no
-certificate is weakened.  The refiners evaluate single points with
-zeta_eval.eval_zeta_certified, the kernel's one-point call.
+Cost control: the grid is cut into blocks (default width 100) and one
+nominal term count N (zeta_eval.choose_N) is chosen per block from the
+block's largest t; the blocks set the budget count and N, nothing else.
+zeta(1+it) is evaluated by the block kernel zeta_eval._eval_block in fixed
+runs of 2^14 consecutive grid points (the last run is shorter), at all of
+a run's points at once: a NUFFT of the main sum over n <= a,
+a = max(64, ceil t_max), plus zeta's closed Euler-Maclaurin tail past a.
+Each run is called with the N of the block that holds its last point, which
+has no effect on its values.  The kernel returns each point's radius, with
+its expansion remainder, the Euler-Maclaurin remainder and every
+floating-point effect folded in, so no certificate is weakened.  The
+refiners evaluate single points with zeta_eval.eval_zeta_certified, the
+kernel's one-point call.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _eval_block, _n_hi, _radius_floor, choose_N, eval_zeta_certified
+from .zeta_eval import _em_head, _eval_block, _radius_floor, choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -55,7 +52,7 @@ GRID_NOTE = (
 )
 
 # Nominal summation budget per invocation, counted as sum over grid points
-# of the per-point term count N.  Exceeding it raises before any work.
+# of the per-point nominal term count N.  Exceeding it raises before any work.
 DEFAULT_BUDGET = 5.0e10
 
 _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
@@ -73,8 +70,8 @@ class ScanConfig:
 
     h is the grid spacing (0.01 reflects behaviour well for plotting-scale
     work), r the certification radius target per point, block the width of
-    the sub-intervals sharing one term count N, which the budget counts and
-    which picks a kernel call's route (Euler-Maclaurin when a < N).
+    the sub-intervals sharing one nominal term count N, which the budget
+    counts.
     """
 
     t_lo: float
@@ -141,8 +138,8 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
     The calls are fixed runs of _KERNEL_POINTS points from k = 0, the last
     one shorter, whatever the blocks.  Each run carries the N of the block
     that holds its last point: N is nondecreasing in k, so that is the
-    largest N of the run's blocks, and on the direct route its truncation
-    bound stays within r at every point.
+    largest N of the run's blocks.  The kernel takes it as the nominal count
+    and sums its own head.
     """
     t_lo, h, width = config.t_lo, config.h, config.block
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
@@ -209,9 +206,9 @@ def scan_interval(
     calls = _plan(config, budget)
     K = calls[-1][1]
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
-    for k_lo, k_hi, N in calls:  # r is a ceiling: no radius of a call gets below its floor
+    for k_lo, k_hi, _ in calls:  # r is a ceiling: no radius of a call gets below its floor
         pts = t[k_lo:k_hi + 1]
-        floor = _radius_floor(pts, _n_hi(N, float(pts[-1])))
+        floor = _radius_floor(pts, _em_head(float(pts[-1])))
         if config.r < floor:
             raise ValueError(
                 f"r = {config.r:g} is below the radius floor {floor:.3e} of the kernel call on "

@@ -2,40 +2,35 @@
 
 Every result carries an absolute error radius that accounts for the
 mathematics and for floating-point accumulation, so the true zeta value is
-guaranteed to lie inside the reported disk.  There are two routes.  The
-direct route evaluates the truncated representation
-
-    g_N(t) = sum_{n=1}^{N} n^(-1-it) + N^(-it)/(it) - N^(-1-it)/2
-             + (1+it)/16 * N^(-2-it)
-
-whose distance from zeta(1+it) is at most (1+t)(2+t) / (32 N^2).  Past
-a = max(64, ceil(t)) the terms n^(-1-it) are smooth in n, and whenever
-a < N the Euler-Maclaurin route sums only n <= a and adds zeta's own
-closed-form tail past a, with an explicit remainder (Edwards, Riemann's
-Zeta Function, ch. 6; Johansson, Numer. Algorithms 2015).  It has no
-truncation term, and N only decides whether it is taken: the route is the
-one that sums fewer terms, min(N, a).
+guaranteed to lie inside the reported disk.  With a = max(64, ceil(t)),
+the terms n^(-1-it) are smooth in n past a, so the evaluator sums only
+n <= a and adds zeta's own closed-form tail past a, with an explicit
+remainder (Edwards, Riemann's Zeta Function, ch. 6; Johansson, Numer.
+Algorithms 2015).  It has no truncation term.  The evaluator takes the
+nominal term count N that scans budget, choose_N's least N whose
+truncation bound (1+t)(2+t) / (32 N^2) is within a radius target r, and N
+has no effect on a value or a radius.
 
 One kernel, _eval_block, computes zeta(1+it) at all K points of an
 equispaced grid at once; :func:`eval_zeta_certified` is its one-point
-call, and the scans of :mod:`zetabound.verifier` call it on blocks of the
+call, and the scans of :mod:`zetabound.verifier` call it on runs of the
 grid.  On the grid, S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a
 type-1 nonuniform DFT in k, computed by rounding each phase h ln n to an
 FFT grid and expanding the leftover phase in a short Taylor series
 (Odlyzko and Schoenhage's multiple-evaluation idea, in the NUFFT form of
 Greengard and Lee, with the transforms pruned to the bins the phases
-reach).  A call costs O(p min(N, a) + p M log B), M the least power of
-two >= K and B <= M those bins, against O(K N) point by point; one point
-costs O(min(N, a)) terms, which is O(t), while N grows like t / sqrt(r)
-for a radius target r.  The truncation bound (direct route),
-the expansion remainder, the Euler-Maclaurin remainder and every
-floating-point effect are folded into the radius (see _eval_block), so no
-certificate is weakened.
+reach).  A call costs O(p a + p M log B), M the least power of two >= K
+and B <= M those bins, against O(K a) point by point; one point costs
+O(a) terms, which is O(t), while N grows like t / sqrt(r).  The expansion
+remainder, the Euler-Maclaurin remainder and every floating-point effect
+are folded into the radius (see _eval_block), so no certificate is
+weakened.
 
 An independent cross-check, :func:`oracle_zeta`, evaluates the same point
 through the alternating series zeta(s) = (1 - 2^(1-s))^(-1) *
-sum (-1)^(n-1) n^(-s) with Euler acceleration.  The two routes share no
-formulas, which is what makes their mutual agreement a meaningful test.
+sum (-1)^(n-1) n^(-s) with Euler acceleration.  It shares no formulas
+with the kernel, which is what makes their mutual agreement a meaningful
+test.
 """
 
 from __future__ import annotations
@@ -111,14 +106,15 @@ class CertifiedComplex:
         return abs(self.value)
 
 
-def error_bound(t: float | np.ndarray, N: int) -> float | np.ndarray:
-    """Truncation bound (1+t)(2+t) / (32 N^2) of the N-term evaluator.
+def error_bound(t: float, N: int) -> float:
+    """Truncation bound (1+t)(2+t) / (32 N^2) of the N-term sum g_N(t).
 
-    This is the analytic error of g_N(t).  The block kernel adds it to the
-    radius of its direct route, whose other terms cover the rounding of the
-    expression itself.  t may be an array of points sharing N.
+    g_N(t) = sum_{n<=N} n^(-1-it) + N^(-it)/(it) - N^(-1-it)/2
+    + (1+it)/16 N^(-2-it) is within this bound of zeta(1+it).  No evaluator
+    sums it: the bound defines the nominal term count N of choose_N, which
+    scans budget per grid point.
     """
-    if not np.all(np.asarray(t) > 0.0):
+    if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
@@ -290,16 +286,6 @@ def _em_tail(
     return tail, remainder, rounding
 
 
-def _n_hi(N: int, t_max: float) -> int:
-    """The last n of the main sum that a kernel call with N, up to t_max, adds.
-
-    That is min(N, a) with a = _em_head(t_max): the call takes the
-    Euler-Maclaurin route, summing n <= a, exactly when a < N, and otherwise
-    sums all n <= N.
-    """
-    return min(N, _em_head(t_max))
-
-
 def _radius_floor(t_pts: np.ndarray, n_hi: int) -> float:
     """The grid and phase terms of the radius of a kernel call on t_pts summing n <= n_hi.
 
@@ -434,20 +420,17 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (values, err) with |values[j] - zeta(1 + i t_pts[j])| <= err[j].
 
-    Routes.  With a = max(64, ceil(t_max)), the call takes the
-    Euler-Maclaurin route exactly when a < N: it sums the main sum over
-    n <= a only and adds zeta's closed-form tail a^(-it) A(t) (_em_tail) at
-    each exact t_pts[j], and N plays no other part in it.  Otherwise the
-    direct route sums all n <= N and adds the three correction terms of g_N
-    at each t_pts[j], so its values enclose g_N, and err adds the
-    truncation bound error_bound(t, N) to the radius derived below.  Write
-    n_hi = min(N, a) (_n_hi) for the last n summed.
+    Split.  With a = max(64, ceil(t_max)) (_em_head), the call sums the
+    main sum over n <= a and adds zeta's closed-form Euler-Maclaurin tail
+    a^(-it) A(t) (_em_tail) at each exact t_pts[j].  N is the nominal term
+    count the caller's budget charged (choose_N); it has no effect on the
+    values or the radius.
 
     Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
     and integer offsets k = j - mid (|k| <= k_max), the model points
     t_c + k h give the type-1 nonuniform DFT
 
-        S(t_c + k h) = sum_{n<=n_hi} a_n e^(-i k theta_n),
+        S(t_c + k h) = sum_{n<=a} a_n e^(-i k theta_n),
         a_n = n^(-1-i t_c),  theta_n = h ln n.
 
     Each theta_n is rounded to the M-point grid 2 pi j_n / M (M the least
@@ -463,7 +446,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     transforms and a Horner pass in k.
 
     Weights.  For K > 1, z_n = n^(-i t_c) comes once per call for every
-    n <= n_hi from _head_weights: cos and sin at n = 2, 3, 5, 7 and the n
+    n <= a from _head_weights: cos and sin at n = 2, 3, 5, 7 and the n
     coprime to 210 (about 23% of the terms), a product z_q z_(n/q) at the
     rest.  Each chunk forms the real and imaginary parts of a_n = z_n / n
     as the two rows of one float array, so every order's product with
@@ -474,7 +457,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     by chunk, and sums it.
 
     Occupied bins (_transform).  The phases reach bins 0 .. J at most, with
-    J = rint(h ln n_hi / (2 pi/M)).  Unless they wind (J + 1 >= M, and then
+    J = rint(h ln a / (2 pi/M)).  Unless they wind (J + 1 >= M, and then
     B = M), F_m lives on its first B bins, B the least power of two above
     J + 1, and with M = L B and w = e^(-2 pi i/M)
 
@@ -492,18 +475,17 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     order.  B = M gives L = 1: M-point transforms, with twiddles all 1.
 
     Order.  With d = k_max pi/M (<= pi/2, reached when K is a power of two)
-    and H = harmonic_bound(n_hi) >= sum 1/n, |R_k| <= H d^(p+1)/(p+1)!.
-    Write D = chunk + n_chunks + h ln n_hi / (2 pi) for the segment-sum
+    and H = harmonic_bound(a) >= sum 1/n, |R_k| <= H d^(p+1)/(p+1)!.
+    Write D = chunk + n_chunks + h ln a / (2 pi) for the segment-sum
     depth below; p is the least order with d^(p+1)/(p+1)! < eps D, so the
     remainder stays below the segment-sum rounding eps H e^d D that the
     radius charges anyway.  A one-point call (K = 1) has h = 0, M = 1,
     d = 0 and p = 0: every n lands in bin 0 with delta_n = 0, so each chunk
     is one plain sum and no transform is taken.
 
-    Radius.  err is the truncation bound on the direct route, plus rem,
-    one float for the call that bounds the distance of each value from g_N
-    (direct) or zeta (Euler-Maclaurin).  rem is the sum of the following,
-    with eps the machine epsilon, u = eps/2, L = ln^2(n_hi)/2 + 0.11 >=
+    Radius.  err is rem at every point, one float for the call that bounds
+    the distance of each value from zeta.  rem is the sum of the following,
+    with eps the machine epsilon, u = eps/2, L = ln^2(a)/2 + 0.11 >=
     sum ln n / n, and e^d >= sum_m (|k| delta)^m / m! the most the
     expansion can amplify a rounding error in F_m (e^d <= e^(pi/2) < 4.82):
 
@@ -532,13 +514,13 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
       ||error of F_m||_1 <= eps (D + p + 7) H (pi/M)^m / m!, which the
       expansion turns into at most that times e^d in S;
     * head weights, when K > 1: beyond its phase, each z_n is within
-      (2 log2 n_hi + 1) eps of n^(-i t_c) (_head_weights: sqrt(2) u for
+      (2 log2 a + 1) eps of n^(-i t_c) (_head_weights: sqrt(2) u for
       the cos and sin of each of at most log2 n + 1 factors, sqrt(5) u for
       each of at most log2 n products).  That relative error e_n of a_n
       is the same in every order, so it reaches S as
       sum_n e_n a_n T_p(-i k delta_n), T_p(x) = sum_{m<=p} x^m / m!, and
       |T_p(iy)| <= |e^(iy)| + d^(p+1)/(p+1)! < 1 + eps D for |y| <= d:
-      to first order in eps it adds (2 log2 n_hi + 1) eps H, not
+      to first order in eps it adds (2 log2 a + 1) eps H, not
       amplified by e^d, which bounds errors made in each F_m apart;
     * twiddles, when L > 1: the angle fl(v j fl(2 pi/M)) is within
       2 pi eps of 2 pi v j/M, cos and sin are each within 2 eps (4 ulp,
@@ -557,10 +539,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
       FFT(F_m), rounding by u each, so the term of order m passes at most
       m products and m + 1 additions, and the error is at most
       (2p + 1) u H e^d <= (p+1) eps H e^d;
-    * direct route, corrections: eps (4 + t_max ln N) times their modulus
-      bound 1/t_min + 1/(2N) + (1+t_max)/(16 N^2), which covers the phase
-      t ln N and the 1/(it) conditioning;
-    * Euler-Maclaurin route, tail: the remainder and the rounding that
+    * tail: the remainder and the rounding that
       _em_tail returns, one float each for the call: R_m at t_max, which
       rises with t, so it bounds R_m at every point, and the rounding of
       the phase, the product, the Bernoulli sum and the addition into the
@@ -571,26 +550,25 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     t_c = float(t_pts[mid])
     t_min, t_max = float(t_pts[0]), float(t_pts[-1])
     h = (t_max - t_min) / (K - 1) if K > 1 else 0.0
-    n_hi = _n_hi(N, t_max)
-    em = n_hi < N
-    M, B, p, d, factor, chunk, depth = _transform(K, h, n_hi)
+    a = _em_head(t_max)
+    M, B, p, d, factor, chunk, depth = _transform(K, h, a)
     L = M // B
     step = 2.0 * math.pi / M
 
     inv_fact = [1.0 / math.factorial(m) for m in range(p + 1)]
     F = np.zeros((p + 1, B), dtype=np.complex128)
     if M == 1:  # one bin, every delta_n = 0: a_n from cos and sin, summed
-        for lo in range(1, n_hi + 1, chunk):
-            n = np.arange(lo, min(lo + chunk, n_hi + 1), dtype=np.float64)
+        for lo in range(1, a + 1, chunk):
+            n = np.arange(lo, min(lo + chunk, a + 1), dtype=np.float64)
             ph = t_c * np.log(n)
             w = np.empty(len(n), dtype=np.complex128)  # a_n
             w.real = np.cos(ph) / n
             w.imag = np.sin(ph) / -n
             F[0, 0] += w.sum()
     else:
-        z = _head_weights(t_c, n_hi)
-        for lo in range(1, n_hi + 1, chunk):
-            hi = min(lo + chunk, n_hi + 1)
+        z = _head_weights(t_c, a)
+        for lo in range(1, a + 1, chunk):
+            hi = min(lo + chunk, a + 1)
             n = np.arange(lo, hi, dtype=np.float64)
             w = np.empty((2, hi - lo))  # a_n = z_n / n, real and imaginary rows
             np.divide(z.real[lo:hi], n, out=w[0])
@@ -625,31 +603,20 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     # rotate to grid order: bins M - mid .. M - 1 (k < 0), then 0 .. K - 1 - mid
     acc = np.concatenate((acc[M - mid:], acc[:K - mid]))
 
-    h_n = harmonic_bound(n_hi)
-    ln_hi = math.log(n_hi)
-    if em:
-        # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
-        tail, remainder, tail_rounding = _em_tail(t_c if K == 1 else t_pts, n_hi)
-        acc += tail
-        rem_tail = remainder + tail_rounding
-    else:
-        acc += np.exp(-1j * t_pts * ln_hi) * (
-            1.0 / (1j * t_pts) - 0.5 / N + (1.0 + 1j * t_pts) / (16.0 * N * N)
-        )
-        corr = 1.0 / t_min + 0.5 / N + (1.0 + t_max) / (16.0 * N * N)
-        rem_tail = _EPS * (4.0 + t_max * ln_hi) * corr
+    # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
+    tail, remainder, tail_rounding = _em_tail(t_c if K == 1 else t_pts, a)
+    acc += tail
+    h_n = harmonic_bound(a)
     transform = 4.0 * math.log2(B) * math.sqrt(B) + (11.0 if L > 1 else 0.0)
-    wheel = 2.0 * math.log2(n_hi) + 1.0 if M > 1 else 0.0
+    wheel = 2.0 * math.log2(a) + 1.0 if M > 1 else 0.0
     rounding = depth + 2 * p + 8 + transform
     rem = (
         h_n * factor
-        + _radius_floor(t_pts, n_hi)
+        + _radius_floor(t_pts, a)
         + _EPS * h_n * (2.0 * d + wheel + math.exp(d) * rounding)
-        + rem_tail
+        + (remainder + tail_rounding)
     )
-    if em:
-        return acc, np.full(K, rem)
-    return acc, error_bound(t_pts, N) + rem
+    return acc, np.full(K, rem)
 
 
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
@@ -657,12 +624,12 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
 
     This is a one-point call of the block kernel _eval_block, which derives
     the value and err.  With a = max(64, ceil(t)), it sums the a terms of
-    the head and zeta's Euler-Maclaurin tail when a < N, so N plays no part
-    and err holds no truncation bound; otherwise it sums the N terms of g_N
-    and err includes the truncation bound error_bound(t, N).  The cost is
-    O(min(N, a)) terms, and memory stays bounded because the sum is taken in
-    chunks.  Very small t (below about 1e-3) is allowed, but the 1/(it)
-    term inflates err through its conditioning.
+    the head and zeta's Euler-Maclaurin tail.  N, a positive integer, is
+    the nominal term count the caller's budget charged (choose_N); it has
+    no effect on the value or err.  The cost is O(a) terms, and memory stays
+    bounded because the sum is taken in chunks.  Very small t (below about
+    1e-3) is allowed, but the 1/(it) term inflates err through its
+    conditioning.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -705,7 +672,7 @@ def _eta_accelerated(t: float, start: int, cols: int) -> tuple[complex, float]:
 
 
 def oracle_zeta(t: float, target_err: float) -> CertifiedComplex:
-    """zeta(1+it) through the alternating (eta) series, independent of g_N.
+    """zeta(1+it) through the alternating (eta) series, independent of the kernel.
 
     zeta(s) = eta(s) / (1 - 2^(1-s)); on the line s = 1+it the denominator
     is 1 - 2^(-it), which nearly vanishes when t is close to a multiple of

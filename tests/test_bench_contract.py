@@ -6,7 +6,11 @@ dropping one of those caches fails here rather than only in the benchmark.
 The refiners must reach the point evaluator through the wrapped
 verifier.eval_zeta_certified, or the benchmark would count no refinement;
 the contour oracle and c_sigma must run under their wrapped names, or the
-witness and paper workloads would time no quadrature.
+witness and paper workloads would time no quadrature.  The tracer counts
+terms from the N that _eval_block(t_pts, N) and eval_zeta_certified(t, N)
+take as their second positional argument, so both keep that argument,
+though N changes no value, until bench/ counts the terms a call sums: a
+traced point evaluation and a scan's kernel calls must count terms.
 """
 
 import os
@@ -17,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = """
-from zetabound import rs_bounds, verifier
+from zetabound import rs_bounds, verifier, zeta_eval
 import tracing
 import workloads
 
@@ -28,8 +32,12 @@ rs_bounds.computed_constants()
 rs_bounds.ck_contour(0.3, 1, 1)
 verifier.max_ratio(17.0, 18.5, 0.01, 1e-4)
 verifier.crossing_point(0.548, 600.0, 700.0)
+zeta_eval.eval_zeta_certified(17.7477, 10)
 sums = tracer.layer_sums()
 assert sums["refine_evals"] > 0
+assert sums["kernel_calls"] > 0
+assert sums["kernel_terms"] > 0
+assert sums["eval_terms"] > 0
 assert sums["contour_calls"] > 0
 assert sums["c_sigma_s"] > 0
 """

@@ -47,20 +47,26 @@ class TestEval:
         row = doc["rows"][0]
         assert row["modulus"] / math.log(17.7477) == pytest.approx(0.6443, abs=1e-4)
 
-    @pytest.mark.parametrize("t, r, summed", [("1e6", "1e-7", 1_000_000), ("5", "0.5", 2)])
+    @pytest.mark.parametrize("t, r, summed", [("1e6", "1e-7", 1_000_000), ("5", "0.5", 64)])
     def test_n_terms_counts_the_terms_summed(self, capsys, t, r, summed):
-        # at t = 1e6 the Euler-Maclaurin route sums its head a = 1e6, not
-        # N = 559017833; at t = 5, r = 0.5 the direct route sums all N = 2
+        # an evaluation sums its head a = max(64, ceil t), not N: N is
+        # 559017833 at t = 1e6, r = 1e-7, and 2 at t = 5, r = 0.5
         status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", t, "--r", r)
         assert status == 0
         assert json.loads(out)["rows"][0]["n_terms"] == summed
+
+    def test_radius_holds_no_truncation_bound(self, capsys):
+        # at t = 5, r = 0.5 the radius is the head's rounding and the
+        # Euler-Maclaurin remainder, far below r
+        status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", "5", "--r", "0.5")
+        assert status == 0
+        assert json.loads(out)["rows"][0]["err"] < 1e-13
 
     def test_radius_below_the_floor_is_usage_error(self, capsys):
         # at t = 1e6 the phase rounding eps t (ln^2 t / 2 + 0.11) alone is
         # 2.122e-8: r = 1e-8 is refused before any sum, and an r just
         # above the floor is met
-        n = zeta_eval.choose_N(1e6, 1e-8)
-        floor = zeta_eval._radius_floor(np.array([1e6]), zeta_eval._n_hi(n, 1e6))
+        floor = zeta_eval._radius_floor(np.array([1e6]), zeta_eval._em_head(1e6))
         assert floor == pytest.approx(2.122e-8, abs=1e-11)
         status, out, err = run_cli(capsys, "eval", "--t", "1e6", "--r", "1e-8")
         assert status == 2 and out == ""
@@ -163,6 +169,16 @@ class TestScan:
     def test_tight_bound_holds_at_default_radius(self, capsys):
         status, out, _ = run_cli(
             capsys, "scan", "--lo", "2.72", "--hi", "100", "--bound", "vlog:0.6443",
+        )
+        assert status == 0
+        _, rows = parse_csv(out)
+        assert 0.0 < min(float(row["margin"]) for row in rows) < 5e-5
+
+    def test_tight_bound_holds_where_blocks_have_n_within_the_head(self, capsys):
+        # every block of [2.72, 20] has N <= a = 64 at the default radius;
+        # its call sums the head and the tail like any other
+        status, out, _ = run_cli(
+            capsys, "scan", "--lo", "2.72", "--hi", "20", "--bound", "vlog:0.6443",
         )
         assert status == 0
         _, rows = parse_csv(out)
@@ -324,7 +340,7 @@ class TestBudgetRefusals:
         assert status == 3 and out == ""
 
     def test_eval_head_over_budget(self, capsys):
-        # N = 1.8e15 is representable, but the direct head is a = 1e12 terms
+        # N = 1.8e15 is representable, but the head is a = 1e12 terms
         status, _, err = run_cli(capsys, "eval", "--t", "1e12", "--r", "1e-8")
         assert status == 3
         assert "budget" in err

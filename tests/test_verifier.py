@@ -20,38 +20,27 @@ from zetabound import (
 )
 from zetabound import verifier, zeta_eval
 from zetabound.verifier import GRID_NOTE, _eval_block
-from zetabound.zeta_eval import _em_head, _n_hi
+from zetabound.zeta_eval import _em_head
 
-from plain_sum import direct_sum, fp_slack
+from plain_sum import fp_slack, main_sum
 
 
-def _zeta_30(t):
+def _zeta_30(t, a=1):
+    # sum_{n>=a} n^(-1-it) at 30 digits: zeta(1+it) at a = 1, else the
+    # Hurwitz zeta function, the exact tail of zeta past n = a - 1
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        return complex(mpmath.zeta(mpmath.mpc(1, t)))
-
-
-def _beyond_truncation(pts, n, err):
-    # the kernel's own radius: all of err on the Euler-Maclaurin route,
-    # which encloses zeta itself, err less the truncation bound on the
-    # direct route, which encloses g_N
-    return err if _n_hi(n, float(pts[-1])) < n else err - error_bound(pts, n)
+        return complex(mpmath.zeta(mpmath.mpc(1, t), a))
 
 
 def _assert_certified(pts, n, vals, err, ks):
-    # direct route: the block encloses g_N within its own radius, the plain
-    # sum of all n terms within its floating-point slack.  Euler-Maclaurin
-    # route: the block and a one-point call enclose zeta within their
-    # radii, and 30-digit mpmath.zeta lies within the block's
-    em = _n_hi(n, float(pts[-1])) < n
+    # the block and a one-point call with the same N enclose zeta within
+    # their radii, and 30-digit mpmath.zeta lies within the block's
     for k in ks:
         t = float(pts[k])
-        if em:
-            one = eval_zeta_certified(t, n)
-            assert abs(vals[k] - one.value) <= err[k] + one.err
-            assert abs(vals[k] - _zeta_30(t)) <= err[k]
-        else:
-            assert abs(vals[k] - direct_sum(t, n)) <= err[k] - error_bound(t, n) + fp_slack(t, n)
+        one = eval_zeta_certified(t, n)
+        assert abs(vals[k] - one.value) <= err[k] + one.err
+        assert abs(vals[k] - _zeta_30(t)) <= err[k]
 
 
 def _spy_tails(monkeypatch):
@@ -109,31 +98,42 @@ class TestScanConfig:
 
 class TestEvalBlock:
     def test_matches_single_point_evaluator(self):
-        # N = a, the largest N on the direct route
+        # N = a, no more than the head: the call and the one-point calls
+        # with that N sum their heads and tails, and their radii, under
+        # 1e-11, hold no truncation bound
         pts = np.arange(100.0, 102.0, 0.01)
         n = _em_head(float(pts[-1]))
-        assert _n_hi(n, float(pts[-1])) == n
         vals, err = _eval_block(pts, n)
+        assert err.max() < 1e-11
         for k in (0, 57, 123, len(pts) - 1):
-            t = float(pts[k])
-            assert abs(vals[k] - direct_sum(t, n)) <= err[k] - error_bound(t, n) + 1e-12
+            one = eval_zeta_certified(float(pts[k]), n)
+            assert one.err < 1e-11
+            assert abs(vals[k] - one.value) <= err[k] + one.err
 
     @pytest.mark.parametrize("t0", [math.e, 1e3, 1e5, 2e5])
     @pytest.mark.parametrize("size", [1, 2, 5000])
     def test_against_direct_summation(self, t0, size):
+        # the plain sum of the call's head n <= a plus the exact tail past a
+        # lies within the radius and its floating-point slack
         pts = t0 + np.arange(size) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
         vals, err = _eval_block(pts, n)
-        assert _beyond_truncation(pts, n, err).max() < 1e-7
-        _assert_certified(pts, n, vals, err, sorted({0, size // 3, size - 1}))
+        assert err.max() < 1e-7
+        ks = sorted({0, size // 3, size - 1})
+        _assert_certified(pts, n, vals, err, ks)
+        a = _em_head(float(pts[-1]))
+        for k in ks:
+            t = float(pts[k])
+            plain = main_sum(t, a) + _zeta_30(t, a + 1)
+            assert abs(vals[k] - plain) <= err[k] + fp_slack(t, a)
 
     def test_chunk_boundaries(self, monkeypatch):
         pts = 3e3 + np.arange(301) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
         # the head of a = 3003 terms in chunks of 1000: three full chunks
         # and a partial
-        a = _n_hi(n, float(pts[-1]))
-        assert a < n and a % 1000 != 0 and a > 3000
+        a = _em_head(float(pts[-1]))
+        assert a % 1000 != 0 and a > 3000
         whole, err_whole = _eval_block(pts, n)
         monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", 1000)
         vals, err = _eval_block(pts, n)
@@ -150,21 +150,18 @@ class TestEvalBlock:
         _assert_certified(pts, n, vals, err, (0, size // 2, size - 1))
 
     def test_both_sides_of_the_euler_maclaurin_switch(self, monkeypatch):
-        # N = a sums all N terms of g_N; N = a + 1 sums the head n <= a and
-        # adds zeta's closed-form tail at each point, whatever the call's size
+        # N = a and N = a + 1 both sum the head n <= a and add zeta's
+        # closed-form tail at each point, whatever the call's size, to the
+        # same bits: N has no effect
         tails = _spy_tails(monkeypatch)
         for t0, size in ((17.7477, 1), (1e3, 1), (1e3, 300), (1e5, 50)):
             pts = t0 + np.arange(size) * 0.01
             a = _em_head(float(pts[-1]))
-            routes = []
-            for n in (a, a + 1):
-                tails.clear()
-                vals, err = _eval_block(pts, n)
-                routes.append(tails == [size])
-                # only the direct route's radius holds the truncation bound
-                assert bool((err > error_bound(pts, n)).all()) != routes[-1]
-                _assert_certified(pts, n, vals, err, sorted({0, size // 2, size - 1}))
-            assert routes == [False, True]
+            tails.clear()
+            (vals, err), (other, other_err) = (_eval_block(pts, n) for n in (a, a + 1))
+            assert tails == [size, size]
+            assert vals.tobytes() == other.tobytes() and err.tobytes() == other_err.tobytes()
+            _assert_certified(pts, a, vals, err, sorted({0, size // 2, size - 1}))
 
     def test_route_taken_below_twice_the_head(self, monkeypatch):
         # r = 0.01 gives N ~ 1.77 t < 2a; the route needs only a < N
@@ -180,29 +177,27 @@ class TestEvalBlock:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         tails = _spy_tails(monkeypatch)
-        routes = set()
 
         @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
         @hypothesis.given(
             st.floats(0.5, 5.3), st.integers(1, 3000), st.floats(1e-3, 1e-2)
         )
         def check(log_t, size, r):
+            # every call adds the closed-form tail at its points, whatever N
             pts = 10.0**log_t + np.arange(size) * 0.01
             n = choose_N(float(pts[-1]), r)
             tails.clear()
             vals, err = _eval_block(pts, n)
-            routes.add(bool(tails))
+            assert tails == [size]
             _assert_certified(pts, n, vals, err, sorted({0, size // 2, size - 1}))
 
         check()
-        assert routes == {False, True}
 
     def test_remainder_bound_is_small(self):
         pts = np.arange(50.0, 60.0, 0.01)
         n = choose_N(60.0, 0.005)
         _, err = _eval_block(pts, n)
-        rem = _beyond_truncation(pts, n, err)
-        assert np.all((0.0 <= rem) & (rem < 1e-9))
+        assert np.all((0.0 <= err) & (err < 1e-9))
 
 
 class TestScanInterval:
@@ -292,8 +287,8 @@ class TestScanInterval:
         assert calls == []
         # above the floor, r is met, and every radius holds the floor
         report = scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=7e-8), budget=math.inf)
-        [(pts, n, _)] = calls
-        floor = zeta_eval._radius_floor(pts, _n_hi(n, float(pts[-1])))
+        [(pts, _, _)] = calls
+        floor = zeta_eval._radius_floor(pts, _em_head(float(pts[-1])))
         assert floor == pytest.approx(6.365e-8, abs=1e-11)
         assert np.all((floor <= report.err) & (report.err <= 7e-8))
 
@@ -304,8 +299,8 @@ class TestScanInterval:
         cfg = ScanConfig(t_lo=1e6, t_hi=1.2e6, h=1.0, r=1e-7)
         plan = verifier._plan(cfg, math.inf)
         t = cfg.t_lo + np.arange(plan[-1][1] + 1) * cfg.h
-        floors = [zeta_eval._radius_floor(t[lo:hi + 1], _n_hi(n, float(t[hi])))
-                  for lo, hi, n in plan]
+        floors = [zeta_eval._radius_floor(t[lo:hi + 1], _em_head(float(t[hi])))
+                  for lo, hi, _ in plan]
         assert len(plan) == 13 and floors[0] < floors[-1]
         r = math.sqrt(floors[0] * floors[-1])
         calls = _record_calls(monkeypatch)
@@ -397,8 +392,8 @@ class TestScanInterval:
         assert np.all(np.abs(capped.modulus - whole.modulus) <= capped.err + whole.err)
 
     def test_euler_maclaurin_blocks_share_one_kernel_call(self, monkeypatch):
-        # 10001 points in blocks of 5000, 5000 and 1, all on the
-        # Euler-Maclaurin route: one head over n <= a serves all three
+        # 10001 points in blocks of 5000, 5000 and 1: one head over n <= a
+        # serves all three
         cfg = ScanConfig(t_lo=1.3e5, t_hi=1.3e5 + 100.0, block=50.0)
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
@@ -408,49 +403,48 @@ class TestScanInterval:
         t = report.t
         blocks = _blocks(cfg, t)
         assert [hi - lo + 1 for lo, hi, _ in blocks] == [5000, 5000, 1]
-        assert n_max == blocks[-1][2] and _n_hi(n_max, float(pts[-1])) < n_max
+        assert n_max == blocks[-1][2]
         # each point's radius is the call's, which holds no truncation bound
         assert report.err.tobytes() == err.tobytes()
         assert err.max() < 1e-7
         for lo, hi, n in blocks:
             seg = slice(lo, hi + 1)
             vals, err_block = _eval_block(t[seg], n)
-            assert _n_hi(n, float(t[hi])) < n
             assert np.all(np.abs(report.modulus[seg] - np.abs(vals)) <= err[seg] + err_block)
         for k in (0, 5000, 10000):
             assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= err[k]
 
     def test_joined_calls_take_the_euler_maclaurin_route(self, monkeypatch):
-        # at r = 0.01 the blocks of 10 below t ~ 34.7 have N <= a = 64 and
-        # alone take the direct route; the rest take the Euler-Maclaurin
-        # route.  In runs of 2500 points the first run joins direct-route
-        # blocks and stays direct, and the second joins the last
-        # direct-route block to Euler-Maclaurin ones and takes that route,
-        # with the N of its last block
+        # at r = 0.01 the blocks of 10 below t ~ 34.7 have N <= a = 64.  In
+        # runs of 2500 points the first run joins only such blocks, the
+        # second joins the last of them to blocks with N > a, and every run
+        # sums its head n <= a and adds zeta's closed-form tail, with the N
+        # of its last block as its nominal count
         cfg = ScanConfig(t_lo=math.e, t_hi=60.0, r=0.01, block=10.0)
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 2500)
         plan = verifier._plan(cfg, math.inf)
         calls = _record_calls(monkeypatch)
+        tails = _spy_tails(monkeypatch)
         report = scan_interval(cfg)
         t = report.t
         blocks = _blocks(cfg, t)
         assert [(lo, hi) for lo, hi, _ in plan] == [(0, 2499), (2500, 4999), (5000, len(t) - 1)]
         assert [(len(pts), n) for pts, n, _ in calls] == [(hi - lo + 1, n) for lo, hi, n in plan]
+        assert tails == [hi - lo + 1 for lo, hi, _ in plan]
 
         def spanned(lo, hi):
             return [b for b in blocks if b[0] <= hi and lo <= b[1]]
 
-        def em(hi, n):
-            return _n_hi(n, float(t[hi])) < n
+        def within_head(hi, n):
+            return n <= _em_head(float(t[hi]))
 
-        assert [em(hi, n) for _, hi, n in plan] == [False, True, True]
         for lo, hi, n in plan:
             assert n == spanned(hi, hi)[0][2]
-        assert [em(b_hi, b_n) for _, b_hi, b_n in spanned(0, 2499)] == [False] * 3
-        assert [em(b_hi, b_n) for _, b_hi, b_n in spanned(2500, 4999)] == [False, True, True]
-        # the direct run holds its truncation bound, within r; the others none
-        assert report.err[:2500].max() <= cfg.r
-        assert report.err[2500:].max() < 1e-7
+        assert [within_head(hi, n) for _, hi, n in plan] == [True, False, False]
+        assert [within_head(b_hi, b_n) for _, b_hi, b_n in spanned(0, 2499)] == [True] * 3
+        assert [within_head(b_hi, b_n) for _, b_hi, b_n in spanned(2500, 4999)] == [True, False, False]
+        # no run's radius holds a truncation bound
+        assert report.err.max() < 1e-7
         for k in (0, 2499, 2500, 2999, 3000, len(t) - 1):
             assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= report.err[k]
 
@@ -500,10 +494,8 @@ class TestAgainstMpmath:
                 for k in (0, 37, len(report.t) - 1):
                     ref = abs(mpmath.zeta(mpmath.mpc(1, float(report.t[k]))))
                     assert abs(report.modulus[k] - float(ref)) <= report.err[k]
-            plan = verifier._plan(cfg, math.inf)
-            if all(_n_hi(n, float(report.t[hi])) < n for _, hi, n in plan):
-                # an Euler-Maclaurin window: its radius holds no truncation bound
-                assert report.err.max() < 1e-7
+            # the radius holds no truncation bound, whatever r
+            assert report.err.max() < 1e-7
 
 
 class TestMaxRatio:
@@ -570,6 +562,15 @@ class TestCheckBound:
         assert res.holds_on_grid
         assert 0.0 < res.worst_margin < 5e-5
         assert res.worst_t == pytest.approx(17.7477, abs=1e-3)
+
+    def test_tight_vlog_holds_where_blocks_have_n_within_the_head(self):
+        # on [e, 20] at the default r = 0.005 every block has N <= a = 64;
+        # its one call sums the head and the tail like any other, so the
+        # check keeps the peak headroom rather than r of truncation bound
+        res = check_bound(math.e, 20.0, 0.6443, 0.0)
+        assert res.holds_on_grid
+        assert res.worst_margin == pytest.approx(2.528e-5, abs=1e-8)
+        assert res.worst_t == pytest.approx(17.7483, abs=1e-4)
 
     def test_half_log_fails(self):
         res = check_bound(math.e, 100.0, 0.5, 0.0)

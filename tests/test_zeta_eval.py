@@ -15,10 +15,10 @@ from zetabound import (
     oracle_zeta,
 )
 from zetabound import zeta_eval
-from zetabound.zeta_eval import _em_head, _em_tail, _eval_block, _n_hi, _transform
+from zetabound.zeta_eval import _em_head, _em_tail, _eval_block, _transform
 
 import em_reference
-from plain_sum import direct_sum, fp_slack, main_sum
+from plain_sum import fp_slack, main_sum
 
 # t values of the Euler-Maclaurin checks: tiny t, the peak 17.7477, the
 # thinnest affine margin 108.98, and two t whose N at r = 1e-8 is far past
@@ -138,15 +138,15 @@ class TestEvalZetaCertified:
             eval_zeta_certified(1.0, 0)
 
     def test_tiny_t_allowed(self):
-        # a = 64: N = 64 takes the direct route, whose radius holds the
-        # truncation bound, and N = 65 the Euler-Maclaurin route, whose
-        # radius does not; both enclose zeta despite the 1/(it) term
+        # a = 64 for N = 64 and N = 65 alike: both sum the head and the
+        # Euler-Maclaurin tail, to the same bits, whose radius holds no
+        # truncation bound and encloses zeta despite the 1/(it) term
         t = 1e-4
-        direct, em = eval_zeta_certified(t, 64), eval_zeta_certified(t, 65)
-        assert math.isfinite(direct.modulus) and math.isfinite(em.modulus)
-        assert direct.err >= error_bound(t, 64) > em.err
-        for cert in (direct, em):
-            assert abs(cert.value - _zeta_30(t)) <= cert.err
+        low, high = eval_zeta_certified(t, 64), eval_zeta_certified(t, 65)
+        assert (low.value, low.err) == (high.value, high.err)
+        assert math.isfinite(low.modulus)
+        assert low.err < error_bound(t, 65)
+        assert abs(low.value - _zeta_30(t)) <= low.err
 
 
 def _zeta_30(t, a=1):
@@ -158,7 +158,7 @@ def _zeta_30(t, a=1):
 
 
 def _em_sizes(t):
-    # the direct route up to N = a, the Euler-Maclaurin route from a + 1
+    # nominal counts below, at and past the head a, and the N of r = 1e-8
     a = _em_head(t)
     return (1, a, a + 1, 2 * a, choose_N(t, 1e-8))
 
@@ -166,28 +166,24 @@ def _em_sizes(t):
 class TestEulerMaclaurinRoute:
     @pytest.mark.parametrize("t", EM_T)
     def test_agrees_with_direct_sum(self, t):
-        # the direct route encloses g_N: the kernel's value within its radius
-        # beyond the truncation bound, the plain sum of all N terms within
-        # fp_slack.  The Euler-Maclaurin route encloses zeta itself, as does
-        # the plain sum of its head n <= a plus the exact tail past a
-        for n in _em_sizes(t):
-            cert = eval_zeta_certified(t, n)
-            if _n_hi(n, t) < n:
-                a = _em_head(t)
-                assert abs(cert.value - _zeta_30(t)) <= cert.err
-                gap = abs(cert.value - (main_sum(t, a) + _zeta_30(t, a + 1)))
-                assert gap <= cert.err + fp_slack(t, a)
-            else:
-                gap = abs(cert.value - direct_sum(t, n))
-                assert gap <= cert.err - error_bound(t, n) + fp_slack(t, n)
-            if t >= math.e:
-                assert gap <= 1e-13
+        # every N gives the same value and err: the head n <= a plus the
+        # Euler-Maclaurin tail, which encloses zeta itself, as does the plain
+        # sum of the head plus the exact tail past a
+        certs = [eval_zeta_certified(t, n) for n in _em_sizes(t)]
+        assert len({(cert.value, cert.err) for cert in certs}) == 1
+        cert, a = certs[0], _em_head(t)
+        assert abs(cert.value - _zeta_30(t)) <= cert.err
+        gap = abs(cert.value - (main_sum(t, a) + _zeta_30(t, a + 1)))
+        assert gap <= cert.err + fp_slack(t, a)
+        if t >= math.e:
+            assert gap <= 1e-13
 
     def test_high_t_radius(self):
         cert = eval_zeta_certified(1e6, choose_N(1e6, 1e-8))
-        # the direct route's radius here was 1.63e-6, most of it 4 eps N
+        # the plain sum of all N = 1.77e9 terms carries 1.63e-6, most of it
+        # 4 eps N
         assert cert.err < 4e-8
-        # the Euler-Maclaurin route's radius holds no truncation bound
+        # the radius holds no truncation bound
         assert eval_zeta_certified(17.7477, choose_N(17.7477, 1e-8)).err < 1e-12
 
     @pytest.mark.parametrize(
@@ -226,33 +222,27 @@ ONE_POINT_T = (3.0, 17.7477, 652.37, 2 * math.pi * 1000 / math.log(2), 1e5)
 
 def _one_point_and_block(t, r):
     # eval_zeta_certified(t, N) and the middle point of a 9-point kernel
-    # call at h = 1e-3 with the same N, which takes the same route, with its
-    # radius
+    # call at h = 1e-3 with the same N, with its radius
     n = choose_N(t, r)
     cert = eval_zeta_certified(t, n)
     pts = t + (np.arange(9) - 4) * 1e-3
     assert pts[4] == t
-    em = _n_hi(n, t) < n
-    assert (_n_hi(n, float(pts[-1])) < n) == em
     vals, err = _eval_block(pts, n)
-    return n, em, cert, vals[4], err[4]
+    return cert, vals[4], err[4]
 
 
 class TestOnePointCall:
     @pytest.mark.parametrize("t", ONE_POINT_T)
     @pytest.mark.parametrize("r", [1e-8, 1e-3])
     def test_matches_nine_point_block(self, t, r):
-        # both enclose zeta (Euler-Maclaurin route) or g_N(t) (direct route,
-        # where neither radius needs its truncation bound): their gap is
-        # within the sum of the radii
-        n, em, cert, block, err = _one_point_and_block(t, r)
-        truncation = 0.0 if em else error_bound(t, n)
-        assert abs(cert.value - block) <= (cert.err - truncation) + (err - truncation)
+        # both enclose zeta: their gap is within the sum of the radii
+        cert, block, err = _one_point_and_block(t, r)
+        assert abs(cert.value - block) <= cert.err + err
 
     @pytest.mark.parametrize("t", ONE_POINT_T)
     @pytest.mark.parametrize("r", [1e-8, 1e-3])
     def test_both_against_mpmath(self, t, r):
-        _, _, cert, block, err = _one_point_and_block(t, r)
+        cert, block, err = _one_point_and_block(t, r)
         ref = _zeta_30(t)
         assert abs(cert.value - ref) <= cert.err
         assert abs(block - ref) <= err
@@ -278,26 +268,27 @@ def _reached_bins(size, h, n_hi):
 
 def _grid_call(t0, h, size, route):
     # a call of size points from t0 at step h, after checking that its
-    # phases reach only bins below B.  N = a(t_0) keeps the call and every
-    # one-point call on the direct route, as no point has a smaller head
+    # phases reach only bins below B, with N = choose_N at its last point,
+    # past every head.  route "direct" names N = a(t_0), no larger than any
+    # point's head (an N the deleted g_N route took): as N has no effect,
+    # it must give the same bits, and the one-point calls then take it
     pts = t0 + np.arange(size) * h
-    em = route == "euler-maclaurin"
-    n = choose_N(float(pts[-1]), 0.005) if em else _em_head(t0)
-    n_hi = _n_hi(n, float(pts[-1]))
-    assert (n_hi < n) == em
-    assert _reached_bins(size, h, n_hi).max() < _transform(size, h, n_hi)[1]
-    return pts, n, _eval_block(pts, n)
+    a = _em_head(float(pts[-1]))
+    assert _reached_bins(size, h, a).max() < _transform(size, h, a)[1]
+    n = choose_N(float(pts[-1]), 0.005)
+    vals, err = _eval_block(pts, n)
+    if route == "direct":
+        n = _em_head(t0)
+        same, same_err = _eval_block(pts, n)
+        assert same.tobytes() == vals.tobytes() and same_err.tobytes() == err.tobytes()
+    return pts, n, (vals, err)
 
 
-def _assert_within_one_point_calls(pts, n, route, vals, err):
-    em = route == "euler-maclaurin"
+def _assert_within_one_point_calls(pts, n, vals, err):
+    # both enclose zeta: their gap is within the sum of the radii
     for j in _partial_call_indices(len(pts)):
-        t = float(pts[j])
-        assert (_n_hi(n, t) < n) == (_n_hi(n, float(pts[-1])) < n) == em
-        one = eval_zeta_certified(t, n)
-        # both enclose zeta, or g_N beyond the truncation bound
-        truncation = 0.0 if em else error_bound(t, n)
-        assert abs(vals[j] - one.value) <= (err[j] - truncation) + (one.err - truncation)
+        one = eval_zeta_certified(float(pts[j]), n)
+        assert abs(vals[j] - one.value) <= err[j] + one.err
 
 
 def _assert_within_mpmath(pts, vals, err):
@@ -313,7 +304,7 @@ class TestPartialCalls:
     @pytest.mark.parametrize("route", ["euler-maclaurin", "direct"])
     def test_within_one_point_calls(self, size, route):
         pts, n, (vals, err) = _grid_call(1e3, 0.01, size, route)
-        _assert_within_one_point_calls(pts, n, route, vals, err)
+        _assert_within_one_point_calls(pts, n, vals, err)
 
     @pytest.mark.parametrize("size", [2, 3, (1 << 13) + 1, (1 << 14) - 1])
     def test_against_mpmath(self, size):
@@ -332,7 +323,7 @@ class TestPrunedTransform:
     def test_bins_pruned_unless_the_phases_wind(self, size):
         for t0, h, pruned in ((1e3, 0.01, size > 2), (1e4, 1.0, False)):
             t_max = t0 + (size - 1) * h
-            M, B = _transform(size, h, _n_hi(choose_N(t_max, 0.005), t_max))[:2]
+            M, B = _transform(size, h, _em_head(t_max))[:2]
             assert (B < M) == pruned
 
     def test_twiddles_within_their_rounding_bound(self):
@@ -353,7 +344,7 @@ class TestPrunedTransform:
     @pytest.mark.parametrize("route", ["euler-maclaurin", "direct"])
     def test_within_one_point_calls(self, t0, h, size, route):
         pts, n, (vals, err) = _grid_call(t0, h, size, route)
-        _assert_within_one_point_calls(pts, n, route, vals, err)
+        _assert_within_one_point_calls(pts, n, vals, err)
 
     @pytest.mark.parametrize("t0, h, size", PRUNED_CALLS)
     def test_against_mpmath(self, t0, h, size):
@@ -415,9 +406,8 @@ class TestSegments:
         if chunk is not None:
             monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", chunk)
         pts = t0 + np.arange(size) * h
-        n = choose_N(float(pts[-1]), 0.005)
-        _eval_block(pts, n)
-        assert sum(calls) == _n_hi(n, float(pts[-1]))  # every chunk was checked
+        _eval_block(pts, choose_N(float(pts[-1]), 0.005))
+        assert sum(calls) == _em_head(float(pts[-1]))  # every chunk was checked
 
 
 class TestExpansionOrder:
@@ -432,7 +422,7 @@ class TestExpansionOrder:
             size = int(rng.integers(2, 1 << 14, endpoint=True))
             h = float(10.0 ** rng.uniform(-4, 0))
             t_max = float(rng.uniform(math.e + size * h, 2e5))
-            n_hi = _n_hi(choose_N(t_max, float(10.0 ** rng.uniform(-8, -2))), t_max)
+            n_hi = _em_head(t_max)
             M, B, p, d, factor, chunk, depth = _transform(size, h, n_hi)
             assert chunk == min(n_hi, zeta_eval._KERNEL_CHUNK)
             D = chunk + -(-n_hi // chunk) + h * math.log(n_hi) / (2 * math.pi)
@@ -457,8 +447,7 @@ class TestExpansionOrder:
     ])
     def test_orders_of_documented_calls(self, t0, size, order):
         t_max = t0 + (size - 1) * 0.01
-        n_hi = _n_hi(choose_N(t_max, 0.005), t_max)
-        assert _transform(size, 0.01, n_hi)[2] + 1 == order
+        assert _transform(size, 0.01, _em_head(t_max))[2] + 1 == order
 
 
 class TestTailBounds:
