@@ -1,10 +1,10 @@
 """Certified evaluation of zeta(1+it), step by step.
 
 Every value returned by the evaluator comes with a proven error radius
-plus explicit floating-point slack.  The evaluator adds about max(64, t)
+plus explicit floating-point slack.  The evaluator adds about max(64, t/pi)
 terms one by one and takes the rest of zeta in a closed Euler-Maclaurin
-form, whose remainder is below 1e-16, so the radius holds no truncation
-bound at all.  Its N is a nominal term count: the least N whose
+form, whose remainder is within eps/2 = 1.1e-16, so the radius holds no
+truncation bound at all.  Its N is a nominal term count: the least N whose
 truncation bound (1+t)(2+t)/(32 N^2) meets a radius target, which scans
 charge to their budget; it is not the length of any sum and changes no
 value.  An independent alternating-series oracle confirms the
@@ -23,7 +23,7 @@ from zetabound import (
 
 # The nominal term count of a radius target: the bound grows with t, so
 # the worst t of interest fixes N.  An evaluation sums only about
-# max(64, t) terms whatever N, and takes the rest of zeta in closed form.
+# max(64, t/pi) terms whatever N, and takes the rest of zeta in closed form.
 for T, r in ((100.0, 0.005), (1e4, 0.005), (1e4, 1e-8)):
     n = choose_N(T, r)
     print(f"target r = {r:g} up to t = {T:g}:  N = {n}  (bound {error_bound(T, n):.2e})")

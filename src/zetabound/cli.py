@@ -175,7 +175,7 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
-    summed = zeta_eval._em_head(t)  # the head the one-point kernel call sums
+    summed = zeta_eval._em_head(t, 1)  # the head the one-point kernel call sums
     if summed > verifier.DEFAULT_BUDGET:
         raise ResourceBudgetError(
             f"evaluation sums a head of {summed:.3e} terms, over the budget "
@@ -188,6 +188,11 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
             "the rounding of the phases t ln n"
         )
     cert = zeta_eval.eval_zeta_certified(t, n)
+    if r < cert.err:  # above the floor by less than the sum's own rounding
+        raise ValueError(
+            f"--r {r:g} is below the radius {cert.err:.3e} certified at t = {t:g}, "
+            "the floor plus the rounding of the sum"
+        )
     columns = {
         "t": [t],
         "real": [cert.value.real],

@@ -11,8 +11,9 @@ nominal term count N (zeta_eval.choose_N) is chosen per block from the
 block's largest t; the blocks set the budget count and N, nothing else.
 zeta(1+it) is evaluated by the block kernel zeta_eval._eval_block in fixed
 runs of 2^14 consecutive grid points (the last run is shorter), at all of
-a run's points at once: a NUFFT of the main sum over n <= a,
-a = max(64, ceil t_max), plus zeta's closed Euler-Maclaurin tail past a.
+a run's points at once: a NUFFT of the main sum over n <= a, plus zeta's
+closed Euler-Maclaurin tail past a, where a = max(64, ceil(t_max/pi),
+min(ceil t_max, K)) for a run of K points ending at t_max.
 Each run is called with the N of the block that holds its last point, which
 has no effect on its values.  The kernel returns each point's radius, with
 its expansion remainder, the Euler-Maclaurin remainder and every
@@ -208,7 +209,7 @@ def scan_interval(
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
     for k_lo, k_hi, _ in calls:  # r is a ceiling: no radius of a call gets below its floor
         pts = t[k_lo:k_hi + 1]
-        floor = _radius_floor(pts, _em_head(float(pts[-1])))
+        floor = _radius_floor(pts, _em_head(float(pts[-1]), len(pts)))
         if config.r < floor:
             raise ValueError(
                 f"r = {config.r:g} is below the radius floor {floor:.3e} of the kernel call on "
@@ -347,11 +348,13 @@ def crossing_point(
     evaluations (radius 1e-8) on the grid points from 20 steps before the
     last candidate to one step after it follows the last point reaching v
     down to a 1e-6 wide cell and returns its left end.  When no point
-    reaches v, a second zoom on the five grid steps either side of the best
-    candidate looks for the peak: a peak reaching v is followed to its
-    crossing as above, and a peak within 5e-5 of v is a tangency whose
-    location is returned.  Raises CrossingNotFound when the ratio is still
-    at or above v at the last grid point, or never comes that close to v.
+    reaches v, that zoom has followed the window's peak instead; if the
+    best candidate lies before the window, a second zoom on the five grid
+    steps either side of it looks for its peak.  A peak reaching v is
+    followed to its crossing as above, and a peak within 5e-5 of v is a
+    tangency whose location is returned.  Raises CrossingNotFound when the
+    ratio is still at or above v at the last grid point, or never comes
+    that close to v.
     """
     report = scan_interval(ScanConfig(t_lo=t_lo, t_hi=t_hi), budget=budget, workers=workers)
     t = report.t
@@ -364,7 +367,11 @@ def crossing_point(
 
     last = int(candidates[-1])
     best = int(candidates[np.argmax(report.ratio[candidates])])
-    for ts in (t[max(last - 20, 0):last + 2], t[max(best - 5, 0):best + 6]):
+    first = max(last - 20, 0)
+    windows = [t[first:last + 2]]
+    if best < first:  # the first zoom has not followed the best candidate's peak
+        windows.append(t[max(best - 5, 0):best + 6])
+    for ts in windows:
         x, fx, reached = _zoom(ts, _CROSS_TOL, v)
         if reached:
             if x == t[-1]:

@@ -2,10 +2,11 @@
 
 Every result carries an absolute error radius that accounts for the
 mathematics and for floating-point accumulation, so the true zeta value is
-guaranteed to lie inside the reported disk.  With a = max(64, ceil(t)),
-the terms n^(-1-it) are smooth in n past a, so the evaluator sums only
-n <= a and adds zeta's own closed-form tail past a, with an explicit
-remainder (Edwards, Riemann's Zeta Function, ch. 6; Johansson, Numer.
+guaranteed to lie inside the reported disk.  Past a head n <= a, a at
+least 64 and t/pi, the terms n^(-1-it) are smooth in n, so the evaluator
+sums only n <= a and adds zeta's own closed-form Euler-Maclaurin tail past
+a, with the least Bernoulli order whose explicit remainder is within half
+an ulp (Edwards, Riemann's Zeta Function, ch. 6; Johansson, Numer.
 Algorithms 2015).  It has no truncation term.  The evaluator takes the
 nominal term count N that scans budget, choose_N's least N whose
 truncation bound (1+t)(2+t) / (32 N^2) is within a radius target r, and N
@@ -61,20 +62,33 @@ _MAX_N = 1 << 62
 _ORACLE_MAX_TERMS = 1_000_000  # the eta oracle gives up beyond this many terms
 
 # Euler-Maclaurin split of the main sum, derived in _em_tail: the terms
-# n <= a = max(_EM_MIN_HEAD, ceil(t)) are summed one by one and the rest in
-# closed form with _EM_ORDER Bernoulli terms.
-_EM_ORDER = 10
+# n <= a = _em_head(t_max, K) are summed one by one and the rest in closed
+# form with the least Bernoulli order m whose remainder is within eps/2
+# (_em_bounds); a >= t/pi needs m <= 25, the end of the table.
 _EM_MIN_HEAD = 64
-# c_k = B_2k / (2k)! for k = 1, ..., _EM_ORDER, correctly rounded (integer
-# true division)
-_EM_COEFFS = tuple(
-    p / (q * math.factorial(2 * k))
-    for k, (p, q) in enumerate(
-        ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-         (-3617, 510), (43867, 798), (-174611, 330)),
-        start=1,
+_EM_MAX_ORDER = 25
+
+
+def _em_coeffs(m: int) -> tuple[float, ...]:
+    """c_k = B_2k/(2k)! for k = 1, ..., m, correctly rounded from exact integers.
+
+    The tangent numbers T_(2k-1) (tan x = sum T_(2k-1) x^(2k-1)/(2k-1)!)
+    come from Knuth and Buckholtz's integer recurrence (Brent and Harvey,
+    Fast computation of Bernoulli, tangent and secant numbers, 2013), and
+    B_2k = (-1)^(k-1) 2k T_(2k-1) / (4^k (4^k - 1)), so each c_k is one
+    integer true division, which Python rounds correctly.
+    """
+    T = [math.factorial(i) for i in range(m)]  # T[i] becomes T_(2i+1)
+    for k in range(1, m):
+        for j in range(k, m):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return tuple(
+        (-1) ** (k - 1) * 2 * k * T[k - 1] / (4**k * (4**k - 1) * math.factorial(2 * k))
+        for k in range(1, m + 1)
     )
-)
+
+
+_EM_COEFFS = _em_coeffs(_EM_MAX_ORDER)
 
 _KERNEL_CHUNK = 1 << 16  # terms per n-chunk of the block kernel
 
@@ -143,26 +157,39 @@ def choose_N(T: float, r: float) -> int:
     return N
 
 
-def _em_head(t: float) -> int:
-    return max(_EM_MIN_HEAD, math.ceil(t))
+def _em_head(t_max: float, K: int) -> int:
+    """The head a = max(64, ceil(t_max/pi), min(ceil t_max, K)) of a K-point call.
+
+    See _eval_block, Split, for the rule and _em_tail for the order m it
+    needs.
+    """
+    return max(_EM_MIN_HEAD, math.ceil(t_max / math.pi), min(math.ceil(t_max), K))
 
 
-def _em_bounds(t: float, a: int) -> tuple[float, float]:
-    """(sigma, remainder) of the Euler-Maclaurin tail at s = 1+it, for a float t.
+def _em_bounds(t: float, a: int) -> tuple[int, float, float]:
+    """(m, sigma, remainder) of the Euler-Maclaurin tail at s = 1+it, for a float t.
 
-    sigma = sum_{k<=m} |c_k (s)_(2k-1)| a^(-2k) is the sum of the moduli of
-    the Bernoulli terms and remainder = |c_m| |(s)_2m| / (2m a^2m) bounds
-    |R_m|.  Both are products of the ratios |s+j|/a, so both rise with t.
+    m is the least order whose remainder bound |c_m| |(s)_2m| / (2m a^2m)
+    is at most u = eps/2, remainder is that bound and sigma =
+    sum_{k<=m} |c_k (s)_(2k-1)| a^(-2k) the sum of the moduli of the
+    Bernoulli terms.  At a fixed m both are products of the ratios
+    |s+j|/a, so both rise with t.  Raises ConvergenceError when no order up
+    to _EM_MAX_ORDER gets there.
     """
     sigma, ratios = 0.0, 1.0
     for k, c in enumerate(_EM_COEFFS, start=1):
         ratios *= abs(complex(2 * k - 1, t)) / a  # now |(s)_(2k-1)| / a^(2k-1)
         sigma += abs(c) * ratios / a
         ratios *= abs(complex(2 * k, t)) / a
-    return sigma, abs(_EM_COEFFS[-1]) / (2 * _EM_ORDER) * ratios
+        remainder = abs(c) / (2 * k) * ratios
+        if remainder <= 0.5 * _EPS:
+            return k, sigma, remainder
+    raise ConvergenceError(
+        f"no Euler-Maclaurin order up to {_EM_MAX_ORDER} meets eps/2 past n = {a} at t = {t}"
+    )
 
 
-def _bernoulli_sum(t: float | np.ndarray, a: int) -> complex | np.ndarray:
+def _bernoulli_sum(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
     """sum_{k<=m} c_k (s)_(2k-1) a^(-2k) at s = 1+it, by Horner in u = s/a.
 
     t is a float or an array, and the same arithmetic serves both: the
@@ -175,8 +202,8 @@ def _bernoulli_sum(t: float | np.ndarray, a: int) -> complex | np.ndarray:
     y = t / a
     iy = 1j * y
     minus_y2 = iy * iy
-    acc = _EM_COEFFS[-1]
-    for k in range(_EM_ORDER - 1, 0, -1):
+    acc = _EM_COEFFS[m - 1]
+    for k in range(m - 1, 0, -1):
         q = iy * ((4 * k + 1) / a)
         q += minus_y2
         q += 2 * k * (2 * k + 1) / a / a
@@ -227,15 +254,23 @@ def _em_tail(
     (_bernoulli_sum): (s)_(2k+1) a^(-2k-2) = (s)_(2k-1) a^(-2k) q_k with
     q_k = (u + (2k-1)/a)(u + 2k/a).
 
-    Choice of a and m.  a >= t bounds each ratio |s+j|/a by
-    sqrt(1 + ((1+j)/a)^2), and a >= 64 keeps that near 1 for the j < 2m
-    that occur when t is small.  The product of the ratios over j < 2m is
-    then largest as t rises to a = 64, where it is 1.40, so successive
-    Bernoulli terms shrink by about (|s+2k|/(2 pi a))^2 < 1/36 and
-    R_m <= 1.40 |c_m|/(2m) for every t.  m = 10 is the least order that puts
-    this under eps/2: it gives 1.5e-17, m = 9 gives 6.1e-16.  R_m is
-    computed as the product of the 2m ratios |s+j|/a (_em_bounds); its own
-    rounding is far below an ulp of 1.
+    Choice of m.  As |c_k| = 2 zeta(2k)/(2 pi)^(2k), successive Bernoulli
+    terms shrink by about (|s+2k|/(2 pi a))^2, and R_m with them.  m is
+    taken per call, the least order that puts R_m at (a, t_max) within
+    u = eps/2 (_em_bounds); R_m rises with t, so it then holds at every
+    point.  The heads of _em_head have a >= 64 and a >= t/pi:
+    * a >= t (a = ceil t, or 64 at t <= 64) bounds each ratio |s+j|/a by
+      sqrt(1 + ((1+j)/a)^2), whose product over j < 20 is largest as t
+      rises to a = 64, where it is 1.40, so R_10 <= 1.40 |c_10|/20 =
+      1.5e-17 and m <= 10.  For t >= 64 and a = ceil t, m = 10 exactly:
+      R_9 >= (64/65)^18 |c_9|/18 > 3.6e-16;
+    * a = ceil(t/pi) makes the ratios about pi and the terms shrink by
+      about 4 per order: R_m tends to 2/(50 * 2^50) = 3.55e-17 at m = 25
+      as t grows, and R_24 is four times that, so m = 25 at every t from
+      201 to 1e12 (checked), and at most 25 for the heads in between.
+    _EM_COEFFS ends at order 25, and a head that needs more raises.  R_m
+    is computed as the product of the 2m ratios |s+j|/a (_em_bounds); its
+    own rounding is far below an ulp of 1.
 
     Rounding, with eps the machine epsilon and u = eps/2 the unit roundoff.
     Write sigma for the sum of the moduli of the Bernoulli terms at the
@@ -254,9 +289,9 @@ def _em_tail(
       part of this, 4 eps/t, is the conditioning of 1/(it) for small t;
     * the head's share of that addition, u H(a) with
       H = :func:`harmonic_bound`;
-    * the Bernoulli sum, at most 5m eps sigma.  y and y^2 are within u and
-      1.5 eps, 2k(2k+1)/a^2 and (4k+1)/a within eps and u, and
-      2k(2k+1)/a^2 + y^2 <= |q_k| (Cauchy-Schwarz on
+    * the Bernoulli sum, at most 5m eps sigma with the call's m.  y and
+      y^2 are within u and 1.5 eps, 2k(2k+1)/a^2 and (4k+1)/a within eps
+      and u, and 2k(2k+1)/a^2 + y^2 <= |q_k| (Cauchy-Schwarz on
       |s+2k-1| |s+2k| / a^2), so each q_k is within 2.5 eps |q_k|.  One
       Horner level then adds 2.5 eps (q_k), 1.12 eps (the product) and
       0.5 eps (the addition of c_k) to the relative error of every term it
@@ -279,10 +314,10 @@ def _em_tail(
     else:
         t_lo = t_hi = t
         turn = cmath.exp(-1j * (t * lna))
-    tail = turn * (_bernoulli_sum(t, a) - 0.5 / a - 1j * (1.0 / t))
-    sigma, remainder = _em_bounds(t_hi, a)
+    m, sigma, remainder = _em_bounds(t_hi, a)
+    tail = turn * (_bernoulli_sum(t, a, m) - 0.5 / a - 1j * (1.0 / t))
     size = max((2.0 * x * lna + 4.0) * (1.0 / x + 0.5 / a + sigma) for x in (t_lo, t_hi))
-    rounding = _EPS * (0.5 * harmonic_bound(a) + size + 5.0 * _EM_ORDER * sigma)
+    rounding = _EPS * (0.5 * harmonic_bound(a) + size + 5.0 * m * sigma)
     return tail, remainder, rounding
 
 
@@ -420,11 +455,26 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (values, err) with |values[j] - zeta(1 + i t_pts[j])| <= err[j].
 
-    Split.  With a = max(64, ceil(t_max)) (_em_head), the call sums the
-    main sum over n <= a and adds zeta's closed-form Euler-Maclaurin tail
-    a^(-it) A(t) (_em_tail) at each exact t_pts[j].  N is the nominal term
+    Split.  With a = max(64, ceil(t_max/pi), min(ceil t_max, K))
+    (_em_head), the call sums the main sum over n <= a and adds zeta's
+    closed-form Euler-Maclaurin tail a^(-it) A(t) (_em_tail) at each exact
+    t_pts[j], with the least Bernoulli order m whose remainder at
+    (a, t_max) is within eps/2: 10 at a = ceil t_max >= 64, 25 at
+    a = ceil(t_max/pi) (_em_tail, Choice of m).  N is the nominal term
     count the caller's budget charged (choose_N); it has no effect on the
     values or the radius.
+
+    The head costs p+1 passes over its a terms (one product with delta_n
+    and one segment sum per order, below), the tail m Horner levels over
+    the K points.  Splitting at t/pi instead of t saves (1 - 1/pi) a (p+1)
+    head passes, a = ceil t_max, and costs (m - 10) K = 15 K tail passes,
+    so by the counts it pays once t_max > 15 K / ((1 - 1/pi)(p+1)): 1.2 K
+    to 1.6 K for the orders p+1 = 14 to 19 of the scans' calls.  p+1 is
+    at most 20 (Order: d <= pi/2 and D > 64), so at t_max <= K the saving
+    is at most 13.7 K and never pays; min(ceil t_max, K) keeps those calls
+    at a = ceil t_max and m = 10.  Above K the head stops at K terms, with
+    m between 10 and 25, until t_max/pi passes K.  A one-point call
+    (K = 1) always splits: its head takes a log, cos and sin per term.
 
     Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
     and integer offsets k = j - mid (|k| <= k_max), the model points
@@ -470,9 +520,10 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     and takes each order's transform as soon as it is made, so one buffer
     serves every order: the transforms take O(pB + M) memory and the
     segment sums O(chunk).  The weights z_n take 16 B per head term for
-    K > 1, 2.4 MB at t ~ 1.5e5 and 16 MB at t ~ 1e6; a one-point call
-    stays O(chunk).  One transpose and one rotation put the values in grid
-    order.  B = M gives L = 1: M-point transforms, with twiddles all 1.
+    K > 1, 0.76 MB at t ~ 1.5e5 and 5.1 MB at t ~ 1e6 (a = t/pi); a
+    one-point call stays O(chunk).  One transpose and one rotation put the
+    values in grid order.  B = M gives L = 1: M-point transforms, with
+    twiddles all 1.
 
     Order.  With d = k_max pi/M (<= pi/2, reached when K is a power of two)
     and H = harmonic_bound(a) >= sum 1/n, |R_k| <= H d^(p+1)/(p+1)!.
@@ -550,7 +601,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     t_c = float(t_pts[mid])
     t_min, t_max = float(t_pts[0]), float(t_pts[-1])
     h = (t_max - t_min) / (K - 1) if K > 1 else 0.0
-    a = _em_head(t_max)
+    a = _em_head(t_max, K)
     M, B, p, d, factor, chunk, depth = _transform(K, h, a)
     L = M // B
     step = 2.0 * math.pi / M
@@ -623,8 +674,8 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     """Evaluate zeta(1+it) with a certified radius: |value - zeta(1+it)| <= err.
 
     This is a one-point call of the block kernel _eval_block, which derives
-    the value and err.  With a = max(64, ceil(t)), it sums the a terms of
-    the head and zeta's Euler-Maclaurin tail.  N, a positive integer, is
+    the value and err.  With a = max(64, ceil(t/pi)), it sums the a terms
+    of the head and zeta's Euler-Maclaurin tail.  N, a positive integer, is
     the nominal term count the caller's budget charged (choose_N); it has
     no effect on the value or err.  The cost is O(a) terms, and memory stays
     bounded because the sum is taken in chunks.  Very small t (below about

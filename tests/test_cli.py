@@ -47,10 +47,13 @@ class TestEval:
         row = doc["rows"][0]
         assert row["modulus"] / math.log(17.7477) == pytest.approx(0.6443, abs=1e-4)
 
-    @pytest.mark.parametrize("t, r, summed", [("1e6", "1e-7", 1_000_000), ("5", "0.5", 64)])
+    @pytest.mark.parametrize("t, r, summed", [
+        ("1e4", "1e-7", 3184), ("1e6", "1e-7", 318310), ("5", "0.5", 64),
+    ])
     def test_n_terms_counts_the_terms_summed(self, capsys, t, r, summed):
-        # an evaluation sums its head a = max(64, ceil t), not N: N is
-        # 559017833 at t = 1e6, r = 1e-7, and 2 at t = 5, r = 0.5
+        # an evaluation sums its head a = max(64, ceil(t/pi)), not N: N is
+        # 5591009 at t = 1e4 and 559017833 at t = 1e6, r = 1e-7, and 2 at
+        # t = 5, r = 0.5
         status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", t, "--r", r)
         assert status == 0
         assert json.loads(out)["rows"][0]["n_terms"] == summed
@@ -63,18 +66,25 @@ class TestEval:
         assert json.loads(out)["rows"][0]["err"] < 1e-13
 
     def test_radius_below_the_floor_is_usage_error(self, capsys):
-        # at t = 1e6 the phase rounding eps t (ln^2 t / 2 + 0.11) alone is
-        # 2.122e-8: r = 1e-8 is refused before any sum, and an r just
-        # above the floor is met
-        floor = zeta_eval._radius_floor(np.array([1e6]), zeta_eval._em_head(1e6))
-        assert floor == pytest.approx(2.122e-8, abs=1e-11)
+        # at t = 1e6 the phase rounding eps t (ln^2 a / 2 + 0.11) over the
+        # head a = 318310 alone is 1.785e-8: r = 1e-8 is refused before any
+        # sum.  The radius adds the rounding of the sum, 1.1% of the floor
+        # here, so r = 1.01 floor is refused after the sum, naming the
+        # radius, and r at the radius is met
+        floor = zeta_eval._radius_floor(np.array([1e6]), zeta_eval._em_head(1e6, 1))
+        assert floor == pytest.approx(1.785e-8, abs=1e-11)
         status, out, err = run_cli(capsys, "eval", "--t", "1e6", "--r", "1e-8")
         assert status == 2 and out == ""
-        assert "floor 2.122e-08" in err
-        r = 1.01 * floor
-        status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", "1e6", "--r", repr(r))
+        assert "floor 1.785e-08" in err
+        radius = zeta_eval.eval_zeta_certified(1e6, 1).err
+        assert floor < 1.01 * floor < radius < 1.02 * floor
+        status, out, err = run_cli(capsys, "eval", "--t", "1e6", "--r", repr(1.01 * floor))
+        assert status == 2 and out == ""
+        assert f"radius {radius:.3e} certified" in err
+        status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", "1e6",
+                                 "--r", repr(radius))
         assert status == 0
-        assert floor <= json.loads(out)["rows"][0]["err"] <= r
+        assert floor <= json.loads(out)["rows"][0]["err"] <= radius
 
     def test_zero_threshold_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "eval", "--t", "1", "--r", "0")
@@ -205,13 +215,13 @@ class TestScan:
         assert "budget" in err
 
     def test_scan_radius_below_the_floor_is_usage_error(self, capsys):
-        # the one call at t = 1e6 holds radii of at least 6.365e-8, its grid
+        # the one call at t = 1e6 holds radii of at least 5.355e-8, its grid
         # and phase rounding: --r 1e-8 exits 2 before any kernel call
         status, out, err = run_cli(
             capsys, "scan", "--lo", "1e6", "--hi", "1000001", "--r", "1e-8", "--budget", "inf",
         )
         assert status == 2 and out == ""
-        assert "radius floor 6.365e-08" in err
+        assert "radius floor 5.355e-08" in err
 
     def test_bad_bound_spec(self, capsys):
         status, _, _ = run_cli(

@@ -102,7 +102,7 @@ class TestEvalBlock:
         # with that N sum their heads and tails, and their radii, under
         # 1e-11, hold no truncation bound
         pts = np.arange(100.0, 102.0, 0.01)
-        n = _em_head(float(pts[-1]))
+        n = _em_head(float(pts[-1]), len(pts))
         vals, err = _eval_block(pts, n)
         assert err.max() < 1e-11
         for k in (0, 57, 123, len(pts) - 1):
@@ -121,7 +121,7 @@ class TestEvalBlock:
         assert err.max() < 1e-7
         ks = sorted({0, size // 3, size - 1})
         _assert_certified(pts, n, vals, err, ks)
-        a = _em_head(float(pts[-1]))
+        a = _em_head(float(pts[-1]), size)
         for k in ks:
             t = float(pts[k])
             plain = main_sum(t, a) + _zeta_30(t, a + 1)
@@ -130,12 +130,12 @@ class TestEvalBlock:
     def test_chunk_boundaries(self, monkeypatch):
         pts = 3e3 + np.arange(301) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
-        # the head of a = 3003 terms in chunks of 1000: three full chunks
-        # and a partial
-        a = _em_head(float(pts[-1]))
-        assert a % 1000 != 0 and a > 3000
+        # the head of a = 956 terms (t/pi, over the 301 points) in chunks
+        # of 300: three full chunks and a partial
+        a = _em_head(float(pts[-1]), len(pts))
+        assert a % 300 != 0 and a > 900
         whole, err_whole = _eval_block(pts, n)
-        monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", 1000)
+        monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", 300)
         vals, err = _eval_block(pts, n)
         _assert_certified(pts, n, vals, err, (0, 150, 300))
         assert np.all(np.abs(vals - whole) <= err + err_whole)
@@ -156,7 +156,7 @@ class TestEvalBlock:
         tails = _spy_tails(monkeypatch)
         for t0, size in ((17.7477, 1), (1e3, 1), (1e3, 300), (1e5, 50)):
             pts = t0 + np.arange(size) * 0.01
-            a = _em_head(float(pts[-1]))
+            a = _em_head(float(pts[-1]), size)
             tails.clear()
             (vals, err), (other, other_err) = (_eval_block(pts, n) for n in (a, a + 1))
             assert tails == [size, size]
@@ -164,11 +164,11 @@ class TestEvalBlock:
             _assert_certified(pts, a, vals, err, sorted({0, size // 2, size - 1}))
 
     def test_route_taken_below_twice_the_head(self, monkeypatch):
-        # r = 0.01 gives N ~ 1.77 t < 2a; the route needs only a < N
+        # r = 0.1 gives N ~ 0.56 t < 2a, a = t/pi; the route needs only a < N
         tails = _spy_tails(monkeypatch)
         pts = 1e4 + np.arange(100) * 0.01
-        n = choose_N(float(pts[-1]), 0.01)
-        assert n < 2 * _em_head(float(pts[-1]))
+        n = choose_N(float(pts[-1]), 0.1)
+        assert _em_head(float(pts[-1]), 100) < n < 2 * _em_head(float(pts[-1]), 100)
         vals, err = _eval_block(pts, n)
         assert tails == [100]
         _assert_certified(pts, n, vals, err, (0, 50, 99))
@@ -253,10 +253,10 @@ class TestScanInterval:
             assert seq.max_ratio == par.max_ratio
 
     def test_workers_bit_identical_multi_chunk_head(self):
-        # a call at t = 1e5 takes the Euler-Maclaurin route, whose head
-        # a ~ 1e5 spans two n-chunks of the block kernel
-        assert _em_head(1e5) > zeta_eval._KERNEL_CHUNK
-        cfg = ScanConfig(t_lo=1e5, t_hi=1e5 + 1.0, h=0.01, block=0.5)
+        # a call at t = 3e5 takes the Euler-Maclaurin route, whose head
+        # a ~ 3e5/pi spans two n-chunks of the block kernel
+        assert _em_head(3e5 + 1.0, 101) > zeta_eval._KERNEL_CHUNK
+        cfg = ScanConfig(t_lo=3e5, t_hi=3e5 + 1.0, h=0.01, block=0.5)
         seq = scan_interval(cfg)
         par = scan_interval(cfg, workers=2)
         assert seq.modulus.tobytes() == par.modulus.tobytes()
@@ -278,18 +278,19 @@ class TestScanInterval:
 
     def test_r_below_the_radius_floor_refused(self, monkeypatch):
         # the one 101-point call at t = 1e6 cannot certify a radius below
-        # its grid and phase rounding, 6.365e-8: r = 1e-8, whose radii came
-        # out up to 6.4e-8, is refused before any kernel call
+        # its grid and phase rounding over its head a = 318311, 5.355e-8:
+        # r = 1e-8, whose radii come out up to 5.4e-8, is refused before
+        # any kernel call
         calls = _record_calls(monkeypatch)
         cfg = ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=1e-8)
-        with pytest.raises(ValueError, match="radius floor 6.365e-08"):
+        with pytest.raises(ValueError, match="radius floor 5.355e-08"):
             scan_interval(cfg, budget=math.inf)
         assert calls == []
         # above the floor, r is met, and every radius holds the floor
         report = scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=7e-8), budget=math.inf)
         [(pts, _, _)] = calls
-        floor = zeta_eval._radius_floor(pts, _em_head(float(pts[-1])))
-        assert floor == pytest.approx(6.365e-8, abs=1e-11)
+        floor = zeta_eval._radius_floor(pts, _em_head(float(pts[-1]), len(pts)))
+        assert floor == pytest.approx(5.355e-8, abs=1e-11)
         assert np.all((floor <= report.err) & (report.err <= 7e-8))
 
     def test_every_call_floor_checked_before_the_first_call(self, monkeypatch):
@@ -299,7 +300,7 @@ class TestScanInterval:
         cfg = ScanConfig(t_lo=1e6, t_hi=1.2e6, h=1.0, r=1e-7)
         plan = verifier._plan(cfg, math.inf)
         t = cfg.t_lo + np.arange(plan[-1][1] + 1) * cfg.h
-        floors = [zeta_eval._radius_floor(t[lo:hi + 1], _em_head(float(t[hi])))
+        floors = [zeta_eval._radius_floor(t[lo:hi + 1], _em_head(float(t[hi]), hi - lo + 1))
                   for lo, hi, _ in plan]
         assert len(plan) == 13 and floors[0] < floors[-1]
         r = math.sqrt(floors[0] * floors[-1])
@@ -435,8 +436,8 @@ class TestScanInterval:
         def spanned(lo, hi):
             return [b for b in blocks if b[0] <= hi and lo <= b[1]]
 
-        def within_head(hi, n):
-            return n <= _em_head(float(t[hi]))
+        def within_head(hi, n):  # a = 64 for any call ending at t <= 60
+            return n <= _em_head(float(t[hi]), 1)
 
         for lo, hi, n in plan:
             assert n == spanned(hi, hi)[0][2]
@@ -595,6 +596,23 @@ class TestCrossingPoint:
     def test_tangency_at_peak(self):
         t = crossing_point(0.6443, math.e, 100.0)
         assert t == pytest.approx(17.7477, abs=1e-3)
+
+    def test_tangency_zooms_once(self, monkeypatch):
+        # no point reaches v, and the best candidate lies in the first
+        # window (last - 20 .. last + 1), whose zoom has followed its peak
+        # already: no second zoom.  71 accurate evaluations, where the
+        # second zoom made it 131, and the same t
+        evaluated = []
+        evaluate = verifier.eval_zeta_certified
+
+        def counted(t, n):
+            evaluated.append(t)
+            return evaluate(t, n)
+
+        monkeypatch.setattr(verifier, "eval_zeta_certified", counted)
+        t = crossing_point(0.6443, math.e, 100.0)
+        assert len(evaluated) == 71
+        assert t == pytest.approx(17.747687346037168, abs=1e-6)
 
     def test_level_never_reached(self):
         with pytest.raises(CrossingNotFound):

@@ -158,8 +158,9 @@ def _zeta_30(t, a=1):
 
 
 def _em_sizes(t):
-    # nominal counts below, at and past the head a, and the N of r = 1e-8
-    a = _em_head(t)
+    # nominal counts below, at and past the one-point head a, and the N of
+    # r = 1e-8
+    a = _em_head(t, 1)
     return (1, a, a + 1, 2 * a, choose_N(t, 1e-8))
 
 
@@ -171,7 +172,7 @@ class TestEulerMaclaurinRoute:
         # sum of the head plus the exact tail past a
         certs = [eval_zeta_certified(t, n) for n in _em_sizes(t)]
         assert len({(cert.value, cert.err) for cert in certs}) == 1
-        cert, a = certs[0], _em_head(t)
+        cert, a = certs[0], _em_head(t, 1)
         assert abs(cert.value - _zeta_30(t)) <= cert.err
         gap = abs(cert.value - (main_sum(t, a) + _zeta_30(t, a + 1)))
         assert gap <= cert.err + fp_slack(t, a)
@@ -273,12 +274,12 @@ def _grid_call(t0, h, size, route):
     # point's head (an N the deleted g_N route took): as N has no effect,
     # it must give the same bits, and the one-point calls then take it
     pts = t0 + np.arange(size) * h
-    a = _em_head(float(pts[-1]))
+    a = _em_head(float(pts[-1]), size)
     assert _reached_bins(size, h, a).max() < _transform(size, h, a)[1]
     n = choose_N(float(pts[-1]), 0.005)
     vals, err = _eval_block(pts, n)
     if route == "direct":
-        n = _em_head(t0)
+        n = _em_head(t0, size)
         same, same_err = _eval_block(pts, n)
         assert same.tobytes() == vals.tobytes() and same_err.tobytes() == err.tobytes()
     return pts, n, (vals, err)
@@ -323,7 +324,7 @@ class TestPrunedTransform:
     def test_bins_pruned_unless_the_phases_wind(self, size):
         for t0, h, pruned in ((1e3, 0.01, size > 2), (1e4, 1.0, False)):
             t_max = t0 + (size - 1) * h
-            M, B = _transform(size, h, _em_head(t_max))[:2]
+            M, B = _transform(size, h, _em_head(t_max, size))[:2]
             assert (B < M) == pruned
 
     def test_twiddles_within_their_rounding_bound(self):
@@ -407,7 +408,7 @@ class TestSegments:
             monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", chunk)
         pts = t0 + np.arange(size) * h
         _eval_block(pts, choose_N(float(pts[-1]), 0.005))
-        assert sum(calls) == _em_head(float(pts[-1]))  # every chunk was checked
+        assert sum(calls) == _em_head(float(pts[-1]), size)  # every chunk was checked
 
 
 class TestExpansionOrder:
@@ -422,7 +423,7 @@ class TestExpansionOrder:
             size = int(rng.integers(2, 1 << 14, endpoint=True))
             h = float(10.0 ** rng.uniform(-4, 0))
             t_max = float(rng.uniform(math.e + size * h, 2e5))
-            n_hi = _em_head(t_max)
+            n_hi = _em_head(t_max, size)
             M, B, p, d, factor, chunk, depth = _transform(size, h, n_hi)
             assert chunk == min(n_hi, zeta_eval._KERNEL_CHUNK)
             D = chunk + -(-n_hi // chunk) + h * math.log(n_hi) / (2 * math.pi)
@@ -447,29 +448,96 @@ class TestExpansionOrder:
     ])
     def test_orders_of_documented_calls(self, t0, size, order):
         t_max = t0 + (size - 1) * 0.01
-        assert _transform(size, 0.01, _em_head(t_max))[2] + 1 == order
+        assert _transform(size, 0.01, _em_head(t_max, size))[2] + 1 == order
+
+
+def _head_branch(t_max, size):
+    # which term of max(64, ceil(t_max/pi), min(ceil t_max, K)) sets the head
+    a = _em_head(t_max, size)
+    if size == 1:
+        return "one point"
+    if a == math.ceil(t_max):
+        return "ceil t"
+    return "K" if a == size else "t/pi"
 
 
 class TestTailBounds:
     def test_call_bounds_cover_every_point(self):
         # _em_tail's rounding and remainder are one float each for a call:
         # each must be at least the per-point bound, with sigma at the
-        # point's own t, at every point of the call.  The first call has its
-        # largest per-point rounding at its first point (the 4/t term)
-        calls = [(math.e, 0.01, 50), (math.e, 1.0, 62)]
+        # point's own t, at every point of the call, for the order m that
+        # the reference takes at the call's (a, t_max).  The first call has
+        # its largest per-point rounding at its first point (the 4/t term)
+        calls = [
+            (math.e, 0.01, 50), (math.e, 1.0, 62),
+            (1e3, 0.01, 1 << 14),                  # ceil t: t_max <= K
+            (2e4, 0.01, 10001), (1e4, 1.0, 5000),  # K: t_max/pi < K < t_max
+            (1.5e5, 0.01, 10001), (1e6, 0.01, 1 << 14),  # t/pi
+            (201.0, 0.0, 1), (1e4, 0.0, 1), (1e6, 0.0, 1),
+        ]
         rng = np.random.default_rng(1717)
         for _ in range(30):
             size = int(rng.integers(1, 1 << 14, endpoint=True))
             h = float(10.0 ** rng.uniform(-4, 0))
-            calls.append((float(rng.uniform(math.e, 2e5 - size * h)), h, size))
+            calls.append((float(rng.uniform(math.e, 1e6 - size * h)), h, size))
+        branches = set()
         for t_lo, h, size in calls:
             pts = t_lo + np.arange(size) * h
-            a = _em_head(float(pts[-1]))
+            t_max = float(pts[-1])
+            a = _em_head(t_max, size)
+            branches.add(_head_branch(t_max, size))
+            m = em_reference.order(t_max, a)
+            assert zeta_eval._em_bounds(t_max, a)[0] == m
             _, remainder, rounding = _em_tail(pts if size > 1 else t_lo, a)
-            per_point = em_reference.tail_rounding(pts, a)
-            assert rounding >= per_point.max()
-            assert remainder >= em_reference.tail_remainder(pts, a).max()
-        assert np.argmax(em_reference.tail_rounding(math.e + np.arange(50) * 0.01, 64)) == 0
+            assert rounding >= em_reference.tail_rounding(pts, a, m).max()
+            assert remainder >= em_reference.tail_remainder(pts, a, m).max()
+        assert branches == {"one point", "ceil t", "K", "t/pi"}
+        first = math.e + np.arange(50) * 0.01
+        m = em_reference.order(float(first[-1]), 64)
+        assert np.argmax(em_reference.tail_rounding(first, 64, m)) == 0
+
+    @pytest.mark.parametrize("t, size, order", [
+        (1e3, 1 << 14, 10), (1e6, 1 << 25, 10),  # a = ceil t
+        (1e3, 1, 25), (1.5e5, 10001, 25), (1e6, 1 << 14, 25), (1e8, 1, 25),  # a = ceil(t/pi)
+        (math.e, 1, 5), (17.7477, 1, 6),  # a = 64
+    ])
+    def test_orders_of_documented_heads(self, t, size, order):
+        assert zeta_eval._em_bounds(t, _em_head(t, size))[0] == order
+
+    def test_no_order_in_the_table_is_refused(self):
+        # at a = t/16 the Bernoulli terms grow: no order up to 25 meets eps/2
+        with pytest.raises(ConvergenceError, match="order up to 25"):
+            zeta_eval._em_bounds(1024.0, 64)
+
+
+class TestHeadBranches:
+    @pytest.mark.parametrize("t0, h, size, branch", [
+        (1.5e5, 0.01, 10001, "t/pi"), (1e6, 0.01, 1 << 14, "t/pi"),
+        (2e4, 0.01, 10001, "K"), (1e3, 0.01, 1 << 14, "ceil t"),
+        (201.0, 0.0, 1, "one point"), (1e4, 0.0, 1, "one point"), (1e6, 0.0, 1, "one point"),
+    ])
+    def test_calls_contain_mpmath(self, t0, h, size, branch):
+        # each term of the head rule sets the head of one of these calls,
+        # and every call's radius holds 30-digit mpmath.zeta
+        pts = t0 + np.arange(size) * h
+        assert _head_branch(float(pts[-1]), size) == branch
+        vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005))
+        _assert_within_mpmath(pts, vals, err)
+
+
+class TestBernoulliCoefficients:
+    def test_exact_rationals(self):
+        # c_k = B_2k/(2k)! for k <= 25, each the correctly rounded float of
+        # the exact rational (Fraction's float rounds correctly)
+        assert len(zeta_eval._EM_COEFFS) == em_reference.MAX_ORDER
+        for c, exact in zip(zeta_eval._EM_COEFFS, em_reference.COEFFS):
+            assert c == float(exact)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for k, c in enumerate(zeta_eval._EM_COEFFS, start=1):
+                assert c == float(mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k))
 
 
 class TestOracleZeta:
