@@ -19,8 +19,9 @@ the cell right-justified to its column's width, which a first pass over
 the column finds).
 
 Exit status: 0 success / bound holds, 1 bound violated on the grid,
-2 usage or domain error (including a non-finite t, t0 or bound, or a
-budget that is not positive), 3 resource or convergence error (including
+2 usage or domain error (including a non-finite t, t0 or bound, a
+budget that is not positive, or an --r below the radius an eval or any
+scan call certifies), 3 resource or convergence error (including
 an unrepresentable term count, or no memory).
 """
 
@@ -181,18 +182,10 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
             f"evaluation sums a head of {summed:.3e} terms, over the budget "
             f"{verifier.DEFAULT_BUDGET:.3e}"
         )
-    floor = zeta_eval._radius_floor(np.array([t]), summed)
-    if r < floor:
-        raise ValueError(
-            f"--r {r:g} is below the radius floor {floor:.3e} at t = {t:g}, "
-            "the rounding of the phases t ln n"
-        )
+    radius = zeta_eval._call_radius(np.array([t]))  # the err of the sum below
+    if r < radius:
+        raise ValueError(f"--r {r:g} is below the radius {radius:.3e} certified at t = {t:g}")
     cert = zeta_eval.eval_zeta_certified(t, n)
-    if r < cert.err:  # above the floor by less than the sum's own rounding
-        raise ValueError(
-            f"--r {r:g} is below the radius {cert.err:.3e} certified at t = {t:g}, "
-            "the floor plus the rounding of the sum"
-        )
     columns = {
         "t": [t],
         "real": [cert.value.real],
@@ -346,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate zeta(1+it) with a certified radius")
     _add_output_options(p, suppress=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--r", type=float, default=1e-8, help="target error radius")
+    p.add_argument("--r", type=float, default=1e-8, help="largest radius accepted")
 
     for name, spec in _TABLES.items():
         p = sub.add_parser(name, help=spec.help)
@@ -359,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--h", type=float, default=0.01, help="grid spacing")
-    p.add_argument("--r", type=float, default=0.005, help="certification radius per point")
+    p.add_argument("--r", type=float, default=0.005,
+                   help="largest radius accepted per point; sets the budgeted term count")
     p.add_argument("--bound", default=None, help="vlog:<v> or affine:<slope>,<intercept>")
     p.add_argument("--budget", type=float, default=verifier.DEFAULT_BUDGET,
                    help="nominal summed-term budget")

@@ -17,7 +17,9 @@ min(ceil t_max, K)) for a run of K points ending at t_max.
 Each run is called with the N of the block that holds its last point, which
 has no effect on its values.  The kernel returns each point's radius, with
 its expansion remainder, the Euler-Maclaurin remainder and every
-floating-point effect folded in, so no certificate is weakened.  The
+floating-point effect folded in, so no certificate is weakened.  That
+radius depends on the run's points alone (zeta_eval._call_radius), so a
+scan checks r against it for every run before the first.  The
 refiners evaluate single points with zeta_eval.eval_zeta_certified, the
 kernel's one-point call.
 """
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _em_head, _eval_block, _radius_floor, choose_N, eval_zeta_certified
+from .zeta_eval import _call_radius, _eval_block, choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -57,8 +59,10 @@ GRID_NOTE = (
 DEFAULT_BUDGET = 5.0e10
 
 _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
-_REFINE_R = 1e-8    # certification radius for single-point refinement
-_COARSE_R = 1e-4    # certification radius of max_ratio's coarse scan
+# r of the refiners' evaluations, which sets only their nominal N: the
+# radius is the kernel's (1.14e-13 at t = 17.7477, 1.80e-8 at t = 1e6)
+_REFINE_R = 1e-8    # r of single-point refinement
+_COARSE_R = 1e-4    # r of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
 # a kernel call of a scan: (k_lo, k_hi, N), run as _eval_block(t[k_lo:k_hi + 1], N)
 _Call = tuple[int, int, int]
@@ -189,11 +193,11 @@ def scan_interval(
     slope * log t + intercept - (modulus + err) are then returned in margin
     and summarised in min_margin / argmin_t; both must be finite.  budget,
     positive (inf for none), caps the nominal term count
-    sum_k N(t_k), checked before any array is built.  config.r must be at
-    least the radius floor of every kernel call of the plan
-    (zeta_eval._radius_floor, the rounding of its grid and phases, which
-    every radius of the call holds), checked before the first call;
-    ValueError names the floor otherwise.  workers > 1
+    sum_k N(t_k), checked before any array is built.  config.r is the
+    largest radius accepted: it must be at least the radius that every
+    kernel call of the plan returns at each of its points
+    (zeta_eval._call_radius), checked before the first call; ValueError
+    names that radius otherwise.  workers > 1
     distributes kernel calls over threads (numpy releases the GIL for most
     of a call), whose results are merged in call order, so the report is
     identical for any worker count.
@@ -207,13 +211,13 @@ def scan_interval(
     calls = _plan(config, budget)
     K = calls[-1][1]
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
-    for k_lo, k_hi, _ in calls:  # r is a ceiling: no radius of a call gets below its floor
+    for k_lo, k_hi, _ in calls:  # r is a ceiling on the radius each call returns
         pts = t[k_lo:k_hi + 1]
-        floor = _radius_floor(pts, _em_head(float(pts[-1]), len(pts)))
-        if config.r < floor:
+        radius = _call_radius(pts)
+        if config.r < radius:
             raise ValueError(
-                f"r = {config.r:g} is below the radius floor {floor:.3e} of the kernel call on "
-                f"t in [{pts[0]:.9g}, {pts[-1]:.9g}], the rounding of its grid and phases t ln n"
+                f"r = {config.r:g} is below the radius {radius:.3e} of the kernel call on "
+                f"t in [{pts[0]:.9g}, {pts[-1]:.9g}]"
             )
 
     def run(call: _Call) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +280,7 @@ def _accurate_ratio(t: float) -> float:
 
 
 def _zoom(ts: np.ndarray, tol: float, v: float = math.inf) -> tuple[float, float, bool]:
-    """Zoom on the sorted points ts with high-accuracy ratios (radius 1e-8).
+    """Zoom on the sorted points ts with the ratios of point evaluations.
 
     Each round evaluates every point and keeps one cell: the cell right of
     the last point reaching v, where a crossing lies, or else the two cells
@@ -316,12 +320,13 @@ def max_ratio(
 ) -> tuple[float, float]:
     """Locate the maximum of |zeta(1+it)| / log t on [t_lo, t_hi].
 
-    A certified scan at spacing coarse_h and radius 1e-4 finds the best grid
+    A certified scan at spacing coarse_h (r = 1e-4) finds the best grid
     point; the grid points up to five steps on either side of it (enough to
     cover the coarse certification noise near a smooth peak) are the first
-    grid of a zoom with high-accuracy evaluations (radius 1e-8), which keeps
-    the two cells around the best point until they are at most refine_tol
-    wide.  Returns (argmax t, ratio there): the best point the zoom
+    grid of a zoom with point evaluations (r = 1e-8), which keeps the two
+    cells around the best point until they are at most refine_tol wide.
+    Their radii are the kernel's, whatever r: 1.14e-13 at the peak
+    t = 17.7477.  Returns (argmax t, ratio there): the best point the zoom
     evaluated, so a peak narrower than a cell of some round can be missed.
     """
     if not (refine_tol > 0.0 and math.isfinite(refine_tol)):
@@ -344,13 +349,14 @@ def crossing_point(
 
     A certified scan (h = 0.01, r = 0.005) keeps as candidates the grid
     points whose ratio plus certified radius comes within 5e-5 of v; every
-    later point is proven below v - 5e-5.  A zoom with high-accuracy
-    evaluations (radius 1e-8) on the grid points from 20 steps before the
-    last candidate to one step after it follows the last point reaching v
-    down to a 1e-6 wide cell and returns its left end.  When no point
-    reaches v, that zoom has followed the window's peak instead; if the
-    best candidate lies before the window, a second zoom on the five grid
-    steps either side of it looks for its peak.  A peak reaching v is
+    later point is proven below v - 5e-5.  A zoom with point evaluations
+    (r = 1e-8; the radii are the kernel's, 2.4e-12 at t = 652.37) on the
+    grid points from 20 steps before the last candidate to one step after
+    it follows the last point reaching v down to a 1e-6 wide cell and
+    returns its left end.  When no point reaches v, that zoom has followed
+    the window's peak instead; if the best candidate lies before the
+    window, a second zoom on the five grid steps either side of it looks
+    for its peak.  A peak reaching v is
     followed to its crossing as above, and a peak within 5e-5 of v is a
     tangency whose location is returned.  Raises CrossingNotFound when the
     ratio is still at or above v at the last grid point, or never comes

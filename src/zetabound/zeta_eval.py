@@ -24,7 +24,7 @@ reach).  A call costs O(p a + p M log B), M the least power of two >= K
 and B <= M those bins, against O(K a) point by point; one point costs
 O(a) terms, which is O(t), while N grows like t / sqrt(r).  The expansion
 remainder, the Euler-Maclaurin remainder and every floating-point effect
-are folded into the radius (see _eval_block), so no certificate is
+are folded into the radius (see _call_radius), so no certificate is
 weakened.
 
 An independent cross-check, :func:`oracle_zeta`, evaluates the same point
@@ -166,27 +166,40 @@ def _em_head(t_max: float, K: int) -> int:
     return max(_EM_MIN_HEAD, math.ceil(t_max / math.pi), min(math.ceil(t_max), K))
 
 
-def _em_bounds(t: float, a: int) -> tuple[int, float, float]:
-    """(m, sigma, remainder) of the Euler-Maclaurin tail at s = 1+it, for a float t.
+def _em_bounds(t: float | np.ndarray, a: int) -> tuple[int, float, float]:
+    """(m, remainder, rounding) of the Euler-Maclaurin tail past a, for a call on t.
 
-    m is the least order whose remainder bound |c_m| |(s)_2m| / (2m a^2m)
-    is at most u = eps/2, remainder is that bound and sigma =
-    sum_{k<=m} |c_k (s)_(2k-1)| a^(-2k) the sum of the moduli of the
-    Bernoulli terms.  At a fixed m both are products of the ratios
-    |s+j|/a, so both rise with t.  Raises ConvergenceError when no order up
-    to _EM_MAX_ORDER gets there.
+    t is a float, or a sorted array of points sharing a.  m is the least
+    order whose remainder bound |c_m| |(s)_2m| / (2m a^2m) at s = 1+it,
+    for the largest t, is at most u = eps/2, and remainder is that bound.
+    rounding bounds the floating-point error of the tail and of adding it
+    to a head sum at every point (derived in _call_radius), with sigma =
+    sum_{k<=m} |c_k (s)_(2k-1)| a^(-2k), the sum of the moduli of the
+    Bernoulli terms, at the largest t.  At a fixed m the remainder and
+    sigma are products of the ratios |s+j|/a, so both rise with t and hold
+    at every point.  Raises ConvergenceError when no order up to
+    _EM_MAX_ORDER gets there.
     """
+    if isinstance(t, np.ndarray):
+        t_lo, t_hi = float(t[0]), float(t[-1])
+    else:
+        t_lo = t_hi = t
     sigma, ratios = 0.0, 1.0
     for k, c in enumerate(_EM_COEFFS, start=1):
-        ratios *= abs(complex(2 * k - 1, t)) / a  # now |(s)_(2k-1)| / a^(2k-1)
+        ratios *= abs(complex(2 * k - 1, t_hi)) / a  # now |(s)_(2k-1)| / a^(2k-1)
         sigma += abs(c) * ratios / a
-        ratios *= abs(complex(2 * k, t)) / a
+        ratios *= abs(complex(2 * k, t_hi)) / a
         remainder = abs(c) / (2 * k) * ratios
         if remainder <= 0.5 * _EPS:
-            return k, sigma, remainder
-    raise ConvergenceError(
-        f"no Euler-Maclaurin order up to {_EM_MAX_ORDER} meets eps/2 past n = {a} at t = {t}"
-    )
+            break
+    else:
+        raise ConvergenceError(
+            f"no Euler-Maclaurin order up to {_EM_MAX_ORDER} meets eps/2 past n = {a} at t = {t_hi}"
+        )
+    lna = math.log(a)
+    size = max((2.0 * x * lna + 4.0) * (1.0 / x + 0.5 / a + sigma) for x in (t_lo, t_hi))
+    rounding = _EPS * (0.5 * harmonic_bound(a) + size + 5.0 * k * sigma)
+    return k, remainder, rounding
 
 
 def _bernoulli_sum(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
@@ -215,22 +228,17 @@ def _bernoulli_sum(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarra
     return acc
 
 
-def _em_tail(
-    t: float | np.ndarray, a: int
-) -> tuple[complex | np.ndarray, float, float]:
+def _em_tail(t: float | np.ndarray, a: int) -> complex | np.ndarray:
     """The closed-form part of zeta(1+it) past the head n <= a.
 
-    Returns (tail, remainder, rounding) with
+    Returns tail with
 
         zeta(1+it) = sum_{n<=a} n^(-1-it) + tail + R_m,
-        tail = a^(-it) A,  |R_m| <= remainder,
+        tail = a^(-it) A,  |R_m| <= the remainder of _em_bounds(t, a).
 
-    and rounding the floating-point error of tail and of adding it to a
-    head sum.  t is a float, or a sorted array of points sharing a, for
-    which tail is an array of the same shape; a float t keeps Python complex
-    arithmetic.  remainder and rounding are one float each that hold at
-    every point: remainder is taken at the largest t, as it rises with t,
-    and rounding is bounded once for all the points (see Rounding).
+    t is a float, or a sorted array of points sharing a, for which tail is
+    an array of the same shape; a float t keeps Python complex arithmetic.
+    _call_radius bounds its rounding.
 
     Derivation.  With s = 1+it, (s)_j the rising factorial s (s+1) ...
     (s+j-1), c_k = B_2k/(2k)! and B~_2m the periodic Bernoulli function,
@@ -271,78 +279,17 @@ def _em_tail(
     _EM_COEFFS ends at order 25, and a head that needs more raises.  R_m
     is computed as the product of the 2m ratios |s+j|/a (_em_bounds); its
     own rounding is far below an ulp of 1.
-
-    Rounding, with eps the machine epsilon and u = eps/2 the unit roundoff.
-    Write sigma for the sum of the moduli of the Bernoulli terms at the
-    largest t of the call (_em_bounds); every |s+j| rises with t, so sigma
-    bounds that sum at every point, and S = 1/t + 1/(2a) + sigma >= |A|.
-    To first order in eps, rounding at t is the sum of:
-
-    * the phase: a^(-it) is exp(-iy) with y = fl(t fl(ln a)) within
-      1.5 eps t ln a of t ln a, and |exp(-iy') - exp(-iy)| <= |y' - y|, so
-      with |A| <= S this is at most 2 eps t ln a S.  On the 1/(it) part of
-      A it is 2 eps ln a, not a 1/t term;
-    * the rest of the product a^(-it) A, at most 4 eps S: cos and sin
-      round to u each (0.71 eps), forming A costs at most 1.5 eps (1/t,
-      1/(2a) and the two additions), the complex product sqrt(5) u
-      (1.12 eps), and the addition into the head sum u (0.5 eps).  The 1/t
-      part of this, 4 eps/t, is the conditioning of 1/(it) for small t;
-    * the head's share of that addition, u H(a) with
-      H = :func:`harmonic_bound`;
-    * the Bernoulli sum, at most 5m eps sigma with the call's m.  y and
-      y^2 are within u and 1.5 eps, 2k(2k+1)/a^2 and (4k+1)/a within eps
-      and u, and 2k(2k+1)/a^2 + y^2 <= |q_k| (Cauchy-Schwarz on
-      |s+2k-1| |s+2k| / a^2), so each q_k is within 2.5 eps |q_k|.  One
-      Horner level then adds 2.5 eps (q_k), 1.12 eps (the product) and
-      0.5 eps (the addition of c_k) to the relative error of every term it
-      carries; c_k itself is within u, and u/a is within 1.5 eps before
-      its product (1.12 eps).  The term of order m passes the most levels,
-      m - 1, for 4.12 (m - 1) + 0.5 + 2.62 < 5m eps.
-
-    The first two items are (2t ln a + 4) S, which is convex in t at fixed
-    sigma (a linear function plus 4/t), so over the points it is largest at
-    the first or the last, and rounding is
-    eps (H(a)/2 + max over those two of (2t ln a + 4) S + 5m sigma).
     """
     lna = math.log(a)
     if isinstance(t, np.ndarray):
-        t_lo, t_hi = float(t[0]), float(t[-1])
         ph = t * lna
         turn = np.empty(t.shape, dtype=np.complex128)  # a^(-it)
         turn.real = np.cos(ph)
         turn.imag = -np.sin(ph)
     else:
-        t_lo = t_hi = t
         turn = cmath.exp(-1j * (t * lna))
-    m, sigma, remainder = _em_bounds(t_hi, a)
-    tail = turn * (_bernoulli_sum(t, a, m) - 0.5 / a - 1j * (1.0 / t))
-    size = max((2.0 * x * lna + 4.0) * (1.0 / x + 0.5 / a + sigma) for x in (t_lo, t_hi))
-    rounding = _EPS * (0.5 * harmonic_bound(a) + size + 5.0 * m * sigma)
-    return tail, remainder, rounding
-
-
-def _radius_floor(t_pts: np.ndarray, n_hi: int) -> float:
-    """The grid and phase terms of the radius of a kernel call on t_pts summing n <= n_hi.
-
-    _eval_block adds this one float to every radius it returns (see its
-    Radius), so no call on these points can certify a smaller radius.  With
-    L = ln^2(n_hi)/2 + 0.11 it is eps t L for one point, and for a grid
-    (eta + 3 eps (t_c + 2 k_max h)) L, where eta is the largest distance of
-    a point from its model point t_c + k h.
-    """
-    K = len(t_pts)
-    mid = (K - 1) // 2
-    t_c = float(t_pts[mid])
-    ln_hi = math.log(n_hi)
-    l1 = 0.5 * ln_hi * ln_hi + 0.11
-    if K == 1:  # no grid gap, and the phase is rounded only in ln n and t ln n
-        return _EPS * t_c * l1
-    h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1)
-    gap = np.arange(-mid, K - mid) * h  # the model points t_c + k h, less t_pts
-    gap += t_c
-    gap -= t_pts
-    eta = float(np.abs(gap, out=gap).max())
-    return (eta + 3.0 * (_EPS * (t_c + 2.0 * (K - 1 - mid) * h))) * l1
+    m = _em_bounds(t, a)[0]
+    return turn * (_bernoulli_sum(t, a, m) - 0.5 / a - 1j * (1.0 / t))
 
 
 def _transform(K: int, h: float, n_hi: int) -> tuple[int, int, int, float, float, int, float]:
@@ -410,7 +357,7 @@ def _head_weights(t: float, n_hi: int) -> np.ndarray:
     |z[n]| = 1, is at most (P + 1) sqrt(2) u + P sqrt(5) u
     <= (2 log2 n + 1) eps: sqrt(2) u for each factor's cos and sin, which
     round by u each, and sqrt(5) u for each complex product (see
-    _eval_block, Radius).
+    _call_radius).
     """
     z = np.empty(n_hi + 1, dtype=np.complex128)
     base = (np.arange(0, n_hi + 1, 210)[:, None] + _WHEEL_RESIDUES).ravel()
@@ -453,7 +400,8 @@ def _segments(j: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
 def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """zeta(1+it) at each point of the sorted, equispaced grid t_pts.
 
-    Returns (values, err) with |values[j] - zeta(1 + i t_pts[j])| <= err[j].
+    Returns (values, err) with |values[j] - zeta(1 + i t_pts[j])| <= err[j];
+    err is _call_radius(t_pts) at every point, which derives it.
 
     Split.  With a = max(64, ceil(t_max/pi), min(ceil t_max, K))
     (_em_head), the call sums the main sum over n <= a and adds zeta's
@@ -533,68 +481,6 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     radius charges anyway.  A one-point call (K = 1) has h = 0, M = 1,
     d = 0 and p = 0: every n lands in bin 0 with delta_n = 0, so each chunk
     is one plain sum and no transform is taken.
-
-    Radius.  err is rem at every point, one float for the call that bounds
-    the distance of each value from zeta.  rem is the sum of the following,
-    with eps the machine epsilon, u = eps/2, L = ln^2(a)/2 + 0.11 >=
-    sum ln n / n, and e^d >= sum_m (|k| delta)^m / m! the most the
-    expansion can amplify a rounding error in F_m (e^d <= e^(pi/2) < 4.82):
-
-    * remainder: H d^(p+1)/(p+1)!;
-    * grid gap and phase, the one float _radius_floor returns:
-      - grid gap: the main sum is taken at t_c + k h, not at the
-        floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| L.  The
-        gap is the measured max |eta_j| plus eps (t_c + 2 k_max h) for
-        computing it.  A one-point call has no gap: its model point is
-        t_pts[0] itself;
-      - phase: with log, the products and the grid reduction each good to
-        a few ulp, the realised phase of term n is within
-        2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of
-        (t_c + k h) ln n, which sums to 2 eps (t_c + 2 k_max h) L
-        + 2 eps d H (the second part is charged below).  The phase of z_n
-        is the sum of its factors' phases, within eps t_c ln n as that of
-        one direct product t_c fl(ln n) (_head_weights).  A one-point call
-        has no grid reduction: fl(ln n) is within u ln n (numpy's log of
-        an integer, checked against 120-bit mpmath for n <= 2e6) and its
-        product with t rounds by u, so the phase is within eps t ln n,
-        which sums to eps t L;
-    * segment-sum rounding: a term passes through at most D additions (its
-      segment, the chunk totals, the windings of theta_n folded onto one
-      bin), a_n delta_n^m carries at most (p + 6) eps of relative error,
-      and the product of a segment's sum with fl(1/m!) adds eps, so
-      ||error of F_m||_1 <= eps (D + p + 7) H (pi/M)^m / m!, which the
-      expansion turns into at most that times e^d in S;
-    * head weights, when K > 1: beyond its phase, each z_n is within
-      (2 log2 a + 1) eps of n^(-i t_c) (_head_weights: sqrt(2) u for
-      the cos and sin of each of at most log2 n + 1 factors, sqrt(5) u for
-      each of at most log2 n products).  That relative error e_n of a_n
-      is the same in every order, so it reaches S as
-      sum_n e_n a_n T_p(-i k delta_n), T_p(x) = sum_{m<=p} x^m / m!, and
-      |T_p(iy)| <= |e^(iy)| + d^(p+1)/(p+1)! < 1 + eps D for |y| <= d:
-      to first order in eps it adds (2 log2 a + 1) eps H, not
-      amplified by e^d, which bounds errors made in each F_m apart;
-    * twiddles, when L > 1: the angle fl(v j fl(2 pi/M)) is within
-      2 pi eps of 2 pi v j/M, cos and sin are each within 2 eps (4 ulp,
-      room for numpy's vectorised routines), and the complex product with
-      F_m[j] rounds by sqrt(5) u, so each computed F_m[j] w^(v j) is
-      within (2 pi + 2 sqrt(2) + 1.12) eps |F_m[j]| < 11 eps |F_m[j]| of
-      the exact one, and a transform turns an input error into an output
-      error at most its l1 norm: 11 eps ||F_m||_1, amplified by at most
-      e^d;
-    * transform rounding (Higham, Accuracy and Stability of Numerical
-      Algorithms, Thm 24.2): each output bin comes from one B-point
-      transform of a row of l1 norm ||F_m||_1, so ||error||_inf <=
-      ||error||_2 <= log2(B) eta sqrt(B) ||F_m||_1 with eta <= 4 eps,
-      amplified by at most e^d;
-    * Horner in k: each order multiplies by the exact -ik and adds
-      FFT(F_m), rounding by u each, so the term of order m passes at most
-      m products and m + 1 additions, and the error is at most
-      (2p + 1) u H e^d <= (p+1) eps H e^d;
-    * tail: the remainder and the rounding that
-      _em_tail returns, one float each for the call: R_m at t_max, which
-      rises with t, so it bounds R_m at every point, and the rounding of
-      the phase, the product, the Bernoulli sum and the addition into the
-      head sum, bounded at t_min and t_max with sigma at t_max.
     """
     K = len(t_pts)
     mid = (K - 1) // 2
@@ -602,7 +488,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     t_min, t_max = float(t_pts[0]), float(t_pts[-1])
     h = (t_max - t_min) / (K - 1) if K > 1 else 0.0
     a = _em_head(t_max, K)
-    M, B, p, d, factor, chunk, depth = _transform(K, h, a)
+    M, B, p, _, _, chunk, _ = _transform(K, h, a)
     L = M // B
     step = 2.0 * math.pi / M
 
@@ -655,19 +541,132 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     acc = np.concatenate((acc[M - mid:], acc[:K - mid]))
 
     # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
-    tail, remainder, tail_rounding = _em_tail(t_c if K == 1 else t_pts, a)
-    acc += tail
+    acc += _em_tail(t_c if K == 1 else t_pts, a)
+    return acc, np.full(K, _call_radius(t_pts))
+
+
+def _call_radius(t_pts: np.ndarray) -> float:
+    """The radius err of every value of an _eval_block call on t_pts.
+
+    It depends on the points alone, never on a value, so scans and the CLI
+    eval check r against it before any sum.  The names are those of
+    _eval_block: a = _em_head(t_max, K), (M, B, p, d, D) from _transform,
+    t_c the centre, h the step, k_max the largest |k|, L = M/B the number
+    of transforms per order and m the tail's Bernoulli order.  With eps
+    the machine epsilon, u = eps/2, H = harmonic_bound(a) >= sum 1/n,
+    G = ln^2(a)/2 + 0.11 >= sum ln n / n, and e^d >= sum_m (|k| delta)^m
+    / m! the most the expansion can amplify a rounding error in F_m
+    (e^d <= e^(pi/2) < 4.82), err is the sum of:
+
+    * remainder: H d^(p+1)/(p+1)!;
+    * grid gap: the main sum is taken at t_c + k h, not at the
+      floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| G.  The gap
+      is the measured max |eta_j| plus eps (t_c + 2 k_max h) for computing
+      it.  A one-point call has no gap: its model point is t_pts[0] itself;
+    * phase: with log, the products and the grid reduction each good to a
+      few ulp, the realised phase of term n is within
+      2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of (t_c + k h) ln n,
+      which sums to 2 eps (t_c + 2 k_max h) G + 2 eps d H.  The phase of
+      z_n is the sum of its factors' phases, within eps t_c ln n as that
+      of one direct product t_c fl(ln n) (_head_weights).  A one-point
+      call has no grid reduction: fl(ln n) is within u ln n (numpy's log
+      of an integer, checked against 120-bit mpmath for n <= 2e6) and its
+      product with t rounds by u, so the phase is within eps t ln n, which
+      sums to eps t G;
+    * segment-sum rounding: a term passes through at most D additions (its
+      segment, the chunk totals, the windings of theta_n folded onto one
+      bin), a_n delta_n^m carries at most (p + 6) eps of relative error,
+      and the product of a segment's sum with fl(1/m!) adds eps, so
+      ||error of F_m||_1 <= eps (D + p + 7) H (pi/M)^m / m!, which the
+      expansion turns into at most that times e^d in S;
+    * head weights, when K > 1: beyond its phase, each z_n is within
+      (2 log2 a + 1) eps of n^(-i t_c) (_head_weights: sqrt(2) u for the
+      cos and sin of each of at most log2 n + 1 factors, sqrt(5) u for
+      each of at most log2 n products).  That relative error e_n of a_n
+      is the same in every order, so it reaches S as
+      sum_n e_n a_n T_p(-i k delta_n), T_p(x) = sum_{m<=p} x^m / m!, and
+      |T_p(iy)| <= |e^(iy)| + d^(p+1)/(p+1)! < 1 + eps D for |y| <= d: to
+      first order in eps it adds (2 log2 a + 1) eps H, not amplified by
+      e^d, which bounds errors made in each F_m apart;
+    * twiddles, when L > 1: the angle fl(v j fl(2 pi/M)) is within
+      2 pi eps of 2 pi v j/M, cos and sin are each within 2 eps (4 ulp,
+      room for numpy's vectorised routines), and the complex product with
+      F_m[j] rounds by sqrt(5) u, so each computed F_m[j] w^(v j) is
+      within (2 pi + 2 sqrt(2) + 1.12) eps |F_m[j]| < 11 eps |F_m[j]| of
+      the exact one, and a transform turns an input error into an output
+      error at most its l1 norm: 11 eps ||F_m||_1, amplified by at most
+      e^d;
+    * transform rounding (Higham, Accuracy and Stability of Numerical
+      Algorithms, Thm 24.2): each output bin comes from one B-point
+      transform of a row of l1 norm ||F_m||_1, so ||error||_inf <=
+      ||error||_2 <= log2(B) eta sqrt(B) ||F_m||_1 with eta <= 4 eps,
+      amplified by at most e^d;
+    * Horner in k: each order multiplies by the exact -ik and adds
+      FFT(F_m), rounding by u each, so the term of order m passes at most
+      m products and m + 1 additions, and the error is at most
+      (2p + 1) u H e^d <= (p+1) eps H e^d;
+    * tail remainder: R_m at t_max (_em_bounds), which rises with t, so it
+      bounds R_m at every point;
+    * tail rounding (_em_bounds), below.
+
+    Tail rounding.  Write sigma for the sum of the moduli of the Bernoulli
+    terms at t_max (_em_bounds); every |s+j| rises with t, so sigma bounds
+    that sum at every point, and S = 1/t + 1/(2a) + sigma >= |A|.  To
+    first order in eps, the rounding of the tail a^(-it) A at t and of its
+    addition into the head sum is the sum of:
+
+    * the phase: a^(-it) is exp(-iy) with y = fl(t fl(ln a)) within
+      1.5 eps t ln a of t ln a, and |exp(-iy') - exp(-iy)| <= |y' - y|, so
+      with |A| <= S this is at most 2 eps t ln a S.  On the 1/(it) part of
+      A it is 2 eps ln a, not a 1/t term;
+    * the rest of the product a^(-it) A, at most 4 eps S: cos and sin
+      round to u each (0.71 eps), forming A costs at most 1.5 eps (1/t,
+      1/(2a) and the two additions), the complex product sqrt(5) u
+      (1.12 eps), and the addition into the head sum u (0.5 eps).  The 1/t
+      part of this, 4 eps/t, is the conditioning of 1/(it) for small t;
+    * the head's share of that addition, u H;
+    * the Bernoulli sum, at most 5m eps sigma.  y and y^2 are within u and
+      1.5 eps, 2k(2k+1)/a^2 and (4k+1)/a within eps and u, and
+      2k(2k+1)/a^2 + y^2 <= |q_k| (Cauchy-Schwarz on
+      |s+2k-1| |s+2k| / a^2), so each q_k is within 2.5 eps |q_k|.  One
+      Horner level then adds 2.5 eps (q_k), 1.12 eps (the product) and
+      0.5 eps (the addition of c_k) to the relative error of every term it
+      carries; c_k itself is within u, and u/a is within 1.5 eps before
+      its product (1.12 eps).  The term of order m passes the most levels,
+      m - 1, for 4.12 (m - 1) + 0.5 + 2.62 < 5m eps.
+
+    The first two items are (2t ln a + 4) S, which is convex in t at fixed
+    sigma (a linear function plus 4/t), so over the points it is largest at
+    the first or the last, and the tail rounding is
+    eps (H/2 + max over those two of (2t ln a + 4) S + 5m sigma).
+    """
+    K = len(t_pts)
+    mid = (K - 1) // 2
+    t_c = float(t_pts[mid])
+    h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1) if K > 1 else 0.0
+    a = _em_head(float(t_pts[-1]), K)
+    M, B, p, d, factor, _, depth = _transform(K, h, a)
+    ln_a = math.log(a)
+    g = 0.5 * ln_a * ln_a + 0.11
+    if K == 1:  # no grid gap, and the phase is rounded only in ln n and t ln n
+        grid_phase = _EPS * t_c * g
+    else:
+        gap = np.arange(-mid, K - mid) * h  # the model points t_c + k h, less t_pts
+        gap += t_c
+        gap -= t_pts
+        eta = float(np.abs(gap, out=gap).max())
+        grid_phase = (eta + 3.0 * (_EPS * (t_c + 2.0 * (K - 1 - mid) * h))) * g
+    _, remainder, tail_rounding = _em_bounds(t_pts, a)
     h_n = harmonic_bound(a)
-    transform = 4.0 * math.log2(B) * math.sqrt(B) + (11.0 if L > 1 else 0.0)
+    transform = 4.0 * math.log2(B) * math.sqrt(B) + (11.0 if B < M else 0.0)
     wheel = 2.0 * math.log2(a) + 1.0 if M > 1 else 0.0
     rounding = depth + 2 * p + 8 + transform
-    rem = (
+    return (
         h_n * factor
-        + _radius_floor(t_pts, a)
+        + grid_phase
         + _EPS * h_n * (2.0 * d + wheel + math.exp(d) * rounding)
         + (remainder + tail_rounding)
     )
-    return acc, np.full(K, rem)
 
 
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:

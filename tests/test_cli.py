@@ -65,26 +65,27 @@ class TestEval:
         assert status == 0
         assert json.loads(out)["rows"][0]["err"] < 1e-13
 
-    def test_radius_below_the_floor_is_usage_error(self, capsys):
-        # at t = 1e6 the phase rounding eps t (ln^2 a / 2 + 0.11) over the
-        # head a = 318310 alone is 1.785e-8: r = 1e-8 is refused before any
-        # sum.  The radius adds the rounding of the sum, 1.1% of the floor
-        # here, so r = 1.01 floor is refused after the sum, naming the
-        # radius, and r at the radius is met
-        floor = zeta_eval._radius_floor(np.array([1e6]), zeta_eval._em_head(1e6, 1))
-        assert floor == pytest.approx(1.785e-8, abs=1e-11)
+    def test_radius_below_the_floor_is_usage_error(self, capsys, monkeypatch):
+        # at t = 1e6 the one-point call certifies 1.804e-8, known before any
+        # sum: r = 1e-8, and r one ulp below the radius, are refused with no
+        # kernel call, naming the radius, and r at the radius is met
+        radius = zeta_eval._call_radius(np.array([1e6]))
+        assert radius == pytest.approx(1.804e-8, abs=1e-11)
+        calls = []
+        kernel = zeta_eval._eval_block
+        monkeypatch.setattr(zeta_eval, "_eval_block",
+                            lambda *args: calls.append(args) or kernel(*args))
         status, out, err = run_cli(capsys, "eval", "--t", "1e6", "--r", "1e-8")
         assert status == 2 and out == ""
-        assert "floor 1.785e-08" in err
-        radius = zeta_eval.eval_zeta_certified(1e6, 1).err
-        assert floor < 1.01 * floor < radius < 1.02 * floor
-        status, out, err = run_cli(capsys, "eval", "--t", "1e6", "--r", repr(1.01 * floor))
+        assert "below the radius 1.804e-08 certified at t = 1e+06" in err
+        below = math.nextafter(radius, 0.0)
+        status, out, err = run_cli(capsys, "eval", "--t", "1e6", "--r", repr(below))
         assert status == 2 and out == ""
-        assert f"radius {radius:.3e} certified" in err
+        assert calls == []
         status, out, _ = run_cli(capsys, "--format", "json", "eval", "--t", "1e6",
                                  "--r", repr(radius))
-        assert status == 0
-        assert floor <= json.loads(out)["rows"][0]["err"] <= radius
+        assert status == 0 and len(calls) == 1
+        assert json.loads(out)["rows"][0]["err"] == radius
 
     def test_zero_threshold_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "eval", "--t", "1", "--r", "0")
@@ -215,13 +216,13 @@ class TestScan:
         assert "budget" in err
 
     def test_scan_radius_below_the_floor_is_usage_error(self, capsys):
-        # the one call at t = 1e6 holds radii of at least 5.355e-8, its grid
-        # and phase rounding: --r 1e-8 exits 2 before any kernel call
+        # the one call at t = 1e6 returns the radius 5.422e-8, known before
+        # the sum: --r 1e-8 exits 2 before any kernel call, naming it
         status, out, err = run_cli(
             capsys, "scan", "--lo", "1e6", "--hi", "1000001", "--r", "1e-8", "--budget", "inf",
         )
         assert status == 2 and out == ""
-        assert "radius floor 5.355e-08" in err
+        assert "below the radius 5.422e-08 of the kernel call" in err
 
     def test_bad_bound_spec(self, capsys):
         status, _, _ = run_cli(

@@ -78,6 +78,17 @@ def _blocks(cfg, t):
     return [(int(lo), int(hi), choose_N(float(t[hi]), cfg.r)) for lo, hi in zip(first, last)]
 
 
+def _random_config(seed):
+    # a scan of 1 to 2000 points at t from e to 1e6, h from 1e-3 to 1 and r
+    # from 1e-7, above every call's radius there, to 1e-2
+    rng = np.random.default_rng(seed)
+    t_lo = math.e * (1e6 / math.e) ** float(rng.uniform())
+    h = 10.0 ** float(rng.uniform(-3, 0))
+    points = int(rng.integers(1, 2000, endpoint=True))
+    r = 10.0 ** float(rng.uniform(-7, -2))
+    return ScanConfig(t_lo=t_lo, t_hi=t_lo + (points - 0.5) * h, h=h, r=r)
+
+
 class TestScanConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -277,39 +288,60 @@ class TestScanInterval:
             assert seq.err.tobytes() == par.err.tobytes()
 
     def test_r_below_the_radius_floor_refused(self, monkeypatch):
-        # the one 101-point call at t = 1e6 cannot certify a radius below
-        # its grid and phase rounding over its head a = 318311, 5.355e-8:
-        # r = 1e-8, whose radii come out up to 5.4e-8, is refused before
-        # any kernel call
+        # the one 101-point call at t = 1e6 returns the radius 5.422e-8 at
+        # every point, known before the sum: r = 1e-8 is refused, naming
+        # it, before any kernel call, and above it every err is that radius
         calls = _record_calls(monkeypatch)
         cfg = ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=1e-8)
-        with pytest.raises(ValueError, match="radius floor 5.355e-08"):
+        with pytest.raises(ValueError, match=r"radius 5\.422e-08 of the kernel call"):
             scan_interval(cfg, budget=math.inf)
         assert calls == []
-        # above the floor, r is met, and every radius holds the floor
         report = scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=7e-8), budget=math.inf)
         [(pts, _, _)] = calls
-        floor = zeta_eval._radius_floor(pts, _em_head(float(pts[-1]), len(pts)))
-        assert floor == pytest.approx(5.355e-8, abs=1e-11)
-        assert np.all((floor <= report.err) & (report.err <= 7e-8))
+        radius = zeta_eval._call_radius(pts)
+        assert radius == pytest.approx(5.422e-8, abs=1e-11)
+        assert np.all(report.err == radius)
 
     def test_every_call_floor_checked_before_the_first_call(self, monkeypatch):
-        # at h = 1 over [1e6, 1.2e6] the plan has 13 calls whose floors rise
-        # with t: an r between the first call's floor and the last one's is
-        # refused, naming a later call's floor, before any kernel call
+        # at h = 1 over [1e6, 1.2e6] the plan has 13 calls whose radii rise
+        # with t: an r between the first call's radius and the last one's
+        # is refused, naming a later call's radius, before any kernel call
         cfg = ScanConfig(t_lo=1e6, t_hi=1.2e6, h=1.0, r=1e-7)
         plan = verifier._plan(cfg, math.inf)
         t = cfg.t_lo + np.arange(plan[-1][1] + 1) * cfg.h
-        floors = [zeta_eval._radius_floor(t[lo:hi + 1], _em_head(float(t[hi]), hi - lo + 1))
-                  for lo, hi, _ in plan]
-        assert len(plan) == 13 and floors[0] < floors[-1]
-        r = math.sqrt(floors[0] * floors[-1])
+        radii = [zeta_eval._call_radius(t[lo:hi + 1]) for lo, hi, _ in plan]
+        assert len(plan) == 13 and radii[0] < radii[-1]
+        r = math.sqrt(radii[0] * radii[-1])
         calls = _record_calls(monkeypatch)
-        with pytest.raises(ValueError, match="radius floor") as refused:
+        with pytest.raises(ValueError, match="radius") as refused:
             scan_interval(ScanConfig(t_lo=1e6, t_hi=1.2e6, h=1.0, r=r), budget=math.inf)
         assert calls == []
-        named = float(str(refused.value).split("radius floor ")[1].split()[0])
-        assert named > r and named == pytest.approx(min(f for f in floors if f > r), rel=1e-3)
+        named = float(str(refused.value).split("radius ")[1].split()[0])
+        assert named > r and named == pytest.approx(min(x for x in radii if x > r), rel=1e-3)
+
+    def test_r_above_the_grid_terms_below_the_radius_refused(self, monkeypatch):
+        # 5.36e-8 is above the call's grid and phase terms (5.355e-8) but
+        # below the radius it returns: refused, naming that radius, before
+        # any kernel call
+        calls = _record_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"radius 5\.422e-08"):
+            scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=5.36e-8), budget=math.inf)
+        assert calls == []
+
+    @pytest.mark.parametrize("cfg", [ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=5.43e-8)] + [
+        _random_config(seed) for seed in range(8)
+    ])
+    def test_r_is_a_ceiling_on_every_radius(self, monkeypatch, cfg):
+        # each planned call returns _call_radius of its points at every
+        # point, bit for bit, and an accepted r holds them all
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 700)
+        plan = verifier._plan(cfg, math.inf)
+        calls = _record_calls(monkeypatch)
+        report = scan_interval(cfg, budget=math.inf)
+        assert len(calls) == len(plan)
+        for pts, _, err in calls:
+            assert err.tobytes() == np.full(len(pts), zeta_eval._call_radius(pts)).tobytes()
+        assert report.err.max() <= cfg.r
 
     def test_workers_must_be_positive(self):
         cfg = ScanConfig(t_lo=10.0, t_hi=11.0)

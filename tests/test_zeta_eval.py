@@ -15,7 +15,7 @@ from zetabound import (
     oracle_zeta,
 )
 from zetabound import zeta_eval
-from zetabound.zeta_eval import _em_head, _em_tail, _eval_block, _transform
+from zetabound.zeta_eval import _em_head, _eval_block, _transform
 
 import em_reference
 from plain_sum import fp_slack, main_sum
@@ -463,11 +463,12 @@ def _head_branch(t_max, size):
 
 class TestTailBounds:
     def test_call_bounds_cover_every_point(self):
-        # _em_tail's rounding and remainder are one float each for a call:
-        # each must be at least the per-point bound, with sigma at the
-        # point's own t, at every point of the call, for the order m that
-        # the reference takes at the call's (a, t_max).  The first call has
-        # its largest per-point rounding at its first point (the 4/t term)
+        # _em_bounds gives the tail's rounding and remainder as one float
+        # each for a call: each must be at least the per-point bound, with
+        # sigma at the point's own t, at every point of the call, for the
+        # order m that the reference takes at the call's (a, t_max).  The
+        # first call has its largest per-point rounding at its first point
+        # (the 4/t term)
         calls = [
             (math.e, 0.01, 50), (math.e, 1.0, 62),
             (1e3, 0.01, 1 << 14),                  # ceil t: t_max <= K
@@ -488,7 +489,7 @@ class TestTailBounds:
             branches.add(_head_branch(t_max, size))
             m = em_reference.order(t_max, a)
             assert zeta_eval._em_bounds(t_max, a)[0] == m
-            _, remainder, rounding = _em_tail(pts if size > 1 else t_lo, a)
+            _, remainder, rounding = zeta_eval._em_bounds(pts, a)
             assert rounding >= em_reference.tail_rounding(pts, a, m).max()
             assert remainder >= em_reference.tail_remainder(pts, a, m).max()
         assert branches == {"one point", "ceil t", "K", "t/pi"}
