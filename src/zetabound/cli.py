@@ -176,15 +176,14 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
-    summed = zeta_eval._em_head(t, 1)  # the head the one-point kernel call sums
-    if summed > verifier.DEFAULT_BUDGET:
+    plan = zeta_eval._call_plan(np.array([t]))  # the head and err of the sum below
+    if plan.a > verifier.DEFAULT_BUDGET:
         raise ResourceBudgetError(
-            f"evaluation sums a head of {summed:.3e} terms, over the budget "
+            f"evaluation sums a head of {plan.a:.3e} terms, over the budget "
             f"{verifier.DEFAULT_BUDGET:.3e}"
         )
-    radius = zeta_eval._call_radius(np.array([t]))  # the err of the sum below
-    if r < radius:
-        raise ValueError(f"--r {r:g} is below the radius {radius:.3e} certified at t = {t:g}")
+    if r < plan.radius:
+        raise ValueError(f"--r {r:g} is below the radius {plan.radius:.3e} certified at t = {t:g}")
     cert = zeta_eval.eval_zeta_certified(t, n)
     columns = {
         "t": [t],
@@ -192,7 +191,7 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
         "imag": [cert.value.imag],
         "modulus": [cert.modulus],
         "err": [cert.err],
-        "n_terms": [summed],
+        "n_terms": [plan.a],
     }
     return OutputRecord("eval", {"t": repr(t), "r": repr(r)}, columns)
 
@@ -358,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=verifier.DEFAULT_BUDGET,
                    help="nominal summed-term budget")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads sharing the kernel calls of a scan")
+                   help="threads sharing a scan's kernel calls (2 measured no faster than 1)")
 
     p = sub.add_parser("figures", help="emit a figure dataset as rows")
     _add_output_options(p, suppress=True)

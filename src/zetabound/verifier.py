@@ -15,10 +15,10 @@ a run's points at once: a NUFFT of the main sum over n <= a, plus zeta's
 closed Euler-Maclaurin tail past a, where a = max(64, ceil(t_max/pi),
 min(ceil t_max, K)) for a run of K points ending at t_max.
 Each run is called with the N of the block that holds its last point, which
-has no effect on its values.  The kernel returns each point's radius, with
+has no effect on its values.  The kernel returns one radius for a run, with
 its expansion remainder, the Euler-Maclaurin remainder and every
 floating-point effect folded in, so no certificate is weakened.  That
-radius depends on the run's points alone (zeta_eval._call_radius), so a
+radius depends on the run's points alone (zeta_eval._call_plan), so a
 scan checks r against it for every run before the first.  The
 refiners evaluate single points with zeta_eval.eval_zeta_certified, the
 kernel's one-point call.
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _call_radius, _eval_block, choose_N, eval_zeta_certified
+from .zeta_eval import _call_plan, _eval_block, choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -196,11 +196,11 @@ def scan_interval(
     sum_k N(t_k), checked before any array is built.  config.r is the
     largest radius accepted: it must be at least the radius that every
     kernel call of the plan returns at each of its points
-    (zeta_eval._call_radius), checked before the first call; ValueError
-    names that radius otherwise.  workers > 1
-    distributes kernel calls over threads (numpy releases the GIL for most
-    of a call), whose results are merged in call order, so the report is
-    identical for any worker count.
+    (zeta_eval._call_plan), checked before the first call; ValueError
+    names that radius otherwise.  workers > 1 distributes kernel calls
+    over threads, merged in call order, so the report is identical for any
+    worker count, but on 2 cores two measured no faster than one ([1e6,
+    1e6 + 1000]: 0.36-0.41 s on one, 0.38-0.40 s on two).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -213,14 +213,14 @@ def scan_interval(
     t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
     for k_lo, k_hi, _ in calls:  # r is a ceiling on the radius each call returns
         pts = t[k_lo:k_hi + 1]
-        radius = _call_radius(pts)
+        radius = _call_plan(pts).radius
         if config.r < radius:
             raise ValueError(
                 f"r = {config.r:g} is below the radius {radius:.3e} of the kernel call on "
                 f"t in [{pts[0]:.9g}, {pts[-1]:.9g}]"
             )
 
-    def run(call: _Call) -> tuple[np.ndarray, np.ndarray]:
+    def run(call: _Call) -> tuple[np.ndarray, float]:
         k_lo, k_hi, N = call
         return _eval_block(t[k_lo:k_hi + 1], N)
 

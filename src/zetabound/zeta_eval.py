@@ -24,7 +24,7 @@ reach).  A call costs O(p a + p M log B), M the least power of two >= K
 and B <= M those bins, against O(K a) point by point; one point costs
 O(a) terms, which is O(t), while N grows like t / sqrt(r).  The expansion
 remainder, the Euler-Maclaurin remainder and every floating-point effect
-are folded into the radius (see _call_radius), so no certificate is
+are folded into the radius (see _call_plan), so no certificate is
 weakened.
 
 An independent cross-check, :func:`oracle_zeta`, evaluates the same point
@@ -39,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,24 +167,21 @@ def _em_head(t_max: float, K: int) -> int:
     return max(_EM_MIN_HEAD, math.ceil(t_max / math.pi), min(math.ceil(t_max), K))
 
 
-def _em_bounds(t: float | np.ndarray, a: int) -> tuple[int, float, float]:
-    """(m, remainder, rounding) of the Euler-Maclaurin tail past a, for a call on t.
+def _em_bounds(t_pts: np.ndarray, a: int) -> tuple[int, float, float]:
+    """(m, remainder, rounding) of the Euler-Maclaurin tail past a, for a call on t_pts.
 
-    t is a float, or a sorted array of points sharing a.  m is the least
+    t_pts is the call's sorted array of points, which share a.  m is the least
     order whose remainder bound |c_m| |(s)_2m| / (2m a^2m) at s = 1+it,
     for the largest t, is at most u = eps/2, and remainder is that bound.
     rounding bounds the floating-point error of the tail and of adding it
-    to a head sum at every point (derived in _call_radius), with sigma =
+    to a head sum at every point (derived in _call_plan), with sigma =
     sum_{k<=m} |c_k (s)_(2k-1)| a^(-2k), the sum of the moduli of the
     Bernoulli terms, at the largest t.  At a fixed m the remainder and
     sigma are products of the ratios |s+j|/a, so both rise with t and hold
     at every point.  Raises ConvergenceError when no order up to
     _EM_MAX_ORDER gets there.
     """
-    if isinstance(t, np.ndarray):
-        t_lo, t_hi = float(t[0]), float(t[-1])
-    else:
-        t_lo = t_hi = t
+    t_lo, t_hi = float(t_pts[0]), float(t_pts[-1])
     sigma, ratios = 0.0, 1.0
     for k, c in enumerate(_EM_COEFFS, start=1):
         ratios *= abs(complex(2 * k - 1, t_hi)) / a  # now |(s)_(2k-1)| / a^(2k-1)
@@ -228,17 +226,17 @@ def _bernoulli_sum(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarra
     return acc
 
 
-def _em_tail(t: float | np.ndarray, a: int) -> complex | np.ndarray:
-    """The closed-form part of zeta(1+it) past the head n <= a.
+def _em_tail(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
+    """The closed-form part of zeta(1+it) past the head n <= a, at Bernoulli order m.
 
     Returns tail with
 
         zeta(1+it) = sum_{n<=a} n^(-1-it) + tail + R_m,
-        tail = a^(-it) A,  |R_m| <= the remainder of _em_bounds(t, a).
+        tail = a^(-it) A,  |R_m| <= the remainder of _em_bounds.
 
     t is a float, or a sorted array of points sharing a, for which tail is
     an array of the same shape; a float t keeps Python complex arithmetic.
-    _call_radius bounds its rounding.
+    m is the call's order (Choice of m); _call_plan bounds the rounding.
 
     Derivation.  With s = 1+it, (s)_j the rising factorial s (s+1) ...
     (s+j-1), c_k = B_2k/(2k)! and B~_2m the periodic Bernoulli function,
@@ -288,7 +286,6 @@ def _em_tail(t: float | np.ndarray, a: int) -> complex | np.ndarray:
         turn.imag = -np.sin(ph)
     else:
         turn = cmath.exp(-1j * (t * lna))
-    m = _em_bounds(t, a)[0]
     return turn * (_bernoulli_sum(t, a, m) - 0.5 / a - 1j * (1.0 / t))
 
 
@@ -357,7 +354,7 @@ def _head_weights(t: float, n_hi: int) -> np.ndarray:
     |z[n]| = 1, is at most (P + 1) sqrt(2) u + P sqrt(5) u
     <= (2 log2 n + 1) eps: sqrt(2) u for each factor's cos and sin, which
     round by u each, and sqrt(5) u for each complex product (see
-    _call_radius).
+    _call_plan).
     """
     z = np.empty(n_hi + 1, dtype=np.complex128)
     base = (np.arange(0, n_hi + 1, 210)[:, None] + _WHEEL_RESIDUES).ravel()
@@ -397,11 +394,11 @@ def _segments(j: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, bins
 
 
-def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     """zeta(1+it) at each point of the sorted, equispaced grid t_pts.
 
-    Returns (values, err) with |values[j] - zeta(1 + i t_pts[j])| <= err[j];
-    err is _call_radius(t_pts) at every point, which derives it.
+    Returns (values, err), |values[j] - zeta(1 + i t_pts[j])| <= err; one
+    _call_plan(t_pts) gives err, the head, the transform and the order m.
 
     Split.  With a = max(64, ceil(t_max/pi), min(ceil t_max, K))
     (_em_head), the call sums the main sum over n <= a and adds zeta's
@@ -485,10 +482,8 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     K = len(t_pts)
     mid = (K - 1) // 2
     t_c = float(t_pts[mid])
-    t_min, t_max = float(t_pts[0]), float(t_pts[-1])
-    h = (t_max - t_min) / (K - 1) if K > 1 else 0.0
-    a = _em_head(t_max, K)
-    M, B, p, _, _, chunk, _ = _transform(K, h, a)
+    h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1) if K > 1 else 0.0
+    a, M, B, p, chunk, order, radius = _call_plan(t_pts)
     L = M // B
     step = 2.0 * math.pi / M
 
@@ -541,19 +536,27 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     acc = np.concatenate((acc[M - mid:], acc[:K - mid]))
 
     # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
-    acc += _em_tail(t_c if K == 1 else t_pts, a)
-    return acc, np.full(K, _call_radius(t_pts))
+    acc += _em_tail(t_c if K == 1 else t_pts, a, order)
+    return acc, radius
 
 
-def _call_radius(t_pts: np.ndarray) -> float:
-    """The radius err of every value of an _eval_block call on t_pts.
+# an _eval_block call's plan, from _call_plan(t_pts): the head a, transform
+# (M, B, p, chunk) and tail order m it sums with, and the radius of its values
+_Plan = NamedTuple("_Plan", [("a", int), ("M", int), ("B", int), ("p", int),
+                             ("chunk", int), ("m", int), ("radius", float)])
 
-    It depends on the points alone, never on a value, so scans and the CLI
-    eval check r against it before any sum.  The names are those of
-    _eval_block: a = _em_head(t_max, K), (M, B, p, d, D) from _transform,
-    t_c the centre, h the step, k_max the largest |k|, L = M/B the number
-    of transforms per order and m the tail's Bernoulli order.  With eps
-    the machine epsilon, u = eps/2, H = harmonic_bound(a) >= sum 1/n,
+
+def _call_plan(t_pts: np.ndarray) -> _Plan:
+    """The plan of an _eval_block call on t_pts: what it sums, and its radius.
+
+    The head a = _em_head(t_max, K), (M, B, p, chunk) from _transform, the
+    tail's Bernoulli order m from _em_bounds, and the radius err of every
+    value of the call.  All of it depends on the points alone, never on a
+    value, so scans and the CLI eval check r against the radius before any
+    sum.  The names below are those of _eval_block: (d, D) from _transform
+    too, t_c the centre, h the step, k_max the largest |k| and L = M/B the
+    number of transforms per order.  With eps the machine epsilon,
+    u = eps/2, H = harmonic_bound(a) >= sum 1/n,
     G = ln^2(a)/2 + 0.11 >= sum ln n / n, and e^d >= sum_m (|k| delta)^m
     / m! the most the expansion can amplify a rounding error in F_m
     (e^d <= e^(pi/2) < 4.82), err is the sum of:
@@ -645,7 +648,7 @@ def _call_radius(t_pts: np.ndarray) -> float:
     t_c = float(t_pts[mid])
     h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1) if K > 1 else 0.0
     a = _em_head(float(t_pts[-1]), K)
-    M, B, p, d, factor, _, depth = _transform(K, h, a)
+    M, B, p, d, factor, chunk, depth = _transform(K, h, a)
     ln_a = math.log(a)
     g = 0.5 * ln_a * ln_a + 0.11
     if K == 1:  # no grid gap, and the phase is rounded only in ln n and t ln n
@@ -656,17 +659,14 @@ def _call_radius(t_pts: np.ndarray) -> float:
         gap -= t_pts
         eta = float(np.abs(gap, out=gap).max())
         grid_phase = (eta + 3.0 * (_EPS * (t_c + 2.0 * (K - 1 - mid) * h))) * g
-    _, remainder, tail_rounding = _em_bounds(t_pts, a)
+    m, remainder, tail_rounding = _em_bounds(t_pts, a)
     h_n = harmonic_bound(a)
     transform = 4.0 * math.log2(B) * math.sqrt(B) + (11.0 if B < M else 0.0)
     wheel = 2.0 * math.log2(a) + 1.0 if M > 1 else 0.0
     rounding = depth + 2 * p + 8 + transform
-    return (
-        h_n * factor
-        + grid_phase
-        + _EPS * h_n * (2.0 * d + wheel + math.exp(d) * rounding)
-        + (remainder + tail_rounding)
-    )
+    radius = h_n * factor + grid_phase + _EPS * h_n * (2.0 * d + wheel + math.exp(d) * rounding)
+    radius += remainder + tail_rounding
+    return _Plan(a, M, B, p, chunk, m, radius)
 
 
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
@@ -681,12 +681,12 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     1e-3) is allowed, but the 1/(it) term inflates err through its
     conditioning.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     values, err = _eval_block(np.array([t], dtype=np.float64), N)
-    return CertifiedComplex(complex(values[0]), float(err[0]))
+    return CertifiedComplex(complex(values[0]), err)
 
 
 def _eta_terms(t: float, n: np.ndarray) -> np.ndarray:
@@ -731,8 +731,8 @@ def oracle_zeta(t: float, target_err: float) -> CertifiedComplex:
     until the conservative error estimate meets target_err; if that takes
     more than _ORACLE_MAX_TERMS terms a ConvergenceError is raised.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if not target_err > 0.0:
         raise ValueError(f"target_err must be positive, got {target_err}")
     den = 1.0 - cmath.exp(-1j * t * math.log(2.0))

@@ -3,7 +3,7 @@
 order(t_max, a) is the least Bernoulli order m whose remainder bound
 |c_m| |(s)_2m| / (2m a^2m) at s = 1 + i t_max is at most eps/2, the order
 zeta_eval._em_bounds takes for a call on the head a.  tail_rounding(t, a, m)
-is the rounding bound that zeta_eval._call_radius derives, taken at each point
+is the rounding bound that zeta_eval._call_plan derives, taken at each point
 on its own, with sigma (the sum of the moduli of the Bernoulli terms) at
 that point's t; tail_remainder(t, a, m) is the remainder bound at each
 point.  The kernel returns one float of each for a whole call, which must

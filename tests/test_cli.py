@@ -69,7 +69,7 @@ class TestEval:
         # at t = 1e6 the one-point call certifies 1.804e-8, known before any
         # sum: r = 1e-8, and r one ulp below the radius, are refused with no
         # kernel call, naming the radius, and r at the radius is met
-        radius = zeta_eval._call_radius(np.array([1e6]))
+        radius = zeta_eval._call_plan(np.array([1e6])).radius
         assert radius == pytest.approx(1.804e-8, abs=1e-11)
         calls = []
         kernel = zeta_eval._eval_block

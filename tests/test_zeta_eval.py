@@ -136,6 +136,8 @@ class TestEvalZetaCertified:
             eval_zeta_certified(-3.0, 10)
         with pytest.raises(ValueError):
             eval_zeta_certified(1.0, 0)
+        with pytest.raises(ValueError):
+            eval_zeta_certified(math.inf, 1)
 
     def test_tiny_t_allowed(self):
         # a = 64 for N = 64 and N = 65 alike: both sum the head and the
@@ -229,7 +231,7 @@ def _one_point_and_block(t, r):
     pts = t + (np.arange(9) - 4) * 1e-3
     assert pts[4] == t
     vals, err = _eval_block(pts, n)
-    return cert, vals[4], err[4]
+    return cert, vals[4], err
 
 
 class TestOnePointCall:
@@ -281,7 +283,7 @@ def _grid_call(t0, h, size, route):
     if route == "direct":
         n = _em_head(t0, size)
         same, same_err = _eval_block(pts, n)
-        assert same.tobytes() == vals.tobytes() and same_err.tobytes() == err.tobytes()
+        assert same.tobytes() == vals.tobytes() and same_err == err
     return pts, n, (vals, err)
 
 
@@ -289,13 +291,13 @@ def _assert_within_one_point_calls(pts, n, vals, err):
     # both enclose zeta: their gap is within the sum of the radii
     for j in _partial_call_indices(len(pts)):
         one = eval_zeta_certified(float(pts[j]), n)
-        assert abs(vals[j] - one.value) <= err[j] + one.err
+        assert abs(vals[j] - one.value) <= err + one.err
 
 
 def _assert_within_mpmath(pts, vals, err):
     size = len(pts)
     for j in sorted({0, (size - 1) // 2, size // 3, size - 1}):
-        assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err[j]
+        assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err
 
 
 class TestPartialCalls:
@@ -378,7 +380,7 @@ class TestHeadWeights:
         pts = 1e6 + np.arange(257) * 0.01
         vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005))
         for j in (0, 64, 128, 192, 256):
-            assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err[j]
+            assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err
 
 
 class TestSegments:
@@ -488,7 +490,7 @@ class TestTailBounds:
             a = _em_head(t_max, size)
             branches.add(_head_branch(t_max, size))
             m = em_reference.order(t_max, a)
-            assert zeta_eval._em_bounds(t_max, a)[0] == m
+            assert zeta_eval._em_bounds(np.array([t_max]), a)[0] == m
             _, remainder, rounding = zeta_eval._em_bounds(pts, a)
             assert rounding >= em_reference.tail_rounding(pts, a, m).max()
             assert remainder >= em_reference.tail_remainder(pts, a, m).max()
@@ -503,12 +505,12 @@ class TestTailBounds:
         (math.e, 1, 5), (17.7477, 1, 6),  # a = 64
     ])
     def test_orders_of_documented_heads(self, t, size, order):
-        assert zeta_eval._em_bounds(t, _em_head(t, size))[0] == order
+        assert zeta_eval._em_bounds(np.array([t]), _em_head(t, size))[0] == order
 
     def test_no_order_in_the_table_is_refused(self):
         # at a = t/16 the Bernoulli terms grow: no order up to 25 meets eps/2
         with pytest.raises(ConvergenceError, match="order up to 25"):
-            zeta_eval._em_bounds(1024.0, 64)
+            zeta_eval._em_bounds(np.array([1024.0]), 64)
 
 
 class TestHeadBranches:
@@ -524,6 +526,32 @@ class TestHeadBranches:
         assert _head_branch(float(pts[-1]), size) == branch
         vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005))
         _assert_within_mpmath(pts, vals, err)
+
+
+class TestCallPlan:
+    @pytest.mark.parametrize("t0, h, size, branch", [
+        (1e3, 0.0, 1, "one point"), (100.0, 0.01, 2000, "ceil t"), (1e4, 0.01, 100, "t/pi"),
+    ])
+    def test_each_decision_made_once_per_call(self, monkeypatch, t0, h, size, branch):
+        # the head, the transform and the Bernoulli order are derived once
+        # per kernel call and once per point evaluation, in _call_plan, whose
+        # radius the call returns
+        pts = t0 + np.arange(size) * h
+        assert _head_branch(float(pts[-1]), size) == branch
+        plan = zeta_eval._call_plan(pts)
+        counts = {}
+        for name in ("_em_head", "_transform", "_em_bounds"):
+            def counted(*args, _fn=getattr(zeta_eval, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(zeta_eval, name, counted)
+        _, err = _eval_block(pts, 1)
+        assert counts == {"_em_head": 1, "_transform": 1, "_em_bounds": 1}
+        assert err == plan.radius
+        counts.clear()
+        eval_zeta_certified(float(pts[-1]), 1)
+        assert counts == {"_em_head": 1, "_transform": 1, "_em_bounds": 1}
 
 
 class TestBernoulliCoefficients:
@@ -569,6 +597,8 @@ class TestOracleZeta:
             oracle_zeta(0.0, 1e-6)
         with pytest.raises(ValueError):
             oracle_zeta(1.0, 0.0)
+        with pytest.raises(ValueError):
+            oracle_zeta(math.inf, 1e-8)
 
 
 class TestAgreementProperty:
