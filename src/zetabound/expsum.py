@@ -232,16 +232,16 @@ def optimal_bound_params(t0: float) -> BoundTriple:
     holds for all t >= t0.
 
     Sets beta t0^v = y_E(t0) and t0^u = y_G(t0) and picks v so that the
-    assembled bound at t0 equals v log t0 exactly.  Requires t0 >= 2000,
-    below which y_E <= y_G is not guaranteed.  Extending the bound from t0
+    assembled bound at t0 equals v log t0 exactly.  Requires a finite
+    t0 >= 2000, below which y_E <= y_G is not guaranteed.  Extending the bound from t0
     to every larger t additionally needs v <= u, which first holds at
     t0 around 1.255e4; in between those two thresholds the computed triple
     would assert a bound it cannot deliver, so a ValueError is raised.
     All powers of t0 are formed as exponentials of log differences, so
     t0 = 1e300 works in doubles.
     """
-    if not t0 >= 2000.0:
-        raise ValueError(f"t0 must be >= 2000, got {t0}")
+    if not (t0 >= 2000.0 and math.isfinite(t0)):
+        raise ValueError(f"t0 must be finite and >= 2000, got {t0}")
     lt = math.log(t0)
     rt = math.sqrt(t0)
     E0v = 1.0 - e0 / rt

@@ -6,15 +6,13 @@ modulus + err <= slope * log t + intercept.  Only grid points are
 certified; behaviour between them is explicitly out of scope, and every
 verification result carries a note saying so.
 
-Cost control: the grid is cut into blocks (default width 100) and one
-nominal term count N (zeta_eval.choose_N) is chosen per block from the
-block's largest t; the blocks set the budget count and N, nothing else.
-zeta(1+it) is evaluated by the block kernel zeta_eval._eval_block in fixed
-runs of 2^14 consecutive grid points (the last run is shorter), at all of
-a run's points at once: a NUFFT of the main sum over n <= a, plus zeta's
-closed Euler-Maclaurin tail past a, where a = max(64, ceil(t_max/pi),
-min(ceil t_max, K)) for a run of K points ending at t_max.
-Each run is called with the N of the block that holds its last point, which
+Cost control: zeta(1+it) is evaluated by the block kernel
+zeta_eval._eval_block in fixed runs of 2^14 consecutive grid points (the
+last run is shorter), at all of a run's points at once: a NUFFT of the
+main sum over n <= a, plus zeta's closed Euler-Maclaurin tail past a, where
+a = max(64, ceil(t_max/pi), min(ceil t_max, K)) for a run of K points
+ending at t_max.  Each run carries the nominal term count N
+(zeta_eval.choose_N) of its last point, which the budget counts and which
 has no effect on its values.  The kernel returns one radius for a run, with
 its expansion remainder, the Euler-Maclaurin remainder and every
 floating-point effect folded in, so no certificate is weakened.  That
@@ -30,7 +28,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -54,8 +52,9 @@ GRID_NOTE = (
     "are not covered by this check"
 )
 
-# Nominal summation budget per invocation, counted as sum over grid points
-# of the per-point nominal term count N.  Exceeding it raises before any work.
+# Nominal summation budget per invocation, counted as sum over kernel calls
+# of the N of a call's last point times its points (_plan), an upper bound
+# on sum over grid points of N(t_k).  Exceeding it raises before any work.
 DEFAULT_BUDGET = 5.0e10
 
 _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
@@ -74,9 +73,9 @@ class ScanConfig:
     """Grid and accuracy parameters of a scan.
 
     h is the grid spacing (0.01 reflects behaviour well for plotting-scale
-    work), r the certification radius target per point, block the width of
-    the sub-intervals sharing one nominal term count N, which the budget
-    counts.
+    work) and r the largest radius accepted per point, which also sets the
+    nominal term count N that the budget counts.  block is validated but
+    has no effect: the plan is fixed-size kernel calls (_plan).
     """
 
     t_lo: float
@@ -135,50 +134,35 @@ class VerificationResult:
 def _plan(config: ScanConfig, budget: float) -> list[_Call]:
     """The kernel calls (k_lo, k_hi, N) of a scan, in grid order.
 
-    Grid point k is t_lo + k h.  Its block is floor((t_k - t_lo) / block),
-    taken with the grid's own float operations, and each block uses the N
-    of its largest t.  The plan is arithmetic, so the budget, sum over the
-    blocks of N times their points, is checked before any array exists.
-
-    The calls are fixed runs of _KERNEL_POINTS points from k = 0, the last
-    one shorter, whatever the blocks.  Each run carries the N of the block
-    that holds its last point: N is nondecreasing in k, so that is the
-    largest N of the run's blocks.  The kernel takes it as the nominal count
-    and sums its own head.
+    Grid point k is t_lo + k h.  The calls are fixed runs of _KERNEL_POINTS
+    points from k = 0, the last one shorter, and each carries the N =
+    choose_N(t_lo + k_hi h, r) of its last point.  The kernel takes N as the
+    nominal count and sums its own head.  N is nondecreasing in t, so the
+    budget, sum over the calls of N times their points, is an upper bound on
+    sum_k N(t_k).  The plan is arithmetic: the budget is counted, stopping
+    as soon as it is passed, before the call list or any array exists.
     """
-    t_lo, h, width = config.t_lo, config.h, config.block
+    t_lo, h, r = config.t_lo, config.h, config.r
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
     # every point needs N >= (1 + t_lo)/sqrt(32 r) (choose_N): an O(1) floor
-    least = (steps + 1.0) * (1.0 + t_lo) / math.sqrt(32.0 * config.r)
+    least = (steps + 1.0) * (1.0 + t_lo) / math.sqrt(32.0 * r)
     if least > budget:
         raise ResourceBudgetError(_OVER_BUDGET.format(f"at least {least:.3e}", budget))
+    if h < math.ulp(config.t_hi):  # t_lo + k h would repeat points
+        raise ValueError(f"h = {h:g} is below the float spacing {math.ulp(config.t_hi):g} at t_hi")
     K = int(steps)
 
-    def block_of(k: int) -> float:
-        return float(np.floor_divide(t_lo + k * h - t_lo, width))
+    def calls() -> Iterator[_Call]:
+        for k_lo in range(0, K + 1, _KERNEL_POINTS):
+            k_hi = min(k_lo + _KERNEL_POINTS - 1, K)
+            yield k_lo, k_hi, choose_N(t_lo + k_hi * h, r)
 
-    calls: list[_Call] = []
-    nominal, k_lo = 0.0, 0
-    while k_lo <= K:
-        b = block_of(k_lo)
-        # first point of the next block: the exact-arithmetic guess, moved
-        # to where the float grid puts the boundary (block_of(k_lo) == b)
-        k_end = max(math.ceil(min((b + 1.0) * width / h, K + 1.0)), k_lo + 1)
-        while block_of(k_end - 1) > b:
-            k_end -= 1
-        while k_end <= K and block_of(k_end) <= b:
-            k_end += 1
-        N = choose_N(t_lo + (k_end - 1) * h, config.r)
-        nominal += float(N) * (k_end - k_lo)
+    nominal = 0.0
+    for k_lo, k_hi, N in calls():
+        nominal += float(N) * (k_hi - k_lo + 1)
         if nominal > budget:  # counted so far, so the whole grid needs more
             raise ResourceBudgetError(_OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
-        # the runs whose last point lies in this block
-        lo = len(calls) * _KERNEL_POINTS
-        while lo <= K and (hi := min(lo + _KERNEL_POINTS - 1, K)) < k_end:
-            calls.append((lo, hi, N))
-            lo = hi + 1
-        k_lo = k_end
-    return calls
+    return list(calls())
 
 
 def scan_interval(
@@ -192,15 +176,17 @@ def scan_interval(
     bound, when given, is (slope, intercept); the margins
     slope * log t + intercept - (modulus + err) are then returned in margin
     and summarised in min_margin / argmin_t; both must be finite.  budget,
-    positive (inf for none), caps the nominal term count
-    sum_k N(t_k), checked before any array is built.  config.r is the
-    largest radius accepted: it must be at least the radius that every
-    kernel call of the plan returns at each of its points
-    (zeta_eval._call_plan), checked before the first call; ValueError
-    names that radius otherwise.  workers > 1 distributes kernel calls
+    positive (inf for none), caps the nominal term count, each kernel
+    call's N at its last point times its points (_plan), checked before
+    any array is built; h below the float spacing at t_hi raises
+    ValueError.  config.r is the largest radius accepted: it must be at
+    least the radius that every kernel call of the plan returns at each of
+    its points (zeta_eval._call_plan), checked before the first call;
+    ValueError names that radius otherwise.  workers > 1 distributes kernel calls
     over threads, merged in call order, so the report is identical for any
-    worker count, but on 2 cores two measured no faster than one ([1e6,
-    1e6 + 1000]: 0.36-0.41 s on one, 0.38-0.40 s on two).
+    worker count; on 2 cores two measured about 1.4x faster than one
+    ([e, 1e4]: medians 0.38 and 0.26 s; [1e6, 1e6 + 1000]: 0.17 and 0.12 s;
+    12 alternating pairs each, ranges overlapping).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -260,7 +246,7 @@ def check_bound(
 ) -> VerificationResult:
     """Check modulus + err <= slope * log t + intercept at every grid point.
 
-    config supplies grid spacing, r and block; its endpoints are replaced by
+    config supplies grid spacing and r; its endpoints are replaced by
     t_lo / t_hi.  The result is a grid statement only, as its grid_note says.
     """
     base = config if config is not None else ScanConfig(t_lo=t_lo, t_hi=t_hi)
@@ -360,8 +346,10 @@ def crossing_point(
     followed to its crossing as above, and a peak within 5e-5 of v is a
     tangency whose location is returned.  Raises CrossingNotFound when the
     ratio is still at or above v at the last grid point, or never comes
-    that close to v.
+    that close to v, and ValueError for a non-finite v.
     """
+    if not math.isfinite(v):
+        raise ValueError(f"level v must be finite, got {v}")
     report = scan_interval(ScanConfig(t_lo=t_lo, t_hi=t_hi), budget=budget, workers=workers)
     t = report.t
     candidates = np.flatnonzero(report.ratio + report.err / np.log(t) >= v - 5e-5)

@@ -131,7 +131,7 @@ def error_bound(t: float, N: int) -> float:
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    if N < 1:
+    if not (N >= 1 and float(N).is_integer()):  # nan fails N >= 1
         raise ValueError(f"N must be a positive integer, got {N}")
     return (1.0 + t) * (2.0 + t) / (32.0 * N * N)
 
@@ -683,7 +683,7 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")
-    if N < 1:
+    if not (N >= 1 and float(N).is_integer()):  # nan fails N >= 1
         raise ValueError(f"N must be a positive integer, got {N}")
     values, err = _eval_block(np.array([t], dtype=np.float64), N)
     return CertifiedComplex(complex(values[0]), err)

@@ -230,6 +230,20 @@ class TestScan:
         )
         assert status == 2
 
+    @pytest.mark.parametrize("spec", ["vlog:", "affine:0.5"])
+    def test_malformed_bound_spec(self, capsys, spec):
+        status, out, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "10", "--bound", spec)
+        assert status == 2 and out == ""
+        assert "malformed" in err
+
+    def test_step_below_float_spacing_is_usage_error(self, capsys):
+        # at the default budget the closed-form floor refuses first (exit 3)
+        status, out, err = run_cli(
+            capsys, "scan", "--lo", "1e300", "--hi", "2e300", "--h", "1", "--budget", "inf",
+        )
+        assert status == 2 and out == ""
+        assert "float spacing" in err
+
     def test_plain_scan_rows(self, capsys):
         status, out, _ = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "3.0")
         assert status == 0

@@ -199,6 +199,9 @@ class TestOptimiser:
     def test_domain(self):
         with pytest.raises(ValueError):
             optimal_bound_params(1999.9)
+        for t0 in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t0 must be finite"):
+                optimal_bound_params(t0)
 
     def test_inadmissible_window_raises(self):
         # below t0 ~ 1.255e4 the computed v exceeds u, so no triple is returned

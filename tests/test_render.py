@@ -63,7 +63,7 @@ def test_table_widths_from_every_chunk():
     assert_same_bytes(record)
 
 
-@pytest.mark.parametrize("name", ["c0", "ratio"])
+@pytest.mark.parametrize("name", ["c0", "ratio", "zeta-vs-affine"])
 def test_figures_bytes(name):
     assert_same_bytes(cli.cmd_figures(name, BUDGET, 1))
 

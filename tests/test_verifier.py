@@ -70,12 +70,15 @@ def _record_calls(monkeypatch):
     return calls
 
 
-def _blocks(cfg, t):
-    # (k_lo, k_hi, N) of each block, from the documented block rule
-    idx = np.floor_divide(t - cfg.t_lo, cfg.block)
-    last = np.flatnonzero(np.diff(idx, append=idx[-1] + 1))
-    first = np.concatenate(([0], last[:-1] + 1))
-    return [(int(lo), int(hi), choose_N(float(t[hi]), cfg.r)) for lo, hi in zip(first, last)]
+def _runs(cfg, t):
+    # (k_lo, k_hi, N) of each kernel call, from the documented plan: fixed
+    # runs of _KERNEL_POINTS points, each with the N of its last point
+    size = verifier._KERNEL_POINTS
+    runs = []
+    for lo in range(0, len(t), size):
+        hi = min(lo + size, len(t)) - 1
+        runs.append((lo, hi, choose_N(float(t[hi]), cfg.r)))
+    return runs
 
 
 def _random_config(seed):
@@ -381,20 +384,33 @@ class TestScanInterval:
         with pytest.raises(ResourceBudgetError, match="at least"):
             scan_interval(ScanConfig(t_lo=1e300, t_hi=2e300, h=1.0))
 
-    def test_closed_form_floor_below_exact_count(self):
+    @pytest.mark.parametrize(
+        "t_lo, t_hi", [(1e300, 2e300), (1e17, 1e17 + 64.0)], ids=["1e300", "1e17"]
+    )
+    def test_step_below_float_spacing_refused(self, monkeypatch, t_lo, t_hi):
+        # t_lo + k h repeats points where h is below the float spacing at
+        # t_hi (65 points take 5 values at 1e17): refused at any budget,
+        # before any kernel call, rather than walked one index at a time
+        calls = _record_calls(monkeypatch)
+        with pytest.raises(ValueError, match="below the float spacing"):
+            scan_interval(ScanConfig(t_lo=t_lo, t_hi=t_hi, h=1.0), budget=math.inf)
+        assert calls == []
+
+    def test_closed_form_floor_below_exact_count(self, monkeypatch):
         # the early refusal must not reject a grid the exact count accepts:
-        # at a budget equal to the exact count the scan runs, and just below
-        # it the exact check, not the closed-form floor, refuses
+        # at a budget equal to the exact count, each call's N at its last
+        # point times its points, the scan runs, and just below it the exact
+        # check, not the closed-form floor, refuses before any kernel call
         cfg = ScanConfig(t_lo=math.e, t_hi=300.0)
         t = scan_interval(cfg).t
-        idx = np.floor_divide(t - cfg.t_lo, cfg.block)
-        exact = sum(
-            choose_N(float(t[idx == b][-1]), cfg.r) * int(np.count_nonzero(idx == b))
-            for b in np.unique(idx)
-        )
+        runs = _runs(cfg, t)
+        assert len(runs) == 2
+        exact = sum(n * (hi - lo + 1) for lo, hi, n in runs)
         assert len(scan_interval(cfg, budget=float(exact)).t) == len(t)
+        calls = _record_calls(monkeypatch)
         with pytest.raises(ResourceBudgetError, match="about"):
             scan_interval(cfg, budget=exact - 1.0)
+        assert calls == []
 
     def test_exact_count_refused_before_any_array(self):
         # 4.7e9 points pass the closed-form floor (3.1e10 terms) but need
@@ -411,36 +427,39 @@ class TestScanInterval:
         assert peak < 1 << 20
 
     def test_wide_block_split_into_capped_kernel_calls(self, monkeypatch):
-        # 3001 points in one block; at a cap of 1000 points per kernel call
-        # the block becomes four calls that share its N
+        # 3001 points in one call; at a cap of 1000 points per kernel call
+        # they become four calls, each with the N of its last point
         cfg = ScanConfig(t_lo=100.0, t_hi=130.0, h=0.01)
         calls = _record_calls(monkeypatch)
         whole = scan_interval(cfg)
         [(pts, n_whole, _)] = calls
-        assert len(pts) == 3001
+        assert len(pts) == 3001 and n_whole == choose_N(float(pts[-1]), cfg.r)
         calls.clear()
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 1000)
         capped = scan_interval(cfg)
-        assert [(len(pts), n) for pts, n, _ in calls] == [(1000, n_whole)] * 3 + [(1, n_whole)]
+        assert [(len(pts), n) for pts, n, _ in calls] == [
+            (size, choose_N(float(whole.t[hi]), cfg.r))
+            for size, hi in ((1000, 999), (1000, 1999), (1000, 2999), (1, 3000))
+        ]
+        assert calls[-1][1] == n_whole
         assert np.all(np.abs(capped.modulus - whole.modulus) <= capped.err + whole.err)
 
     def test_euler_maclaurin_blocks_share_one_kernel_call(self, monkeypatch):
-        # 10001 points in blocks of 5000, 5000 and 1: one head over n <= a
-        # serves all three
-        cfg = ScanConfig(t_lo=1.3e5, t_hi=1.3e5 + 100.0, block=50.0)
+        # 10001 points: one head over n <= a serves them all, and agrees
+        # with separate calls on blocks of 5000, 5000 and 1 of them
+        cfg = ScanConfig(t_lo=1.3e5, t_hi=1.3e5 + 100.0)
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert len(calls) == 1
         report = scan_interval(cfg)
         [(pts, n_max, err)] = calls[1:]
         t = report.t
-        blocks = _blocks(cfg, t)
-        assert [hi - lo + 1 for lo, hi, _ in blocks] == [5000, 5000, 1]
-        assert n_max == blocks[-1][2]
+        assert len(t) == 10001 and n_max == choose_N(float(t[-1]), cfg.r)
         # each point's radius is the call's, which holds no truncation bound
         assert np.all(report.err == err)
         assert err < 1e-7
-        for lo, hi, n in blocks:
+        for lo, hi in ((0, 4999), (5000, 9999), (10000, 10000)):
+            n = choose_N(float(t[hi]), cfg.r)
             seg = slice(lo, hi + 1)
             vals, err_block = _eval_block(t[seg], n)
             assert np.all(np.abs(report.modulus[seg] - np.abs(vals)) <= err + err_block)
@@ -448,55 +467,42 @@ class TestScanInterval:
             assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= err
 
     def test_joined_calls_take_the_euler_maclaurin_route(self, monkeypatch):
-        # at r = 0.01 the blocks of 10 below t ~ 34.7 have N <= a = 64.  In
-        # runs of 2500 points the first run joins only such blocks, the
-        # second joins the last of them to blocks with N > a, and every run
-        # sums its head n <= a and adds zeta's closed-form tail, with the N
-        # of its last block as its nominal count
-        cfg = ScanConfig(t_lo=math.e, t_hi=60.0, r=0.01, block=10.0)
+        # at r = 0.01 the points below t ~ 34.7 have N <= a = 64.  In runs
+        # of 2500 points the first run holds only such points, the second
+        # joins some of them to points with N > a, and every run sums its
+        # head n <= a and adds zeta's closed-form tail, with the N of its
+        # last point as its nominal count
+        cfg = ScanConfig(t_lo=math.e, t_hi=60.0, r=0.01)
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 2500)
         plan = verifier._plan(cfg, math.inf)
         calls = _record_calls(monkeypatch)
         tails = _spy_tails(monkeypatch)
         report = scan_interval(cfg)
         t = report.t
-        blocks = _blocks(cfg, t)
+        assert plan == _runs(cfg, t)
         assert [(lo, hi) for lo, hi, _ in plan] == [(0, 2499), (2500, 4999), (5000, len(t) - 1)]
         assert [(len(pts), n) for pts, n, _ in calls] == [(hi - lo + 1, n) for lo, hi, n in plan]
         assert tails == [hi - lo + 1 for lo, hi, _ in plan]
 
-        def spanned(lo, hi):
-            return [b for b in blocks if b[0] <= hi and lo <= b[1]]
+        def within_head(k):  # a = 64 for any call ending at t <= 60
+            return choose_N(float(t[k]), cfg.r) <= _em_head(float(t[k]), 1)
 
-        def within_head(hi, n):  # a = 64 for any call ending at t <= 60
-            return n <= _em_head(float(t[hi]), 1)
-
-        for lo, hi, n in plan:
-            assert n == spanned(hi, hi)[0][2]
-        assert [within_head(hi, n) for _, hi, n in plan] == [True, False, False]
-        assert [within_head(b_hi, b_n) for _, b_hi, b_n in spanned(0, 2499)] == [True] * 3
-        assert [within_head(b_hi, b_n) for _, b_hi, b_n in spanned(2500, 4999)] == [True, False, False]
+        assert [(within_head(lo), within_head(hi)) for lo, hi, _ in plan] == [
+            (True, True), (True, False), (False, False)
+        ]
         # no run's radius holds a truncation bound
         assert report.err.max() < 1e-7
         for k in (0, 2499, 2500, 2999, 3000, len(t) - 1):
             assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= report.err[k]
 
     def test_plan_runs_carry_the_n_of_their_last_block(self, monkeypatch):
-        # the default config on [e, 1e4]: 100 blocks, run as fixed calls of
-        # _KERNEL_POINTS points and a shorter last one, whatever the blocks
+        # the default config on [e, 1e4]: fixed calls of _KERNEL_POINTS
+        # points and a shorter last one, each with the N of its last point
         cfg = ScanConfig(t_lo=math.e, t_hi=1e4)
         K = math.floor((cfg.t_hi - cfg.t_lo) / cfg.h + 1e-9)
         t = cfg.t_lo + np.arange(K + 1, dtype=np.float64) * cfg.h
-        blocks = _blocks(cfg, t)
-        assert len(blocks) == 100
         plan = verifier._plan(cfg, verifier.DEFAULT_BUDGET)
-        size = verifier._KERNEL_POINTS
-        assert [(lo, hi) for lo, hi, _ in plan] == [
-            (lo, min(lo + size, K + 1) - 1) for lo in range(0, K + 1, size)
-        ]
-        for _, hi, n in plan:
-            [b_n] = [b_n for b_lo, b_hi, b_n in blocks if b_lo <= hi <= b_hi]
-            assert n == b_n
+        assert len(plan) == 62 and plan == _runs(cfg, t)
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert [(float(pts[0]), len(pts), n) for pts, n, _ in calls] == [
@@ -649,6 +655,13 @@ class TestCrossingPoint:
     def test_level_never_reached(self):
         with pytest.raises(CrossingNotFound):
             crossing_point(0.9, math.e, 100.0)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_level_must_be_finite(self, v):
+        # as check_bound refuses a non-finite bound: bad input, not a
+        # level the ratio never reaches
+        with pytest.raises(ValueError, match="finite"):
+            crossing_point(v, 600.0, 700.0)
 
     def test_crossing_ratio_is_close(self):
         t = crossing_point(0.5480, 600.0, 700.0)

@@ -53,6 +53,10 @@ class TestErrorBound:
             error_bound(-1.0, 10)
         with pytest.raises(ValueError):
             error_bound(1.0, 0)
+        for n in (math.nan, math.inf, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                error_bound(1.0, n)
+        assert error_bound(1.0, np.int64(3)) == error_bound(1.0, 3)
 
 
 class TestChooseN:
@@ -138,6 +142,10 @@ class TestEvalZetaCertified:
             eval_zeta_certified(1.0, 0)
         with pytest.raises(ValueError):
             eval_zeta_certified(math.inf, 1)
+        for n in (math.nan, math.inf, 2.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                eval_zeta_certified(10.0, n)
+        assert eval_zeta_certified(10.0, np.int64(3)) == eval_zeta_certified(10.0, 3)
 
     def test_tiny_t_allowed(self):
         # a = 64 for N = 64 and N = 65 alike: both sum the head and the
