@@ -53,7 +53,7 @@ GRID_NOTE = (
 )
 
 # Nominal summation budget per invocation, counted as sum over kernel calls
-# of the N of a call's last point times its points (_plan), an upper bound
+# of the N of a call's last point times its points (_grid), an upper bound
 # on sum over grid points of N(t_k).  Exceeding it raises before any work.
 DEFAULT_BUDGET = 5.0e10
 
@@ -75,7 +75,7 @@ class ScanConfig:
     h is the grid spacing (0.01 reflects behaviour well for plotting-scale
     work) and r the largest radius accepted per point, which also sets the
     nominal term count N that the budget counts.  block is validated but
-    has no effect: the plan is fixed-size kernel calls (_plan).
+    has no effect: the plan is fixed-size kernel calls (_calls).
     """
 
     t_lo: float
@@ -131,16 +131,16 @@ class VerificationResult:
     grid_note: str = GRID_NOTE
 
 
-def _plan(config: ScanConfig, budget: float) -> list[_Call]:
-    """The kernel calls (k_lo, k_hi, N) of a scan, in grid order.
+def _grid(config: ScanConfig, budget: float) -> np.ndarray:
+    """The grid t_lo + k h of a scan, built once the budget and h allow it.
 
-    Grid point k is t_lo + k h.  The calls are fixed runs of _KERNEL_POINTS
-    points from k = 0, the last one shorter, and each carries the N =
-    choose_N(t_lo + k_hi h, r) of its last point.  The kernel takes N as the
-    nominal count and sums its own head.  N is nondecreasing in t, so the
-    budget, sum over the calls of N times their points, is an upper bound on
-    sum_k N(t_k).  The plan is arithmetic: the budget is counted, stopping
-    as soon as it is passed, before the call list or any array exists.
+    The budget, sum over the kernel calls (_calls) of their last point's N
+    times their points, is an upper bound on sum_k N(t_k), as N is
+    nondecreasing in t.  A finite budget is counted call by call, stopping
+    as soon as it is passed, before any array exists.  An infinite one is
+    not counted, and the grid is built before any call is listed, so a grid
+    that memory cannot hold raises MemoryError at once.  h below the float
+    spacing at t_hi would repeat points, and raises ValueError.
     """
     t_lo, h, r = config.t_lo, config.h, config.r
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
@@ -151,18 +151,32 @@ def _plan(config: ScanConfig, budget: float) -> list[_Call]:
     if h < math.ulp(config.t_hi):  # t_lo + k h would repeat points
         raise ValueError(f"h = {h:g} is below the float spacing {math.ulp(config.t_hi):g} at t_hi")
     K = int(steps)
+    if budget < math.inf:
+        nominal = 0.0
+        for k_lo, k_hi, N in _calls(config, K):
+            nominal += float(N) * (k_hi - k_lo + 1)
+            if nominal > budget:  # counted so far, so the whole grid needs more
+                raise ResourceBudgetError(
+                    _OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
+    return t_lo + np.arange(K + 1, dtype=np.float64) * h
 
-    def calls() -> Iterator[_Call]:
-        for k_lo in range(0, K + 1, _KERNEL_POINTS):
-            k_hi = min(k_lo + _KERNEL_POINTS - 1, K)
-            yield k_lo, k_hi, choose_N(t_lo + k_hi * h, r)
 
-    nominal = 0.0
-    for k_lo, k_hi, N in calls():
-        nominal += float(N) * (k_hi - k_lo + 1)
-        if nominal > budget:  # counted so far, so the whole grid needs more
-            raise ResourceBudgetError(_OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
-    return list(calls())
+def _calls(config: ScanConfig, K: int) -> Iterator[_Call]:
+    """The kernel calls (k_lo, k_hi, N) of a scan of grid points 0..K, in grid order.
+
+    Grid point k is t_lo + k h.  The calls are fixed runs of _KERNEL_POINTS
+    points from k = 0, the last one shorter, and each carries the N =
+    choose_N(t_lo + k_hi h, r) of its last point.  The kernel takes N as
+    the nominal count and sums its own head.
+    """
+    for k_lo in range(0, K + 1, _KERNEL_POINTS):
+        k_hi = min(k_lo + _KERNEL_POINTS - 1, K)
+        yield k_lo, k_hi, choose_N(config.t_lo + k_hi * config.h, config.r)
+
+
+def _plan(config: ScanConfig, budget: float) -> list[_Call]:
+    """The kernel calls of a scan of config under budget, as scan_interval runs them."""
+    return list(_calls(config, len(_grid(config, budget)) - 1))
 
 
 def scan_interval(
@@ -177,9 +191,10 @@ def scan_interval(
     slope * log t + intercept - (modulus + err) are then returned in margin
     and summarised in min_margin / argmin_t; both must be finite.  budget,
     positive (inf for none), caps the nominal term count, each kernel
-    call's N at its last point times its points (_plan), checked before
-    any array is built; h below the float spacing at t_hi raises
-    ValueError.  config.r is the largest radius accepted: it must be at
+    call's N at its last point times its points (_grid), checked before
+    any array is built; with inf, a grid that memory cannot hold raises
+    MemoryError before any call is listed.  h below the float spacing at
+    t_hi raises ValueError.  config.r is the largest radius accepted: it must be at
     least the radius that every kernel call of the plan returns at each of
     its points (zeta_eval._call_plan), checked before the first call;
     ValueError names that radius otherwise.  workers > 1 distributes kernel calls
@@ -194,9 +209,8 @@ def scan_interval(
         raise ValueError(f"budget must be positive, got {budget}")
     if bound is not None and not all(map(math.isfinite, bound)):
         raise ValueError(f"bound slope and intercept must be finite, got {bound}")
-    calls = _plan(config, budget)
-    K = calls[-1][1]
-    t = config.t_lo + np.arange(K + 1, dtype=np.float64) * config.h
+    t = _grid(config, budget)
+    calls = list(_calls(config, len(t) - 1))
     for k_lo, k_hi, _ in calls:  # r is a ceiling on the radius each call returns
         pts = t[k_lo:k_hi + 1]
         radius = _call_plan(pts).radius
@@ -210,12 +224,12 @@ def scan_interval(
         k_lo, k_hi, N = call
         return _eval_block(t[k_lo:k_hi + 1], N)
 
-    modulus = np.empty(K + 1)
-    err = np.empty(K + 1)
+    modulus = np.empty(len(t))
+    err = np.empty(len(t))
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
         for (k_lo, k_hi, _), (vals, call_err) in zip(calls, run_all(run, calls)):
-            modulus[k_lo:k_hi + 1] = np.abs(vals)
+            np.abs(vals, out=modulus[k_lo:k_hi + 1])
             err[k_lo:k_hi + 1] = call_err
 
     log_t = np.log(t)
@@ -224,7 +238,10 @@ def scan_interval(
     margin = min_margin = argmin_t = None
     if bound is not None:
         slope, intercept = bound
-        margin = slope * log_t + intercept - (modulus + err)
+        margin = log_t  # log t is read no more: its buffer takes the margins
+        margin *= slope
+        margin += intercept
+        margin -= modulus + err
         k_min = int(np.argmin(margin))
         min_margin = float(margin[k_min])
         argmin_t = float(t[k_min])

@@ -39,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -204,7 +205,8 @@ def _bernoulli_sum(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarra
     """sum_{k<=m} c_k (s)_(2k-1) a^(-2k) at s = 1+it, by Horner in u = s/a.
 
     t is a float or an array, and the same arithmetic serves both: the
-    in-place operators update an array and rebind a Python complex.  With
+    in-place operators update an array and rebind a Python complex, and an
+    array call forms every level's q_k in one buffer.  With
     q_k = (u + (2k-1)/a)(u + 2k/a) = u^2 + (4k-1) u/a + 2k(2k-1)/a^2, the sum
     is (u/a)(c_1 + q_1 (c_2 + q_2 (... + q_(m-1) c_m))).  q_k is formed from
     y = t/a as i y (4k+1)/a - y^2 + 2k(2k+1)/a^2, and u/a as i y/a + 1/a^2;
@@ -213,14 +215,16 @@ def _bernoulli_sum(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarra
     y = t / a
     iy = 1j * y
     minus_y2 = iy * iy
+    buf = np.empty_like(iy) if isinstance(iy, np.ndarray) else None
     acc = _EM_COEFFS[m - 1]
     for k in range(m - 1, 0, -1):
-        q = iy * ((4 * k + 1) / a)
+        lin = (4 * k + 1) / a
+        q = iy * lin if buf is None else np.multiply(iy, lin, out=buf)
         q += minus_y2
         q += 2 * k * (2 * k + 1) / a / a
         acc *= q
         acc += _EM_COEFFS[k - 1]
-    u_over_a = iy * (1.0 / a)
+    u_over_a = iy * (1.0 / a) if buf is None else np.multiply(iy, 1.0 / a, out=buf)
     u_over_a += 1.0 / a / a
     acc *= u_over_a
     return acc
@@ -279,14 +283,21 @@ def _em_tail(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
     own rounding is far below an ulp of 1.
     """
     lna = math.log(a)
-    if isinstance(t, np.ndarray):
-        ph = t * lna
-        turn = np.empty(t.shape, dtype=np.complex128)  # a^(-it)
-        turn.real = np.cos(ph)
-        turn.imag = -np.sin(ph)
-    else:
-        turn = cmath.exp(-1j * (t * lna))
-    return turn * (_bernoulli_sum(t, a, m) - 0.5 / a - 1j * (1.0 / t))
+    if not isinstance(t, np.ndarray):
+        return cmath.exp(-1j * (t * lna)) * (_bernoulli_sum(t, a, m) - 0.5 / a - 1j * (1.0 / t))
+    ph = t * lna
+    turn = np.empty(t.shape, dtype=np.complex128)  # a^(-it)
+    turn.real = np.cos(ph)
+    turn.imag = -np.sin(ph)
+    A = _bernoulli_sum(t, a, m)
+    A.real -= 0.5 / a
+    A.imag -= 1.0 / t
+    # one operand order at every K: numpy's SIMD complex product need not
+    # round turn * A and A * turn alike, and an expression turn * (...)
+    # is taken in that order below 256 KiB (K < 2^14) but rewritten as
+    # (...) *= turn by numpy's temporary elision from there on
+    A *= turn
+    return A
 
 
 def _transform(K: int, h: float, n_hi: int) -> tuple[int, int, int, float, float, int, float]:
@@ -315,12 +326,16 @@ def _transform(K: int, h: float, n_hi: int) -> tuple[int, int, int, float, float
     return M, B, p, d, factor, chunk, depth
 
 
+@lru_cache(maxsize=None)
 def _pruned_layout(M: int, B: int) -> tuple[np.ndarray, np.ndarray]:
     """(twiddles, ik) of an M-point FFT taken as L = M/B FFTs of B points.
 
     Entry (v, j) of the twiddles is w^(v j), w = e^(-2 pi i/M), from the
     exact integer angle v j < M; entry (v, u) of ik is -ik for the signed k
-    of bin L u + v.
+    of bin L u + v.  They depend on (M, B) alone, so they are made once per
+    pair per process and returned read-only: 32 M bytes a pair, and with M
+    and B powers of two every pair with M <= 2^14 (the scans' calls) holds
+    under 16 MB all told.
     """
     L = M // B
     angle = (np.arange(L)[:, None] * np.arange(B)) * (2.0 * math.pi / M)
@@ -330,7 +345,9 @@ def _pruned_layout(M: int, B: int) -> tuple[np.ndarray, np.ndarray]:
     # bin b holds k = b for b <= M/2 and k = b - M above
     k = np.arange(B) * L + np.arange(L)[:, None]
     k[k > M // 2] -= M
-    return twiddles, -1j * k
+    ik = -1j * k
+    twiddles.flags.writeable = ik.flags.writeable = False
+    return twiddles, ik
 
 
 def _head_weights(t: float, n_hi: int) -> np.ndarray:
@@ -459,16 +476,17 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
         FFT_M(F_m)[L u + v] = FFT_B(F_m[j] w^(v j))[u],  0 <= v < L,
 
     so order m takes L transforms of B points, in place along the rows of
-    an (L, B) buffer (_pruned_layout makes the twiddles w^(v j)).  The
-    Horner pass in k runs from order p down on that layout, with -ik for
-    the signed k of bin L u + v (k = b for a bin b <= M/2, b - M above),
-    and takes each order's transform as soon as it is made, so one buffer
-    serves every order: the transforms take O(pB + M) memory and the
-    segment sums O(chunk).  The weights z_n take 16 B per head term for
-    K > 1, 0.76 MB at t ~ 1.5e5 and 5.1 MB at t ~ 1e6 (a = t/pi); a
-    one-point call stays O(chunk).  One transpose and one rotation put the
-    values in grid order.  B = M gives L = 1: M-point transforms, with
-    twiddles all 1.
+    an (L, B) buffer.  The Horner pass in k starts from order p's transform
+    and runs down on that layout, with -ik for the signed k of bin L u + v
+    (k = b for a bin b <= M/2, b - M above), and takes each order's
+    transform as soon as it is made, so one buffer serves every order: the
+    transforms take O(pB + M) memory and the segment sums O(chunk).  The
+    twiddles w^(v j) and the -ik, 32 B per bin, are made once per (M, B)
+    per process (_pruned_layout), not per call.  The weights z_n take 16 B
+    per head term for K > 1, 0.76 MB at t ~ 1.5e5 and 5.1 MB at t ~ 1e6
+    (a = t/pi); a one-point call stays O(chunk).  One transpose and one
+    rotation put the values in grid order.  B = M gives L = 1: M-point
+    transforms, with twiddles all 1.
 
     Order.  With d = k_max pi/M (<= pi/2, reached when K is a power of two)
     and H = harmonic_bound(a) >= sum 1/n, |R_k| <= H d^(p+1)/(p+1)!.
@@ -523,14 +541,16 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     # Horner in k from order p down, on the (L, B) layout: row v of order
     # m's transform is FFT_B(F_m[j] w^(v j)), and entry (v, u) holds bin L u + v
     twiddles, ik = _pruned_layout(M, B)
-    acc = np.zeros((L, B), dtype=np.complex128)
+    acc = np.empty((L, B), dtype=np.complex128)
     work = np.empty((L, B), dtype=np.complex128)
     for m in range(p, -1, -1):
-        acc *= ik
-        np.multiply(twiddles, F[m], out=work)
+        out = acc if m == p else work
+        np.multiply(twiddles, F[m], out=out)
         if M > 1:
-            np.fft.fft(work, axis=1, out=work)  # in place (numpy >= 2.0)
-        acc += work
+            np.fft.fft(out, axis=1, out=out)  # in place (numpy >= 2.0)
+        if m < p:
+            acc *= ik
+            acc += work
     acc = acc.T.reshape(M)  # flat index L u + v
     # rotate to grid order: bins M - mid .. M - 1 (k < 0), then 0 .. K - 1 - mid
     acc = np.concatenate((acc[M - mid:], acc[:K - mid]))

@@ -1,8 +1,11 @@
 """The names and caches the benchmark under bench/ relies on.
 
 bench/ wraps library functions by module attribute and checks that the
-lru_cached constant routines start cold, so renaming a wrapped function or
-dropping one of those caches fails here rather than only in the benchmark.
+lru_cached constant routines (b0, b1, c_sigma) start cold, so renaming a
+wrapped function or dropping one of those caches fails here rather than
+only in the benchmark.  The kernel's memo of transform tables
+(zeta_eval._pruned_layout) must start empty too: a table made at import
+would move kernel work into the benchmark's setup_s.
 The refiners must reach the point evaluator through the wrapped
 verifier.eval_zeta_certified, or the benchmark would count no refinement;
 the contour oracle and c_sigma must run under their wrapped names, or the
@@ -26,6 +29,7 @@ import tracing
 import workloads
 
 assert workloads.cold_caches()
+assert zeta_eval._pruned_layout.cache_info().currsize == 0
 tracer = tracing.Tracer("t")
 tracer.install()
 rs_bounds.computed_constants()

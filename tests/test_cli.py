@@ -364,6 +364,15 @@ class TestBudgetRefusals:
         status, out, _ = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "3")
         assert status == 3 and out == ""
 
+    def test_infinite_budget_grid_out_of_memory(self, capsys):
+        # --budget inf counts nothing: the 1e15 + 1 point grid fails as it
+        # is built, with the exit of a run out of memory
+        status, out, err = run_cli(
+            capsys, "scan", "--lo", "1e15", "--hi", "2e15", "--h", "1", "--budget", "inf",
+        )
+        assert status == 3 and out == ""
+        assert err.startswith("error: ")
+
     def test_eval_head_over_budget(self, capsys):
         # N = 1.8e15 is representable, but the head is a = 1e12 terms
         status, _, err = run_cli(capsys, "eval", "--t", "1e12", "--r", "1e-8")

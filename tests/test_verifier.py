@@ -1,6 +1,10 @@
 """Tests for the certified grid-scan verifier."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +370,25 @@ class TestScanInterval:
                 scan_interval(cfg, budget=budget)
         small = ScanConfig(t_lo=10.0, t_hi=10.1)
         assert len(scan_interval(small, budget=math.inf).t) == 11
+
+    def test_infinite_budget_fails_fast_on_a_grid_memory_cannot_hold(self):
+        # budget=inf counts nothing, and the 1e15 + 1 points of [1e15, 2e15]
+        # at h = 1 fail as numpy refuses to build the grid, before ~6e10
+        # calls would be listed one by one.  Run apart with a timeout, as a
+        # regression hangs rather than fails
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import math\n"
+            "from zetabound import ScanConfig, scan_interval\n"
+            "try:\n"
+            "    scan_interval(ScanConfig(t_lo=1e15, t_hi=2e15, h=1.0), budget=math.inf)\n"
+            "except MemoryError:\n"
+            "    print('MemoryError')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "MemoryError\n"
 
     def test_bound_must_be_finite(self):
         # a nan margin would read as "violated" rather than as bad input

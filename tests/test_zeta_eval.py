@@ -351,6 +351,33 @@ class TestPrunedTransform:
                 worst = max(worst, abs(complex(mpmath.mpc(w) - exact)))
         assert worst <= (2 * math.pi + 2 * math.sqrt(2)) * eps
 
+    @pytest.mark.parametrize("M, B", [(1, 1), (256, 4), (1 << 14, 256), (1 << 14, 1 << 14)])
+    def test_layout_made_once_per_pair_and_read_only(self, M, B):
+        # the tables depend on (M, B) alone: a second call returns the same
+        # arrays, which no call can write, with the bytes a fresh build gives
+        twiddles, ik = zeta_eval._pruned_layout(M, B)
+        assert all(x is y for x, y in zip(zeta_eval._pruned_layout(M, B), (twiddles, ik)))
+        for table in (twiddles, ik):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+        fresh = zeta_eval._pruned_layout.__wrapped__(M, B)
+        assert [x.tobytes() for x in fresh] == [twiddles.tobytes(), ik.tobytes()]
+
+    def test_scan_builds_each_layout_once(self, monkeypatch):
+        # four 256-point calls at t ~ 100 share (M, B) = (256, 4): the
+        # first builds the tables, the other three reuse them
+        from zetabound import verifier
+
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 256)
+        cfg = verifier.ScanConfig(t_lo=100.0, t_hi=100.0 + 1023 * 0.01)
+        t = verifier._grid(cfg, math.inf)
+        plans = [zeta_eval._call_plan(t[lo:hi + 1]) for lo, hi, _ in verifier._plan(cfg, math.inf)]
+        assert len(plans) == 4 and {(plan.M, plan.B) for plan in plans} == {(256, 4)}
+        zeta_eval._pruned_layout.cache_clear()
+        verifier.scan_interval(cfg)
+        info = zeta_eval._pruned_layout.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
     @pytest.mark.parametrize("t0, h, size", PRUNED_CALLS)
     @pytest.mark.parametrize("route", ["euler-maclaurin", "direct"])
     def test_within_one_point_calls(self, t0, h, size, route):
@@ -524,7 +551,7 @@ class TestTailBounds:
 class TestHeadBranches:
     @pytest.mark.parametrize("t0, h, size, branch", [
         (1.5e5, 0.01, 10001, "t/pi"), (1e6, 0.01, 1 << 14, "t/pi"),
-        (2e4, 0.01, 10001, "K"), (1e3, 0.01, 1 << 14, "ceil t"),
+        (2e4, 0.01, 10001, "K"), (1e3, 0.01, 1 << 14, "ceil t"), (math.e, 0.01, 1 << 14, "ceil t"),
         (201.0, 0.0, 1, "one point"), (1e4, 0.0, 1, "one point"), (1e6, 0.0, 1, "one point"),
     ])
     def test_calls_contain_mpmath(self, t0, h, size, branch):
