@@ -174,11 +174,6 @@ def _calls(config: ScanConfig, K: int) -> Iterator[_Call]:
         yield k_lo, k_hi, choose_N(config.t_lo + k_hi * config.h, config.r)
 
 
-def _plan(config: ScanConfig, budget: float) -> list[_Call]:
-    """The kernel calls of a scan of config under budget, as scan_interval runs them."""
-    return list(_calls(config, len(_grid(config, budget)) - 1))
-
-
 def scan_interval(
     config: ScanConfig,
     bound: tuple[float, float] | None = None,

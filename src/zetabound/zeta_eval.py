@@ -17,15 +17,15 @@ equispaced grid at once; :func:`eval_zeta_certified` is its one-point
 call, and the scans of :mod:`zetabound.verifier` call it on runs of the
 grid.  On the grid, S(t_c + k h) = sum_n n^(-1-i t_c) e^(-i k h ln n) is a
 type-1 nonuniform DFT in k, computed by rounding each phase h ln n to an
-FFT grid and expanding the leftover phase in a short Taylor series
+FFT grid and expanding the leftover phase in a short Chebyshev series
 (Odlyzko and Schoenhage's multiple-evaluation idea, in the NUFFT form of
-Greengard and Lee, with the transforms pruned to the bins the phases
-reach).  A call costs O(p a + p M log B), M the least power of two >= K
-and B <= M those bins, against O(K a) point by point; one point costs
-O(a) terms, which is O(t), while N grows like t / sqrt(r).  The expansion
-remainder, the Euler-Maclaurin remainder and every floating-point effect
-are folded into the radius (see _call_plan), so no certificate is
-weakened.
+Greengard and Lee, economized as by Ruiz-Antolin and Townsend, with the
+transforms pruned to the bins the phases reach).  A call costs
+O(p a + p M log B), M the least power of two >= K and B <= M those
+bins, against O(K a) point by point; one point costs O(a) terms, which
+is O(t), while N grows like t / sqrt(r).  The expansion remainder, the
+Euler-Maclaurin remainder and every floating-point effect are folded
+into the radius (see _call_plan), so no certificate is weakened.
 
 An independent cross-check, :func:`oracle_zeta`, evaluates the same point
 through the alternating series zeta(s) = (1 - 2^(1-s))^(-1) *
@@ -168,10 +168,11 @@ def _em_head(t_max: float, K: int) -> int:
     return max(_EM_MIN_HEAD, math.ceil(t_max / math.pi), min(math.ceil(t_max), K))
 
 
-def _em_bounds(t_pts: np.ndarray, a: int) -> tuple[int, float, float]:
+def _em_bounds(t_pts: np.ndarray, a: int, slip: float = 0.0) -> tuple[int, float, float]:
     """(m, remainder, rounding) of the Euler-Maclaurin tail past a, for a call on t_pts.
 
-    t_pts is the call's sorted array of points, which share a.  m is the least
+    t_pts is the call's sorted array of points, which share a, and slip an
+    array's measured max |t_0 + j h - t_j| / t_j (_call_plan).  m is the least
     order whose remainder bound |c_m| |(s)_2m| / (2m a^2m) at s = 1+it,
     for the largest t, is at most u = eps/2, and remainder is that bound.
     rounding bounds the floating-point error of the tail and of adding it
@@ -196,7 +197,8 @@ def _em_bounds(t_pts: np.ndarray, a: int) -> tuple[int, float, float]:
             f"no Euler-Maclaurin order up to {_EM_MAX_ORDER} meets eps/2 past n = {a} at t = {t_hi}"
         )
     lna = math.log(a)
-    size = max((2.0 * x * lna + 4.0) * (1.0 / x + 0.5 / a + sigma) for x in (t_lo, t_hi))
+    phase, rest = (2.0, 4.0) if len(t_pts) == 1 else (4.0 + slip / _EPS, 6.0)
+    size = max((phase * x * lna + rest) * (1.0 / x + 0.5 / a + sigma) for x in (t_lo, t_hi))
     rounding = _EPS * (0.5 * harmonic_bound(a) + size + 5.0 * k * sigma)
     return k, remainder, rounding
 
@@ -240,7 +242,8 @@ def _em_tail(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
 
     t is a float, or a sorted array of points sharing a, for which tail is
     an array of the same shape; a float t keeps Python complex arithmetic.
-    m is the call's order (Choice of m); _call_plan bounds the rounding.
+    An array takes a^(-it) from _tail_turns.  m is the call's order
+    (Choice of m); _call_plan bounds the rounding.
 
     Derivation.  With s = 1+it, (s)_j the rising factorial s (s+1) ...
     (s+j-1), c_k = B_2k/(2k)! and B~_2m the periodic Bernoulli function,
@@ -285,19 +288,30 @@ def _em_tail(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
     lna = math.log(a)
     if not isinstance(t, np.ndarray):
         return cmath.exp(-1j * (t * lna)) * (_bernoulli_sum(t, a, m) - 0.5 / a - 1j * (1.0 / t))
-    ph = t * lna
-    turn = np.empty(t.shape, dtype=np.complex128)  # a^(-it)
-    turn.real = np.cos(ph)
-    turn.imag = -np.sin(ph)
     A = _bernoulli_sum(t, a, m)
     A.real -= 0.5 / a
     A.imag -= 1.0 / t
     # one operand order at every K: numpy's SIMD complex product need not
-    # round turn * A and A * turn alike, and an expression turn * (...)
-    # is taken in that order below 256 KiB (K < 2^14) but rewritten as
-    # (...) *= turn by numpy's temporary elision from there on
-    A *= turn
+    # round turns * A and A * turns alike
+    A *= _tail_turns(t, lna)
     return A
+
+
+def _tail_turns(t: np.ndarray, lna: float) -> np.ndarray:
+    """a^(-i(t_0 + j h)), j < K, for the sorted K-point array t and lna = fl(ln a).
+
+    h = (t_(K-1) - t_0)/(K-1) is _eval_block's step.  With W about sqrt(K)
+    and j = J W + l, l < W, the value is e^(-i(t_0 + J W h) ln a) times
+    e^(-i l h ln a): one product of two tables, so cos and sin are taken
+    about 2 sqrt(K) times, not 2K.  _call_plan bounds the phases.
+    """
+    K = len(t)
+    th = (float(t[-1]) - float(t[0])) / (K - 1) * lna
+    W = 1 << (K - 1).bit_length() // 2
+    hi = np.arange(0, K, W) * th
+    hi += float(t[0]) * lna
+    tables = [np.cos(ph) - 1j * np.sin(ph) for ph in (hi, np.arange(W) * th)]
+    return np.multiply.outer(*tables).reshape(-1)[:K]
 
 
 def _transform(K: int, h: float, n_hi: int) -> tuple[int, int, int, float, float, int, float]:
@@ -305,9 +319,9 @@ def _transform(K: int, h: float, n_hi: int) -> tuple[int, int, int, float, float
 
     M is the FFT length, the least power of two >= K; B <= M the bins the
     phases reach, rounded up to a power of two; p the expansion order; d
-    k_max pi/M, rounded up; factor d^(p+1)/(p+1)!, the expansion remainder
-    per unit of H; chunk the terms per n-chunk; depth the additions a term
-    passes in the segment sums (see _eval_block).
+    k_max pi/M, rounded up; factor 2 (d/2)^(p+1)/(p+1)! / (1 - d/(2(p+2))),
+    the expansion remainder per unit of H; chunk the terms per n-chunk;
+    depth the additions a term passes in the segment sums (see _eval_block).
     """
     M = 1 << (K - 1).bit_length()
     step = 2.0 * math.pi / M
@@ -319,11 +333,34 @@ def _transform(K: int, h: float, n_hi: int) -> tuple[int, int, int, float, float
     chunk = min(n_hi, _KERNEL_CHUNK)
     depth = chunk + -(-n_hi // chunk) + h * ln_hi / (2.0 * math.pi)
     d = (K - 1 - (K - 1) // 2) * math.pi / M * (1.0 + _EPS)
-    p, factor = 0, d
-    while factor >= _EPS * depth:
+    p, term = 0, d  # 2 (d/2)^(p+1)/(p+1)!
+    while (factor := term / (1.0 - d / (2 * p + 4))) >= 0.5 * _EPS * depth:
         p += 1
-        factor *= d / (p + 1)
+        term *= d / (2 * p + 2)
     return M, B, p, d, factor, chunk, depth
+
+
+@lru_cache(maxsize=None)
+def _phase_coeffs(d: float, p: int) -> tuple[float, ...]:
+    """rho_0..rho_p of the degree-p Chebyshev truncation of e^(-iw) on |w| <= d.
+
+    sum_{q<=p} e_q (-i)^q J_q(d) T_q(w/d) = sum_{m<=p} rho_m (-iw)^m, with
+    e_0 = 1 and e_q = 2 (Jacobi-Anger).  T_q has x^(q-2k) coefficient
+    (-1)^k 2^(q-2k-1) q C(q-k, k)/(q-k), and J_q(d) > 0 for d <= pi/2, so
+    rho_m sums positive terms, 1/m! over all q: it is 1/m! less the w^m
+    share of the orders p < q <= p + 20 (J_q(d) by its power series),
+    within 2 ulp of the exact truncation (checked at 30 digits).  Made
+    once per (d, p) per process.
+    """
+    rho = [1.0 / math.factorial(m) for m in range(p + 1)]
+    x = 0.25 * d * d
+    for q in range(p + 1, p + 21):
+        jq = sum((-x) ** j / (math.factorial(j) * math.factorial(q + j)) for j in range(10))
+        jq *= (0.5 * d) ** q
+        for k in range((q - p + 1) // 2, q // 2 + 1):  # the m = q - 2k <= p
+            m = q - 2 * k
+            rho[m] -= jq * 2.0 ** m * q * math.comb(q - k, k) / (q - k) / d ** m
+    return tuple(rho)
 
 
 @lru_cache(maxsize=None)
@@ -430,10 +467,10 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     and one segment sum per order, below), the tail m Horner levels over
     the K points.  Splitting at t/pi instead of t saves (1 - 1/pi) a (p+1)
     head passes, a = ceil t_max, and costs (m - 10) K = 15 K tail passes,
-    so by the counts it pays once t_max > 15 K / ((1 - 1/pi)(p+1)): 1.2 K
-    to 1.6 K for the orders p+1 = 14 to 19 of the scans' calls.  p+1 is
-    at most 20 (Order: d <= pi/2 and D > 64), so at t_max <= K the saving
-    is at most 13.7 K and never pays; min(ceil t_max, K) keeps those calls
+    so by the counts it pays once t_max > 15 K / ((1 - 1/pi)(p+1)): 1.4 K
+    to 1.8 K for the orders p+1 = 12 to 16 of the scans' calls.  p+1 is
+    at most 16 (Order: d <= pi/2 and D > 64), so at t_max <= K the saving
+    is at most 10.9 K and never pays; min(ceil t_max, K) keeps those calls
     at a = ceil t_max and m = 10.  Above K the head stops at K terms, with
     m between 10 and 25, until t_max/pi passes K.  A one-point call
     (K = 1) always splits: its head takes a log, cos and sin per term.
@@ -447,13 +484,15 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
 
     Each theta_n is rounded to the M-point grid 2 pi j_n / M (M the least
     power of two >= K, K = len(t_pts)), leaving |delta_n| <= pi/M, and
-    e^(-i k delta_n) is expanded to order p.  Then
+    e^(-iw), w = k delta_n, |w| <= d (Order), is replaced by its degree-p
+    Chebyshev truncation on [-d, d], sum_{m<=p} rho_m (-iw)^m
+    (_phase_coeffs).  Then
 
         S(t_c + k h) = sum_{m<=p} (-i k)^m FFT_M(F_m)[k mod M] + R_k,
-        F_m[j] = sum_{j_n = j} a_n delta_n^m / m!,
+        F_m[j] = sum_{j_n = j} a_n delta_n^m rho_m,
 
     so the work is p+1 weighted segment sums over n (theta_n is monotone,
-    so the n landing on one grid point are consecutive, and 1/m! scales
+    so the n landing on one grid point are consecutive, and rho_m scales
     each segment's sum), taken in chunks of _KERNEL_CHUNK terms, then p+1
     transforms and a Horner pass in k.
 
@@ -489,23 +528,31 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     transforms, with twiddles all 1.
 
     Order.  With d = k_max pi/M (<= pi/2, reached when K is a power of two)
-    and H = harmonic_bound(a) >= sum 1/n, |R_k| <= H d^(p+1)/(p+1)!.
-    Write D = chunk + n_chunks + h ln a / (2 pi) for the segment-sum
-    depth below; p is the least order with d^(p+1)/(p+1)! < eps D, so the
-    remainder stays below the segment-sum rounding eps H e^d D that the
-    radius charges anyway.  A one-point call (K = 1) has h = 0, M = 1,
-    d = 0 and p = 0: every n lands in bin 0 with delta_n = 0, so each chunk
-    is one plain sum and no transform is taken.
+    and H = harmonic_bound(a) >= sum 1/n, the truncation drops the terms
+    q > p of e^(-iw) = sum_q e_q (-i)^q J_q(d) T_q(w/d); with |T_q| <= 1
+    on [-1, 1] and |J_q(x)| <= (x/2)^q/q! (Abramowitz and Stegun 9.1.62),
+    |R_k| <= H 2 (d/2)^(p+1)/(p+1)! / (1 - d/(2(p+2))), against
+    H d^(p+1)/(p+1)! for the Taylor polynomial (Ruiz-Antolin and Townsend,
+    SIAM J. Sci. Comput. 40, 2018).  Write D = chunk + n_chunks +
+    h ln a / (2 pi) for the segment-sum depth below; p is the least order
+    whose bound is below eps D/2, so the remainder stays below half the
+    segment-sum rounding eps H e^d D that the radius charges anyway.  At
+    d = pi/2 (1 + eps) the bound for p+1 = 16 is 9.5 eps, so p+1 <= 16 as
+    every D > 64; calls of 2^14 points at t ~ 1e3 and 1e6 take 15 and 14,
+    10 001 at 1.5e5 take 12 (19, 17 and 14 by Taylor).  A one-point call
+    (K = 1) has h = 0, M = 1, d = 0, p = 0 and rho = (1,): every n lands in
+    bin 0 with delta_n = 0, so each chunk is one plain sum and no transform
+    is taken.
     """
     K = len(t_pts)
     mid = (K - 1) // 2
     t_c = float(t_pts[mid])
     h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1) if K > 1 else 0.0
-    a, M, B, p, chunk, order, radius = _call_plan(t_pts)
+    a, M, B, rho, chunk, order, radius = _call_plan(t_pts)
+    p = len(rho) - 1
     L = M // B
     step = 2.0 * math.pi / M
 
-    inv_fact = [1.0 / math.factorial(m) for m in range(p + 1)]
     F = np.zeros((p + 1, B), dtype=np.complex128)
     if M == 1:  # one bin, every delta_n = 0: a_n from cos and sin, summed
         for lo in range(1, a + 1, chunk):
@@ -536,7 +583,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
                 if m:
                     w *= delta
                 np.add.reduceat(w, starts, axis=1, out=parts)
-                seg *= inv_fact[m]
+                seg *= rho[m]
                 np.add.at(F[m], bins, seg)
     # Horner in k from order p down, on the (L, B) layout: row v of order
     # m's transform is FFT_B(F_m[j] w^(v j)), and entry (v, u) holds bin L u + v
@@ -561,8 +608,8 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
 
 
 # an _eval_block call's plan, from _call_plan(t_pts): the head a, transform
-# (M, B, p, chunk) and tail order m it sums with, and the radius of its values
-_Plan = NamedTuple("_Plan", [("a", int), ("M", int), ("B", int), ("p", int),
+# (M, B, rho, chunk) and tail order m it sums with, and its values' radius
+_Plan = NamedTuple("_Plan", [("a", int), ("M", int), ("B", int), ("rho", tuple),
                              ("chunk", int), ("m", int), ("radius", float)])
 
 
@@ -570,18 +617,22 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
     """The plan of an _eval_block call on t_pts: what it sums, and its radius.
 
     The head a = _em_head(t_max, K), (M, B, p, chunk) from _transform, the
-    tail's Bernoulli order m from _em_bounds, and the radius err of every
+    phase coefficients rho_0..rho_p from _phase_coeffs, the tail's
+    Bernoulli order m from _em_bounds, and the radius err of every
     value of the call.  All of it depends on the points alone, never on a
     value, so scans and the CLI eval check r against the radius before any
     sum.  The names below are those of _eval_block: (d, D) from _transform
     too, t_c the centre, h the step, k_max the largest |k| and L = M/B the
     number of transforms per order.  With eps the machine epsilon,
     u = eps/2, H = harmonic_bound(a) >= sum 1/n,
-    G = ln^2(a)/2 + 0.11 >= sum ln n / n, and e^d >= sum_m (|k| delta)^m
-    / m! the most the expansion can amplify a rounding error in F_m
-    (e^d <= e^(pi/2) < 4.82), err is the sum of:
+    G = ln^2(a)/2 + 0.11 >= sum ln n / n, and
+    e^d >= sum_m rho_m (|k| delta)^m the most the expansion can amplify a
+    rounding error in F_m (0 < rho_m <= 1/m!, _phase_coeffs;
+    e^d <= e^(pi/2) < 4.82), err is the sum of:
 
-    * remainder: H d^(p+1)/(p+1)!;
+    * remainder: H factor, factor = 2 (d/2)^(p+1)/(p+1)! /
+      (1 - d/(2(p+2))) (_eval_block, Order); its rounding is far inside
+      the slack of |J_q(x)| <= (x/2)^q/q!, which is strict;
     * grid gap: the main sum is taken at t_c + k h, not at the
       floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| G.  The gap
       is the measured max |eta_j| plus eps (t_c + 2 k_max h) for computing
@@ -599,16 +650,18 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
     * segment-sum rounding: a term passes through at most D additions (its
       segment, the chunk totals, the windings of theta_n folded onto one
       bin), a_n delta_n^m carries at most (p + 6) eps of relative error,
-      and the product of a segment's sum with fl(1/m!) adds eps, so
-      ||error of F_m||_1 <= eps (D + p + 7) H (pi/M)^m / m!, which the
-      expansion turns into at most that times e^d in S;
+      and the product of a segment's sum with fl(rho_m) adds 2.5 eps (2 ulp
+      for rho_m, _phase_coeffs, and u for the product), so
+      ||error of F_m||_1 <= eps (D + p + 9) H (pi/M)^m rho_m, which the
+      expansion turns into at most that times e^d in S.  A one-point call
+      has the exact rho_0 = 1 and is charged D + p + 7;
     * head weights, when K > 1: beyond its phase, each z_n is within
       (2 log2 a + 1) eps of n^(-i t_c) (_head_weights: sqrt(2) u for the
       cos and sin of each of at most log2 n + 1 factors, sqrt(5) u for
       each of at most log2 n products).  That relative error e_n of a_n
       is the same in every order, so it reaches S as
-      sum_n e_n a_n T_p(-i k delta_n), T_p(x) = sum_{m<=p} x^m / m!, and
-      |T_p(iy)| <= |e^(iy)| + d^(p+1)/(p+1)! < 1 + eps D for |y| <= d: to
+      sum_n e_n a_n P(-i k delta_n), P(x) = sum_{m<=p} rho_m x^m, and
+      |P(iy)| <= |e^(iy)| + factor < 1 + eps D for |y| <= d: to
       first order in eps it adds (2 log2 a + 1) eps H, not amplified by
       e^d, which bounds errors made in each F_m apart;
     * twiddles, when L > 1: the angle fl(v j fl(2 pi/M)) is within
@@ -638,15 +691,22 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
     first order in eps, the rounding of the tail a^(-it) A at t and of its
     addition into the head sum is the sum of:
 
-    * the phase: a^(-it) is exp(-iy) with y = fl(t fl(ln a)) within
-      1.5 eps t ln a of t ln a, and |exp(-iy') - exp(-iy)| <= |y' - y|, so
-      with |A| <= S this is at most 2 eps t ln a S.  On the 1/(it) part of
-      A it is 2 eps ln a, not a 1/t term;
+    * the phase: a^(-it) is exp(-iy), and |exp(-iy') - exp(-iy)| <=
+      |y' - y|.  For one point y = fl(t fl(ln a)) is within 1.5 eps t ln a
+      of t ln a, so with |A| <= S this is at most 2 eps t ln a S; on the
+      1/(it) part of A it is 2 eps ln a, not a 1/t term.  An array takes
+      y at t_0 + j h (_tail_turns), within 2 eps (t_0 + j h) ln a of
+      (t_0 + j h) ln a (fl(ln a), fl(h fl(ln a)), its products with J W
+      and l, and the sum with fl(t_0 fl(ln a))).  The measured slip, max
+      |fl(t_0 + fl(j h)) - t_j| / t_j, is within eps of the exact one, so y
+      is within (slip + 3 eps) t_j ln a of t_j ln a: charged
+      (slip + 4 eps) t ln a S;
     * the rest of the product a^(-it) A, at most 4 eps S: cos and sin
       round to u each (0.71 eps), forming A costs at most 1.5 eps (1/t,
       1/(2a) and the two additions), the complex product sqrt(5) u
-      (1.12 eps), and the addition into the head sum u (0.5 eps).  The 1/t
-      part of this, 4 eps/t, is the conditioning of 1/(it) for small t;
+      (1.12 eps), and the addition into the head sum u (0.5 eps); an
+      array's two tables and their product make it 5.66 < 6 eps S.  The
+      1/t part, 4 or 6 eps/t, is the conditioning of 1/(it) for small t;
     * the head's share of that addition, u H;
     * the Bernoulli sum, at most 5m eps sigma.  y and y^2 are within u and
       1.5 eps, 2k(2k+1)/a^2 and (4k+1)/a within eps and u, and
@@ -658,10 +718,11 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
       its product (1.12 eps).  The term of order m passes the most levels,
       m - 1, for 4.12 (m - 1) + 0.5 + 2.62 < 5m eps.
 
-    The first two items are (2t ln a + 4) S, which is convex in t at fixed
-    sigma (a linear function plus 4/t), so over the points it is largest at
+    The first two items are (c t ln a + r) S, with (c, r) = (2, 4) for one
+    point and (slip/eps + 4, 6) for an array, which is convex in t at fixed
+    sigma (a linear function plus r/t), so over the points it is largest at
     the first or the last, and the tail rounding is
-    eps (H/2 + max over those two of (2t ln a + 4) S + 5m sigma).
+    eps (H/2 + max over those two of (c t ln a + r) S + 5m sigma).
     """
     K = len(t_pts)
     mid = (K - 1) // 2
@@ -672,21 +733,25 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
     ln_a = math.log(a)
     g = 0.5 * ln_a * ln_a + 0.11
     if K == 1:  # no grid gap, and the phase is rounded only in ln n and t ln n
-        grid_phase = _EPS * t_c * g
+        grid_phase, slip = _EPS * t_c * g, 0.0
     else:
         gap = np.arange(-mid, K - mid) * h  # the model points t_c + k h, less t_pts
         gap += t_c
         gap -= t_pts
         eta = float(np.abs(gap, out=gap).max())
         grid_phase = (eta + 3.0 * (_EPS * (t_c + 2.0 * (K - 1 - mid) * h))) * g
-    m, remainder, tail_rounding = _em_bounds(t_pts, a)
+        gap = np.arange(K) * h  # the tail's points t_0 + j h (_tail_turns), less t_pts
+        gap += t_pts[0]
+        gap -= t_pts
+        slip = float((np.abs(gap, out=gap) / t_pts).max())
+    m, remainder, tail_rounding = _em_bounds(t_pts, a, slip)
     h_n = harmonic_bound(a)
     transform = 4.0 * math.log2(B) * math.sqrt(B) + (11.0 if B < M else 0.0)
     wheel = 2.0 * math.log2(a) + 1.0 if M > 1 else 0.0
-    rounding = depth + 2 * p + 8 + transform
+    rounding = depth + 2 * p + (10 if M > 1 else 8) + transform
     radius = h_n * factor + grid_phase + _EPS * h_n * (2.0 * d + wheel + math.exp(d) * rounding)
     radius += remainder + tail_rounding
-    return _Plan(a, M, B, p, chunk, m, radius)
+    return _Plan(a, M, B, _phase_coeffs(d, p), chunk, m, radius)
 
 
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:

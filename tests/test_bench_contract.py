@@ -3,8 +3,9 @@
 bench/ wraps library functions by module attribute and checks that the
 lru_cached constant routines (b0, b1, c_sigma) start cold, so renaming a
 wrapped function or dropping one of those caches fails here rather than
-only in the benchmark.  The kernel's memo of transform tables
-(zeta_eval._pruned_layout) must start empty too: a table made at import
+only in the benchmark.  The kernel's memos of transform tables
+(zeta_eval._pruned_layout) and of phase-expansion coefficients
+(zeta_eval._phase_coeffs) must start empty too: a table made at import
 would move kernel work into the benchmark's setup_s.
 The refiners must reach the point evaluator through the wrapped
 verifier.eval_zeta_certified, or the benchmark would count no refinement;
@@ -30,6 +31,7 @@ import workloads
 
 assert workloads.cold_caches()
 assert zeta_eval._pruned_layout.cache_info().currsize == 0
+assert zeta_eval._phase_coeffs.cache_info().currsize == 0
 tracer = tracing.Tracer("t")
 tracer.install()
 rs_bounds.computed_constants()

@@ -216,13 +216,13 @@ class TestScan:
         assert "budget" in err
 
     def test_scan_radius_below_the_floor_is_usage_error(self, capsys):
-        # the one call at t = 1e6 returns the radius 5.422e-8, known before
+        # the one call at t = 1e6 returns the radius 5.421e-8, known before
         # the sum: --r 1e-8 exits 2 before any kernel call, naming it
         status, out, err = run_cli(
             capsys, "scan", "--lo", "1e6", "--hi", "1000001", "--r", "1e-8", "--budget", "inf",
         )
         assert status == 2 and out == ""
-        assert "below the radius 5.422e-08 of the kernel call" in err
+        assert "below the radius 5.421e-08 of the kernel call" in err
 
     def test_bad_bound_spec(self, capsys):
         status, _, _ = run_cli(

@@ -85,6 +85,11 @@ def _runs(cfg, t):
     return runs
 
 
+def _plan(cfg, budget):
+    # the kernel calls of a scan of cfg under budget, as scan_interval runs them
+    return list(verifier._calls(cfg, len(verifier._grid(cfg, budget)) - 1))
+
+
 def _random_config(seed):
     # a scan of 1 to 2000 points at t from e to 1e6, h from 1e-3 to 1 and r
     # from 1e-7, above every call's radius there, to 1e-2
@@ -295,18 +300,18 @@ class TestScanInterval:
             assert seq.err.tobytes() == par.err.tobytes()
 
     def test_r_below_the_radius_floor_refused(self, monkeypatch):
-        # the one 101-point call at t = 1e6 returns the radius 5.422e-8 at
+        # the one 101-point call at t = 1e6 returns the radius 5.421e-8 at
         # every point, known before the sum: r = 1e-8 is refused, naming
         # it, before any kernel call, and above it every err is that radius
         calls = _record_calls(monkeypatch)
         cfg = ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=1e-8)
-        with pytest.raises(ValueError, match=r"radius 5\.422e-08 of the kernel call"):
+        with pytest.raises(ValueError, match=r"radius 5\.421e-08 of the kernel call"):
             scan_interval(cfg, budget=math.inf)
         assert calls == []
         report = scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=7e-8), budget=math.inf)
         [(pts, _, _)] = calls
         radius = zeta_eval._call_plan(pts).radius
-        assert radius == pytest.approx(5.422e-8, abs=1e-11)
+        assert radius == pytest.approx(5.421e-8, abs=1e-11)
         assert np.all(report.err == radius)
 
     def test_every_call_floor_checked_before_the_first_call(self, monkeypatch):
@@ -314,7 +319,7 @@ class TestScanInterval:
         # with t: an r between the first call's radius and the last one's
         # is refused, naming a later call's radius, before any kernel call
         cfg = ScanConfig(t_lo=1e6, t_hi=1.2e6, h=1.0, r=1e-7)
-        plan = verifier._plan(cfg, math.inf)
+        plan = _plan(cfg, math.inf)
         t = cfg.t_lo + np.arange(plan[-1][1] + 1) * cfg.h
         radii = [zeta_eval._call_plan(t[lo:hi + 1]).radius for lo, hi, _ in plan]
         assert len(plan) == 13 and radii[0] < radii[-1]
@@ -331,7 +336,7 @@ class TestScanInterval:
         # below the radius it returns: refused, naming that radius, before
         # any kernel call
         calls = _record_calls(monkeypatch)
-        with pytest.raises(ValueError, match=r"radius 5\.422e-08"):
+        with pytest.raises(ValueError, match=r"radius 5\.421e-08"):
             scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=5.36e-8), budget=math.inf)
         assert calls == []
 
@@ -342,7 +347,7 @@ class TestScanInterval:
         # each planned call returns the radius of _call_plan on its points,
         # bit for bit, and an accepted r holds them all
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 700)
-        plan = verifier._plan(cfg, math.inf)
+        plan = _plan(cfg, math.inf)
         calls = _record_calls(monkeypatch)
         report = scan_interval(cfg, budget=math.inf)
         assert len(calls) == len(plan)
@@ -497,7 +502,7 @@ class TestScanInterval:
         # last point as its nominal count
         cfg = ScanConfig(t_lo=math.e, t_hi=60.0, r=0.01)
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 2500)
-        plan = verifier._plan(cfg, math.inf)
+        plan = _plan(cfg, math.inf)
         calls = _record_calls(monkeypatch)
         tails = _spy_tails(monkeypatch)
         report = scan_interval(cfg)
@@ -524,7 +529,7 @@ class TestScanInterval:
         cfg = ScanConfig(t_lo=math.e, t_hi=1e4)
         K = math.floor((cfg.t_hi - cfg.t_lo) / cfg.h + 1e-9)
         t = cfg.t_lo + np.arange(K + 1, dtype=np.float64) * cfg.h
-        plan = verifier._plan(cfg, verifier.DEFAULT_BUDGET)
+        plan = _plan(cfg, verifier.DEFAULT_BUDGET)
         assert len(plan) == 62 and plan == _runs(cfg, t)
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)

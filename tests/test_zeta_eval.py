@@ -371,7 +371,8 @@ class TestPrunedTransform:
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 256)
         cfg = verifier.ScanConfig(t_lo=100.0, t_hi=100.0 + 1023 * 0.01)
         t = verifier._grid(cfg, math.inf)
-        plans = [zeta_eval._call_plan(t[lo:hi + 1]) for lo, hi, _ in verifier._plan(cfg, math.inf)]
+        calls = verifier._calls(cfg, len(t) - 1)
+        plans = [zeta_eval._call_plan(t[lo:hi + 1]) for lo, hi, _ in calls]
         assert len(plans) == 4 and {(plan.M, plan.B) for plan in plans} == {(256, 4)}
         zeta_eval._pruned_layout.cache_clear()
         verifier.scan_interval(cfg)
@@ -418,6 +419,31 @@ class TestHeadWeights:
             assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err
 
 
+class TestTailTurns:
+    @pytest.mark.parametrize("t0, size", [
+        (math.e, 1 << 14), (1e3, 1 << 14), (1.5e5, 10001), (1e6, 257), (1e4, 2),
+    ])
+    def test_within_the_charged_bound(self, t0, size):
+        # every a^(-it) of a call's tail, taken from its two tables at
+        # t_0 + j h, against 30-digit a^(-i t_j) at the exact t_j: within
+        # the phase the radius charges, (4 eps + slip) t_j ln a with slip
+        # the measured max |t_0 + j h - t_j| / t_j, plus 3 eps for the
+        # tables' cos and sin and their product
+        mpmath = pytest.importorskip("mpmath")
+        eps = 2.220446049250313e-16
+        pts = t0 + np.arange(size) * 0.01
+        a = _em_head(float(pts[-1]), size)
+        turns = zeta_eval._tail_turns(pts, math.log(a))
+        h = (float(pts[-1]) - float(pts[0])) / (size - 1)
+        slip = float(np.max(np.abs(np.arange(size) * h + pts[0] - pts) / pts))
+        bound = (4.0 * eps + slip) * pts * math.log(a) + 3.0 * eps
+        with mpmath.workdps(30):
+            ln_a = mpmath.log(a)
+            gap = [abs(complex(mpmath.mpc(z) - mpmath.expj(-mpmath.mpf(t) * ln_a)))
+                   for t, z in zip(pts.tolist(), turns.tolist())]
+        assert np.all(np.array(gap) <= bound)
+
+
 class TestSegments:
     @pytest.mark.parametrize("t0, h, size, chunk", [
         (1e3, 1.0, 1 << 10, None),          # each small n its own bin, bins skipped between
@@ -450,8 +476,9 @@ class TestSegments:
 
 class TestExpansionOrder:
     def test_least_order_below_the_segment_sum_rounding(self):
-        # p is the least order with d^(p+1)/(p+1)! < eps D, D the segment-sum
-        # depth, so H d^(p+1)/(p+1)! is within the segment-sum rounding term
+        # p is the least order with 2 (d/2)^(p+1)/(p+1)! / (1 - d/(2(p+2)))
+        # < eps D/2, D the segment-sum depth, so H times that remainder
+        # bound is within half the segment-sum rounding term
         # eps H e^d (D + p + 7) of the radius
         mpmath = pytest.importorskip("mpmath")
         eps = 2.220446049250313e-16
@@ -469,23 +496,80 @@ class TestExpansionOrder:
                 exact_d = (size - 1 - (size - 1) // 2) * mpmath.pi / M
                 assert d >= exact_d
 
-                def term(q):  # d^(q+1)/(q+1)! for the call's d
-                    return mpmath.mpf(d) ** (q + 1) / mpmath.factorial(q + 1)
+                def bound(q):  # the remainder bound of order q for the call's d
+                    half = mpmath.mpf(d) / 2
+                    return 2 * half ** (q + 1) / mpmath.factorial(q + 1) / (1 - half / (q + 2))
 
-                assert term(p) < eps * D
-                assert p == 0 or term(p - 1) >= eps * D
-                assert factor >= exact_d ** (p + 1) / mpmath.factorial(p + 1)
+                assert bound(p) < eps * D / 2
+                assert p == 0 or bound(p - 1) >= eps * D / 2
+                assert factor == pytest.approx(float(bound(p)), rel=1e-14)
+            assert p + 1 <= 16
             h_n = harmonic_bound(n_hi)
-            assert h_n * factor <= eps * h_n * math.exp(d) * (depth + p + 7)
+            assert h_n * factor <= 0.5 * eps * h_n * math.exp(d) * (depth + p + 7)
 
     @pytest.mark.parametrize("t0, size, order", [
-        (1e3, 1 << 14, 19),   # paper's calls at t ~ 1e3 (22 under the rule d^(p+1)/(p+1)! < eps)
-        (1.5e5, 10001, 14),   # a 100-wide check at h = 0.01 (18 before)
-        (1e6, 1 << 14, 17),   # the [e, 1e6] target's regime (22 before)
+        (1e3, 1 << 14, 15),   # paper's calls at t ~ 1e3 (19 by the Taylor remainder)
+        (1.5e5, 10001, 12),   # a 100-wide check at h = 0.01 (14 by Taylor)
+        (1e6, 1 << 14, 14),   # the [e, 1e6] target's regime (17 by Taylor)
     ])
     def test_orders_of_documented_calls(self, t0, size, order):
         t_max = t0 + (size - 1) * 0.01
         assert _transform(size, 0.01, _em_head(t_max, size))[2] + 1 == order
+
+
+class TestPhaseCoeffs:
+    # full calls (d = pi/2 (1 + eps)), 2^13 + 1 points (d ~ pi/4), a
+    # partial call, and the two smallest multi-point calls, each at the
+    # orders (and remainder bounds) of calls at t ~ e, 1e3 and 1e6
+    @pytest.mark.parametrize("size", [1 << 14, (1 << 13) + 1, 2000, 2, 3])
+    def test_economized_expansion(self, size):
+        mpmath = pytest.importorskip("mpmath")
+        factors = {}
+        for t0 in (math.e, 1e3, 1e6):
+            _, _, p, d, factor, _, _ = _transform(size, 0.01, _em_head(t0 + size * 0.01, size))
+            factors[p] = factor
+        with mpmath.workdps(30):
+            for p, factor in factors.items():
+                rho = zeta_eval._phase_coeffs(d, p)
+                assert len(rho) == p + 1
+                # the 30-digit truncation sum_{q<=p} e_q (-i)^q J_q(d) T_q(w/d)
+                # = sum_m rho_m (-iw)^m; (-i)^q / (-i)^m = (-1)^((q-m)/2)
+                exact = [mpmath.mpf(0)] * (p + 1)
+                for q in range(p + 1):
+                    jq = mpmath.besselj(q, d) * (1 if q == 0 else 2)
+                    for m, c in enumerate(_chebyshev(q)):
+                        exact[m] += jq * c * (-1) ** ((q - m) // 2) / mpmath.mpf(d) ** m
+                for m, (r, x) in enumerate(zip(rho, exact)):
+                    assert abs(r - float(x)) <= 2 * math.ulp(float(x))
+                    assert 0.0 < r <= 1.0 / math.factorial(m)
+                # the remainder bound covers the dropped orders and, at the
+                # float coefficients, e^(-iw) on a dense grid of |w| <= d
+                dropped = 2 * mpmath.fsum(abs(mpmath.besselj(q, d)) for q in range(p + 1, p + 40))
+                assert factor >= dropped
+                worst = max(
+                    abs(mpmath.fsum(r * mpmath.mpc(0, -w) ** m for m, r in enumerate(rho))
+                        - mpmath.expj(-w))
+                    for w in np.linspace(-d, d, 401)
+                )
+                assert worst <= factor
+
+    def test_one_point_calls_sum_plainly(self):
+        # K = 1 has d = 0 and p = 0, and its one coefficient is 1 exactly
+        assert _transform(1, 0.0, 64)[2:4] == (0, 0.0)
+        assert zeta_eval._phase_coeffs(0.0, 0) == (1.0,)
+
+
+def _chebyshev(q):
+    # the integer coefficients of T_q, lowest power first
+    prev, cur = [1], [0, 1]
+    if q == 0:
+        return prev
+    for _ in range(q - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
 
 
 def _head_branch(t_max, size):
