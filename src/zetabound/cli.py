@@ -176,7 +176,8 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
     n = zeta_eval.choose_N(t, r)
-    plan = zeta_eval._call_plan(np.array([t]))  # the head and err of the sum below
+    pts = np.array([t], dtype=np.float64)
+    plan = zeta_eval._call_plan(pts)  # the head and err of the sum below, checked first
     if plan.a > verifier.DEFAULT_BUDGET:
         raise ResourceBudgetError(
             f"evaluation sums a head of {plan.a:.3e} terms, over the budget "
@@ -184,7 +185,8 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
         )
     if r < plan.radius:
         raise ValueError(f"--r {r:g} is below the radius {plan.radius:.3e} certified at t = {t:g}")
-    cert = zeta_eval.eval_zeta_certified(t, n)
+    values, err = zeta_eval._eval_block(pts, n, plan)
+    cert = zeta_eval.CertifiedComplex(complex(values[0]), err)
     columns = {
         "t": [t],
         "real": [cert.value.real],

@@ -11,15 +11,14 @@ zeta_eval._eval_block in fixed runs of 2^14 consecutive grid points (the
 last run is shorter), at all of a run's points at once: a NUFFT of the
 main sum over n <= a, plus zeta's closed Euler-Maclaurin tail past a, where
 a = max(64, ceil(t_max/pi), min(ceil t_max, K)) for a run of K points
-ending at t_max.  Each run carries the nominal term count N
-(zeta_eval.choose_N) of its last point, which the budget counts and which
-has no effect on its values.  The kernel returns one radius for a run, with
-its expansion remainder, the Euler-Maclaurin remainder and every
-floating-point effect folded in, so no certificate is weakened.  That
-radius depends on the run's points alone (zeta_eval._call_plan), so a
-scan checks r against it for every run before the first.  The
-refiners evaluate single points with zeta_eval.eval_zeta_certified, the
-kernel's one-point call.
+ending at t_max.  _grid lists the runs once, each with the nominal term
+count N (zeta_eval.choose_N) of its last point, which only the budget
+counts.  Each run is planned once from its points (zeta_eval._call_plan):
+r is checked against every plan's radius, which folds in the expansion
+and Euler-Maclaurin remainders and every floating-point effect, before
+the first run, and each run then executes its plan and returns that
+radius.  The refiners evaluate single points with
+zeta_eval.eval_zeta_certified, the kernel's one-point call.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _call_plan, _eval_block, choose_N, eval_zeta_certified
+from .zeta_eval import _call_plan, _eval_block, _Plan, choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -63,7 +62,7 @@ _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
 _REFINE_R = 1e-8    # r of single-point refinement
 _COARSE_R = 1e-4    # r of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
-# a kernel call of a scan: (k_lo, k_hi, N), run as _eval_block(t[k_lo:k_hi + 1], N)
+# a kernel call of a scan: (k_lo, k_hi, N), run as _eval_block(t[k_lo:k_hi + 1], N, plan)
 _Call = tuple[int, int, int]
 _OVER_BUDGET = "scan needs {} summed terms, over the budget {:.3e}; raise it or relax the grid"
 
@@ -131,16 +130,17 @@ class VerificationResult:
     grid_note: str = GRID_NOTE
 
 
-def _grid(config: ScanConfig, budget: float) -> np.ndarray:
-    """The grid t_lo + k h of a scan, built once the budget and h allow it.
+def _grid(config: ScanConfig, budget: float) -> tuple[np.ndarray, list[_Call]]:
+    """A scan's grid t_lo + k h and its kernel calls (_calls), once the budget and h allow them.
 
-    The budget, sum over the kernel calls (_calls) of their last point's N
-    times their points, is an upper bound on sum_k N(t_k), as N is
-    nondecreasing in t.  A finite budget is counted call by call, stopping
-    as soon as it is passed, before any array exists.  An infinite one is
-    not counted, and the grid is built before any call is listed, so a grid
-    that memory cannot hold raises MemoryError at once.  h below the float
-    spacing at t_hi would repeat points, and raises ValueError.
+    The budget, sum over the calls of their last point's N times their
+    points, is an upper bound on sum_k N(t_k), as N is nondecreasing in t;
+    so N at t_hi times all points bounds it.  A grid that bound does not
+    clear is counted call by call, keeping nothing and stopping as soon as
+    the budget is passed, before any array exists.  Then the grid is built,
+    and its calls listed once; an infinite budget needs no count, so a
+    grid that memory cannot hold raises MemoryError at once.  h below the
+    float spacing at t_hi would repeat points, and raises ValueError.
     """
     t_lo, h, r = config.t_lo, config.h, config.r
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
@@ -151,23 +151,21 @@ def _grid(config: ScanConfig, budget: float) -> np.ndarray:
     if h < math.ulp(config.t_hi):  # t_lo + k h would repeat points
         raise ValueError(f"h = {h:g} is below the float spacing {math.ulp(config.t_hi):g} at t_hi")
     K = int(steps)
-    if budget < math.inf:
+    if choose_N(t_lo + K * h, r) * (K + 1.0) > budget:
         nominal = 0.0
         for k_lo, k_hi, N in _calls(config, K):
             nominal += float(N) * (k_hi - k_lo + 1)
             if nominal > budget:  # counted so far, so the whole grid needs more
                 raise ResourceBudgetError(
                     _OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
-    return t_lo + np.arange(K + 1, dtype=np.float64) * h
+    return t_lo + np.arange(K + 1, dtype=np.float64) * h, list(_calls(config, K))
 
 
 def _calls(config: ScanConfig, K: int) -> Iterator[_Call]:
     """The kernel calls (k_lo, k_hi, N) of a scan of grid points 0..K, in grid order.
 
     Grid point k is t_lo + k h.  The calls are fixed runs of _KERNEL_POINTS
-    points from k = 0, the last one shorter, and each carries the N =
-    choose_N(t_lo + k_hi h, r) of its last point.  The kernel takes N as
-    the nominal count and sums its own head.
+    points from k = 0, the last one shorter, each with its last point's N.
     """
     for k_lo in range(0, K + 1, _KERNEL_POINTS):
         k_hi = min(k_lo + _KERNEL_POINTS - 1, K)
@@ -185,18 +183,18 @@ def scan_interval(
     bound, when given, is (slope, intercept); the margins
     slope * log t + intercept - (modulus + err) are then returned in margin
     and summarised in min_margin / argmin_t; both must be finite.  budget,
-    positive (inf for none), caps the nominal term count, each kernel
-    call's N at its last point times its points (_grid), checked before
-    any array is built; with inf, a grid that memory cannot hold raises
-    MemoryError before any call is listed.  h below the float spacing at
-    t_hi raises ValueError.  config.r is the largest radius accepted: it must be at
-    least the radius that every kernel call of the plan returns at each of
-    its points (zeta_eval._call_plan), checked before the first call;
-    ValueError names that radius otherwise.  workers > 1 distributes kernel calls
-    over threads, merged in call order, so the report is identical for any
-    worker count; on 2 cores two measured about 1.4x faster than one
-    ([e, 1e4]: medians 0.38 and 0.26 s; [1e6, 1e6 + 1000]: 0.17 and 0.12 s;
-    12 alternating pairs each, ranges overlapping).
+    positive (inf for none), caps the nominal term count (_grid), checked
+    before any array is built; with inf, a grid that memory cannot hold
+    raises MemoryError at once.  h below the float spacing at t_hi raises
+    ValueError.  Each kernel call is planned once (zeta_eval._call_plan)
+    and runs that plan, whose radius it returns at every point; config.r,
+    the largest radius accepted, must be at least every plan's, checked
+    before the first call, or ValueError names the radius.  workers > 1
+    distributes kernel calls over threads, merged in call order, so the
+    report is identical for any worker count; on 2 cores two measured
+    about 1.4x faster than one ([e, 1e4]: medians 0.38 and 0.26 s;
+    [1e6, 1e6 + 1000]: 0.17 and 0.12 s; 12 alternating pairs each, ranges
+    overlapping).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -204,26 +202,26 @@ def scan_interval(
         raise ValueError(f"budget must be positive, got {budget}")
     if bound is not None and not all(map(math.isfinite, bound)):
         raise ValueError(f"bound slope and intercept must be finite, got {bound}")
-    t = _grid(config, budget)
-    calls = list(_calls(config, len(t) - 1))
+    t, calls = _grid(config, budget)
+    plans: list[_Plan] = []
     for k_lo, k_hi, _ in calls:  # r is a ceiling on the radius each call returns
         pts = t[k_lo:k_hi + 1]
-        radius = _call_plan(pts).radius
-        if config.r < radius:
+        plans.append(plan := _call_plan(pts))
+        if config.r < plan.radius:
             raise ValueError(
-                f"r = {config.r:g} is below the radius {radius:.3e} of the kernel call on "
+                f"r = {config.r:g} is below the radius {plan.radius:.3e} of the kernel call on "
                 f"t in [{pts[0]:.9g}, {pts[-1]:.9g}]"
             )
 
-    def run(call: _Call) -> tuple[np.ndarray, float]:
+    def run(call: _Call, plan: _Plan) -> tuple[np.ndarray, float]:
         k_lo, k_hi, N = call
-        return _eval_block(t[k_lo:k_hi + 1], N)
+        return _eval_block(t[k_lo:k_hi + 1], N, plan)
 
     modulus = np.empty(len(t))
     err = np.empty(len(t))
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
-        for (k_lo, k_hi, _), (vals, call_err) in zip(calls, run_all(run, calls)):
+        for (k_lo, k_hi, _), (vals, call_err) in zip(calls, run_all(run, calls, plans)):
             np.abs(vals, out=modulus[k_lo:k_hi + 1])
             err[k_lo:k_hi + 1] = call_err
 

@@ -232,7 +232,7 @@ def _bernoulli_sum(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarra
     return acc
 
 
-def _em_tail(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
+def _em_tail(t: float | np.ndarray, a: int, m: int, h: float) -> complex | np.ndarray:
     """The closed-form part of zeta(1+it) past the head n <= a, at Bernoulli order m.
 
     Returns tail with
@@ -242,8 +242,8 @@ def _em_tail(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
 
     t is a float, or a sorted array of points sharing a, for which tail is
     an array of the same shape; a float t keeps Python complex arithmetic.
-    An array takes a^(-it) from _tail_turns.  m is the call's order
-    (Choice of m); _call_plan bounds the rounding.
+    An array takes a^(-it) from _tail_turns at step h, which a float ignores.
+    m is the call's order (Choice of m); _call_plan bounds the rounding.
 
     Derivation.  With s = 1+it, (s)_j the rising factorial s (s+1) ...
     (s+j-1), c_k = B_2k/(2k)! and B~_2m the periodic Bernoulli function,
@@ -293,20 +293,20 @@ def _em_tail(t: float | np.ndarray, a: int, m: int) -> complex | np.ndarray:
     A.imag -= 1.0 / t
     # one operand order at every K: numpy's SIMD complex product need not
     # round turns * A and A * turns alike
-    A *= _tail_turns(t, lna)
+    A *= _tail_turns(t, lna, h)
     return A
 
 
-def _tail_turns(t: np.ndarray, lna: float) -> np.ndarray:
+def _tail_turns(t: np.ndarray, lna: float, h: float) -> np.ndarray:
     """a^(-i(t_0 + j h)), j < K, for the sorted K-point array t and lna = fl(ln a).
 
-    h = (t_(K-1) - t_0)/(K-1) is _eval_block's step.  With W about sqrt(K)
+    h is the step of the call's plan (_call_plan).  With W about sqrt(K)
     and j = J W + l, l < W, the value is e^(-i(t_0 + J W h) ln a) times
     e^(-i l h ln a): one product of two tables, so cos and sin are taken
     about 2 sqrt(K) times, not 2K.  _call_plan bounds the phases.
     """
     K = len(t)
-    th = (float(t[-1]) - float(t[0])) / (K - 1) * lna
+    th = h * lna
     W = 1 << (K - 1).bit_length() // 2
     hi = np.arange(0, K, W) * th
     hi += float(t[0]) * lna
@@ -448,11 +448,12 @@ def _segments(j: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, bins
 
 
-def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
-    """zeta(1+it) at each point of the sorted, equispaced grid t_pts.
+def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, float]:
+    """zeta(1+it) at each point of the sorted, equispaced grid t_pts, as plan says.
 
-    Returns (values, err), |values[j] - zeta(1 + i t_pts[j])| <= err; one
-    _call_plan(t_pts) gives err, the head, the transform and the order m.
+    Returns (values, err), |values[j] - zeta(1 + i t_pts[j])| <= err.  plan,
+    the caller's checked _call_plan(t_pts), gives the centre t_c, step h,
+    head, transform, order m and err, and the kernel derives none of them.
 
     Split.  With a = max(64, ceil(t_max/pi), min(ceil t_max, K))
     (_em_head), the call sums the main sum over n <= a and adds zeta's
@@ -475,9 +476,9 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     m between 10 and 25, until t_max/pi passes K.  A one-point call
     (K = 1) always splits: its head takes a log, cos and sin per term.
 
-    Main sum.  With centre t_c = t_pts[mid], step h fitted to the endpoints
-    and integer offsets k = j - mid (|k| <= k_max), the model points
-    t_c + k h give the type-1 nonuniform DFT
+    Main sum.  With the plan's centre t_c = t_pts[mid] and step h fitted
+    to the endpoints, and integer offsets k = j - mid (|k| <= k_max), the
+    model points t_c + k h give the type-1 nonuniform DFT
 
         S(t_c + k h) = sum_{n<=a} a_n e^(-i k theta_n),
         a_n = n^(-1-i t_c),  theta_n = h ln n.
@@ -546,9 +547,7 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     """
     K = len(t_pts)
     mid = (K - 1) // 2
-    t_c = float(t_pts[mid])
-    h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1) if K > 1 else 0.0
-    a, M, B, rho, chunk, order, radius = _call_plan(t_pts)
+    t_c, h, a, M, B, rho, chunk, order, radius = plan
     p = len(rho) - 1
     L = M // B
     step = 2.0 * math.pi / M
@@ -603,27 +602,27 @@ def _eval_block(t_pts: np.ndarray, N: int) -> tuple[np.ndarray, float]:
     acc = np.concatenate((acc[M - mid:], acc[:K - mid]))
 
     # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
-    acc += _em_tail(t_c if K == 1 else t_pts, a, order)
+    acc += _em_tail(t_c if K == 1 else t_pts, a, order, h)
     return acc, radius
 
 
-# an _eval_block call's plan, from _call_plan(t_pts): the head a, transform
-# (M, B, rho, chunk) and tail order m it sums with, and its values' radius
-_Plan = NamedTuple("_Plan", [("a", int), ("M", int), ("B", int), ("rho", tuple),
-                             ("chunk", int), ("m", int), ("radius", float)])
+# an _eval_block call's plan, from _call_plan(t_pts): its model points' centre
+# t_c and step h, head a, transform (M, B, rho, chunk), tail order m and radius
+_Plan = NamedTuple("_Plan", [("t_c", float), ("h", float), ("a", int), ("M", int), ("B", int),
+                             ("rho", tuple), ("chunk", int), ("m", int), ("radius", float)])
 
 
 def _call_plan(t_pts: np.ndarray) -> _Plan:
-    """The plan of an _eval_block call on t_pts: what it sums, and its radius.
+    """The plan of an _eval_block call on t_pts: where and what it sums, and its radius.
 
-    The head a = _em_head(t_max, K), (M, B, p, chunk) from _transform, the
-    phase coefficients rho_0..rho_p from _phase_coeffs, the tail's
-    Bernoulli order m from _em_bounds, and the radius err of every
-    value of the call.  All of it depends on the points alone, never on a
-    value, so scans and the CLI eval check r against the radius before any
-    sum.  The names below are those of _eval_block: (d, D) from _transform
-    too, t_c the centre, h the step, k_max the largest |k| and L = M/B the
-    number of transforms per order.  With eps the machine epsilon,
+    The model points' centre t_c = t_pts[mid] and step h = (t_max - t_0)/(K-1)
+    (0 for one point), the head a = _em_head(t_max, K), (M, B, p, chunk)
+    from _transform, rho_0..rho_p from _phase_coeffs, the tail's order m
+    from _em_bounds and the radius err of every value, all from the points
+    alone, never a value: a caller plans once, checks r against err before
+    any sum, and _eval_block runs that plan, at the very t_c + k h and
+    t_0 + j h whose gaps err measures.  Names below are _eval_block's, (d, D)
+    _transform's, k_max the largest |k| and L = M/B.  With eps the machine epsilon,
     u = eps/2, H = harmonic_bound(a) >= sum 1/n,
     G = ln^2(a)/2 + 0.11 >= sum ln n / n, and
     e^d >= sum_m rho_m (|k| delta)^m the most the expansion can amplify a
@@ -751,26 +750,27 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
     rounding = depth + 2 * p + (10 if M > 1 else 8) + transform
     radius = h_n * factor + grid_phase + _EPS * h_n * (2.0 * d + wheel + math.exp(d) * rounding)
     radius += remainder + tail_rounding
-    return _Plan(a, M, B, _phase_coeffs(d, p), chunk, m, radius)
+    return _Plan(t_c, h, a, M, B, _phase_coeffs(d, p), chunk, m, radius)
 
 
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     """Evaluate zeta(1+it) with a certified radius: |value - zeta(1+it)| <= err.
 
-    This is a one-point call of the block kernel _eval_block, which derives
-    the value and err.  With a = max(64, ceil(t/pi)), it sums the a terms
-    of the head and zeta's Euler-Maclaurin tail.  N, a positive integer, is
-    the nominal term count the caller's budget charged (choose_N); it has
-    no effect on the value or err.  The cost is O(a) terms, and memory stays
-    bounded because the sum is taken in chunks.  Very small t (below about
-    1e-3) is allowed, but the 1/(it) term inflates err through its
-    conditioning.
+    This is a one-point call of the block kernel _eval_block, planned once
+    (_call_plan, which gives err).  With a = max(64, ceil(t/pi)), it sums
+    the a terms of the head and zeta's Euler-Maclaurin tail.  N, a positive
+    integer, is the nominal term count the caller's budget charged
+    (choose_N); it has no effect on the value or err.  The cost is O(a)
+    terms, and memory stays bounded because the sum is taken in chunks.
+    Very small t (below about 1e-3) is allowed, but the 1/(it) term
+    inflates err through its conditioning.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")
     if not (N >= 1 and float(N).is_integer()):  # nan fails N >= 1
         raise ValueError(f"N must be a positive integer, got {N}")
-    values, err = _eval_block(np.array([t], dtype=np.float64), N)
+    pts = np.array([t], dtype=np.float64)
+    values, err = _eval_block(pts, N, _call_plan(pts))
     return CertifiedComplex(complex(values[0]), err)
 
 

@@ -11,10 +11,15 @@ The refiners must reach the point evaluator through the wrapped
 verifier.eval_zeta_certified, or the benchmark would count no refinement;
 the contour oracle and c_sigma must run under their wrapped names, or the
 witness and paper workloads would time no quadrature.  The tracer counts
-terms from the N that _eval_block(t_pts, N) and eval_zeta_certified(t, N)
-take as their second positional argument, so both keep that argument,
-though N changes no value, until bench/ counts the terms a call sums: a
-traced point evaluation and a scan's kernel calls must count terms.
+terms from the N that _eval_block(t_pts, N, plan) and
+eval_zeta_certified(t, N) take as their second positional argument:
+_block_size reads a kernel call's args[0] and args[1], and _term_count
+args[1].  So both keep N second, though it changes no value, until bench/
+counts the terms a call sums; the plan a caller hands the kernel rides
+third.  A traced point evaluation and a scan's kernel calls must count
+terms, and the traced kernel calls' points must add up to the traced
+scans' grid points, which shows the tracer still parses the
+three-argument call.
 """
 
 import os
@@ -34,6 +39,17 @@ assert zeta_eval._pruned_layout.cache_info().currsize == 0
 assert zeta_eval._phase_coeffs.cache_info().currsize == 0
 tracer = tracing.Tracer("t")
 tracer.install()
+grid_points = []
+traced_scan = verifier.scan_interval
+
+
+def scan(*args, **kwargs):
+    report = traced_scan(*args, **kwargs)
+    grid_points.append(len(report.t))
+    return report
+
+
+verifier.scan_interval = scan
 rs_bounds.computed_constants()
 rs_bounds.ck_contour(0.3, 1, 1)
 verifier.max_ratio(17.0, 18.5, 0.01, 1e-4)
@@ -43,6 +59,7 @@ sums = tracer.layer_sums()
 assert sums["refine_evals"] > 0
 assert sums["kernel_calls"] > 0
 assert sums["kernel_terms"] > 0
+assert len(grid_points) == 2 and sums["kernel_points"] == sum(grid_points)
 assert sums["eval_terms"] > 0
 assert sums["contour_calls"] > 0
 assert sums["c_sigma_s"] > 0

@@ -1,5 +1,6 @@
 """Tests for the certified grid-scan verifier."""
 
+import json
 import math
 import os
 import subprocess
@@ -23,7 +24,7 @@ from zetabound import (
     scan_interval,
 )
 from zetabound import verifier, zeta_eval
-from zetabound.verifier import GRID_NOTE, _eval_block
+from zetabound.verifier import GRID_NOTE, _call_plan, _eval_block
 from zetabound.zeta_eval import _em_head
 
 from plain_sum import fp_slack, main_sum
@@ -52,22 +53,22 @@ def _spy_tails(monkeypatch):
     sizes = []
     tail = zeta_eval._em_tail
 
-    def recorded(t, a, m):
+    def recorded(t, a, m, h):
         sizes.append(np.size(t))
-        return tail(t, a, m)
+        return tail(t, a, m, h)
 
     monkeypatch.setattr(zeta_eval, "_em_tail", recorded)
     return sizes
 
 
 def _record_calls(monkeypatch):
-    # every kernel call's (t_pts, N) and its err, in call order
+    # every kernel call's (t_pts, N, plan) and its err, in call order
     calls = []
     kernel = verifier._eval_block
 
-    def recorded(t_pts, n):
-        vals, err = kernel(t_pts, n)
-        calls.append((t_pts, n, err))
+    def recorded(t_pts, n, plan):
+        vals, err = kernel(t_pts, n, plan)
+        calls.append((t_pts, n, plan, err))
         return vals, err
 
     monkeypatch.setattr(verifier, "_eval_block", recorded)
@@ -87,7 +88,7 @@ def _runs(cfg, t):
 
 def _plan(cfg, budget):
     # the kernel calls of a scan of cfg under budget, as scan_interval runs them
-    return list(verifier._calls(cfg, len(verifier._grid(cfg, budget)) - 1))
+    return verifier._grid(cfg, budget)[1]
 
 
 def _random_config(seed):
@@ -126,7 +127,7 @@ class TestEvalBlock:
         # 1e-11, hold no truncation bound
         pts = np.arange(100.0, 102.0, 0.01)
         n = _em_head(float(pts[-1]), len(pts))
-        vals, err = _eval_block(pts, n)
+        vals, err = _eval_block(pts, n, _call_plan(pts))
         assert err < 1e-11
         for k in (0, 57, 123, len(pts) - 1):
             one = eval_zeta_certified(float(pts[k]), n)
@@ -140,7 +141,7 @@ class TestEvalBlock:
         # lies within the radius and its floating-point slack
         pts = t0 + np.arange(size) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
-        vals, err = _eval_block(pts, n)
+        vals, err = _eval_block(pts, n, _call_plan(pts))
         assert err < 1e-7
         ks = sorted({0, size // 3, size - 1})
         _assert_certified(pts, n, vals, err, ks)
@@ -157,9 +158,9 @@ class TestEvalBlock:
         # of 300: three full chunks and a partial
         a = _em_head(float(pts[-1]), len(pts))
         assert a % 300 != 0 and a > 900
-        whole, err_whole = _eval_block(pts, n)
+        whole, err_whole = _eval_block(pts, n, _call_plan(pts))
         monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", 300)
-        vals, err = _eval_block(pts, n)
+        vals, err = _eval_block(pts, n, _call_plan(pts))
         _assert_certified(pts, n, vals, err, (0, 150, 300))
         assert np.all(np.abs(vals - whole) <= err + err_whole)
 
@@ -169,7 +170,7 @@ class TestEvalBlock:
         # 2^q points fill the FFT exactly (d = pi/2), 2^q + 1 double it
         pts = t0 + np.arange(size) * 0.01
         n = choose_N(float(pts[-1]), 0.005)
-        vals, err = _eval_block(pts, n)
+        vals, err = _eval_block(pts, n, _call_plan(pts))
         _assert_certified(pts, n, vals, err, (0, size // 2, size - 1))
 
     def test_both_sides_of_the_euler_maclaurin_switch(self, monkeypatch):
@@ -181,7 +182,8 @@ class TestEvalBlock:
             pts = t0 + np.arange(size) * 0.01
             a = _em_head(float(pts[-1]), size)
             tails.clear()
-            (vals, err), (other, other_err) = (_eval_block(pts, n) for n in (a, a + 1))
+            plan = _call_plan(pts)
+            (vals, err), (other, other_err) = (_eval_block(pts, n, plan) for n in (a, a + 1))
             assert tails == [size, size]
             assert vals.tobytes() == other.tobytes() and err == other_err
             _assert_certified(pts, a, vals, err, sorted({0, size // 2, size - 1}))
@@ -192,7 +194,7 @@ class TestEvalBlock:
         pts = 1e4 + np.arange(100) * 0.01
         n = choose_N(float(pts[-1]), 0.1)
         assert _em_head(float(pts[-1]), 100) < n < 2 * _em_head(float(pts[-1]), 100)
-        vals, err = _eval_block(pts, n)
+        vals, err = _eval_block(pts, n, _call_plan(pts))
         assert tails == [100]
         _assert_certified(pts, n, vals, err, (0, 50, 99))
 
@@ -210,7 +212,7 @@ class TestEvalBlock:
             pts = 10.0**log_t + np.arange(size) * 0.01
             n = choose_N(float(pts[-1]), r)
             tails.clear()
-            vals, err = _eval_block(pts, n)
+            vals, err = _eval_block(pts, n, _call_plan(pts))
             assert tails == [size]
             _assert_certified(pts, n, vals, err, sorted({0, size // 2, size - 1}))
 
@@ -219,7 +221,7 @@ class TestEvalBlock:
     def test_remainder_bound_is_small(self):
         pts = np.arange(50.0, 60.0, 0.01)
         n = choose_N(60.0, 0.005)
-        _, err = _eval_block(pts, n)
+        _, err = _eval_block(pts, n, _call_plan(pts))
         assert 0.0 <= err < 1e-9
 
 
@@ -293,7 +295,7 @@ class TestScanInterval:
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 60)
         calls = _record_calls(monkeypatch)
         seq = scan_interval(cfg)
-        assert [len(pts) for pts, _, _ in calls] == [60, 41]
+        assert [len(pts) for pts, _, _, _ in calls] == [60, 41]
         for workers in (2, 3):  # as many threads as calls, and more
             par = scan_interval(cfg, workers=workers)
             assert seq.modulus.tobytes() == par.modulus.tobytes()
@@ -309,7 +311,7 @@ class TestScanInterval:
             scan_interval(cfg, budget=math.inf)
         assert calls == []
         report = scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=7e-8), budget=math.inf)
-        [(pts, _, _)] = calls
+        [(pts, _, _, _)] = calls
         radius = zeta_eval._call_plan(pts).radius
         assert radius == pytest.approx(5.421e-8, abs=1e-11)
         assert np.all(report.err == radius)
@@ -344,14 +346,15 @@ class TestScanInterval:
         _random_config(seed) for seed in range(8)
     ])
     def test_r_is_a_ceiling_on_every_radius(self, monkeypatch, cfg):
-        # each planned call returns the radius of _call_plan on its points,
-        # bit for bit, and an accepted r holds them all
+        # each planned call runs the _call_plan of its points and returns its
+        # radius, bit for bit, and an accepted r holds them all
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 700)
         plan = _plan(cfg, math.inf)
         calls = _record_calls(monkeypatch)
         report = scan_interval(cfg, budget=math.inf)
         assert len(calls) == len(plan)
-        for pts, _, err in calls:
+        for pts, _, handed, err in calls:
+            assert handed == zeta_eval._call_plan(pts)
             assert type(err) is float and err == zeta_eval._call_plan(pts).radius
         assert report.err.max() <= cfg.r
 
@@ -460,12 +463,12 @@ class TestScanInterval:
         cfg = ScanConfig(t_lo=100.0, t_hi=130.0, h=0.01)
         calls = _record_calls(monkeypatch)
         whole = scan_interval(cfg)
-        [(pts, n_whole, _)] = calls
+        [(pts, n_whole, _, _)] = calls
         assert len(pts) == 3001 and n_whole == choose_N(float(pts[-1]), cfg.r)
         calls.clear()
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 1000)
         capped = scan_interval(cfg)
-        assert [(len(pts), n) for pts, n, _ in calls] == [
+        assert [(len(pts), n) for pts, n, _, _ in calls] == [
             (size, choose_N(float(whole.t[hi]), cfg.r))
             for size, hi in ((1000, 999), (1000, 1999), (1000, 2999), (1, 3000))
         ]
@@ -480,7 +483,7 @@ class TestScanInterval:
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert len(calls) == 1
         report = scan_interval(cfg)
-        [(pts, n_max, err)] = calls[1:]
+        [(pts, n_max, _, err)] = calls[1:]
         t = report.t
         assert len(t) == 10001 and n_max == choose_N(float(t[-1]), cfg.r)
         # each point's radius is the call's, which holds no truncation bound
@@ -489,7 +492,7 @@ class TestScanInterval:
         for lo, hi in ((0, 4999), (5000, 9999), (10000, 10000)):
             n = choose_N(float(t[hi]), cfg.r)
             seg = slice(lo, hi + 1)
-            vals, err_block = _eval_block(t[seg], n)
+            vals, err_block = _eval_block(t[seg], n, _call_plan(t[seg]))
             assert np.all(np.abs(report.modulus[seg] - np.abs(vals)) <= err + err_block)
         for k in (0, 5000, 10000):
             assert abs(report.modulus[k] - abs(_zeta_30(float(t[k])))) <= err
@@ -509,7 +512,7 @@ class TestScanInterval:
         t = report.t
         assert plan == _runs(cfg, t)
         assert [(lo, hi) for lo, hi, _ in plan] == [(0, 2499), (2500, 4999), (5000, len(t) - 1)]
-        assert [(len(pts), n) for pts, n, _ in calls] == [(hi - lo + 1, n) for lo, hi, n in plan]
+        assert [(len(pts), n) for pts, n, _, _ in calls] == [(hi - lo + 1, n) for lo, hi, n in plan]
         assert tails == [hi - lo + 1 for lo, hi, _ in plan]
 
         def within_head(k):  # a = 64 for any call ending at t <= 60
@@ -533,7 +536,7 @@ class TestScanInterval:
         assert len(plan) == 62 and plan == _runs(cfg, t)
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
-        assert [(float(pts[0]), len(pts), n) for pts, n, _ in calls] == [
+        assert [(float(pts[0]), len(pts), n) for pts, n, _, _ in calls] == [
             (float(t[lo]), hi - lo + 1, n) for lo, hi, n in plan
         ]
 
@@ -548,6 +551,65 @@ class TestScanInterval:
         expected = 0.5 * np.log(bounded.t) + 0.6633 - (bounded.modulus + bounded.err)
         assert bounded.margin.tobytes() == expected.tobytes()
         assert bounded.margin.min() == bounded.min_margin
+
+
+def _count_plans(monkeypatch):
+    # the points of every _call_plan, by either module's name for it, and of
+    # every kernel call in zeta_eval (point evaluations and the CLI eval)
+    planned, kernel_calls = [], []
+    plan, kernel = zeta_eval._call_plan, zeta_eval._eval_block
+
+    def counted_plan(t_pts):
+        planned.append(t_pts.copy())
+        return plan(t_pts)
+
+    def counted_kernel(t_pts, n, handed):
+        kernel_calls.append((t_pts.copy(), handed))
+        return kernel(t_pts, n, handed)
+
+    for module in (zeta_eval, verifier):
+        monkeypatch.setattr(module, "_call_plan", counted_plan)
+    monkeypatch.setattr(zeta_eval, "_eval_block", counted_kernel)
+    return planned, kernel_calls
+
+
+class TestOnePlanPerCall:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_plans_each_call_once(self, monkeypatch, workers):
+        # 1001 points in calls of 400: three calls, each planned once, in
+        # its r check, and run on that plan, on one thread or on a pool
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 400)
+        plan = zeta_eval._call_plan
+        planned, _ = _count_plans(monkeypatch)
+        calls = _record_calls(monkeypatch)
+        report = scan_interval(ScanConfig(t_lo=100.0, t_hi=110.0), workers=workers)
+        assert len(report.t) == 1001 and len(calls) == 3
+        # on a pool the calls may finish, and be recorded, out of order
+        calls.sort(key=lambda call: float(call[0][0]))
+        assert [p.tobytes() for p in planned] == [pts.tobytes() for pts, _, _, _ in calls]
+        for pts, _, handed, err in calls:
+            assert handed == plan(pts) and err == handed.radius
+
+    def test_point_evaluation_plans_once(self, monkeypatch):
+        plan = zeta_eval._call_plan
+        planned, kernel_calls = _count_plans(monkeypatch)
+        cert = eval_zeta_certified(17.7477, 10)
+        [(pts, handed)] = kernel_calls
+        assert [p.tobytes() for p in planned] == [pts.tobytes()]
+        assert handed == plan(pts) and cert.err == handed.radius
+
+    def test_cli_eval_plans_once(self, monkeypatch, capsys):
+        # the plan the CLI checks --r and the head budget against is the one it runs
+        from zetabound import cli
+
+        plan = zeta_eval._call_plan
+        planned, kernel_calls = _count_plans(monkeypatch)
+        assert cli.main(["--format", "json", "eval", "--t", "1e3", "--r", "1e-8"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["rows"]
+        assert row["err"] == plan(np.array([1e3])).radius
+        [(pts, handed)] = kernel_calls
+        assert [p.tobytes() for p in planned] == [pts.tobytes()]
+        assert handed == plan(pts)
 
 
 class TestAgainstMpmath:

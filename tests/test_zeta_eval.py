@@ -15,7 +15,7 @@ from zetabound import (
     oracle_zeta,
 )
 from zetabound import zeta_eval
-from zetabound.zeta_eval import _em_head, _eval_block, _transform
+from zetabound.zeta_eval import _call_plan, _em_head, _eval_block, _transform
 
 import em_reference
 from plain_sum import fp_slack, main_sum
@@ -238,7 +238,7 @@ def _one_point_and_block(t, r):
     cert = eval_zeta_certified(t, n)
     pts = t + (np.arange(9) - 4) * 1e-3
     assert pts[4] == t
-    vals, err = _eval_block(pts, n)
+    vals, err = _eval_block(pts, n, _call_plan(pts))
     return cert, vals[4], err
 
 
@@ -287,10 +287,10 @@ def _grid_call(t0, h, size, route):
     a = _em_head(float(pts[-1]), size)
     assert _reached_bins(size, h, a).max() < _transform(size, h, a)[1]
     n = choose_N(float(pts[-1]), 0.005)
-    vals, err = _eval_block(pts, n)
+    vals, err = _eval_block(pts, n, _call_plan(pts))
     if route == "direct":
         n = _em_head(t0, size)
-        same, same_err = _eval_block(pts, n)
+        same, same_err = _eval_block(pts, n, _call_plan(pts))
         assert same.tobytes() == vals.tobytes() and same_err == err
     return pts, n, (vals, err)
 
@@ -370,8 +370,7 @@ class TestPrunedTransform:
 
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 256)
         cfg = verifier.ScanConfig(t_lo=100.0, t_hi=100.0 + 1023 * 0.01)
-        t = verifier._grid(cfg, math.inf)
-        calls = verifier._calls(cfg, len(t) - 1)
+        t, calls = verifier._grid(cfg, math.inf)
         plans = [zeta_eval._call_plan(t[lo:hi + 1]) for lo, hi, _ in calls]
         assert len(plans) == 4 and {(plan.M, plan.B) for plan in plans} == {(256, 4)}
         zeta_eval._pruned_layout.cache_clear()
@@ -414,7 +413,7 @@ class TestHeadWeights:
     def test_call_at_1e6_against_mpmath(self):
         # a 257-point call at t ~ 1e6 sums 1e6 weights, most of them products
         pts = 1e6 + np.arange(257) * 0.01
-        vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005))
+        vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005), _call_plan(pts))
         for j in (0, 64, 128, 192, 256):
             assert abs(vals[j] - _zeta_30(float(pts[j]))) <= err
 
@@ -433,8 +432,8 @@ class TestTailTurns:
         eps = 2.220446049250313e-16
         pts = t0 + np.arange(size) * 0.01
         a = _em_head(float(pts[-1]), size)
-        turns = zeta_eval._tail_turns(pts, math.log(a))
         h = (float(pts[-1]) - float(pts[0])) / (size - 1)
+        turns = zeta_eval._tail_turns(pts, math.log(a), h)
         slip = float(np.max(np.abs(np.arange(size) * h + pts[0] - pts) / pts))
         bound = (4.0 * eps + slip) * pts * math.log(a) + 3.0 * eps
         with mpmath.workdps(30):
@@ -470,7 +469,7 @@ class TestSegments:
         if chunk is not None:
             monkeypatch.setattr(zeta_eval, "_KERNEL_CHUNK", chunk)
         pts = t0 + np.arange(size) * h
-        _eval_block(pts, choose_N(float(pts[-1]), 0.005))
+        _eval_block(pts, choose_N(float(pts[-1]), 0.005), _call_plan(pts))
         assert sum(calls) == _em_head(float(pts[-1]), size)  # every chunk was checked
 
 
@@ -643,7 +642,7 @@ class TestHeadBranches:
         # and every call's radius holds 30-digit mpmath.zeta
         pts = t0 + np.arange(size) * h
         assert _head_branch(float(pts[-1]), size) == branch
-        vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005))
+        vals, err = _eval_block(pts, choose_N(float(pts[-1]), 0.005), _call_plan(pts))
         _assert_within_mpmath(pts, vals, err)
 
 
@@ -654,7 +653,7 @@ class TestCallPlan:
     def test_each_decision_made_once_per_call(self, monkeypatch, t0, h, size, branch):
         # the head, the transform and the Bernoulli order are derived once
         # per kernel call and once per point evaluation, in _call_plan, whose
-        # radius the call returns
+        # radius the call returns: the kernel runs the plan it is handed
         pts = t0 + np.arange(size) * h
         assert _head_branch(float(pts[-1]), size) == branch
         plan = zeta_eval._call_plan(pts)
@@ -665,9 +664,11 @@ class TestCallPlan:
                 return _fn(*args)
 
             monkeypatch.setattr(zeta_eval, name, counted)
-        _, err = _eval_block(pts, 1)
+        vals, err = _eval_block(pts, 1, plan)
+        assert counts == {} and err == plan.radius
+        again, err = _eval_block(pts, 1, _call_plan(pts))
         assert counts == {"_em_head": 1, "_transform": 1, "_em_bounds": 1}
-        assert err == plan.radius
+        assert err == plan.radius and again.tobytes() == vals.tobytes()
         counts.clear()
         eval_zeta_certified(float(pts[-1]), 1)
         assert counts == {"_em_head": 1, "_transform": 1, "_em_bounds": 1}
