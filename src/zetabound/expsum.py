@@ -7,10 +7,10 @@ dyadic assembly that bounds |zeta(1+it)| by
     E0(t) log x0 + E1(t)/x0 + E2(t)/x0^2 + G0(t) log x + G2(t)/x^2 + Q0(t)
 
 for any 1 <= x0 <= x.  Minimising over x0 and x and writing x0 = beta*t^v,
-x = t^u turns this into inequalities |zeta(1+it)| <= v log t valid for all
-t >= t0; :func:`optimal_bound_params` returns the best (beta, v, u) for a
-given t0.  All t0-side arithmetic is done in log space so that t0 as large
-as 1e300 is handled without overflow.
+x = t^u turns this into |zeta(1+it)| <= v log t at t0, and past t0 while
+the defect stays <= 0 (BoundTriple); :func:`optimal_bound_params` returns
+the best (beta, v, u) for a given t0, in log space so that t0 as large as
+1e300 is handled without overflow.
 """
 
 from __future__ import annotations
@@ -84,7 +84,10 @@ class BoundTriple:
 
     beta and u are tied to v by beta * t0^v = y_E(t0) and t0^u = y_G(t0);
     with v from :func:`optimal_bound_params` the defect A + omega(t0)
-    vanishes, which is what makes the bound valid from t0 on.
+    vanishes, so the bound holds at t0, and past it while A + omega(t)
+    <= 0, for which v <= u is necessary but not sufficient: the 1e5 row
+    (u < 1) turns positive near t = 1.1e56, past which only the 1e6 row's
+    smaller v holds.  The other rows stay <= 0 on a log grid to 1e300.
     """
 
     t0: float
@@ -229,14 +232,14 @@ def y_G(t: float) -> float:
 
 def optimal_bound_params(t0: float) -> BoundTriple:
     """The smallest v (with its beta, u) such that |zeta(1+it)| <= v log t
-    holds for all t >= t0.
+    holds at t0 by the assembled bound.
 
     Sets beta t0^v = y_E(t0) and t0^u = y_G(t0) and picks v so that the
     assembled bound at t0 equals v log t0 exactly.  Requires a finite
-    t0 >= 2000, below which y_E <= y_G is not guaranteed.  Extending the bound from t0
-    to every larger t additionally needs v <= u, which first holds at
-    t0 around 1.255e4; in between those two thresholds the computed triple
-    would assert a bound it cannot deliver, so a ValueError is raised.
+    t0 >= 2000, below which y_E <= y_G is not guaranteed.  Extending the
+    bound past t0 needs v <= u (not sufficient: BoundTriple), first true
+    at t0 around 1.255e4; in between those two thresholds the computed
+    triple would assert a bound it cannot deliver, so ValueError is raised.
     All powers of t0 are formed as exponentials of log differences, so
     t0 = 1e300 works in doubles.
     """

@@ -460,9 +460,8 @@ def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, flo
     closed-form Euler-Maclaurin tail a^(-it) A(t) (_em_tail) at each exact
     t_pts[j], with the least Bernoulli order m whose remainder at
     (a, t_max) is within eps/2: 10 at a = ceil t_max >= 64, 25 at
-    a = ceil(t_max/pi) (_em_tail, Choice of m).  N is the nominal term
-    count the caller's budget charged (choose_N); it has no effect on the
-    values or the radius.
+    a = ceil(t_max/pi) (_em_tail, Choice of m).  N, the nominal term count
+    of the caller's budget (choose_N), has no effect.
 
     The head costs p+1 passes over its a terms (one product with delta_n
     and one segment sum per order, below), the tail m Horner levels over
@@ -473,8 +472,7 @@ def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, flo
     at most 16 (Order: d <= pi/2 and D > 64), so at t_max <= K the saving
     is at most 10.9 K and never pays; min(ceil t_max, K) keeps those calls
     at a = ceil t_max and m = 10.  Above K the head stops at K terms, with
-    m between 10 and 25, until t_max/pi passes K.  A one-point call
-    (K = 1) always splits: its head takes a log, cos and sin per term.
+    m between 10 and 25, until t_max/pi passes K.
 
     Main sum.  With the plan's centre t_c = t_pts[mid] and step h fitted
     to the endpoints, and integer offsets k = j - mid (|k| <= k_max), the
@@ -497,16 +495,14 @@ def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, flo
     each segment's sum), taken in chunks of _KERNEL_CHUNK terms, then p+1
     transforms and a Horner pass in k.
 
-    Weights.  For K > 1, z_n = n^(-i t_c) comes once per call for every
-    n <= a from _head_weights: cos and sin at n = 2, 3, 5, 7 and the n
-    coprime to 210 (about 23% of the terms), a product z_q z_(n/q) at the
-    rest.  Each chunk forms the real and imaginary parts of a_n = z_n / n
-    as the two rows of one float array, so every order's product with
-    delta_n and its segment sums (np.add.reduceat along the rows, into the
-    two parts of one complex entry per segment) run on contiguous floats,
-    not on complex numbers; the segments' starts come from _segments.  A
-    one-point call takes a_n from cos and sin of t ln n at every n, chunk
-    by chunk, and sums it.
+    Weights.  z_n = n^(-i t_c) comes once per call for every n <= a from
+    _head_weights: cos and sin at n = 2, 3, 5, 7 and the n coprime to 210
+    (about 23% of the terms), a product z_q z_(n/q) at the rest.  Each
+    chunk forms the real and imaginary parts of a_n = z_n / n as the two
+    rows of one float array, so every order's product with delta_n and its
+    segment sums (np.add.reduceat along the rows, into the two parts of one
+    complex entry per segment) run on contiguous floats, not on complex
+    numbers; the segments' starts come from _segments.
 
     Occupied bins (_transform).  The phases reach bins 0 .. J at most, with
     J = rint(h ln a / (2 pi/M)).  Unless they wind (J + 1 >= M, and then
@@ -523,10 +519,9 @@ def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, flo
     transforms take O(pB + M) memory and the segment sums O(chunk).  The
     twiddles w^(v j) and the -ik, 32 B per bin, are made once per (M, B)
     per process (_pruned_layout), not per call.  The weights z_n take 16 B
-    per head term for K > 1, 0.76 MB at t ~ 1.5e5 and 5.1 MB at t ~ 1e6
-    (a = t/pi); a one-point call stays O(chunk).  One transpose and one
-    rotation put the values in grid order.  B = M gives L = 1: M-point
-    transforms, with twiddles all 1.
+    per head term, 0.76 MB at t ~ 1.5e5 and 5.1 MB at t ~ 1e6 (a = t/pi).
+    One transpose and one rotation put the values in grid order.  B = M
+    gives L = 1: M-point transforms, with twiddles all 1.
 
     Order.  With d = k_max pi/M (<= pi/2, reached when K is a power of two)
     and H = harmonic_bound(a) >= sum 1/n, the truncation drops the terms
@@ -540,50 +535,54 @@ def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, flo
     segment-sum rounding eps H e^d D that the radius charges anyway.  At
     d = pi/2 (1 + eps) the bound for p+1 = 16 is 9.5 eps, so p+1 <= 16 as
     every D > 64; calls of 2^14 points at t ~ 1e3 and 1e6 take 15 and 14,
-    10 001 at 1.5e5 take 12 (19, 17 and 14 by Taylor).  A one-point call
-    (K = 1) has h = 0, M = 1, d = 0, p = 0 and rho = (1,): every n lands in
-    bin 0 with delta_n = 0, so each chunk is one plain sum and no transform
-    is taken.
+    10 001 at 1.5e5 take 12.
+
+    One point.  K = 1 (eval_zeta_certified, or a scan's last call of one
+    point) has h = 0, M = B = 1, d = 0, p = 0 and rho = (1,), so every
+    delta_n = 0: the call sums a_n from cos and sin of t ln n in chunks and
+    adds _em_tail's float path, 3 to 6 times as fast as the grid path.  Its
+    head, a log, cos and sin per term, always splits at t/pi.
     """
     K = len(t_pts)
-    mid = (K - 1) // 2
     t_c, h, a, M, B, rho, chunk, order, radius = plan
-    p = len(rho) - 1
-    L = M // B
-    step = 2.0 * math.pi / M
-
-    F = np.zeros((p + 1, B), dtype=np.complex128)
-    if M == 1:  # one bin, every delta_n = 0: a_n from cos and sin, summed
+    if K == 1:  # a_n summed plainly: the grid path costs a point 3-6x as much at t <= 1e4
+        head = 0j
         for lo in range(1, a + 1, chunk):
             n = np.arange(lo, min(lo + chunk, a + 1), dtype=np.float64)
             ph = t_c * np.log(n)
             w = np.empty(len(n), dtype=np.complex128)  # a_n
             w.real = np.cos(ph) / n
             w.imag = np.sin(ph) / -n
-            F[0, 0] += w.sum()
-    else:
-        z = _head_weights(t_c, a)
-        for lo in range(1, a + 1, chunk):
-            hi = min(lo + chunk, a + 1)
-            n = np.arange(lo, hi, dtype=np.float64)
-            w = np.empty((2, hi - lo))  # a_n = z_n / n, real and imaginary rows
-            np.divide(z.real[lo:hi], n, out=w[0])
-            np.divide(z.imag[lo:hi], n, out=w[1])
-            x = np.log(n)
-            x *= h / step  # theta_n in grid steps, nondecreasing in n
-            j = np.rint(x)
-            delta = (x - j) * step
-            # n runs through each grid point in one segment; add.at folds
-            # segments of different windings onto the same bin mod M
-            starts, bins = _segments(j, M)
-            seg = np.empty(len(starts), dtype=np.complex128)  # one entry per visited bin
-            parts = seg.view(np.float64).reshape(-1, 2).T  # its real and imaginary rows
-            for m in range(p + 1):
-                if m:
-                    w *= delta
-                np.add.reduceat(w, starts, axis=1, out=parts)
-                seg *= rho[m]
-                np.add.at(F[m], bins, seg)
+            head += w.sum()
+        return np.array([head + _em_tail(t_c, a, order, h)]), radius
+
+    mid = (K - 1) // 2
+    p = len(rho) - 1
+    L = M // B
+    step = 2.0 * math.pi / M
+    F = np.zeros((p + 1, B), dtype=np.complex128)
+    z = _head_weights(t_c, a)
+    for lo in range(1, a + 1, chunk):
+        hi = min(lo + chunk, a + 1)
+        n = np.arange(lo, hi, dtype=np.float64)
+        w = np.empty((2, hi - lo))  # a_n = z_n / n, real and imaginary rows
+        np.divide(z.real[lo:hi], n, out=w[0])
+        np.divide(z.imag[lo:hi], n, out=w[1])
+        x = np.log(n)
+        x *= h / step  # theta_n in grid steps, nondecreasing in n
+        j = np.rint(x)
+        delta = (x - j) * step
+        # n runs through each grid point in one segment; add.at folds
+        # segments of different windings onto the same bin mod M
+        starts, bins = _segments(j, M)
+        seg = np.empty(len(starts), dtype=np.complex128)  # one entry per visited bin
+        parts = seg.view(np.float64).reshape(-1, 2).T  # its real and imaginary rows
+        for m in range(p + 1):
+            if m:
+                w *= delta
+            np.add.reduceat(w, starts, axis=1, out=parts)
+            seg *= rho[m]
+            np.add.at(F[m], bins, seg)
     # Horner in k from order p down, on the (L, B) layout: row v of order
     # m's transform is FFT_B(F_m[j] w^(v j)), and entry (v, u) holds bin L u + v
     twiddles, ik = _pruned_layout(M, B)
@@ -592,17 +591,14 @@ def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, flo
     for m in range(p, -1, -1):
         out = acc if m == p else work
         np.multiply(twiddles, F[m], out=out)
-        if M > 1:
-            np.fft.fft(out, axis=1, out=out)  # in place (numpy >= 2.0)
+        np.fft.fft(out, axis=1, out=out)  # in place (numpy >= 2.0)
         if m < p:
             acc *= ik
             acc += work
     acc = acc.T.reshape(M)  # flat index L u + v
     # rotate to grid order: bins M - mid .. M - 1 (k < 0), then 0 .. K - 1 - mid
     acc = np.concatenate((acc[M - mid:], acc[:K - mid]))
-
-    # a one-point call takes _em_tail's float path, far cheaper than a 1-point array
-    acc += _em_tail(t_c if K == 1 else t_pts, a, order, h)
+    acc += _em_tail(t_pts, a, order, h)
     return acc, radius
 
 
@@ -615,46 +611,40 @@ _Plan = NamedTuple("_Plan", [("t_c", float), ("h", float), ("a", int), ("M", int
 def _call_plan(t_pts: np.ndarray) -> _Plan:
     """The plan of an _eval_block call on t_pts: where and what it sums, and its radius.
 
-    The model points' centre t_c = t_pts[mid] and step h = (t_max - t_0)/(K-1)
-    (0 for one point), the head a = _em_head(t_max, K), (M, B, p, chunk)
-    from _transform, rho_0..rho_p from _phase_coeffs, the tail's order m
-    from _em_bounds and the radius err of every value, all from the points
-    alone, never a value: a caller plans once, checks r against err before
-    any sum, and _eval_block runs that plan, at the very t_c + k h and
-    t_0 + j h whose gaps err measures.  Names below are _eval_block's, (d, D)
-    _transform's, k_max the largest |k| and L = M/B.  With eps the machine epsilon,
-    u = eps/2, H = harmonic_bound(a) >= sum 1/n,
-    G = ln^2(a)/2 + 0.11 >= sum ln n / n, and
-    e^d >= sum_m rho_m (|k| delta)^m the most the expansion can amplify a
-    rounding error in F_m (0 < rho_m <= 1/m!, _phase_coeffs;
-    e^d <= e^(pi/2) < 4.82), err is the sum of:
+    The model points' centre t_c = t_pts[mid] and step
+    h = (t_max - t_0)/(K-1), the head a = _em_head(t_max, K), (M, B, p,
+    chunk) from _transform, rho_0..rho_p from _phase_coeffs, the tail's
+    order m from _em_bounds and the radius err of every value, all from the
+    points alone, never a value: a caller plans once, checks r against err
+    before any sum, and _eval_block runs that plan, at the very t_c + k h
+    and t_0 + j h whose gaps err measures.  Names below are _eval_block's,
+    (d, D) _transform's, k_max the largest |k| and L = M/B.  With eps the
+    machine epsilon, u = eps/2, H = harmonic_bound(a) >= sum 1/n,
+    G = ln^2(a)/2 + 0.11 >= sum ln n / n, and e^d >= sum_m rho_m
+    (|k| delta)^m the most the expansion can amplify a rounding error in
+    F_m (0 < rho_m <= 1/m!, _phase_coeffs; e^d <= e^(pi/2) < 4.82), err is
+    the sum of:
 
     * remainder: H factor, factor = 2 (d/2)^(p+1)/(p+1)! /
       (1 - d/(2(p+2))) (_eval_block, Order); its rounding is far inside
       the slack of |J_q(x)| <= (x/2)^q/q!, which is strict;
     * grid gap: the main sum is taken at t_c + k h, not at the
       floating-point t_pts[j], and |S(t) - S(t')| <= |t - t'| G.  The gap
-      is the measured max |eta_j| plus eps (t_c + 2 k_max h) for computing
-      it.  A one-point call has no gap: its model point is t_pts[0] itself;
+      is the measured max |eta_j| plus eps (t_c + 2 k_max h) for it;
     * phase: with log, the products and the grid reduction each good to a
       few ulp, the realised phase of term n is within
       2 eps (t_c + 2 k_max h) ln n + 2 eps k_max pi/M of (t_c + k h) ln n,
       which sums to 2 eps (t_c + 2 k_max h) G + 2 eps d H.  The phase of
       z_n is the sum of its factors' phases, within eps t_c ln n as that
-      of one direct product t_c fl(ln n) (_head_weights).  A one-point
-      call has no grid reduction: fl(ln n) is within u ln n (numpy's log
-      of an integer, checked against 120-bit mpmath for n <= 2e6) and its
-      product with t rounds by u, so the phase is within eps t ln n, which
-      sums to eps t G;
+      of one direct product t_c fl(ln n) (_head_weights);
     * segment-sum rounding: a term passes through at most D additions (its
       segment, the chunk totals, the windings of theta_n folded onto one
       bin), a_n delta_n^m carries at most (p + 6) eps of relative error,
       and the product of a segment's sum with fl(rho_m) adds 2.5 eps (2 ulp
       for rho_m, _phase_coeffs, and u for the product), so
       ||error of F_m||_1 <= eps (D + p + 9) H (pi/M)^m rho_m, which the
-      expansion turns into at most that times e^d in S.  A one-point call
-      has the exact rho_0 = 1 and is charged D + p + 7;
-    * head weights, when K > 1: beyond its phase, each z_n is within
+      expansion turns into at most that times e^d in S;
+    * head weights: beyond its phase, each z_n is within
       (2 log2 a + 1) eps of n^(-i t_c) (_head_weights: sqrt(2) u for the
       cos and sin of each of at most log2 n + 1 factors, sqrt(5) u for
       each of at most log2 n products).  That relative error e_n of a_n
@@ -691,21 +681,20 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
     addition into the head sum is the sum of:
 
     * the phase: a^(-it) is exp(-iy), and |exp(-iy') - exp(-iy)| <=
-      |y' - y|.  For one point y = fl(t fl(ln a)) is within 1.5 eps t ln a
-      of t ln a, so with |A| <= S this is at most 2 eps t ln a S; on the
-      1/(it) part of A it is 2 eps ln a, not a 1/t term.  An array takes
+      |y' - y|, which with |A| <= S is charged as |y' - y| S; on the
+      1/(it) part of A it is |y' - y|/t, not a 1/t term.  An array takes
       y at t_0 + j h (_tail_turns), within 2 eps (t_0 + j h) ln a of
       (t_0 + j h) ln a (fl(ln a), fl(h fl(ln a)), its products with J W
       and l, and the sum with fl(t_0 fl(ln a))).  The measured slip, max
       |fl(t_0 + fl(j h)) - t_j| / t_j, is within eps of the exact one, so y
       is within (slip + 3 eps) t_j ln a of t_j ln a: charged
       (slip + 4 eps) t ln a S;
-    * the rest of the product a^(-it) A, at most 4 eps S: cos and sin
-      round to u each (0.71 eps), forming A costs at most 1.5 eps (1/t,
-      1/(2a) and the two additions), the complex product sqrt(5) u
-      (1.12 eps), and the addition into the head sum u (0.5 eps); an
-      array's two tables and their product make it 5.66 < 6 eps S.  The
-      1/t part, 4 or 6 eps/t, is the conditioning of 1/(it) for small t;
+    * the rest of the product a^(-it) A, at most 6 eps S: cos and sin
+      round to u each (0.71 eps) in each of _tail_turns' two tables, their
+      product and the product with A by sqrt(5) u each (1.12 eps), forming
+      A at most 1.5 eps (1/t, 1/(2a) and the two additions), and the
+      addition into the head sum u (0.5 eps): 5.66 eps.  The 1/t part,
+      6 eps/t, is the conditioning of 1/(it) for small t;
     * the head's share of that addition, u H;
     * the Bernoulli sum, at most 5m eps sigma.  y and y^2 are within u and
       1.5 eps, 2k(2k+1)/a^2 and (4k+1)/a within eps and u, and
@@ -717,23 +706,30 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
       its product (1.12 eps).  The term of order m passes the most levels,
       m - 1, for 4.12 (m - 1) + 0.5 + 2.62 < 5m eps.
 
-    The first two items are (c t ln a + r) S, with (c, r) = (2, 4) for one
-    point and (slip/eps + 4, 6) for an array, which is convex in t at fixed
-    sigma (a linear function plus r/t), so over the points it is largest at
-    the first or the last, and the tail rounding is
-    eps (H/2 + max over those two of (c t ln a + r) S + 5m sigma).
+    The first two items are (c t ln a + r) S, with (c, r) = (slip/eps + 4, 6),
+    which is convex in t at fixed sigma (a linear function plus r/t), so
+    over the points it is largest at the first or the last, and the tail
+    rounding is eps (H/2 + max over those two of (c t ln a + r) S + 5m sigma).
+
+    One point.  K = 1 has h = 0 and t_c = t_pts[0]: no grid gap, slip,
+    head weights or twiddles, and d = 0, B = 1 leave no remainder or
+    transform rounding.  fl(ln n) is within u ln n (numpy's log of an
+    integer, checked against 120-bit mpmath for n <= 2e6) and its product
+    with t rounds by u: the phase charges eps t G.  The sum, with the exact
+    rho_0 = 1, is charged D + 7, and 1 for the Horner item at p = 0, which
+    it does not spend.  Its tail has (c, r) = (2, 4): y = fl(t fl(ln a)) is
+    within 1.5 eps t ln a, and one cos, sin and product leave 3.83 eps S.
     """
     K = len(t_pts)
     mid = (K - 1) // 2
     t_c = float(t_pts[mid])
-    h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1) if K > 1 else 0.0
     a = _em_head(float(t_pts[-1]), K)
-    M, B, p, d, factor, chunk, depth = _transform(K, h, a)
     ln_a = math.log(a)
     g = 0.5 * ln_a * ln_a + 0.11
-    if K == 1:  # no grid gap, and the phase is rounded only in ln n and t ln n
-        grid_phase, slip = _EPS * t_c * g, 0.0
+    if K == 1:  # One point (above): no step, gap, slip or head weights
+        h, grid_phase, slip, wheel, fixed = 0.0, _EPS * t_c * g, 0.0, 0.0, 8
     else:
+        h = (float(t_pts[-1]) - float(t_pts[0])) / (K - 1)
         gap = np.arange(-mid, K - mid) * h  # the model points t_c + k h, less t_pts
         gap += t_c
         gap -= t_pts
@@ -743,11 +739,12 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
         gap += t_pts[0]
         gap -= t_pts
         slip = float((np.abs(gap, out=gap) / t_pts).max())
+        wheel, fixed = 2.0 * math.log2(a) + 1.0, 10
+    M, B, p, d, factor, chunk, depth = _transform(K, h, a)
     m, remainder, tail_rounding = _em_bounds(t_pts, a, slip)
     h_n = harmonic_bound(a)
     transform = 4.0 * math.log2(B) * math.sqrt(B) + (11.0 if B < M else 0.0)
-    wheel = 2.0 * math.log2(a) + 1.0 if M > 1 else 0.0
-    rounding = depth + 2 * p + (10 if M > 1 else 8) + transform
+    rounding = depth + 2 * p + fixed + transform
     radius = h_n * factor + grid_phase + _EPS * h_n * (2.0 * d + wheel + math.exp(d) * rounding)
     radius += remainder + tail_rounding
     return _Plan(t_c, h, a, M, B, _phase_coeffs(d, p), chunk, m, radius)
@@ -756,14 +753,13 @@ def _call_plan(t_pts: np.ndarray) -> _Plan:
 def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     """Evaluate zeta(1+it) with a certified radius: |value - zeta(1+it)| <= err.
 
-    This is a one-point call of the block kernel _eval_block, planned once
-    (_call_plan, which gives err).  With a = max(64, ceil(t/pi)), it sums
-    the a terms of the head and zeta's Euler-Maclaurin tail.  N, a positive
+    This is a one-point call of _eval_block (One point), planned once
+    (_call_plan, which gives err): the a = max(64, ceil(t/pi)) terms of the
+    head, in chunks, and zeta's Euler-Maclaurin tail.  N, a positive
     integer, is the nominal term count the caller's budget charged
-    (choose_N); it has no effect on the value or err.  The cost is O(a)
-    terms, and memory stays bounded because the sum is taken in chunks.
-    Very small t (below about 1e-3) is allowed, but the 1/(it) term
-    inflates err through its conditioning.
+    (choose_N); it has no effect on the value or err.  Very small t (below
+    about 1e-3) is allowed, but the 1/(it) term inflates err through its
+    conditioning.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")

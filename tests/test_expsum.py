@@ -1,6 +1,7 @@
 """Tests for the exponential-sum bounds and the log-bound optimiser."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,6 +260,25 @@ class TestOmega:
         p = optimal_bound_params(1e6)
         slack = BoundTriple(t0=1e6, beta=p.beta, v=p.v + 0.01, u=p.u)
         assert omega_residual(slack) < 0.0
+
+    def test_rows_past_t0(self):
+        # v <= u is necessary, not sufficient, for a row to hold past t0:
+        # the 1e5 row (u < 1) has its defect A + omega(t) turn positive
+        # near t = 1.1e56, past which the 1e6 row's smaller v holds, and
+        # every other row stays <= 0 (to rounding) on a log grid to 1e300
+        rows = {t0: optimal_bound_params(t0) for t0 in TABLE_T0}
+
+        def defect(p, t):
+            return omega_residual(replace(p, t0=t))
+
+        grid = [10.0 ** (0.075 * k) for k in range(4001)]
+        first = rows[1e5]
+        assert first.u < 1.0 and rows[1e6].v < first.v
+        assert max(defect(first, t) for t in grid if 1e5 <= t <= 1e55) <= 1e-12
+        assert defect(first, 1e55) < 0.0 < defect(first, 1.1e56) < defect(first, 1e300)
+        for t0, p in rows.items():
+            if t0 > 1e5:
+                assert max(defect(p, t) for t in grid if t >= t0) <= 1e-12
 
     def test_omega_decreasing_from_e_squared(self):
         # sampled check of the monotonicity the optimiser relies on

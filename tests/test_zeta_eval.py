@@ -259,6 +259,47 @@ class TestOnePointCall:
         assert abs(block - ref) <= err
 
 
+def _count_grid_tables(monkeypatch):
+    # calls of the grid path's head weights and transform tables, by name
+    counts = {"_head_weights": 0, "_pruned_layout": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(zeta_eval, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(zeta_eval, name, counted)
+    return counts
+
+
+class TestOnePointRoute:
+    @pytest.mark.parametrize("t", [3.0, 17.7477, 1e4])
+    def test_point_call_skips_the_grid_tables(self, monkeypatch, t):
+        counts = _count_grid_tables(monkeypatch)
+        eval_zeta_certified(t, 1)
+        assert counts == {"_head_weights": 0, "_pruned_layout": 0}
+
+    def test_scan_with_a_one_point_call(self, monkeypatch):
+        # 9 points in runs of 8: one 8-point call, then one 1-point call,
+        # which takes the point route and returns eval_zeta_certified's bits
+        from zetabound import verifier
+
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 8)
+        calls = []
+
+        def recorded(t_pts, n, plan, _kernel=verifier._eval_block):
+            calls.append((t_pts, *_kernel(t_pts, n, plan)))
+            return calls[-1][1:]
+
+        monkeypatch.setattr(verifier, "_eval_block", recorded)
+        counts = _count_grid_tables(monkeypatch)
+        verifier.scan_interval(verifier.ScanConfig(t_lo=100.0, t_hi=100.0 + 8 * 0.01))
+        assert [len(t_pts) for t_pts, _, _ in calls] == [8, 1]
+        assert counts == {"_head_weights": 1, "_pruned_layout": 1}
+        t_pts, vals, err = calls[-1]
+        cert = eval_zeta_certified(float(t_pts[0]), 1)
+        assert vals.tobytes() == np.array([cert.value]).tobytes() and err == cert.err
+
+
 def _partial_call_indices(size):
     # every point of a small call; in a large one, the ends, both sides of
     # the centre (k = -1, 0, 1, where the rotation from bin order joins) and
