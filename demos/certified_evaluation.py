@@ -5,10 +5,10 @@ plus explicit floating-point slack.  The evaluator adds about max(64, t/pi)
 terms one by one and takes the rest of zeta in a closed Euler-Maclaurin
 form, whose remainder is within eps/2 = 1.1e-16, so the radius holds no
 truncation bound at all.  Its N is a nominal term count: the least N whose
-truncation bound (1+t)(2+t)/(32 N^2) meets a radius target, which scans
-charge to their budget; it is not the length of any sum and changes no
-value.  An independent alternating-series oracle confirms the
-certificates from a formula that shares nothing with the evaluator.
+truncation bound (1+t)(2+t)/(32 N^2) meets a radius target.  It is not the
+length of any sum, no scan budget counts it, and it changes no value.  An
+independent alternating-series oracle confirms the certificates from a
+formula that shares nothing with the evaluator.
 """
 
 import math

@@ -20,9 +20,10 @@ the column finds).
 
 Exit status: 0 success / bound holds, 1 bound violated on the grid,
 2 usage or domain error (including a non-finite t, t0 or bound, a
-budget that is not positive, or an --r below the radius an eval or any
-scan call certifies), 3 resource or convergence error (including
-an unrepresentable term count, or no memory).
+budget that is not positive, an --r below the radius an eval or any
+scan call certifies, or an --out that cannot be written), 3 resource or
+convergence error (including a scan over its budget or over physical
+memory, an unrepresentable term count, or no memory).
 """
 
 from __future__ import annotations
@@ -353,11 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--h", type=float, default=0.01, help="grid spacing")
-    p.add_argument("--r", type=float, default=0.005,
-                   help="largest radius accepted per point; sets the budgeted term count")
+    p.add_argument("--r", type=float, default=0.005, help="largest radius accepted per point")
     p.add_argument("--bound", default=None, help="vlog:<v> or affine:<slope>,<intercept>")
     p.add_argument("--budget", type=float, default=verifier.DEFAULT_BUDGET,
-                   help="nominal summed-term budget")
+                   help="most kernel passes (over head terms and points) a scan is charged")
     p.add_argument("--workers", type=int, default=1,
                    help="threads sharing a scan's kernel calls (2 measured ~1.4x faster than 1)")
 
@@ -402,8 +402,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status

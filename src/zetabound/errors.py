@@ -8,7 +8,7 @@ class ConvergenceError(RuntimeError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """A scan would exceed its term budget; nothing was computed."""
+    """A scan or evaluation would exceed its budget; nothing was computed."""
 
 
 class CrossingNotFound(RuntimeError):

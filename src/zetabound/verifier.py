@@ -11,9 +11,10 @@ zeta_eval._eval_block in fixed runs of 2^14 consecutive grid points (the
 last run is shorter), at all of a run's points at once: a NUFFT of the
 main sum over n <= a, plus zeta's closed Euler-Maclaurin tail past a, where
 a = max(64, ceil(t_max/pi), min(ceil t_max, K)) for a run of K points
-ending at t_max.  _grid lists the runs once, each with the nominal term
-count N (zeta_eval.choose_N) of its last point, which only the budget
-counts.  Each run is planned once from its points (zeta_eval._call_plan):
+ending at t_max.  Before any array exists, _grid charges the scan an O(1)
+upper bound on the passes its runs make over head terms and points
+(_charge) against the budget, then builds the grid and lists the runs
+once.  Each run is planned once from its points (zeta_eval._call_plan):
 r is checked against every plan's radius, which folds in the expansion
 and Euler-Maclaurin remainders and every floating-point effect, before
 the first run, and each run then executes its plan and returns that
@@ -24,6 +25,7 @@ zeta_eval.eval_zeta_certified, the kernel's one-point call.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -32,7 +34,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _call_plan, _eval_block, _Plan, choose_N, eval_zeta_certified
+from .zeta_eval import _EM_MAX_ORDER, _HEAD_PASSES, _call_plan, _em_head, _eval_block, _Plan
+from .zeta_eval import choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -51,9 +54,9 @@ GRID_NOTE = (
     "are not covered by this check"
 )
 
-# Nominal summation budget per invocation, counted as sum over kernel calls
-# of the N of a call's last point times its points (_grid), an upper bound
-# on sum over grid points of N(t_k).  Exceeding it raises before any work.
+# Budget per scan in kernel passes, each over one head term or one grid
+# point: _charge's upper bound on what the scan's kernel calls make.
+# Exceeding it raises before any array exists.
 DEFAULT_BUDGET = 5.0e10
 
 _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
@@ -62,9 +65,12 @@ _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
 _REFINE_R = 1e-8    # r of single-point refinement
 _COARSE_R = 1e-4    # r of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
+# bytes scan_interval holds per grid point: six float64 arrays (t, modulus,
+# err, ratio, log t, which becomes the margins, and modulus + err)
+_POINT_BYTES = 6 * 8
 # a kernel call of a scan: (k_lo, k_hi, N), run as _eval_block(t[k_lo:k_hi + 1], N, plan)
 _Call = tuple[int, int, int]
-_OVER_BUDGET = "scan needs {} summed terms, over the budget {:.3e}; raise it or relax the grid"
+_OVER_BUDGET = "scan charges {:.3e} kernel passes, over the budget {:.3e}; raise it or relax the grid"
 
 
 @dataclass(frozen=True)
@@ -72,9 +78,9 @@ class ScanConfig:
     """Grid and accuracy parameters of a scan.
 
     h is the grid spacing (0.01 reflects behaviour well for plotting-scale
-    work) and r the largest radius accepted per point, which also sets the
-    nominal term count N that the budget counts.  block is validated but
-    has no effect: the plan is fixed-size kernel calls (_calls).
+    work) and r the largest radius accepted per point; r changes no
+    budget charge (_charge).  block is validated but has no effect: the
+    plan is fixed-size kernel calls (_calls).
     """
 
     t_lo: float
@@ -131,34 +137,52 @@ class VerificationResult:
 
 
 def _grid(config: ScanConfig, budget: float) -> tuple[np.ndarray, list[_Call]]:
-    """A scan's grid t_lo + k h and its kernel calls (_calls), once the budget and h allow them.
+    """A scan's grid t_lo + k h and its kernel calls (_calls), once budget, h and memory allow them.
 
-    The budget, sum over the calls of their last point's N times their
-    points, is an upper bound on sum_k N(t_k), as N is nondecreasing in t;
-    so N at t_hi times all points bounds it.  A grid that bound does not
-    clear is counted call by call, keeping nothing and stopping as soon as
-    the budget is passed, before any array exists.  Then the grid is built,
-    and its calls listed once; an infinite budget needs no count, so a
-    grid that memory cannot hold raises MemoryError at once.  h below the
-    float spacing at t_hi would repeat points, and raises ValueError.
+    Three checks, in this order and before any array exists: a charge
+    (_charge) over the budget raises ResourceBudgetError; h below the
+    float spacing at t_hi, which would repeat points, raises ValueError;
+    and a grid whose arrays in scan_interval (_POINT_BYTES a point) exceed
+    the machine's physical memory raises MemoryError.  Then the grid is
+    built and its calls listed once.
     """
-    t_lo, h, r = config.t_lo, config.h, config.r
+    t_lo, h = config.t_lo, config.h
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
-    # every point needs N >= (1 + t_lo)/sqrt(32 r) (choose_N): an O(1) floor
-    least = (steps + 1.0) * (1.0 + t_lo) / math.sqrt(32.0 * r)
-    if least > budget:
-        raise ResourceBudgetError(_OVER_BUDGET.format(f"at least {least:.3e}", budget))
+    if (charge := _charge(steps + 1.0, config.t_hi)) > budget:
+        raise ResourceBudgetError(_OVER_BUDGET.format(charge, budget))
     if h < math.ulp(config.t_hi):  # t_lo + k h would repeat points
         raise ValueError(f"h = {h:g} is below the float spacing {math.ulp(config.t_hi):g} at t_hi")
+    if (need := (steps + 1.0) * _POINT_BYTES) > (memory := _physical_memory()):
+        raise MemoryError(f"scan of {steps + 1.0:.3e} points needs about {need:.3e} bytes, "
+                          f"over the {memory:.3e} bytes of physical memory")
     K = int(steps)
-    if choose_N(t_lo + K * h, r) * (K + 1.0) > budget:
-        nominal = 0.0
-        for k_lo, k_hi, N in _calls(config, K):
-            nominal += float(N) * (k_hi - k_lo + 1)
-            if nominal > budget:  # counted so far, so the whole grid needs more
-                raise ResourceBudgetError(
-                    _OVER_BUDGET.format(f"about {nominal:.3e} or more", budget))
     return t_lo + np.arange(K + 1, dtype=np.float64) * h, list(_calls(config, K))
+
+
+def _charge(points: float, t_hi: float) -> float:
+    """An upper bound on the kernel passes of a scan of points grid points up to t_hi, in O(1).
+
+    A kernel call of K points with head a makes (p+1) a + m K passes: p+1
+    <= _HEAD_PASSES segment passes over the head, and m <= _EM_MAX_ORDER
+    Horner levels of the tail over the points (zeta_eval._eval_block).  A
+    scan has ceil(points / _KERNEL_POINTS) calls of at most
+    K = min(points, _KERNEL_POINTS) points, and a = _em_head(t_max, K)
+    rises with t_max and K, so each call is charged as one of K points
+    ending at t_hi.  That is 2.4x the exact passes on [e, 1e4] and 1.2x on
+    windows at 1e5 and 1e6 (h = 0.01).
+    """
+    K = min(points, _KERNEL_POINTS)
+    per_call = _HEAD_PASSES * float(_em_head(t_hi, int(K))) + _EM_MAX_ORDER * K
+    return float(np.ceil(points / _KERNEL_POINTS)) * per_call
+
+
+def _physical_memory() -> float:
+    """The machine's physical memory in bytes, or inf where os.sysconf does not give it."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+    return float(pages * size) if pages > 0 and size > 0 else math.inf
 
 
 def _calls(config: ScanConfig, K: int) -> Iterator[_Call]:
@@ -169,6 +193,8 @@ def _calls(config: ScanConfig, K: int) -> Iterator[_Call]:
     """
     for k_lo in range(0, K + 1, _KERNEL_POINTS):
         k_hi = min(k_lo + _KERNEL_POINTS - 1, K)
+        # N changes no value, radius or charge: it is there because the
+        # benchmark's tracer (bench/tracing.py) reads the kernel's second argument
         yield k_lo, k_hi, choose_N(config.t_lo + k_hi * config.h, config.r)
 
 
@@ -183,13 +209,14 @@ def scan_interval(
     bound, when given, is (slope, intercept); the margins
     slope * log t + intercept - (modulus + err) are then returned in margin
     and summarised in min_margin / argmin_t; both must be finite.  budget,
-    positive (inf for none), caps the nominal term count (_grid), checked
-    before any array is built; with inf, a grid that memory cannot hold
-    raises MemoryError at once.  h below the float spacing at t_hi raises
-    ValueError.  Each kernel call is planned once (zeta_eval._call_plan)
-    and runs that plan, whose radius it returns at every point; config.r,
-    the largest radius accepted, must be at least every plan's, checked
-    before the first call, or ValueError names the radius.  workers > 1
+    positive (inf for none), caps the kernel passes the scan is charged
+    (_charge), checked before any array is built, as physical memory is:
+    a grid whose arrays it cannot hold raises MemoryError at once, at any
+    budget.  h below the float spacing at t_hi raises ValueError.  Each
+    kernel call is planned once (zeta_eval._call_plan) and runs that plan,
+    whose radius it returns at every point; config.r, the largest radius
+    accepted, must be at least every plan's, checked before the first
+    call, or ValueError names the radius.  workers > 1
     distributes kernel calls over threads, merged in call order, so the
     report is identical for any worker count; on 2 cores two measured
     about 1.4x faster than one ([e, 1e4]: medians 0.38 and 0.26 s;

@@ -7,10 +7,10 @@ least 64 and t/pi, the terms n^(-1-it) are smooth in n, so the evaluator
 sums only n <= a and adds zeta's own closed-form Euler-Maclaurin tail past
 a, with the least Bernoulli order whose explicit remainder is within half
 an ulp (Edwards, Riemann's Zeta Function, ch. 6; Johansson, Numer.
-Algorithms 2015).  It has no truncation term.  The evaluator takes the
-nominal term count N that scans budget, choose_N's least N whose
-truncation bound (1+t)(2+t) / (32 N^2) is within a radius target r, and N
-has no effect on a value or a radius.
+Algorithms 2015).  It has no truncation term.  The evaluator still takes
+a nominal term count N, choose_N's least N whose truncation bound
+(1+t)(2+t) / (32 N^2) is within a radius target r, which the benchmark's
+tracer reads; N has no effect on a value, a radius or a scan's budget.
 
 One kernel, _eval_block, computes zeta(1+it) at all K points of an
 equispaced grid at once; :func:`eval_zeta_certified` is its one-point
@@ -69,6 +69,9 @@ _ORACLE_MAX_TERMS = 1_000_000  # the eta oracle gives up beyond this many terms
 # (_em_bounds); a >= t/pi needs m <= 25, the end of the table.
 _EM_MIN_HEAD = 64
 _EM_MAX_ORDER = 25
+# the most passes p+1 a grid call makes over its head: d <= pi/2 and every
+# segment-sum depth D > 64 hold p+1 to 16 (_eval_block, Order)
+_HEAD_PASSES = 16
 
 
 def _em_coeffs(m: int) -> tuple[float, ...]:
@@ -127,8 +130,7 @@ def error_bound(t: float, N: int) -> float:
 
     g_N(t) = sum_{n<=N} n^(-1-it) + N^(-it)/(it) - N^(-1-it)/2
     + (1+it)/16 N^(-2-it) is within this bound of zeta(1+it).  No evaluator
-    sums it: the bound defines the nominal term count N of choose_N, which
-    scans budget per grid point.
+    sums it: the bound defines the nominal term count N of choose_N.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -460,8 +462,8 @@ def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, flo
     closed-form Euler-Maclaurin tail a^(-it) A(t) (_em_tail) at each exact
     t_pts[j], with the least Bernoulli order m whose remainder at
     (a, t_max) is within eps/2: 10 at a = ceil t_max >= 64, 25 at
-    a = ceil(t_max/pi) (_em_tail, Choice of m).  N, the nominal term count
-    of the caller's budget (choose_N), has no effect.
+    a = ceil(t_max/pi) (_em_tail, Choice of m).  N, a nominal term count
+    (choose_N) that the benchmark's tracer reads, has no effect.
 
     The head costs p+1 passes over its a terms (one product with delta_n
     and one segment sum per order, below), the tail m Horner levels over
@@ -533,9 +535,9 @@ def _eval_block(t_pts: np.ndarray, N: int, plan: _Plan) -> tuple[np.ndarray, flo
     h ln a / (2 pi) for the segment-sum depth below; p is the least order
     whose bound is below eps D/2, so the remainder stays below half the
     segment-sum rounding eps H e^d D that the radius charges anyway.  At
-    d = pi/2 (1 + eps) the bound for p+1 = 16 is 9.5 eps, so p+1 <= 16 as
-    every D > 64; calls of 2^14 points at t ~ 1e3 and 1e6 take 15 and 14,
-    10 001 at 1.5e5 take 12.
+    d = pi/2 (1 + eps) the bound for p+1 = 16 is 9.5 eps, so p+1 <= 16
+    (_HEAD_PASSES, which scan budgets charge) as every D > 64; calls of
+    2^14 points at t ~ 1e3 and 1e6 take 15 and 14, 10 001 at 1.5e5 take 12.
 
     One point.  K = 1 (eval_zeta_certified, or a scan's last call of one
     point) has h = 0, M = B = 1, d = 0, p = 0 and rho = (1,), so every
@@ -756,10 +758,9 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
     This is a one-point call of _eval_block (One point), planned once
     (_call_plan, which gives err): the a = max(64, ceil(t/pi)) terms of the
     head, in chunks, and zeta's Euler-Maclaurin tail.  N, a positive
-    integer, is the nominal term count the caller's budget charged
-    (choose_N); it has no effect on the value or err.  Very small t (below
-    about 1e-3) is allowed, but the 1/(it) term inflates err through its
-    conditioning.
+    integer, is a nominal term count (choose_N); it has no effect on the
+    value or err.  Very small t (below about 1e-3) is allowed, but the
+    1/(it) term inflates err through its conditioning.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")

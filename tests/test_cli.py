@@ -165,6 +165,15 @@ class TestFormats:
         assert meta["command"] == "table2"
         assert float(rows[0]["C"]) == pytest.approx(2.4868, abs=1e-4)
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        # exit 1 means "bound violated", so a failed write must not escape
+        # as a traceback
+        path = tmp_path / "missing" / "x.csv"
+        status, out, err = run_cli(capsys, "eval", "--t", "10", "--out", str(path))
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.exists()
+
 
 class TestScan:
     def test_bound_holds_exit_zero(self, capsys):
@@ -237,7 +246,7 @@ class TestScan:
         assert "malformed" in err
 
     def test_step_below_float_spacing_is_usage_error(self, capsys):
-        # at the default budget the closed-form floor refuses first (exit 3)
+        # at the default budget the charge refuses first (exit 3)
         status, out, err = run_cli(
             capsys, "scan", "--lo", "1e300", "--hi", "2e300", "--h", "1", "--budget", "inf",
         )
@@ -363,6 +372,14 @@ class TestBudgetRefusals:
         monkeypatch.setitem(cli._RENDERERS, "csv", exhausted)
         status, out, _ = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "3")
         assert status == 3 and out == ""
+
+    def test_scan_over_physical_memory(self, capsys, monkeypatch):
+        # 7.28e8 points are under the default budget, but their arrays are
+        # not under physical memory, here read as 8 GiB
+        monkeypatch.setattr(verifier, "_physical_memory", lambda: float(8 << 30))
+        status, out, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "10", "--h", "1e-8")
+        assert status == 3 and out == ""
+        assert "physical memory" in err
 
     def test_infinite_budget_grid_out_of_memory(self, capsys):
         # --budget inf counts nothing: the 1e15 + 1 point grid fails as it

@@ -410,9 +410,9 @@ class TestScanInterval:
     def test_oversized_grid_refused_before_allocation(self):
         # 1e15 points, about 7 PiB for t alone
         cfg = ScanConfig(t_lo=2.72, t_hi=1e6, h=1e-9)
-        with pytest.raises(ResourceBudgetError, match="at least"):
+        with pytest.raises(ResourceBudgetError, match="kernel passes"):
             scan_interval(cfg)
-        with pytest.raises(ResourceBudgetError, match="at least"):
+        with pytest.raises(ResourceBudgetError, match="kernel passes"):
             scan_interval(ScanConfig(t_lo=1e300, t_hi=2e300, h=1.0))
 
     @pytest.mark.parametrize(
@@ -427,35 +427,111 @@ class TestScanInterval:
             scan_interval(ScanConfig(t_lo=t_lo, t_hi=t_hi, h=1.0), budget=math.inf)
         assert calls == []
 
-    def test_closed_form_floor_below_exact_count(self, monkeypatch):
-        # the early refusal must not reject a grid the exact count accepts:
-        # at a budget equal to the exact count, each call's N at its last
-        # point times its points, the scan runs, and just below it the exact
-        # check, not the closed-form floor, refuses before any kernel call
-        cfg = ScanConfig(t_lo=math.e, t_hi=300.0)
-        t = scan_interval(cfg).t
-        runs = _runs(cfg, t)
-        assert len(runs) == 2
-        exact = sum(n * (hi - lo + 1) for lo, hi, n in runs)
-        assert len(scan_interval(cfg, budget=float(exact)).t) == len(t)
-        calls = _record_calls(monkeypatch)
-        with pytest.raises(ResourceBudgetError, match="about"):
-            scan_interval(cfg, budget=exact - 1.0)
-        assert calls == []
-
     def test_exact_count_refused_before_any_array(self):
-        # 4.7e9 points pass the closed-form floor (3.1e10 terms) but need
-        # about 4.3e11; the block plan refuses them without building the grid
+        # 4.7e9 points in 2.9e5 kernel calls are charged 1.19e11 kernel
+        # passes, over the default budget: refused without building the grid
         tracemalloc = pytest.importorskip("tracemalloc")
         cfg = ScanConfig(t_lo=2.72, t_hi=50.0, h=1e-8, r=0.01)
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceBudgetError, match="about"):
+            with pytest.raises(ResourceBudgetError, match=r"1\.185e\+11 kernel passes"):
                 scan_interval(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cfg", [
+        ScanConfig(t_lo=10.0, t_hi=40.0),
+        ScanConfig(t_lo=math.e, t_hi=1e4),
+        ScanConfig(t_lo=1e5, t_hi=1e5 + 400.0),
+        ScanConfig(t_lo=1e6, t_hi=1e6 + 200.0),
+    ], ids=["one-call", "e-1e4", "1e5", "1e6"])
+    def test_charge_bounds_the_passes_of_the_calls(self, cfg):
+        # a call of K points makes (p+1) a + m K passes, p+1 = len(plan.rho):
+        # the charge holds their sum over the calls, and the budget admits
+        # the scan at its charge and refuses it just below
+        t, calls = verifier._grid(cfg, math.inf)
+        exact = 0
+        for lo, hi, _ in calls:
+            plan = _call_plan(t[lo:hi + 1])
+            exact += len(plan.rho) * plan.a + plan.m * (hi - lo + 1)
+        charge = verifier._charge(float(len(t)), cfg.t_hi)
+        assert charge >= exact
+        assert len(verifier._grid(cfg, charge)[0]) == len(t)
+        with pytest.raises(ResourceBudgetError, match="kernel passes"):
+            verifier._grid(cfg, charge * (1.0 - 1e-12))
+
+    def test_head_passes_bound_the_widest_expansion(self):
+        # the charge takes p+1 <= 16 passes per head term: the widest
+        # expansion, 2^14 points over the least head a = 64, takes all 16
+        for h in (1e-8, 0.01, 1.0):
+            for a in (64, 10**3, 10**6):
+                p = zeta_eval._transform(verifier._KERNEL_POINTS, h, a)[2]
+                assert p + 1 <= zeta_eval._HEAD_PASSES
+        assert zeta_eval._transform(verifier._KERNEL_POINTS, 0.01, 64)[2] + 1 == 16
+
+    def test_full_range_and_fine_radius_admitted_at_the_default_budget(self, monkeypatch):
+        # [e, 1e6] at h = 0.01 is charged 3.36e10 passes, under 5e10.  Its
+        # 1e8-point grid is not built here: with physical memory read as
+        # 0 B, _grid passes the budget and the float spacing and stops at
+        # the memory check, before any array
+        cfg = ScanConfig(t_lo=math.e, t_hi=1e6)
+        points = math.floor((cfg.t_hi - cfg.t_lo) / cfg.h + 1e-9) + 1
+        charge = verifier._charge(float(points), cfg.t_hi)
+        assert charge == pytest.approx(3.359e10, rel=1e-3)
+        monkeypatch.setattr(verifier, "_physical_memory", lambda: 0.0)
+        with pytest.raises(MemoryError, match="physical memory"):
+            verifier._grid(cfg, verifier.DEFAULT_BUDGET)
+        monkeypatch.undo()
+        # at r = 1e-8, [1e6, 1e6 + 1] is one 101-point call, charged 5.1e6
+        t, calls = verifier._grid(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=1e-8),
+                                  verifier.DEFAULT_BUDGET)
+        assert len(t) == 101 and [(lo, hi) for lo, hi, _ in calls] == [(0, 100)]
+        assert verifier._charge(101.0, 1e6 + 1.0) == pytest.approx(5.096e6, rel=1e-3)
+
+    def test_r_changes_no_charge(self):
+        # r caps the radius only: at every r the scan is admitted at one
+        # charge and refused just below it
+        base = ScanConfig(t_lo=1e5, t_hi=1e5 + 10.0)
+        charge = verifier._charge(1001.0, base.t_hi)
+        for r in (1e-8, 1e-4, 0.01):
+            cfg = ScanConfig(t_lo=base.t_lo, t_hi=base.t_hi, r=r)
+            assert len(verifier._grid(cfg, charge)[0]) == 1001
+            with pytest.raises(ResourceBudgetError, match="kernel passes"):
+                verifier._grid(cfg, charge * (1.0 - 1e-12))
+
+    def test_grid_over_physical_memory_refused_before_any_array(self, monkeypatch):
+        # [2.72, 10] at h = 1e-8: 7.28e8 points, charged 1.8e10 passes,
+        # which the default budget admits, but 48 B a point of arrays
+        # (35 GB) is over physical memory, here read as 8 GiB
+        tracemalloc = pytest.importorskip("tracemalloc")
+        monkeypatch.setattr(verifier, "_physical_memory", lambda: float(8 << 30))
+        cfg = ScanConfig(t_lo=2.72, t_hi=10.0, h=1e-8)
+        assert verifier._charge(7.28e8, cfg.t_hi) < verifier.DEFAULT_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="physical memory"):
+                scan_interval(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # 11 points take 528 B: admitted at exactly that, refused below it
+        small = ScanConfig(t_lo=10.0, t_hi=10.1)
+        monkeypatch.setattr(verifier, "_physical_memory", lambda: 528.0)
+        assert len(scan_interval(small).t) == 11
+        monkeypatch.setattr(verifier, "_physical_memory", lambda: 527.0)
+        with pytest.raises(MemoryError):
+            scan_interval(small)
+
+    def test_physical_memory_unknown_is_no_limit(self, monkeypatch):
+        # where os.sysconf gives no figure, no grid is refused for memory
+        def unavailable(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(verifier.os, "sysconf", unavailable)
+        assert verifier._physical_memory() == math.inf
 
     def test_wide_block_split_into_capped_kernel_calls(self, monkeypatch):
         # 3001 points in one call; at a cap of 1000 points per kernel call
