@@ -23,7 +23,7 @@ Exit status: 0 success / bound holds, 1 bound violated on the grid,
 budget that is not positive, an --r below the radius an eval or any
 scan call certifies, or an --out that cannot be written), 3 resource or
 convergence error (including a scan over its budget or over physical
-memory, an unrepresentable term count, or no memory).
+memory, an eval whose head is over the budget, or no memory).
 """
 
 from __future__ import annotations
@@ -176,7 +176,6 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
         raise ValueError(f"--t must be positive and finite, got {t}")
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
-    n = zeta_eval.choose_N(t, r)
     pts = np.array([t], dtype=np.float64)
     plan = zeta_eval._call_plan(pts)  # the head and err of the sum below, checked first
     if plan.a > verifier.DEFAULT_BUDGET:
@@ -186,7 +185,8 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
         )
     if r < plan.radius:
         raise ValueError(f"--r {r:g} is below the radius {plan.radius:.3e} certified at t = {t:g}")
-    values, err = zeta_eval._eval_block(pts, n, plan)
+    # the nominal N, formed once r is known to hold, changes nothing but what a tracer reads
+    values, err = zeta_eval._eval_block(pts, zeta_eval.choose_N(t, r), plan)
     cert = zeta_eval.CertifiedComplex(complex(values[0]), err)
     columns = {
         "t": [t],

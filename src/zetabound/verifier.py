@@ -20,12 +20,23 @@ and Euler-Maclaurin remainders and every floating-point effect, before
 the first run, and each run then executes its plan and returns that
 radius.  The refiners evaluate single points with
 zeta_eval.eval_zeta_certified, the kernel's one-point call.
+
+Scans remember their recent runs (_CallMemo): the key (t_lo, h, k_lo,
+k_hi) fixes a run's points t_lo + k h to the bit, and with them its plan
+and values, so a later scan of the same grid takes a remembered run's plan
+(for its r check) and moduli instead of running it again, and its report
+is bit for bit a cold scan's.  The paper's peak and crossing scan [e, 2000]
+and its affine check [e, 1e4], so they share their first 12-13 runs.  The
+memo holds a plan and 8 bytes a point per run, and drops the least
+recently used runs past _MEMO_POINTS points (16 full runs, 2 MB).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -68,8 +79,11 @@ _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
 # bytes scan_interval holds per grid point: six float64 arrays (t, modulus,
 # err, ratio, log t, which becomes the margins, and modulus + err)
 _POINT_BYTES = 6 * 8
-# a kernel call of a scan: (k_lo, k_hi, N), run as _eval_block(t[k_lo:k_hi + 1], N, plan)
-_Call = tuple[int, int, int]
+# a kernel call of a scan, on its grid points t[k_lo:k_hi + 1]: (k_lo, k_hi)
+_Call = tuple[int, int]
+# a scan's kernel call by the grid it is on and its place there: (t_lo, h, k_lo, k_hi)
+_Key = tuple[float, float, int, int]
+_MEMO_POINTS = 1 << 18  # most grid points whose moduli _MEMO keeps, 8 bytes each
 _OVER_BUDGET = "scan charges {:.3e} kernel passes, over the budget {:.3e}; raise it or relax the grid"
 
 
@@ -156,7 +170,7 @@ def _grid(config: ScanConfig, budget: float) -> tuple[np.ndarray, list[_Call]]:
         raise MemoryError(f"scan of {steps + 1.0:.3e} points needs about {need:.3e} bytes, "
                           f"over the {memory:.3e} bytes of physical memory")
     K = int(steps)
-    return t_lo + np.arange(K + 1, dtype=np.float64) * h, list(_calls(config, K))
+    return t_lo + np.arange(K + 1, dtype=np.float64) * h, list(_calls(K))
 
 
 def _charge(points: float, t_hi: float) -> float:
@@ -185,17 +199,60 @@ def _physical_memory() -> float:
     return float(pages * size) if pages > 0 and size > 0 else math.inf
 
 
-def _calls(config: ScanConfig, K: int) -> Iterator[_Call]:
-    """The kernel calls (k_lo, k_hi, N) of a scan of grid points 0..K, in grid order.
+def _calls(K: int) -> Iterator[_Call]:
+    """The kernel calls (k_lo, k_hi) of a scan of grid points 0..K, in grid order.
 
-    Grid point k is t_lo + k h.  The calls are fixed runs of _KERNEL_POINTS
-    points from k = 0, the last one shorter, each with its last point's N.
+    The calls are fixed runs of _KERNEL_POINTS points from k = 0, the last
+    one shorter.
     """
     for k_lo in range(0, K + 1, _KERNEL_POINTS):
-        k_hi = min(k_lo + _KERNEL_POINTS - 1, K)
-        # N changes no value, radius or charge: it is there because the
-        # benchmark's tracer (bench/tracing.py) reads the kernel's second argument
-        yield k_lo, k_hi, choose_N(config.t_lo + k_hi * config.h, config.r)
+        yield k_lo, min(k_lo + _KERNEL_POINTS - 1, K)
+
+
+class _CallMemo:
+    """The plans and moduli of recent scan calls, least recently used dropped past _MEMO_POINTS.
+
+    A key (t_lo, h, k_lo, k_hi) fixes the call's points t_lo + k h,
+    k_lo <= k <= k_hi, to the bit, and zeta_eval._call_plan and _eval_block
+    read nothing else, so a remembered plan and moduli are the ones a new
+    call would give.  Each entry is a plan and a read-only copy of the
+    moduli.  A lock guards every lookup and update, so scans on several
+    threads may share the memo.
+    """
+
+    def __init__(self) -> None:
+        self.points = 0  # grid points of the moduli held
+        self._entries: OrderedDict[_Key, tuple[_Plan, np.ndarray]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: _Key) -> Optional[tuple[_Plan, np.ndarray]]:
+        """The (plan, moduli) remembered for key, now the most recently used, or None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: _Key, plan: _Plan, modulus: np.ndarray) -> None:
+        """Remember plan and a copy of modulus; drop the least recently used past the bound."""
+        kept = modulus.copy()
+        kept.flags.writeable = False
+        with self._lock:
+            # a scan on another thread may have run and kept the same call
+            if (old := self._entries.pop(key, None)) is not None:
+                self.points -= len(old[1])
+            self._entries[key] = (plan, kept)
+            self.points += len(kept)
+            while self.points > _MEMO_POINTS:
+                self.points -= len(self._entries.popitem(last=False)[1][1])
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.points = 0
+
+
+_MEMO = _CallMemo()
 
 
 def scan_interval(
@@ -216,8 +273,12 @@ def scan_interval(
     kernel call is planned once (zeta_eval._call_plan) and runs that plan,
     whose radius it returns at every point; config.r, the largest radius
     accepted, must be at least every plan's, checked before the first
-    call, or ValueError names the radius.  workers > 1
-    distributes kernel calls over threads, merged in call order, so the
+    call, or ValueError names the radius.  A call that a recent scan of the
+    same t_lo and h made on the same grid points (_CallMemo, keyed by
+    (t_lo, h, k_lo, k_hi), at most _MEMO_POINTS = 2^18 points held) is not
+    run again: its remembered plan is checked against r, and its moduli
+    are copied, which changes no bit of the report.  workers > 1
+    distributes the other calls over threads, merged in call order, so the
     report is identical for any worker count; on 2 cores two measured
     about 1.4x faster than one ([e, 1e4]: medians 0.38 and 0.26 s;
     [1e6, 1e6 + 1000]: 0.17 and 0.12 s; 12 alternating pairs each, ranges
@@ -230,27 +291,39 @@ def scan_interval(
     if bound is not None and not all(map(math.isfinite, bound)):
         raise ValueError(f"bound slope and intercept must be finite, got {bound}")
     t, calls = _grid(config, budget)
+    keys = [(config.t_lo, config.h, k_lo, k_hi) for k_lo, k_hi in calls]
     plans: list[_Plan] = []
-    for k_lo, k_hi, _ in calls:  # r is a ceiling on the radius each call returns
+    known: list[Optional[np.ndarray]] = []  # the moduli of remembered calls, None for the rest
+    for (k_lo, k_hi), key in zip(calls, keys):  # r is a ceiling on the radius each call returns
         pts = t[k_lo:k_hi + 1]
-        plans.append(plan := _call_plan(pts))
+        plan, stored = _MEMO.get(key) or (_call_plan(pts), None)
+        plans.append(plan)
+        known.append(stored)
         if config.r < plan.radius:
             raise ValueError(
                 f"r = {config.r:g} is below the radius {plan.radius:.3e} of the kernel call on "
                 f"t in [{pts[0]:.9g}, {pts[-1]:.9g}]"
             )
+    missed = [i for i, stored in enumerate(known) if stored is None]
 
-    def run(call: _Call, plan: _Plan) -> tuple[np.ndarray, float]:
-        k_lo, k_hi, N = call
-        return _eval_block(t[k_lo:k_hi + 1], N, plan)
+    def run(i: int) -> np.ndarray:
+        pts = t[calls[i][0]:calls[i][1] + 1]
+        # N changes no value, radius or charge: it is there because the
+        # benchmark's tracer (bench/tracing.py) reads the kernel's second argument
+        return _eval_block(pts, choose_N(float(pts[-1]), config.r), plans[i])[0]
 
     modulus = np.empty(len(t))
     err = np.empty(len(t))
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
-        for (k_lo, k_hi, _), (vals, call_err) in zip(calls, run_all(run, calls, plans)):
+        for i, vals in zip(missed, run_all(run, missed)):
+            k_lo, k_hi = calls[i]
             np.abs(vals, out=modulus[k_lo:k_hi + 1])
-            err[k_lo:k_hi + 1] = call_err
+            _MEMO.put(keys[i], plans[i], modulus[k_lo:k_hi + 1])
+    for (k_lo, k_hi), plan, stored in zip(calls, plans, known):
+        if stored is not None:
+            modulus[k_lo:k_hi + 1] = stored
+        err[k_lo:k_hi + 1] = plan.radius
 
     log_t = np.log(t)
     ratio = modulus / log_t

@@ -6,7 +6,9 @@ wrapped function or dropping one of those caches fails here rather than
 only in the benchmark.  The kernel's memos of transform tables
 (zeta_eval._pruned_layout) and of phase-expansion coefficients
 (zeta_eval._phase_coeffs) must start empty too: a table made at import
-would move kernel work into the benchmark's setup_s.
+would move kernel work into the benchmark's setup_s.  So must the
+scans' memo of recent kernel calls (verifier._MEMO), or a pass would not
+pay for its own first calls.
 The refiners must reach the point evaluator through the wrapped
 verifier.eval_zeta_certified, or the benchmark would count no refinement;
 the contour oracle and c_sigma must run under their wrapped names, or the
@@ -17,9 +19,9 @@ _block_size reads a kernel call's args[0] and args[1], and _term_count
 args[1].  So both keep N second, though it changes no value, until bench/
 counts the terms a call sums; the plan a caller hands the kernel rides
 third.  A traced point evaluation and a scan's kernel calls must count
-terms, and the traced kernel calls' points must add up to the traced
-scans' grid points, which shows the tracer still parses the
-three-argument call.
+terms, and, for scans that share no call, the traced kernel calls'
+points must add up to the traced scans' grid points, which shows the
+tracer still parses the three-argument call.
 """
 
 import os
@@ -37,6 +39,7 @@ import workloads
 assert workloads.cold_caches()
 assert zeta_eval._pruned_layout.cache_info().currsize == 0
 assert zeta_eval._phase_coeffs.cache_info().currsize == 0
+assert verifier._MEMO.points == 0
 tracer = tracing.Tracer("t")
 tracer.install()
 grid_points = []

@@ -87,6 +87,17 @@ class TestEval:
         assert status == 0 and len(calls) == 1
         assert json.loads(out)["rows"][0]["err"] == radius
 
+    @pytest.mark.parametrize("args, radius", [
+        (("eval", "--t", "1e6"), "1.804e-08"),
+        (("scan", "--lo", "1e6", "--hi", "1000001"), "5.421e-08"),
+    ], ids=["eval", "scan"])
+    def test_radius_far_below_the_floor_is_usage_error(self, capsys, args, radius):
+        # at r = 1e-30 the nominal N, 1.77e20, is past the integer range,
+        # but N decides nothing: the r check refuses first, naming the radius
+        status, out, err = run_cli(capsys, *args, "--r", "1e-30")
+        assert status == 2 and out == ""
+        assert f"below the radius {radius}" in err
+
     def test_zero_threshold_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "eval", "--t", "1", "--r", "0")
         assert status == 2
@@ -319,7 +330,7 @@ class TestNonFiniteInputs:
     def test_eval_huge_t_is_resource_error(self, capsys):
         status, _, err = run_cli(capsys, "eval", "--t", "1e300")
         assert status == 3
-        assert "integer range" in err
+        assert "head of 3.183e+299 terms, over the budget" in err
 
     def test_scan_infinite_hi_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "inf")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -75,15 +76,11 @@ def _record_calls(monkeypatch):
     return calls
 
 
-def _runs(cfg, t):
-    # (k_lo, k_hi, N) of each kernel call, from the documented plan: fixed
-    # runs of _KERNEL_POINTS points, each with the N of its last point
+def _runs(t):
+    # (k_lo, k_hi) of each kernel call, from the documented plan: fixed
+    # runs of _KERNEL_POINTS points
     size = verifier._KERNEL_POINTS
-    runs = []
-    for lo in range(0, len(t), size):
-        hi = min(lo + size, len(t)) - 1
-        runs.append((lo, hi, choose_N(float(t[hi]), cfg.r)))
-    return runs
+    return [(lo, min(lo + size, len(t)) - 1) for lo in range(0, len(t), size)]
 
 
 def _plan(cfg, budget):
@@ -323,7 +320,7 @@ class TestScanInterval:
         cfg = ScanConfig(t_lo=1e6, t_hi=1.2e6, h=1.0, r=1e-7)
         plan = _plan(cfg, math.inf)
         t = cfg.t_lo + np.arange(plan[-1][1] + 1) * cfg.h
-        radii = [zeta_eval._call_plan(t[lo:hi + 1]).radius for lo, hi, _ in plan]
+        radii = [zeta_eval._call_plan(t[lo:hi + 1]).radius for lo, hi in plan]
         assert len(plan) == 13 and radii[0] < radii[-1]
         r = math.sqrt(radii[0] * radii[-1])
         calls = _record_calls(monkeypatch)
@@ -453,7 +450,7 @@ class TestScanInterval:
         # the scan at its charge and refuses it just below
         t, calls = verifier._grid(cfg, math.inf)
         exact = 0
-        for lo, hi, _ in calls:
+        for lo, hi in calls:
             plan = _call_plan(t[lo:hi + 1])
             exact += len(plan.rho) * plan.a + plan.m * (hi - lo + 1)
         charge = verifier._charge(float(len(t)), cfg.t_hi)
@@ -487,7 +484,7 @@ class TestScanInterval:
         # at r = 1e-8, [1e6, 1e6 + 1] is one 101-point call, charged 5.1e6
         t, calls = verifier._grid(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=1e-8),
                                   verifier.DEFAULT_BUDGET)
-        assert len(t) == 101 and [(lo, hi) for lo, hi, _ in calls] == [(0, 100)]
+        assert len(t) == 101 and calls == [(0, 100)]
         assert verifier._charge(101.0, 1e6 + 1.0) == pytest.approx(5.096e6, rel=1e-3)
 
     def test_r_changes_no_charge(self):
@@ -558,6 +555,7 @@ class TestScanInterval:
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert len(calls) == 1
+        verifier._MEMO.clear()  # or the scan below reuses the check's call
         report = scan_interval(cfg)
         [(pts, n_max, _, err)] = calls[1:]
         t = report.t
@@ -586,15 +584,16 @@ class TestScanInterval:
         tails = _spy_tails(monkeypatch)
         report = scan_interval(cfg)
         t = report.t
-        assert plan == _runs(cfg, t)
-        assert [(lo, hi) for lo, hi, _ in plan] == [(0, 2499), (2500, 4999), (5000, len(t) - 1)]
-        assert [(len(pts), n) for pts, n, _, _ in calls] == [(hi - lo + 1, n) for lo, hi, n in plan]
-        assert tails == [hi - lo + 1 for lo, hi, _ in plan]
+        assert plan == _runs(t) == [(0, 2499), (2500, 4999), (5000, len(t) - 1)]
+        assert [(len(pts), n) for pts, n, _, _ in calls] == [
+            (hi - lo + 1, choose_N(float(t[hi]), cfg.r)) for lo, hi in plan
+        ]
+        assert tails == [hi - lo + 1 for lo, hi in plan]
 
         def within_head(k):  # a = 64 for any call ending at t <= 60
             return choose_N(float(t[k]), cfg.r) <= _em_head(float(t[k]), 1)
 
-        assert [(within_head(lo), within_head(hi)) for lo, hi, _ in plan] == [
+        assert [(within_head(lo), within_head(hi)) for lo, hi in plan] == [
             (True, True), (True, False), (False, False)
         ]
         # no run's radius holds a truncation bound
@@ -609,11 +608,11 @@ class TestScanInterval:
         K = math.floor((cfg.t_hi - cfg.t_lo) / cfg.h + 1e-9)
         t = cfg.t_lo + np.arange(K + 1, dtype=np.float64) * cfg.h
         plan = _plan(cfg, verifier.DEFAULT_BUDGET)
-        assert len(plan) == 62 and plan == _runs(cfg, t)
+        assert len(plan) == 62 and plan == _runs(t)
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert [(float(pts[0]), len(pts), n) for pts, n, _, _ in calls] == [
-            (float(t[lo]), hi - lo + 1, n) for lo, hi, n in plan
+            (float(t[lo]), hi - lo + 1, choose_N(float(t[hi]), cfg.r)) for lo, hi in plan
         ]
 
     def test_margins_present_only_with_bound(self):
@@ -686,6 +685,157 @@ class TestOnePlanPerCall:
         [(pts, handed)] = kernel_calls
         assert [p.tobytes() for p in planned] == [pts.tobytes()]
         assert handed == plan(pts)
+
+
+class TestCallMemo:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_scan_runs_only_the_calls_an_earlier_scan_did_not(self, monkeypatch, workers):
+        # in calls of 500 points, [e, 30] and [e, 60] share their first five
+        # calls (the sixth of [e, 30] is shorter): after [e, 30], the scan of
+        # [e, 60] runs only its last seven calls, and its report is the
+        # bytes of a cold scan's
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 500)
+        wide = ScanConfig(t_lo=math.e, t_hi=60.0)
+        cold = scan_interval(wide, bound=(0.5, 0.6633))
+        verifier._MEMO.clear()
+        scan_interval(ScanConfig(t_lo=math.e, t_hi=30.0), workers=workers)
+        calls = _record_calls(monkeypatch)
+        warm = scan_interval(wide, bound=(0.5, 0.6633), workers=workers)
+        calls.sort(key=lambda call: float(call[0][0]))  # a pool may finish out of order
+        runs = _runs(cold.t)
+        assert len(runs) == 12
+        assert [pts.tobytes() for pts, _, _, _ in calls] == [
+            cold.t[lo:hi + 1].tobytes() for lo, hi in runs[5:]
+        ]
+        for name in ("t", "modulus", "err", "ratio", "margin"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+        assert (warm.max_ratio, warm.argmax_t, warm.min_margin, warm.argmin_t) == (
+            cold.max_ratio, cold.argmax_t, cold.min_margin, cold.argmin_t
+        )
+
+    @pytest.mark.parametrize("cfg, points", [
+        (ScanConfig(t_lo=math.e, t_hi=420.0, h=0.05), 3000),
+        (ScanConfig(t_lo=3e4, t_hi=3e4 + 3.0), 1 << 14),
+        (ScanConfig(t_lo=3e5, t_hi=3e5 + 1.0), 60),  # a head of two n-chunks
+    ], ids=["e-420", "3e4", "3e5"])
+    def test_cold_scans_bit_identical_at_any_workers(self, monkeypatch, cfg, points):
+        # the second scan of test_workers_bit_identical* reuses the first's
+        # calls; here each scan starts from an empty memo and runs every
+        # call, on one thread or on a pool
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", points)
+        calls = _record_calls(monkeypatch)
+        reports = []
+        for workers in (1, 2, 3):
+            verifier._MEMO.clear()
+            calls.clear()
+            reports.append(scan_interval(cfg, workers=workers))
+            assert len(calls) == len(_runs(reports[-1].t))
+        seq = reports[0]
+        for par in reports[1:]:
+            assert seq.modulus.tobytes() == par.modulus.tobytes()
+            assert seq.err.tobytes() == par.err.tobytes()
+
+    @pytest.mark.parametrize("other", [
+        ScanConfig(t_lo=40.0, t_hi=50.0, h=0.02),
+        ScanConfig(t_lo=40.005, t_hi=45.005),
+    ], ids=["h", "t_lo"])
+    def test_a_call_is_reused_only_on_its_own_grid(self, monkeypatch, other):
+        # the one call of [40, 45] has k = 0..500, as has the call of a grid
+        # with another h or t_lo, whose points differ: that call runs
+        scan_interval(ScanConfig(t_lo=40.0, t_hi=45.0))
+        calls = _record_calls(monkeypatch)
+        report = scan_interval(other)
+        assert len(report.t) == 501 and len(calls) == 1
+        verifier._MEMO.clear()
+        assert scan_interval(other).modulus.tobytes() == report.modulus.tobytes()
+
+    def test_r_below_a_remembered_radius_refused(self, monkeypatch):
+        # the call at t = 1e6 is remembered with its radius 5.421e-8: r = 1e-8
+        # is refused, naming that radius, with no plan made and no kernel call
+        scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=7e-8), budget=math.inf)
+        planned, _ = _count_plans(monkeypatch)
+        calls = _record_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"radius 5\.421e-08 of the kernel call"):
+            scan_interval(ScanConfig(t_lo=1e6, t_hi=1e6 + 1.0, r=1e-8), budget=math.inf)
+        assert planned == [] and calls == []
+
+    def test_memo_holds_at_most_its_bound(self, monkeypatch):
+        # [e, 3000] makes 19 calls, more than the 16 full ones the 2^18-point
+        # bound holds: the memo keeps the latest calls within it, so a rescan
+        # runs the three oldest calls again, and only those
+        cfg = ScanConfig(t_lo=math.e, t_hi=3000.0)
+        first = scan_interval(cfg)
+        runs = _runs(first.t)
+        assert len(runs) == 19 and verifier._MEMO_POINTS == 1 << 18
+        assert verifier._MEMO.points <= verifier._MEMO_POINTS
+        calls = _record_calls(monkeypatch)
+        again = scan_interval(cfg)
+        assert [float(pts[0]) for pts, _, _, _ in calls] == [
+            float(first.t[lo]) for lo, _ in runs[:3]
+        ]
+        assert verifier._MEMO.points <= verifier._MEMO_POINTS
+        assert again.modulus.tobytes() == first.modulus.tobytes()
+
+    def test_the_least_recently_used_call_is_dropped(self, monkeypatch):
+        # with room for three calls of 100 points: [e, e + 2.99] leaves
+        # calls 0, 1 and 2, [e, e + 0.99] reuses call 0, and a third grid's
+        # call then drops call 1, the least recently used, not call 0
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 100)
+        monkeypatch.setattr(verifier, "_MEMO_POINTS", 300)
+        first = ScanConfig(t_lo=math.e, t_hi=math.e + 0.99)
+        scan_interval(ScanConfig(t_lo=math.e, t_hi=math.e + 2.99))
+        scan_interval(first)
+        scan_interval(ScanConfig(t_lo=10.0, t_hi=10.99))
+        calls = _record_calls(monkeypatch)
+        scan_interval(first)
+        assert calls == []
+        scan_interval(ScanConfig(t_lo=math.e, t_hi=math.e + 1.99))
+        assert [len(pts) for pts, _, _, _ in calls] == [100]
+
+    def test_writing_into_a_report_leaves_later_scans_unchanged(self, monkeypatch):
+        # the memo keeps a read-only copy of a call's moduli, not the report's
+        cfg = ScanConfig(t_lo=40.0, t_hi=45.0)
+        first = scan_interval(cfg)
+        expected = first.modulus.tobytes()
+        first.modulus[:] = 0.0
+        _, stored = verifier._MEMO.get((cfg.t_lo, cfg.h, 0, 500))
+        assert not stored.flags.writeable
+        calls = _record_calls(monkeypatch)
+        assert scan_interval(cfg).modulus.tobytes() == expected
+        assert calls == []
+
+    def test_concurrent_scans_share_the_memo_safely(self, monkeypatch):
+        # four threads scan three grids that share calls, in calls of 50
+        # points, while the memo holds at most 400 points, with a short
+        # switch interval, so lookups, stores and drops interleave: every
+        # report is a cold scan's, and the memo counts the points it holds
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 50)
+        monkeypatch.setattr(verifier, "_MEMO_POINTS", 400)
+        cfgs = [ScanConfig(t_lo=math.e, t_hi=math.e + width) for width in (3.0, 4.0, 5.0)]
+        cold = []
+        for cfg in cfgs:
+            verifier._MEMO.clear()
+            cold.append(scan_interval(cfg).modulus.tobytes())
+        verifier._MEMO.clear()
+
+        def scans(offset):
+            wrong = []
+            for k in range(12):
+                i = (k + offset) % len(cfgs)
+                if scan_interval(cfgs[i], workers=1 + k % 2).modulus.tobytes() != cold[i]:
+                    wrong.append(i)
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(scans, offset) for offset in range(4)]
+                assert [f.result(timeout=120) for f in futures] == [[]] * 4
+        finally:
+            sys.setswitchinterval(interval)
+        memo = verifier._MEMO
+        assert memo.points == sum(len(m) for _, m in memo._entries.values()) <= 400
 
 
 class TestAgainstMpmath:

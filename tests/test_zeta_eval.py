@@ -412,7 +412,7 @@ class TestPrunedTransform:
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 256)
         cfg = verifier.ScanConfig(t_lo=100.0, t_hi=100.0 + 1023 * 0.01)
         t, calls = verifier._grid(cfg, math.inf)
-        plans = [zeta_eval._call_plan(t[lo:hi + 1]) for lo, hi, _ in calls]
+        plans = [zeta_eval._call_plan(t[lo:hi + 1]) for lo, hi in calls]
         assert len(plans) == 4 and {(plan.M, plan.B) for plan in plans} == {(256, 4)}
         zeta_eval._pruned_layout.cache_clear()
         verifier.scan_interval(cfg)
