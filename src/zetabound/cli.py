@@ -176,13 +176,7 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
         raise ValueError(f"--t must be positive and finite, got {t}")
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
-    pts = np.array([t], dtype=np.float64)
-    plan = zeta_eval._call_plan(pts)  # the head and err of the sum below, checked first
-    if plan.a > verifier.DEFAULT_BUDGET:
-        raise ResourceBudgetError(
-            f"evaluation sums a head of {plan.a:.3e} terms, over the budget "
-            f"{verifier.DEFAULT_BUDGET:.3e}"
-        )
+    pts, plan = zeta_eval._point_plan(t)  # the head and err of the sum below, checked first
     if r < plan.radius:
         raise ValueError(f"--r {r:g} is below the radius {plan.radius:.3e} certified at t = {t:g}")
     # the nominal N, formed once r is known to hold, changes nothing but what a tracer reads

@@ -21,14 +21,14 @@ the first run, and each run then executes its plan and returns that
 radius.  The refiners evaluate single points with
 zeta_eval.eval_zeta_certified, the kernel's one-point call.
 
-Scans remember their recent runs (_CallMemo): the key (t_lo, h, k_lo,
-k_hi) fixes a run's points t_lo + k h to the bit, and with them its plan
-and values, so a later scan of the same grid takes a remembered run's plan
+Scans remember their recent runs (_MEMO): the key (t_lo, h, k_lo, k_hi)
+fixes a run's points t_lo + k h to the bit, and with them its plan and
+values, so a later scan of the same grid takes a remembered run's plan
 (for its r check) and moduli instead of running it again, and its report
 is bit for bit a cold scan's.  The paper's peak and crossing scan [e, 2000]
 and its affine check [e, 1e4], so they share their first 12-13 runs.  The
 memo holds a plan and 8 bytes a point per run, and drops the least
-recently used runs past _MEMO_POINTS points (16 full runs, 2 MB).
+recently used runs past _MEMO_CALLS = 16 runs (at most 2^18 points, 2 MB).
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
 from .zeta_eval import _EM_MAX_ORDER, _HEAD_PASSES, _call_plan, _em_head, _eval_block, _Plan
-from .zeta_eval import choose_N, eval_zeta_certified
+from .zeta_eval import DEFAULT_BUDGET, choose_N, eval_zeta_certified
 
 __all__ = [
     "GRID_NOTE",
@@ -65,11 +65,6 @@ GRID_NOTE = (
     "are not covered by this check"
 )
 
-# Budget per scan in kernel passes, each over one head term or one grid
-# point: _charge's upper bound on what the scan's kernel calls make.
-# Exceeding it raises before any array exists.
-DEFAULT_BUDGET = 5.0e10
-
 _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
 # r of the refiners' evaluations, which sets only their nominal N: the
 # radius is the kernel's (1.14e-13 at t = 17.7477, 1.80e-8 at t = 1e6)
@@ -83,7 +78,7 @@ _POINT_BYTES = 6 * 8
 _Call = tuple[int, int]
 # a scan's kernel call by the grid it is on and its place there: (t_lo, h, k_lo, k_hi)
 _Key = tuple[float, float, int, int]
-_MEMO_POINTS = 1 << 18  # most grid points whose moduli _MEMO keeps, 8 bytes each
+_MEMO_CALLS = 16  # most calls _MEMO keeps, each at most _KERNEL_POINTS moduli of 8 bytes: 2 MB
 _OVER_BUDGET = "scan charges {:.3e} kernel passes, over the budget {:.3e}; raise it or relax the grid"
 
 
@@ -94,7 +89,7 @@ class ScanConfig:
     h is the grid spacing (0.01 reflects behaviour well for plotting-scale
     work) and r the largest radius accepted per point; r changes no
     budget charge (_charge).  block is validated but has no effect: the
-    plan is fixed-size kernel calls (_calls).
+    plan is fixed-size kernel calls (_grid).
     """
 
     t_lo: float
@@ -151,14 +146,15 @@ class VerificationResult:
 
 
 def _grid(config: ScanConfig, budget: float) -> tuple[np.ndarray, list[_Call]]:
-    """A scan's grid t_lo + k h and its kernel calls (_calls), once budget, h and memory allow them.
+    """A scan's grid t_lo + k h and its kernel calls, once budget, h and memory allow them.
 
     Three checks, in this order and before any array exists: a charge
     (_charge) over the budget raises ResourceBudgetError; h below the
     float spacing at t_hi, which would repeat points, raises ValueError;
     and a grid whose arrays in scan_interval (_POINT_BYTES a point) exceed
     the machine's physical memory raises MemoryError.  Then the grid is
-    built and its calls listed once.
+    built and its calls listed once, in grid order: fixed runs
+    (k_lo, k_hi) of _KERNEL_POINTS points from k = 0, the last one shorter.
     """
     t_lo, h = config.t_lo, config.h
     steps = float(np.floor((config.t_hi - t_lo) / h + 1e-9))
@@ -170,7 +166,8 @@ def _grid(config: ScanConfig, budget: float) -> tuple[np.ndarray, list[_Call]]:
         raise MemoryError(f"scan of {steps + 1.0:.3e} points needs about {need:.3e} bytes, "
                           f"over the {memory:.3e} bytes of physical memory")
     K = int(steps)
-    return t_lo + np.arange(K + 1, dtype=np.float64) * h, list(_calls(K))
+    calls = [(k_lo, min(k_lo + _KERNEL_POINTS - 1, K)) for k_lo in range(0, K + 1, _KERNEL_POINTS)]
+    return t_lo + np.arange(K + 1, dtype=np.float64) * h, calls
 
 
 def _charge(points: float, t_hi: float) -> float:
@@ -199,60 +196,14 @@ def _physical_memory() -> float:
     return float(pages * size) if pages > 0 and size > 0 else math.inf
 
 
-def _calls(K: int) -> Iterator[_Call]:
-    """The kernel calls (k_lo, k_hi) of a scan of grid points 0..K, in grid order.
-
-    The calls are fixed runs of _KERNEL_POINTS points from k = 0, the last
-    one shorter.
-    """
-    for k_lo in range(0, K + 1, _KERNEL_POINTS):
-        yield k_lo, min(k_lo + _KERNEL_POINTS - 1, K)
-
-
-class _CallMemo:
-    """The plans and moduli of recent scan calls, least recently used dropped past _MEMO_POINTS.
-
-    A key (t_lo, h, k_lo, k_hi) fixes the call's points t_lo + k h,
-    k_lo <= k <= k_hi, to the bit, and zeta_eval._call_plan and _eval_block
-    read nothing else, so a remembered plan and moduli are the ones a new
-    call would give.  Each entry is a plan and a read-only copy of the
-    moduli.  A lock guards every lookup and update, so scans on several
-    threads may share the memo.
-    """
-
-    def __init__(self) -> None:
-        self.points = 0  # grid points of the moduli held
-        self._entries: OrderedDict[_Key, tuple[_Plan, np.ndarray]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: _Key) -> Optional[tuple[_Plan, np.ndarray]]:
-        """The (plan, moduli) remembered for key, now the most recently used, or None."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: _Key, plan: _Plan, modulus: np.ndarray) -> None:
-        """Remember plan and a copy of modulus; drop the least recently used past the bound."""
-        kept = modulus.copy()
-        kept.flags.writeable = False
-        with self._lock:
-            # a scan on another thread may have run and kept the same call
-            if (old := self._entries.pop(key, None)) is not None:
-                self.points -= len(old[1])
-            self._entries[key] = (plan, kept)
-            self.points += len(kept)
-            while self.points > _MEMO_POINTS:
-                self.points -= len(self._entries.popitem(last=False)[1][1])
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.points = 0
-
-
-_MEMO = _CallMemo()
+# the plan and read-only moduli of each recent scan call, least recently
+# used first.  A key (t_lo, h, k_lo, k_hi) fixes the call's points
+# t_lo + k h, k_lo <= k <= k_hi, to the bit, and zeta_eval._call_plan and
+# _eval_block read nothing else, so a remembered plan and moduli are the
+# ones a new call would give.  _MEMO_LOCK guards every lookup and update,
+# so scans on several threads may share the memo.
+_MEMO: OrderedDict[_Key, tuple[_Plan, np.ndarray]] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
 
 
 def scan_interval(
@@ -274,15 +225,15 @@ def scan_interval(
     whose radius it returns at every point; config.r, the largest radius
     accepted, must be at least every plan's, checked before the first
     call, or ValueError names the radius.  A call that a recent scan of the
-    same t_lo and h made on the same grid points (_CallMemo, keyed by
-    (t_lo, h, k_lo, k_hi), at most _MEMO_POINTS = 2^18 points held) is not
-    run again: its remembered plan is checked against r, and its moduli
-    are copied, which changes no bit of the report.  workers > 1
-    distributes the other calls over threads, merged in call order, so the
-    report is identical for any worker count; on 2 cores two measured
-    about 1.4x faster than one ([e, 1e4]: medians 0.38 and 0.26 s;
-    [1e6, 1e6 + 1000]: 0.17 and 0.12 s; 12 alternating pairs each, ranges
-    overlapping).
+    same t_lo and h made on the same grid points (_MEMO, keyed by
+    (t_lo, h, k_lo, k_hi), at most _MEMO_CALLS = 16 calls held, so at most
+    2^18 points, 2 MB) is not run again: its remembered plan is checked
+    against r, and its moduli are copied, which changes no bit of the
+    report.  workers > 1 distributes the calls over threads, merged in
+    call order, so the report is identical for any worker count; on 2
+    cores two measured about 1.4x faster than one ([e, 1e4]: medians 0.38
+    and 0.26 s; [1e6, 1e6 + 1000]: 0.17 and 0.12 s; 12 alternating pairs
+    each, ranges overlapping).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -292,38 +243,44 @@ def scan_interval(
         raise ValueError(f"bound slope and intercept must be finite, got {bound}")
     t, calls = _grid(config, budget)
     keys = [(config.t_lo, config.h, k_lo, k_hi) for k_lo, k_hi in calls]
+    with _MEMO_LOCK:  # take every remembered call, now the most recent, before a store drops any
+        held = {key: _MEMO[key] for key in keys if key in _MEMO}
+        for key in held:
+            _MEMO.move_to_end(key)
     plans: list[_Plan] = []
-    known: list[Optional[np.ndarray]] = []  # the moduli of remembered calls, None for the rest
     for (k_lo, k_hi), key in zip(calls, keys):  # r is a ceiling on the radius each call returns
         pts = t[k_lo:k_hi + 1]
-        plan, stored = _MEMO.get(key) or (_call_plan(pts), None)
+        plan = held[key][0] if key in held else _call_plan(pts)
         plans.append(plan)
-        known.append(stored)
         if config.r < plan.radius:
             raise ValueError(
                 f"r = {config.r:g} is below the radius {plan.radius:.3e} of the kernel call on "
                 f"t in [{pts[0]:.9g}, {pts[-1]:.9g}]"
             )
-    missed = [i for i, stored in enumerate(known) if stored is None]
 
     def run(i: int) -> np.ndarray:
+        if keys[i] in held:
+            return held[keys[i]][1]
         pts = t[calls[i][0]:calls[i][1] + 1]
         # N changes no value, radius or charge: it is there because the
         # benchmark's tracer (bench/tracing.py) reads the kernel's second argument
-        return _eval_block(pts, choose_N(float(pts[-1]), config.r), plans[i])[0]
+        moduli = np.abs(_eval_block(pts, choose_N(float(pts[-1]), config.r), plans[i])[0])
+        moduli.flags.writeable = False
+        return moduli
 
     modulus = np.empty(len(t))
     err = np.empty(len(t))
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
-        for i, vals in zip(missed, run_all(run, missed)):
-            k_lo, k_hi = calls[i]
-            np.abs(vals, out=modulus[k_lo:k_hi + 1])
-            _MEMO.put(keys[i], plans[i], modulus[k_lo:k_hi + 1])
-    for (k_lo, k_hi), plan, stored in zip(calls, plans, known):
-        if stored is not None:
-            modulus[k_lo:k_hi + 1] = stored
-        err[k_lo:k_hi + 1] = plan.radius
+        for (k_lo, k_hi), key, plan, moduli in zip(calls, keys, plans, run_all(run, range(len(calls)))):
+            modulus[k_lo:k_hi + 1] = moduli
+            err[k_lo:k_hi + 1] = plan.radius
+            if key not in held:
+                with _MEMO_LOCK:
+                    _MEMO[key] = (plan, moduli)
+                    _MEMO.move_to_end(key)  # a scan on another thread may have kept it
+                    while len(_MEMO) > _MEMO_CALLS:
+                        _MEMO.popitem(last=False)
 
     log_t = np.log(t)
     ratio = modulus / log_t

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ResourceBudgetError
 
 __all__ = [
     "EULER_GAMMA",
@@ -62,6 +62,10 @@ _EPS = 2.220446049250313e-16
 _CHUNK = 1 << 21          # oracle summation chunk; fixed so results are bit-reproducible
 _MAX_N = 1 << 62
 _ORACLE_MAX_TERMS = 1_000_000  # the eta oracle gives up beyond this many terms
+# Budget in kernel passes, each over one head term or one grid point: a
+# scan's (verifier._charge) or a point evaluation's head.  Exceeding it
+# raises before any sum.
+DEFAULT_BUDGET = 5.0e10
 
 # Euler-Maclaurin split of the main sum, derived in _em_tail: the terms
 # n <= a = _em_head(t_max, K) are summed one by one and the rest in closed
@@ -757,18 +761,31 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
 
     This is a one-point call of _eval_block (One point), planned once
     (_call_plan, which gives err): the a = max(64, ceil(t/pi)) terms of the
-    head, in chunks, and zeta's Euler-Maclaurin tail.  N, a positive
-    integer, is a nominal term count (choose_N); it has no effect on the
-    value or err.  Very small t (below about 1e-3) is allowed, but the
-    1/(it) term inflates err through its conditioning.
+    head, in chunks, and zeta's Euler-Maclaurin tail.  A head of more than
+    DEFAULT_BUDGET = 5e10 terms (t above about 1.57e11) raises
+    ResourceBudgetError before any sum.  N, a positive integer, is a
+    nominal term count (choose_N); it has no effect on the value or err.
+    Very small t (below about 1e-3) is allowed, but the 1/(it) term
+    inflates err through its conditioning.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")
     if not (N >= 1 and float(N).is_integer()):  # nan fails N >= 1
         raise ValueError(f"N must be a positive integer, got {N}")
-    pts = np.array([t], dtype=np.float64)
-    values, err = _eval_block(pts, N, _call_plan(pts))
+    pts, plan = _point_plan(t)
+    values, err = _eval_block(pts, N, plan)
     return CertifiedComplex(complex(values[0]), err)
+
+
+def _point_plan(t: float) -> tuple[np.ndarray, _Plan]:
+    """The one-point call [t] and its plan, or ResourceBudgetError for a head over DEFAULT_BUDGET terms."""
+    pts = np.array([t], dtype=np.float64)
+    plan = _call_plan(pts)
+    if plan.a > DEFAULT_BUDGET:
+        raise ResourceBudgetError(
+            f"evaluation sums a head of {plan.a:.3e} terms, over the budget {DEFAULT_BUDGET:.3e}"
+        )
+    return pts, plan
 
 
 def _eta_terms(t: float, n: np.ndarray) -> np.ndarray:

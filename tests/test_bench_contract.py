@@ -39,7 +39,7 @@ import workloads
 assert workloads.cold_caches()
 assert zeta_eval._pruned_layout.cache_info().currsize == 0
 assert zeta_eval._phase_coeffs.cache_info().currsize == 0
-assert verifier._MEMO.points == 0
+assert len(verifier._MEMO) == 0
 tracer = tracing.Tracer("t")
 tracer.install()
 grid_points = []

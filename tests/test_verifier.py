@@ -760,20 +760,20 @@ class TestCallMemo:
         assert planned == [] and calls == []
 
     def test_memo_holds_at_most_its_bound(self, monkeypatch):
-        # [e, 3000] makes 19 calls, more than the 16 full ones the 2^18-point
-        # bound holds: the memo keeps the latest calls within it, so a rescan
-        # runs the three oldest calls again, and only those
+        # [e, 3000] makes 19 calls, more than the 16 the bound holds: the
+        # memo keeps the latest calls within it, so a rescan runs the three
+        # oldest calls again, and only those
         cfg = ScanConfig(t_lo=math.e, t_hi=3000.0)
         first = scan_interval(cfg)
         runs = _runs(first.t)
-        assert len(runs) == 19 and verifier._MEMO_POINTS == 1 << 18
-        assert verifier._MEMO.points <= verifier._MEMO_POINTS
+        assert len(runs) == 19 and verifier._MEMO_CALLS == 16
+        assert len(verifier._MEMO) <= verifier._MEMO_CALLS
         calls = _record_calls(monkeypatch)
         again = scan_interval(cfg)
         assert [float(pts[0]) for pts, _, _, _ in calls] == [
             float(first.t[lo]) for lo, _ in runs[:3]
         ]
-        assert verifier._MEMO.points <= verifier._MEMO_POINTS
+        assert len(verifier._MEMO) <= verifier._MEMO_CALLS
         assert again.modulus.tobytes() == first.modulus.tobytes()
 
     def test_the_least_recently_used_call_is_dropped(self, monkeypatch):
@@ -781,7 +781,7 @@ class TestCallMemo:
         # calls 0, 1 and 2, [e, e + 0.99] reuses call 0, and a third grid's
         # call then drops call 1, the least recently used, not call 0
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 100)
-        monkeypatch.setattr(verifier, "_MEMO_POINTS", 300)
+        monkeypatch.setattr(verifier, "_MEMO_CALLS", 3)
         first = ScanConfig(t_lo=math.e, t_hi=math.e + 0.99)
         scan_interval(ScanConfig(t_lo=math.e, t_hi=math.e + 2.99))
         scan_interval(first)
@@ -806,11 +806,11 @@ class TestCallMemo:
 
     def test_concurrent_scans_share_the_memo_safely(self, monkeypatch):
         # four threads scan three grids that share calls, in calls of 50
-        # points, while the memo holds at most 400 points, with a short
-        # switch interval, so lookups, stores and drops interleave: every
-        # report is a cold scan's, and the memo counts the points it holds
+        # points, while the memo holds at most 8 calls, with a short switch
+        # interval, so lookups, stores and drops interleave: every report
+        # is a cold scan's, and the memo stays within its bound
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 50)
-        monkeypatch.setattr(verifier, "_MEMO_POINTS", 400)
+        monkeypatch.setattr(verifier, "_MEMO_CALLS", 8)
         cfgs = [ScanConfig(t_lo=math.e, t_hi=math.e + width) for width in (3.0, 4.0, 5.0)]
         cold = []
         for cfg in cfgs:
@@ -834,8 +834,27 @@ class TestCallMemo:
                 assert [f.result(timeout=120) for f in futures] == [[]] * 4
         finally:
             sys.setswitchinterval(interval)
-        memo = verifier._MEMO
-        assert memo.points == sum(len(m) for _, m in memo._entries.values()) <= 400
+        assert len(verifier._MEMO) <= 8
+
+    def test_the_paper_scans_share_their_first_calls(self, monkeypatch):
+        # the peak and the crossing scan [e, 2000] and the affine check
+        # [e, 1e4], all at h = 0.01: in one process they make 63 kernel
+        # calls, against 88 from an empty memo each, with the same results
+        calls = _record_calls(monkeypatch)
+        results = {}
+        for cold in (False, True):
+            verifier._MEMO.clear()
+            calls.clear()
+            found = []
+            for scan in (lambda: max_ratio(math.e, 2000.0, 0.01, 1e-4),
+                         lambda: crossing_point(0.5480, math.e, 2000.0),
+                         lambda: check_bound(math.e, 1e4, 0.5, 0.6633).worst_margin):
+                if cold:
+                    verifier._MEMO.clear()
+                found.append(scan())
+            results[cold] = (len(calls), found)
+        found = [(17.747695890959044, 0.6442912339129055), 652.3704769578535, 0.15022012530594075]
+        assert results == {False: (63, found), True: (88, found)}
 
 
 class TestAgainstMpmath:

@@ -1,6 +1,10 @@
 """Tests for the certified evaluator and its alternating-series oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,28 @@ class TestEvalZetaCertified:
             with pytest.raises(ValueError, match="positive integer"):
                 eval_zeta_certified(10.0, n)
         assert eval_zeta_certified(10.0, np.int64(3)) == eval_zeta_certified(10.0, 3)
+
+    def test_head_over_the_budget_refused(self):
+        # t = 1e300 and 1e12 have heads of 3.2e299 and 3.2e11 terms, over
+        # DEFAULT_BUDGET = 5e10: refused before any sum, as eval refuses
+        # them.  Run apart with a timeout, as a regression hangs rather
+        # than fails
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "from zetabound import ResourceBudgetError, eval_zeta_certified\n"
+            "for t in (1e300, 1e12):\n"
+            "    try:\n"
+            "        eval_zeta_certified(t, 1)\n"
+            "    except ResourceBudgetError as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "evaluation sums a head of 3.183e+299 terms, over the budget 5.000e+10\n"
+            "evaluation sums a head of 3.183e+11 terms, over the budget 5.000e+10\n"
+        )
 
     def test_tiny_t_allowed(self):
         # a = 64 for N = 64 and N = 65 alike: both sum the head and the
