@@ -23,7 +23,7 @@ Exit status: 0 success / bound holds, 1 bound violated on the grid,
 budget that is not positive, an --r below the radius an eval or any
 scan call certifies, or an --out that cannot be written), 3 resource or
 convergence error (including a scan over its budget or over physical
-memory, an eval whose head is over the budget, or no memory).
+memory, an eval charged over the budget, or no memory).
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def cmd_eval(t: float, r: float) -> OutputRecord:
         raise ValueError(f"--t must be positive and finite, got {t}")
     if not r > 0.0:
         raise ValueError(f"--r must be positive, got {r}")
-    pts, plan = zeta_eval._point_plan(t)  # the head and err of the sum below, checked first
+    pts, plan = zeta_eval._point_plan(t)  # the charge and err of the sum below, checked first
     if r < plan.radius:
         raise ValueError(f"--r {r:g} is below the radius {plan.radius:.3e} certified at t = {t:g}")
     # the nominal N, formed once r is known to hold, changes nothing but what a tracer reads
@@ -269,7 +269,7 @@ def cmd_scan(
     return OutputRecord("scan", inputs, columns), status
 
 
-def cmd_figures(name: str, budget: float, workers: int) -> OutputRecord:
+def cmd_figures(name: str) -> OutputRecord:
     if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; choose from {', '.join(_FIGURES)}")
     if name in ("c0", "c1-sigma0", "c1-sigma1"):
@@ -278,7 +278,7 @@ def cmd_figures(name: str, budget: float, workers: int) -> OutputRecord:
         y = rs_bounds.c0(p) if name == "c0" else rs_bounds.c1(p, sigma)
         return OutputRecord("figures", {"name": name}, {"p": p, "y": np.abs(y)})
     config = verifier.ScanConfig(t_lo=_FIGURE_T_LO, t_hi=_FIGURE_T_HI)
-    report = verifier.scan_interval(config, budget=budget, workers=workers)
+    report = verifier.scan_interval(config)
     if name == "zeta-vs-affine":
         affine = 0.5 * np.log(report.t) + rs_bounds.AFFINE_INTERCEPT
         columns = {"t": report.t, "modulus": report.modulus, "affine_bound": affine}
@@ -358,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="emit a figure dataset as rows")
     _add_output_options(p, suppress=True)
     p.add_argument("name", help=f"one of: {', '.join(_FIGURES)}")
-    p.add_argument("--budget", type=float, default=verifier.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("constants", help="print every derived constant")
     _add_output_options(p, suppress=True)
@@ -370,7 +368,7 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace], tuple[OutputRecord, int]]] =
     "eval": lambda a: (cmd_eval(a.t, a.r), 0),
     **dict.fromkeys(_TABLES, lambda a: (cmd_table(a.command, a.t0), 0)),
     "scan": lambda a: cmd_scan(a.lo, a.hi, a.h, a.r, a.bound, a.budget, a.workers),
-    "figures": lambda a: (cmd_figures(a.name, a.budget, a.workers), 0),
+    "figures": lambda a: (cmd_figures(a.name), 0),
     "constants": lambda a: (cmd_constants(), 0),
 }
 

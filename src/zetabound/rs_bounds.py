@@ -114,16 +114,19 @@ class AffineBound:
 
 def _chi_factor(t: float) -> float:
     """exp(pi/(32t) - 1/(24t^2) + 5/(24t^4)) / (1 - e^(-pi t)), the factor
-    by which chi_upper exceeds sqrt(2 pi/t)."""
+    by which chi_upper exceeds sqrt(2 pi/t); inf, still a bound, below t ~ 0.13."""
     t2 = t * t  # t2*t2 saturates to inf for huge t, avoiding pow overflow
-    return math.exp(_PI / (32.0 * t) - 1.0 / (24.0 * t2) + 5.0 / (24.0 * t2 * t2)) / (
-        1.0 - math.exp(-_PI * t)
-    )
+    try:
+        return math.exp(_PI / (32.0 * t) - 1.0 / (24.0 * t2) + 5.0 / (24.0 * t2 * t2)) / (
+            1.0 - math.exp(-_PI * t)
+        )
+    except (OverflowError, ZeroDivisionError):  # exp overflows, or t^4 underflows to 0
+        return math.inf
 
 
 def chi_upper(t: float) -> float:
     """Upper bound sqrt(2 pi/t) exp(pi/(32t) - 1/(24t^2) + 5/(24t^4))
-    / (1 - e^(-pi t)) for |chi(1+it)|."""
+    / (1 - e^(-pi t)) for |chi(1+it)|; inf, still a bound, below t ~ 0.13."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     return math.sqrt(2.0 * _PI / t) * _chi_factor(t)
@@ -382,7 +385,7 @@ def computed_constants() -> RSConstants:
 
 def kappa2(t: float, constants: RSConstants | None = None) -> float:
     """Remainder kappa2(t) = sqrt(2 pi/t)(1/2 + b1(1) sqrt(2 pi/t) + c(1)/t)
-    + chi_upper(t)(1/2 + b1(0) sqrt(2 pi/t) + c(0)/t); O(t^(-1/2))."""
+    + chi_upper(t)(1/2 + b1(0) sqrt(2 pi/t) + c(0)/t); O(t^(-1/2)); inf below t ~ 0.13."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     k = DEFAULT_CONSTANTS if constants is None else constants
@@ -394,7 +397,7 @@ def kappa2(t: float, constants: RSConstants | None = None) -> float:
 
 def theta(t: float, constants: RSConstants | None = None) -> float:
     """The decreasing excess theta(t) over (1/2) log t + gamma - (1/2) log 2 pi;
-    tends to 1 as t grows."""
+    tends to 1 as t grows, and is inf, as chi_upper is, for t below about 0.13."""
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
     return math.sqrt(2.0 * _PI / t) + _chi_factor(t) + kappa2(t, constants)

@@ -21,22 +21,23 @@ the first run, and each run then executes its plan and returns that
 radius.  The refiners evaluate single points with
 zeta_eval.eval_zeta_certified, the kernel's one-point call.
 
-Scans remember their recent runs (_MEMO): the key (t_lo, h, k_lo, k_hi)
-fixes a run's points t_lo + k h to the bit, and with them its plan and
-values, so a later scan of the same grid takes a remembered run's plan
-(for its r check) and moduli instead of running it again, and its report
-is bit for bit a cold scan's.  The paper's peak and crossing scan [e, 2000]
-and its affine check [e, 1e4], so they share their first 12-13 runs.  The
-memo holds a plan and 8 bytes a point per run, and drops the least
-recently used runs past _MEMO_CALLS = 16 runs (at most 2^18 points, 2 MB).
+Scans remember the first _MEMO_CALLS = 16 runs of the last scan to finish
+(_MEMO, at most 2^18 points, 2 MB): the key (t_lo, h, k_lo, k_hi) fixes a
+run's points t_lo + k h to the bit, and with them its plan and values, so
+a later scan of the same grid takes a remembered run's plan (for its r
+check) and moduli instead of running it again, and its report is bit for
+bit a cold scan's.  A scan binds the map once, never changes it, and after
+its last run rebinds _MEMO to a new map of its own first runs: no map is
+ever mutated, so scans on several threads share it with no lock, and each
+holds at most two maps, 4 MB.  The paper's peak and crossing scan
+[e, 2000] (13 runs) and its affine check [e, 1e4] (62 runs): in any order
+they make 63 or 64 kernel calls, against 88 cold.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -45,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossingNotFound, ResourceBudgetError
-from .zeta_eval import _EM_MAX_ORDER, _HEAD_PASSES, _call_plan, _em_head, _eval_block, _Plan
+from .zeta_eval import _call_passes, _call_plan, _eval_block, _Plan
 from .zeta_eval import DEFAULT_BUDGET, choose_N, eval_zeta_certified
 
 __all__ = [
@@ -173,18 +174,15 @@ def _grid(config: ScanConfig, budget: float) -> tuple[np.ndarray, list[_Call]]:
 def _charge(points: float, t_hi: float) -> float:
     """An upper bound on the kernel passes of a scan of points grid points up to t_hi, in O(1).
 
-    A kernel call of K points with head a makes (p+1) a + m K passes: p+1
-    <= _HEAD_PASSES segment passes over the head, and m <= _EM_MAX_ORDER
-    Horner levels of the tail over the points (zeta_eval._eval_block).  A
-    scan has ceil(points / _KERNEL_POINTS) calls of at most
-    K = min(points, _KERNEL_POINTS) points, and a = _em_head(t_max, K)
-    rises with t_max and K, so each call is charged as one of K points
-    ending at t_hi.  That is 2.4x the exact passes on [e, 1e4] and 1.2x on
-    windows at 1e5 and 1e6 (h = 0.01).
+    A scan has ceil(points / _KERNEL_POINTS) calls of at most
+    K = min(points, _KERNEL_POINTS) points, and a call's passes
+    (zeta_eval._call_passes) rise with t_max and K, so each call is charged
+    as one of K points ending at t_hi.  That is 2.4x the exact passes on
+    [e, 1e4] and 1.2x on windows at 1e5 and 1e6 (h = 0.01); a one-point
+    scan is charged as the point evaluation at t_hi.
     """
     K = min(points, _KERNEL_POINTS)
-    per_call = _HEAD_PASSES * float(_em_head(t_hi, int(K))) + _EM_MAX_ORDER * K
-    return float(np.ceil(points / _KERNEL_POINTS)) * per_call
+    return float(np.ceil(points / _KERNEL_POINTS)) * _call_passes(t_hi, int(K))
 
 
 def _physical_memory() -> float:
@@ -196,14 +194,9 @@ def _physical_memory() -> float:
     return float(pages * size) if pages > 0 and size > 0 else math.inf
 
 
-# the plan and read-only moduli of each recent scan call, least recently
-# used first.  A key (t_lo, h, k_lo, k_hi) fixes the call's points
-# t_lo + k h, k_lo <= k <= k_hi, to the bit, and zeta_eval._call_plan and
-# _eval_block read nothing else, so a remembered plan and moduli are the
-# ones a new call would give.  _MEMO_LOCK guards every lookup and update,
-# so scans on several threads may share the memo.
-_MEMO: OrderedDict[_Key, tuple[_Plan, np.ndarray]] = OrderedDict()
-_MEMO_LOCK = threading.Lock()
+# the plan and read-only moduli of the last scan's first calls, by key: a
+# published map is never mutated (scan_interval replaces it whole)
+_MEMO: dict[_Key, tuple[_Plan, np.ndarray]] = {}
 
 
 def scan_interval(
@@ -224,16 +217,16 @@ def scan_interval(
     kernel call is planned once (zeta_eval._call_plan) and runs that plan,
     whose radius it returns at every point; config.r, the largest radius
     accepted, must be at least every plan's, checked before the first
-    call, or ValueError names the radius.  A call that a recent scan of the
-    same t_lo and h made on the same grid points (_MEMO, keyed by
-    (t_lo, h, k_lo, k_hi), at most _MEMO_CALLS = 16 calls held, so at most
-    2^18 points, 2 MB) is not run again: its remembered plan is checked
-    against r, and its moduli are copied, which changes no bit of the
-    report.  workers > 1 distributes the calls over threads, merged in
-    call order, so the report is identical for any worker count; on 2
-    cores two measured about 1.4x faster than one ([e, 1e4]: medians 0.38
-    and 0.26 s; [1e6, 1e6 + 1000]: 0.17 and 0.12 s; 12 alternating pairs
-    each, ranges overlapping).
+    call, or ValueError names the radius.  A call that the last scan to
+    finish made among its first 16 on the same grid (_MEMO, see the module
+    docstring) is not run again: its remembered plan is checked against
+    r, and its moduli are copied, which changes no bit of the report.
+    The scan binds the memo once, before planning, and after its last call
+    publishes its own first calls in a new map.  workers > 1 distributes
+    the calls over threads, merged in call order, so the report is
+    identical for any worker count; on 2 cores two measured about 1.4x
+    faster than one ([e, 1e4]: medians 0.38 and 0.26 s; [1e6, 1e6 + 1000]:
+    0.17 and 0.12 s; 12 alternating pairs each, ranges overlapping).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -241,12 +234,10 @@ def scan_interval(
         raise ValueError(f"budget must be positive, got {budget}")
     if bound is not None and not all(map(math.isfinite, bound)):
         raise ValueError(f"bound slope and intercept must be finite, got {bound}")
+    global _MEMO
     t, calls = _grid(config, budget)
     keys = [(config.t_lo, config.h, k_lo, k_hi) for k_lo, k_hi in calls]
-    with _MEMO_LOCK:  # take every remembered call, now the most recent, before a store drops any
-        held = {key: _MEMO[key] for key in keys if key in _MEMO}
-        for key in held:
-            _MEMO.move_to_end(key)
+    held = _MEMO  # bound once: no published map is mutated, so it needs no lock
     plans: list[_Plan] = []
     for (k_lo, k_hi), key in zip(calls, keys):  # r is a ceiling on the radius each call returns
         pts = t[k_lo:k_hi + 1]
@@ -270,17 +261,15 @@ def scan_interval(
 
     modulus = np.empty(len(t))
     err = np.empty(len(t))
+    lead: list[np.ndarray] = []  # the moduli of the first _MEMO_CALLS calls
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
-        for (k_lo, k_hi), key, plan, moduli in zip(calls, keys, plans, run_all(run, range(len(calls)))):
+        for (k_lo, k_hi), plan, moduli in zip(calls, plans, run_all(run, range(len(calls)))):
             modulus[k_lo:k_hi + 1] = moduli
             err[k_lo:k_hi + 1] = plan.radius
-            if key not in held:
-                with _MEMO_LOCK:
-                    _MEMO[key] = (plan, moduli)
-                    _MEMO.move_to_end(key)  # a scan on another thread may have kept it
-                    while len(_MEMO) > _MEMO_CALLS:
-                        _MEMO.popitem(last=False)
+            if len(lead) < _MEMO_CALLS:
+                lead.append(moduli)
+    _MEMO = dict(zip(keys, zip(plans, lead)))
 
     log_t = np.log(t)
     ratio = modulus / log_t

@@ -62,9 +62,8 @@ _EPS = 2.220446049250313e-16
 _CHUNK = 1 << 21          # oracle summation chunk; fixed so results are bit-reproducible
 _MAX_N = 1 << 62
 _ORACLE_MAX_TERMS = 1_000_000  # the eta oracle gives up beyond this many terms
-# Budget in kernel passes, each over one head term or one grid point: a
-# scan's (verifier._charge) or a point evaluation's head.  Exceeding it
-# raises before any sum.
+# Budget in kernel passes over head terms and grid points (_call_passes), of a
+# scan (verifier._charge) or a point evaluation; over it raises before any sum.
 DEFAULT_BUDGET = 5.0e10
 
 # Euler-Maclaurin split of the main sum, derived in _em_tail: the terms
@@ -172,6 +171,13 @@ def _em_head(t_max: float, K: int) -> int:
     needs.
     """
     return max(_EM_MIN_HEAD, math.ceil(t_max / math.pi), min(math.ceil(t_max), K))
+
+
+def _call_passes(t_max: float, K: int) -> float:
+    """An upper bound on the (p+1) a + m K kernel passes of a K-point call
+    ending at t_max (_eval_block): p+1 passes over its head a, one for K = 1
+    and at most _HEAD_PASSES else, and m <= _EM_MAX_ORDER over its points."""
+    return (1 if K == 1 else _HEAD_PASSES) * float(_em_head(t_max, K)) + _EM_MAX_ORDER * K
 
 
 def _em_bounds(t_pts: np.ndarray, a: int, slip: float = 0.0) -> tuple[int, float, float]:
@@ -761,10 +767,11 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
 
     This is a one-point call of _eval_block (One point), planned once
     (_call_plan, which gives err): the a = max(64, ceil(t/pi)) terms of the
-    head, in chunks, and zeta's Euler-Maclaurin tail.  A head of more than
-    DEFAULT_BUDGET = 5e10 terms (t above about 1.57e11) raises
-    ResourceBudgetError before any sum.  N, a positive integer, is a
-    nominal term count (choose_N); it has no effect on the value or err.
+    head, in chunks, and zeta's Euler-Maclaurin tail.  A call charged more
+    than DEFAULT_BUDGET = 5e10 kernel passes (_call_passes: a + 25, so t
+    above about 1.57e11) raises ResourceBudgetError before any sum.  N, a
+    positive integer, is a nominal term count (choose_N); it has no effect
+    on the value or err.
     Very small t (below about 1e-3) is allowed, but the 1/(it) term
     inflates err through its conditioning.
     """
@@ -778,12 +785,13 @@ def eval_zeta_certified(t: float, N: int) -> CertifiedComplex:
 
 
 def _point_plan(t: float) -> tuple[np.ndarray, _Plan]:
-    """The one-point call [t] and its plan, or ResourceBudgetError for a head over DEFAULT_BUDGET terms."""
+    """The one-point call [t] and its plan, or ResourceBudgetError for a call charged
+    _call_passes(t, 1) = a + 25 over DEFAULT_BUDGET, from the plan's head a."""
     pts = np.array([t], dtype=np.float64)
-    plan = _call_plan(pts)
-    if plan.a > DEFAULT_BUDGET:
+    plan = _call_plan(pts)  # O(1) arithmetic at any t
+    if (passes := plan.a + float(_EM_MAX_ORDER)) > DEFAULT_BUDGET:
         raise ResourceBudgetError(
-            f"evaluation sums a head of {plan.a:.3e} terms, over the budget {DEFAULT_BUDGET:.3e}"
+            f"evaluation charges {passes:.3e} kernel passes, over the budget {DEFAULT_BUDGET:.3e}"
         )
     return pts, plan
 

@@ -7,8 +7,8 @@ only in the benchmark.  The kernel's memos of transform tables
 (zeta_eval._pruned_layout) and of phase-expansion coefficients
 (zeta_eval._phase_coeffs) must start empty too: a table made at import
 would move kernel work into the benchmark's setup_s.  So must the
-scans' memo of recent kernel calls (verifier._MEMO), or a pass would not
-pay for its own first calls.
+scans' memo of the last scan's leading kernel calls (verifier._MEMO), or
+a pass would not pay for its own first calls.
 The refiners must reach the point evaluator through the wrapped
 verifier.eval_zeta_certified, or the benchmark would count no refinement;
 the contour oracle and c_sigma must run under their wrapped names, or the

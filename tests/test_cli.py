@@ -330,7 +330,7 @@ class TestNonFiniteInputs:
     def test_eval_huge_t_is_resource_error(self, capsys):
         status, _, err = run_cli(capsys, "eval", "--t", "1e300")
         assert status == 3
-        assert "head of 3.183e+299 terms, over the budget" in err
+        assert "charges 3.183e+299 kernel passes, over the budget" in err
 
     def test_scan_infinite_hi_is_usage_error(self, capsys):
         status, _, err = run_cli(capsys, "scan", "--lo", "2.72", "--hi", "inf")

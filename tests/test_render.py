@@ -65,7 +65,7 @@ def test_table_widths_from_every_chunk():
 
 @pytest.mark.parametrize("name", ["c0", "ratio", "zeta-vs-affine"])
 def test_figures_bytes(name):
-    assert_same_bytes(cli.cmd_figures(name, BUDGET, 1))
+    assert_same_bytes(cli.cmd_figures(name))
 
 
 def test_eval_bytes():

@@ -44,6 +44,21 @@ class TestChiUpper:
         with pytest.raises(ValueError):
             chi_upper(0.0)
 
+    @pytest.mark.parametrize("t", [0.1, 1e-78, 1e-300])
+    def test_inf_where_the_exponent_leaves_the_float_range(self, t):
+        # 5/(24 t^4) overflows exp below t ~ 0.13, and t^4 underflows to 0
+        # from t = 1e-78 down: inf is still an upper bound, not a float error
+        assert chi_upper(t) == kappa2(t) == theta(t) == math.inf
+
+    def test_values_from_t1_unchanged(self):
+        # the bits these gave before small t returned inf
+        for t, bits in [
+            (1.0, ("0x1.b505df1325b53p+1", "0x1.340ddc58574dap+3", "0x1.afda5ce2a055ap+3")),
+            (17.7477, ("0x1.324a9470418a4p-1", "0x1.683296e055677p-1", "0x1.26e72b5cfbb75p+1")),
+            (1e6, ("0x1.488c7f0a170c3p-9", "0x1.48a3f54ce5136p-9", "0x1.014899dec52d8p+0")),
+            (1e300, ("0x1.0690c7ea1cf12p-497", "0x1.0690c7ea1cf12p-497", "0x1.0000000000000p+0")),
+        ]:
+            assert tuple(f(t).hex() for f in (chi_upper, kappa2, theta)) == bits
 
 class TestC0:
     def test_endpoint(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -459,6 +460,17 @@ class TestScanInterval:
         with pytest.raises(ResourceBudgetError, match="kernel passes"):
             verifier._grid(cfg, charge * (1.0 - 1e-12))
 
+    @pytest.mark.parametrize("t", [1e12, 1e300])
+    def test_a_one_point_scan_is_charged_as_a_point_evaluation(self, t):
+        # one head pass over a = ceil(t/pi) terms and 25 tail levels, in the
+        # unit and at the figure a point evaluation is refused with, before
+        # any sum
+        charge = verifier._charge(1.0, t)
+        assert charge == zeta_eval._call_passes(t, 1) == math.ceil(t / math.pi) + 25.0
+        refusal = re.escape(f"charges {charge:.3e} kernel passes")
+        with pytest.raises(ResourceBudgetError, match=refusal):
+            zeta_eval._point_plan(t)
+
     def test_head_passes_bound_the_widest_expansion(self):
         # the charge takes p+1 <= 16 passes per head term: the widest
         # expansion, 2^14 points over the least head a = 64, takes all 16
@@ -761,8 +773,8 @@ class TestCallMemo:
 
     def test_memo_holds_at_most_its_bound(self, monkeypatch):
         # [e, 3000] makes 19 calls, more than the 16 the bound holds: the
-        # memo keeps the latest calls within it, so a rescan runs the three
-        # oldest calls again, and only those
+        # memo keeps the first calls within it, so a rescan reruns only the
+        # last three calls
         cfg = ScanConfig(t_lo=math.e, t_hi=3000.0)
         first = scan_interval(cfg)
         runs = _runs(first.t)
@@ -771,26 +783,31 @@ class TestCallMemo:
         calls = _record_calls(monkeypatch)
         again = scan_interval(cfg)
         assert [float(pts[0]) for pts, _, _, _ in calls] == [
-            float(first.t[lo]) for lo, _ in runs[:3]
+            float(first.t[lo]) for lo, _ in runs[-3:]
         ]
         assert len(verifier._MEMO) <= verifier._MEMO_CALLS
         assert again.modulus.tobytes() == first.modulus.tobytes()
 
-    def test_the_least_recently_used_call_is_dropped(self, monkeypatch):
-        # with room for three calls of 100 points: [e, e + 2.99] leaves
-        # calls 0, 1 and 2, [e, e + 0.99] reuses call 0, and a third grid's
-        # call then drops call 1, the least recently used, not call 0
+    def test_the_last_scan_publishes_its_first_calls(self, monkeypatch):
+        # with room for three calls of 100 points: after the 19 calls of
+        # [e, e + 18.99] the memo holds its first three only, a rescan runs
+        # the other 16, and a scan of another grid replaces the map
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 100)
         monkeypatch.setattr(verifier, "_MEMO_CALLS", 3)
-        first = ScanConfig(t_lo=math.e, t_hi=math.e + 0.99)
-        scan_interval(ScanConfig(t_lo=math.e, t_hi=math.e + 2.99))
-        scan_interval(first)
-        scan_interval(ScanConfig(t_lo=10.0, t_hi=10.99))
+        cfg = ScanConfig(t_lo=math.e, t_hi=math.e + 18.99)
+        first = scan_interval(cfg)
+        runs = _runs(first.t)
+        assert len(runs) == 19
+        assert list(verifier._MEMO) == [(cfg.t_lo, cfg.h, lo, hi) for lo, hi in runs[:3]]
         calls = _record_calls(monkeypatch)
-        scan_interval(first)
-        assert calls == []
-        scan_interval(ScanConfig(t_lo=math.e, t_hi=math.e + 1.99))
-        assert [len(pts) for pts, _, _, _ in calls] == [100]
+        scan_interval(cfg)
+        assert [float(pts[0]) for pts, _, _, _ in calls] == [
+            float(first.t[lo]) for lo, _ in runs[3:]
+        ]
+        published = verifier._MEMO
+        scan_interval(ScanConfig(t_lo=10.0, t_hi=10.99))
+        assert list(verifier._MEMO) == [(10.0, 0.01, 0, 99)]
+        assert len(published) == 3  # replaced, not changed
 
     def test_writing_into_a_report_leaves_later_scans_unchanged(self, monkeypatch):
         # the memo keeps a read-only copy of a call's moduli, not the report's
@@ -836,25 +853,35 @@ class TestCallMemo:
             sys.setswitchinterval(interval)
         assert len(verifier._MEMO) <= 8
 
-    def test_the_paper_scans_share_their_first_calls(self, monkeypatch):
+    @pytest.mark.parametrize("order, warm", [
+        ("peak crossing check", 63),
+        ("check peak crossing", 63),
+        ("crossing check peak", 64),
+    ], ids=["peak-crossing-check", "check-peak-crossing", "crossing-check-peak"])
+    def test_the_paper_scans_share_their_first_calls(self, monkeypatch, order, warm):
         # the peak and the crossing scan [e, 2000] and the affine check
-        # [e, 1e4], all at h = 0.01: in one process they make 63 kernel
-        # calls, against 88 from an empty memo each, with the same results
+        # [e, 1e4], all at h = 0.01: in one process, in any order, they make
+        # at most 64 kernel calls, against 88 from an empty memo each, with
+        # the same results
+        scans = {
+            "peak": lambda: max_ratio(math.e, 2000.0, 0.01, 1e-4),
+            "crossing": lambda: crossing_point(0.5480, math.e, 2000.0),
+            "check": lambda: check_bound(math.e, 1e4, 0.5, 0.6633).worst_margin,
+        }
         calls = _record_calls(monkeypatch)
         results = {}
         for cold in (False, True):
-            verifier._MEMO.clear()
+            monkeypatch.setattr(verifier, "_MEMO", {})
             calls.clear()
-            found = []
-            for scan in (lambda: max_ratio(math.e, 2000.0, 0.01, 1e-4),
-                         lambda: crossing_point(0.5480, math.e, 2000.0),
-                         lambda: check_bound(math.e, 1e4, 0.5, 0.6633).worst_margin):
+            found = {}
+            for name in order.split():
                 if cold:
-                    verifier._MEMO.clear()
-                found.append(scan())
+                    monkeypatch.setattr(verifier, "_MEMO", {})
+                found[name] = scans[name]()
             results[cold] = (len(calls), found)
-        found = [(17.747695890959044, 0.6442912339129055), 652.3704769578535, 0.15022012530594075]
-        assert results == {False: (63, found), True: (88, found)}
+        found = {"peak": (17.747695890959044, 0.6442912339129055),
+                 "crossing": 652.3704769578535, "check": 0.15022012530594075}
+        assert results == {False: (warm, found), True: (88, found)}
 
 
 class TestAgainstMpmath:

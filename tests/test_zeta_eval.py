@@ -152,7 +152,7 @@ class TestEvalZetaCertified:
         assert eval_zeta_certified(10.0, np.int64(3)) == eval_zeta_certified(10.0, 3)
 
     def test_head_over_the_budget_refused(self):
-        # t = 1e300 and 1e12 have heads of 3.2e299 and 3.2e11 terms, over
+        # t = 1e300 and 1e12 are charged 3.2e299 and 3.2e11 kernel passes, over
         # DEFAULT_BUDGET = 5e10: refused before any sum, as eval refuses
         # them.  Run apart with a timeout, as a regression hangs rather
         # than fails
@@ -169,8 +169,8 @@ class TestEvalZetaCertified:
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "evaluation sums a head of 3.183e+299 terms, over the budget 5.000e+10\n"
-            "evaluation sums a head of 3.183e+11 terms, over the budget 5.000e+10\n"
+            "evaluation charges 3.183e+299 kernel passes, over the budget 5.000e+10\n"
+            "evaluation charges 3.183e+11 kernel passes, over the budget 5.000e+10\n"
         )
 
     def test_tiny_t_allowed(self):
