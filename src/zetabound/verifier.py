@@ -21,6 +21,13 @@ the first run, and each run then executes its plan and returns that
 radius.  The refiners evaluate single points with
 zeta_eval.eval_zeta_certified, the kernel's one-point call.
 
+Memory: a scan keeps three float64 arrays per grid point, t, modulus and
+err (_POINT_BYTES = 24 B).  As it merges its calls in order, it reduces
+the peak ratio and the least margin of each call from that call's own
+log t and keeps only the running best; a report derives its ratio and
+margin arrays from t, modulus and err when they are first read, so
+check_bound, which reads only the summaries, never forms them.
+
 Scans remember the first _MEMO_CALLS = 16 runs of the last scan to finish
 (_MEMO, at most 2^18 points, 2 MB): the key (t_lo, h, k_lo, k_hi) fixes a
 run's points t_lo + k h to the bit, and with them its plan and values, so
@@ -41,6 +48,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,9 +80,9 @@ _KERNEL_POINTS = 1 << 14  # most grid points per kernel call
 _REFINE_R = 1e-8    # r of single-point refinement
 _COARSE_R = 1e-4    # r of max_ratio's coarse scan
 _CROSS_TOL = 1e-6   # width of the cell that pins a crossing
-# bytes scan_interval holds per grid point: six float64 arrays (t, modulus,
-# err, ratio, log t, which becomes the margins, and modulus + err)
-_POINT_BYTES = 6 * 8
+# bytes scan_interval holds per grid point: three float64 arrays (t,
+# modulus, err); ratio and margin are formed only when a report's reader asks
+_POINT_BYTES = 3 * 8
 # a kernel call of a scan, on its grid points t[k_lo:k_hi + 1]: (k_lo, k_hi)
 _Call = tuple[int, int]
 # a scan's kernel call by the grid it is on and its place there: (t_lo, h, k_lo, k_hi)
@@ -122,18 +130,35 @@ class ScanReport:
     ratio is modulus / log t (its uncertainty is err / log t).  margin,
     min_margin and argmin_t are filled only when the scan was given a bound
     (slope, intercept) to check: margin[k] = slope * log t[k] + intercept
-    - (modulus[k] + err[k]).
+    - (modulus[k] + err[k]).  A report holds t, modulus and err per point,
+    and the bound it was scanned with: ratio and margin are formed from
+    these on first read, then cached.  The summaries were reduced call by
+    call during the scan and equal np.argmax / np.argmin over ratio and
+    margin.
     """
 
     t: np.ndarray
     modulus: np.ndarray
     err: np.ndarray
-    ratio: np.ndarray
     max_ratio: float
     argmax_t: float
     min_margin: Optional[float] = None
     argmin_t: Optional[float] = None
-    margin: Optional[np.ndarray] = None
+    bound: Optional[tuple[float, float]] = None
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        return self.modulus / np.log(self.t)
+
+    @cached_property
+    def margin(self) -> Optional[np.ndarray]:
+        if self.bound is None:
+            return None
+        margin = np.log(self.t)
+        margin *= self.bound[0]
+        margin += self.bound[1]
+        margin -= self.modulus + self.err
+        return margin
 
 
 @dataclass(frozen=True)
@@ -207,9 +232,13 @@ def scan_interval(
 ) -> ScanReport:
     """Certified scan of |zeta(1+it)| over the grid of config.
 
-    bound, when given, is (slope, intercept); the margins
-    slope * log t + intercept - (modulus + err) are then returned in margin
-    and summarised in min_margin / argmin_t; both must be finite.  budget,
+    bound, when given, is (slope, intercept), both finite; the margins
+    slope * log t + intercept - (modulus + err) are then summarised in
+    min_margin / argmin_t, and the report's margin forms them on first
+    read, as its ratio forms modulus / log t.  The summaries, with
+    max_ratio / argmax_t, are reduced call by call as the calls are merged,
+    ties going to the earlier point, so they equal np.argmax / np.argmin
+    over the whole arrays; per point the scan keeps t, modulus and err.  budget,
     positive (inf for none), caps the kernel passes the scan is charged
     (_charge), checked before any array is built, as physical memory is:
     a grid whose arrays it cannot hold raises MemoryError at once, at any
@@ -262,6 +291,7 @@ def scan_interval(
     modulus = np.empty(len(t))
     err = np.empty(len(t))
     lead: list[np.ndarray] = []  # the moduli of the first _MEMO_CALLS calls
+    peak = peak_t = worst = worst_t = None  # the summaries, merged call by call
     with ExitStack() as stack:
         run_all = map if workers == 1 else stack.enter_context(ThreadPoolExecutor(workers)).map
         for (k_lo, k_hi), plan, moduli in zip(calls, plans, run_all(run, range(len(calls)))):
@@ -269,25 +299,27 @@ def scan_interval(
             err[k_lo:k_hi + 1] = plan.radius
             if len(lead) < _MEMO_CALLS:
                 lead.append(moduli)
+            # each call's summaries, merged with strict > and <: ties go to
+            # the earlier point, as np.argmax / np.argmin over the grid
+            pts = t[k_lo:k_hi + 1]
+            log_t = np.log(pts)
+            ratio = moduli / log_t
+            k = int(np.argmax(ratio))
+            if peak is None or ratio[k] > peak:
+                peak, peak_t = float(ratio[k]), float(pts[k])
+            if bound is not None:
+                margin = log_t  # log t is read no more: its buffer takes the margins
+                margin *= bound[0]
+                margin += bound[1]
+                margin -= moduli + plan.radius  # err at a point is its call's radius
+                k = int(np.argmin(margin))
+                if worst is None or margin[k] < worst:
+                    worst, worst_t = float(margin[k]), float(pts[k])
     _MEMO = dict(zip(keys, zip(plans, lead)))
-
-    log_t = np.log(t)
-    ratio = modulus / log_t
-    k_max = int(np.argmax(ratio))
-    margin = min_margin = argmin_t = None
-    if bound is not None:
-        slope, intercept = bound
-        margin = log_t  # log t is read no more: its buffer takes the margins
-        margin *= slope
-        margin += intercept
-        margin -= modulus + err
-        k_min = int(np.argmin(margin))
-        min_margin = float(margin[k_min])
-        argmin_t = float(t[k_min])
+    assert peak is not None and peak_t is not None
     return ScanReport(
-        t=t, modulus=modulus, err=err, ratio=ratio,
-        max_ratio=float(ratio[k_max]), argmax_t=float(t[k_max]),
-        min_margin=min_margin, argmin_t=argmin_t, margin=margin,
+        t=t, modulus=modulus, err=err, max_ratio=peak, argmax_t=peak_t,
+        min_margin=worst, argmin_t=worst_t, bound=bound,
     )
 
 
@@ -375,7 +407,7 @@ def max_ratio(
         raise ValueError(f"refine_tol must be positive and finite, got {refine_tol}")
     cfg = ScanConfig(t_lo=t_lo, t_hi=t_hi, h=coarse_h, r=_COARSE_R)
     report = scan_interval(cfg, budget=budget, workers=workers)
-    k = int(np.argmax(report.ratio))
+    k = int(np.searchsorted(report.t, report.argmax_t))  # the best grid point; ratio unformed
     t, ratio, _ = _zoom(report.t[max(k - 5, 0):k + 6], refine_tol)
     return t, ratio
 

@@ -512,8 +512,8 @@ class TestScanInterval:
 
     def test_grid_over_physical_memory_refused_before_any_array(self, monkeypatch):
         # [2.72, 10] at h = 1e-8: 7.28e8 points, charged 1.8e10 passes,
-        # which the default budget admits, but 48 B a point of arrays
-        # (35 GB) is over physical memory, here read as 8 GiB
+        # which the default budget admits, but 24 B a point of arrays
+        # (17.5 GB) is over physical memory, here read as 8 GiB
         tracemalloc = pytest.importorskip("tracemalloc")
         monkeypatch.setattr(verifier, "_physical_memory", lambda: float(8 << 30))
         cfg = ScanConfig(t_lo=2.72, t_hi=10.0, h=1e-8)
@@ -526,11 +526,11 @@ class TestScanInterval:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # 11 points take 528 B: admitted at exactly that, refused below it
+        # 11 points take 264 B: admitted at exactly that, refused below it
         small = ScanConfig(t_lo=10.0, t_hi=10.1)
-        monkeypatch.setattr(verifier, "_physical_memory", lambda: 528.0)
+        monkeypatch.setattr(verifier, "_physical_memory", lambda: 264.0)
         assert len(scan_interval(small).t) == 11
-        monkeypatch.setattr(verifier, "_physical_memory", lambda: 527.0)
+        monkeypatch.setattr(verifier, "_physical_memory", lambda: 263.0)
         with pytest.raises(MemoryError):
             scan_interval(small)
 
@@ -567,7 +567,7 @@ class TestScanInterval:
         calls = _record_calls(monkeypatch)
         check_bound(cfg.t_lo, cfg.t_hi, 0.5, 0.6633, config=cfg)
         assert len(calls) == 1
-        verifier._MEMO.clear()  # or the scan below reuses the check's call
+        monkeypatch.setattr(verifier, "_MEMO", {})  # or the scan below reuses the check's call
         report = scan_interval(cfg)
         [(pts, n_max, _, err)] = calls[1:]
         t = report.t
@@ -639,6 +639,63 @@ class TestScanInterval:
         assert bounded.margin.tobytes() == expected.tobytes()
         assert bounded.margin.min() == bounded.min_margin
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t_lo, t_hi, bound", [
+        (math.e, 2000.0, None),
+        (math.e, 2000.0, (0.5, 0.6633)),
+        (math.e, 1e4, (0.5, 0.6633)),
+        (1e5, 1e5 + 100.0, (0.5, 0.6633)),
+        (1e6, 1e6 + 50.0, (0.5, 0.6633)),
+    ], ids=["e-2000", "e-2000-bound", "e-1e4", "1e5", "1e6"])
+    def test_derived_columns_and_summaries_match_the_whole_grid(self, t_lo, t_hi, bound,
+                                                                workers):
+        # ratio and margin are formed on first read and the summaries
+        # reduced call by call: the bytes of the whole-grid operations, and
+        # the first argmax / argmin over them
+        cfg = ScanConfig(t_lo=t_lo, t_hi=t_hi)
+        report = scan_interval(cfg, bound, budget=math.inf, workers=workers)
+        t, modulus, err = report.t, report.modulus, report.err
+        ratio = modulus / np.log(t)
+        assert report.ratio.tobytes() == ratio.tobytes()
+        k = int(np.argmax(ratio))
+        assert (report.max_ratio, report.argmax_t) == (ratio[k], t[k])
+        if bound is None:
+            assert report.margin is report.min_margin is report.argmin_t is None
+            return
+        margin = bound[0] * np.log(t) + bound[1] - (modulus + err)
+        assert report.margin.tobytes() == margin.tobytes()
+        k = int(np.argmin(margin))
+        assert (report.min_margin, report.argmin_t) == (margin[k], t[k])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ties_across_calls_go_to_the_earlier_point(self, monkeypatch, workers):
+        # zero moduli and one radius for every call: every ratio is 0 and
+        # every margin -radius, so each call's first point ties with the
+        # grid's first, which np.argmax and np.argmin pick
+        monkeypatch.setattr(verifier, "_KERNEL_POINTS", 100)
+        plan = verifier._call_plan
+        monkeypatch.setattr(verifier, "_call_plan", lambda pts: plan(pts)._replace(radius=1e-3))
+        monkeypatch.setattr(verifier, "_eval_block",
+                            lambda pts, n, p: (np.zeros(len(pts)), p.radius))
+        report = scan_interval(ScanConfig(t_lo=10.0, t_hi=15.0), (0.0, 0.0), workers=workers)
+        assert len(_runs(report.t)) == 6
+        assert report.argmax_t == report.argmin_t == report.t[0]
+        assert (report.max_ratio, report.min_margin) == (0.0, -1e-3)
+
+    def test_check_bound_holds_three_arrays_a_point(self):
+        # check_bound reads only the summaries, so its scan keeps t, modulus
+        # and err, 24 B a point, and never forms ratio or margin: on [e, 1e4]
+        # (999 729 points) it peaks within that plus 8 MiB of kernel work
+        tracemalloc = pytest.importorskip("tracemalloc")
+        assert verifier._POINT_BYTES == 24
+        tracemalloc.start()
+        try:
+            check_bound(math.e, 1e4, 0.5, 0.6633)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 999_729 * 24 + (8 << 20)
+
 
 def _count_plans(monkeypatch):
     # the points of every _call_plan, by either module's name for it, and of
@@ -709,7 +766,7 @@ class TestCallMemo:
         monkeypatch.setattr(verifier, "_KERNEL_POINTS", 500)
         wide = ScanConfig(t_lo=math.e, t_hi=60.0)
         cold = scan_interval(wide, bound=(0.5, 0.6633))
-        verifier._MEMO.clear()
+        monkeypatch.setattr(verifier, "_MEMO", {})
         scan_interval(ScanConfig(t_lo=math.e, t_hi=30.0), workers=workers)
         calls = _record_calls(monkeypatch)
         warm = scan_interval(wide, bound=(0.5, 0.6633), workers=workers)
@@ -738,7 +795,7 @@ class TestCallMemo:
         calls = _record_calls(monkeypatch)
         reports = []
         for workers in (1, 2, 3):
-            verifier._MEMO.clear()
+            monkeypatch.setattr(verifier, "_MEMO", {})
             calls.clear()
             reports.append(scan_interval(cfg, workers=workers))
             assert len(calls) == len(_runs(reports[-1].t))
@@ -758,7 +815,7 @@ class TestCallMemo:
         calls = _record_calls(monkeypatch)
         report = scan_interval(other)
         assert len(report.t) == 501 and len(calls) == 1
-        verifier._MEMO.clear()
+        monkeypatch.setattr(verifier, "_MEMO", {})
         assert scan_interval(other).modulus.tobytes() == report.modulus.tobytes()
 
     def test_r_below_a_remembered_radius_refused(self, monkeypatch):
@@ -831,9 +888,9 @@ class TestCallMemo:
         cfgs = [ScanConfig(t_lo=math.e, t_hi=math.e + width) for width in (3.0, 4.0, 5.0)]
         cold = []
         for cfg in cfgs:
-            verifier._MEMO.clear()
+            monkeypatch.setattr(verifier, "_MEMO", {})
             cold.append(scan_interval(cfg).modulus.tobytes())
-        verifier._MEMO.clear()
+        monkeypatch.setattr(verifier, "_MEMO", {})
 
         def scans(offset):
             wrong = []
